@@ -10,9 +10,9 @@ import numpy as np
 
 from .learning import (SrlConfig, check_rank, collect, hide_state_matrix,
                        make_exploration, srl_synthesize)
-from .model_based import (SynthesisResult, find_stabilizing_gain,
-                          kleinman_structured, solve_unstructured_lqr,
-                          suboptimality_bound)
+from .model_based import (SynthesisResult, _check_stopping_rule,
+                          find_stabilizing_gain, kleinman_structured,
+                          solve_unstructured_lqr, suboptimality_bound)
 from .structure import SparsityMask, check_membership
 from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory,
                      TruncationWarning, evaluate_cost, evaluate_cost_analytic,
@@ -75,6 +75,9 @@ class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 50
     rank_tol: float = 1e-12
+
+    def __post_init__(self):
+        _check_stopping_rule(self.tol, self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -255,9 +258,9 @@ class _Lines:
         return None, self.pos
 
 
-def _parse_float(token: str, lineno: int, what: str) -> float:
+def _parse_value(token: str, lineno: int, what: str, cast=float):
     try:
-        return float(token)
+        return cast(token)
     except ValueError:
         raise ScenarioError(f"line {lineno}: bad {what} value '{token}'") from None
 
@@ -269,7 +272,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
     matrices: Dict[str, np.ndarray] = {}
     vectors: Dict[str, np.ndarray] = {}
     mask_arr = None
-    scalars: Dict[str, str] = {}
+    scalars: Dict[str, Tuple[str, int]] = {}  # key -> (token, line number)
 
     def read_rows(rows, cols, lineno, what):
         out = np.empty((rows, cols))
@@ -281,7 +284,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
             if len(toks) != cols:
                 raise ScenarioError(
                     f"line {ln}: expected {cols} values in {what}, got {len(toks)}")
-            out[r] = [_parse_float(t, ln, what) for t in toks]
+            out[r] = [_parse_value(t, ln, what) for t in toks]
         return out
 
     while True:
@@ -297,28 +300,30 @@ def parse_scenario(text: str) -> ScenarioSpec:
         elif kw == "matrix":
             if len(toks) != 4:
                 raise ScenarioError(f"line {ln}: matrix needs name rows cols")
-            rows = int(_parse_float(toks[2], ln, "rows"))
-            cols = int(_parse_float(toks[3], ln, "cols"))
+            rows = int(_parse_value(toks[2], ln, "rows"))
+            cols = int(_parse_value(toks[3], ln, "cols"))
             matrices[toks[1]] = read_rows(rows, cols, ln, f"matrix {toks[1]}")
         elif kw == "mask":
             if len(toks) != 3:
                 raise ScenarioError(f"line {ln}: mask needs rows cols")
-            rows = int(_parse_float(toks[1], ln, "rows"))
-            cols = int(_parse_float(toks[2], ln, "cols"))
+            rows = int(_parse_value(toks[1], ln, "rows"))
+            cols = int(_parse_value(toks[2], ln, "cols"))
             mask_arr = read_rows(rows, cols, ln, "mask")
             if not np.all((mask_arr == 0) | (mask_arr == 1)):
                 raise ScenarioError(f"line {ln}: mask entries must be 0 or 1")
         elif kw == "vector":
             if len(toks) != 3:
                 raise ScenarioError(f"line {ln}: vector needs name length")
-            length = int(_parse_float(toks[2], ln, "length"))
+            length = int(_parse_value(toks[2], ln, "length"))
             vectors[toks[1]] = read_rows(1, length, ln, f"vector {toks[1]}")[0]
-        elif kw in ("dt",):
-            scalars["dt"] = toks[1]
+        elif kw == "dt":
+            if len(toks) != 2:
+                raise ScenarioError(f"line {ln}: dt needs one value")
+            scalars["dt"] = toks[1], ln
         elif kw in ("exploration", "solver"):
             if len(toks) != 3:
                 raise ScenarioError(f"line {ln}: {kw} needs key and value")
-            scalars[f"{kw}.{toks[1]}"] = toks[2]
+            scalars[f"{kw}.{toks[1]}"] = toks[2], ln
         else:
             raise ScenarioError(f"line {ln}: unknown keyword '{kw}'")
 
@@ -335,7 +340,10 @@ def parse_scenario(text: str) -> ScenarioSpec:
         raise ScenarioError("missing dt")
 
     def scal(key, default, cast=float):
-        return cast(scalars[key]) if key in scalars else default
+        if key not in scalars:
+            return default
+        token, lineno = scalars[key]
+        return _parse_value(token, lineno, key, cast)
 
     ex = ExplorationConfig(
         seed=scal("exploration.seed", 0, int),
@@ -347,16 +355,18 @@ def parse_scenario(text: str) -> ScenarioSpec:
         amplitude=scal("exploration.amplitude", 1.0),
         substeps=scal("exploration.substeps", 1, int),
     )
-    so = SolverConfig(
+    solver = dict(
         tol=scal("solver.tol", 1e-6),
         max_iter=scal("solver.max-iter", 50, int),
         rank_tol=scal("solver.rank-tol", 1e-12),
     )
+    dt = scal("dt", None)
     try:
         return ScenarioSpec(name=name, A=matrices.get("A"), B=matrices["B"],
                             Q=matrices["Q"], R=matrices["R"],
                             mask=SparsityMask(mask_arr), x0=vectors["x0"],
-                            dt=float(scalars["dt"]), exploration=ex, solver=so,
+                            dt=dt, exploration=ex,
+                            solver=SolverConfig(**solver),
                             initial_gain=matrices.get("K0"))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc

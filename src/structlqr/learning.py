@@ -11,7 +11,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .model_based import ConvergenceError, IterationRecord, SynthesisResult
+from .model_based import (ConvergenceError, IterationRecord, SynthesisResult,
+                          _check_stopping_rule)
 from .structure import SparsityMask, off_pattern, on_pattern
 from .system import CostWeights, InputPolicy, LtiSystem, Trajectory, _as_matrix, _freeze
 
@@ -55,8 +56,8 @@ class ExplorationSignal:
         return np.sum(np.abs(self.amplitudes), axis=1)
 
     def __call__(self, t: float) -> np.ndarray:
-        return np.sum(self.amplitudes * np.sin(self.frequencies * t + self.phases),
-                      axis=1)
+        return (self.amplitudes
+                * np.sin(self.frequencies * t + self.phases)).sum(axis=1)
 
     def sample(self, times) -> np.ndarray:
         times = np.asarray(times, dtype=float)
@@ -191,8 +192,7 @@ class SrlConfig:
             raise ValueError(
                 f"num_windows = {self.num_windows} below the required "
                 f"sample count {need}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        _check_stopping_rule(self.tol, self.max_iter)
 
 
 def _cumulative_trapezoid(rows: np.ndarray, dt: float) -> np.ndarray:

@@ -90,6 +90,14 @@ def modified_are_residual(P, L, sys: LtiSystem, weights: CostWeights) -> float:
     return float(np.linalg.norm(res, "fro"))
 
 
+def _check_stopping_rule(tol, max_iter):
+    """Reject iteration knobs the policy-iteration loop cannot run with."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+
+
 def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask,
                         initial_gain, tol: float = 1e-6,
                         max_iter: int = 50) -> SynthesisResult:
@@ -100,8 +108,7 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
     ||P_k - P_{k-1}||_F < tol. Every accepted iterate must keep the loop
     Hurwitz; a destabilizing update aborts with the iteration index.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_stopping_rule(tol, max_iter)
     if mask.shape != (sys.m, sys.n):
         raise ValueError(f"mask must be {sys.m}x{sys.n}")
     K = _as_matrix(initial_gain, rows=sys.m, cols=sys.n, name="initial_gain")

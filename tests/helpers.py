@@ -3,6 +3,8 @@
 import numpy as np
 from scipy.linalg import expm
 
+from structlqr import SimulationDiverged
+
 # 6-agent diffusive network benchmark: reference values the fixtures must
 # reproduce (gains quoted to 4 decimals, costs in objective units).
 
@@ -73,3 +75,44 @@ def lyapunov_integral_oracle(M, S, dt=0.002, horizon=120.0):
 
 def matrix_exponential_state(A, x0, t):
     return expm(A * t) @ x0
+
+
+def rk4_reference(sys, policy, x0, horizon, dt=0.01, substeps=10):
+    """Per-stage classical RK4 loop, one Python step at a time: the oracle
+    for the precomputed one-step map in ``simulate``. Returns
+    (states, inputs) on the recorded grid."""
+    nsteps = int(np.floor(horizon / dt + 1e-9))
+    total = nsteps * substeps
+    h = dt / substeps
+
+    def probe_samples(times):
+        if policy.probe is None:
+            return np.zeros((len(times), sys.m))
+        return np.array([np.asarray(policy.probe(t), dtype=float)
+                         for t in times])
+
+    G = sys.A if policy.gain is None else sys.A - sys.B @ policy.gain
+    starts = h * np.arange(total + 1)
+    probe_start = probe_samples(starts)
+    f_start = probe_start @ sys.B.T
+    f_mid = probe_samples(starts[:-1] + 0.5 * h) @ sys.B.T
+
+    states = np.empty((nsteps + 1, sys.n))
+    states[0] = x0
+    x = np.array(x0, dtype=float)
+    for k in range(total):
+        k1 = G @ x + f_start[k]
+        k2 = G @ (x + 0.5 * h * k1) + f_mid[k]
+        k3 = G @ (x + 0.5 * h * k2) + f_mid[k]
+        k4 = G @ (x + h * k3) + f_start[k + 1]
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (k + 1) % substeps == 0:
+            i = (k + 1) // substeps
+            if np.max(np.abs(x)) > 1e150 or not np.all(np.isfinite(x)):
+                raise SimulationDiverged(time=i * dt)
+            states[i] = x
+
+    inputs = probe_start[::substeps].copy()
+    if policy.gain is not None:
+        inputs -= states @ policy.gain.T
+    return states, inputs

@@ -54,6 +54,13 @@ def test_nonconvergence_exit_code(capsys):
                  "--max-iter", "2"]) == 4
 
 
+@pytest.mark.parametrize("flag, value, knob", [
+    ("--max-iter", "0", "max_iter"), ("--tol", "nan", "tol")])
+def test_bad_solver_override_is_usage_error(capsys, flag, value, knob):
+    assert main(["compare", "--scenario", "consensus-a", flag, value]) == 1
+    assert f"error: {knob} must be" in capsys.readouterr().err
+
+
 def test_rank_failure_exit_code(tmp_path, capsys):
     spec = builtin_scenario("consensus-a")
     short = dataclasses.replace(

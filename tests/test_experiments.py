@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import NETWORK_A, X0
-from structlqr.experiments import (ScenarioError, ScenarioSpec,
+from structlqr.experiments import (ScenarioError, ScenarioSpec, SolverConfig,
                                    builtin_scenario, load_scenario,
                                    make_consensus_network, parse_scenario,
                                    run_model_based, run_simulate, run_srl,
@@ -100,6 +100,25 @@ class TestScenarioSerialization:
         text = "scenario t\ndt 0.01\nmatrix B 2 2\n1 0\n0 oops\n"
         with pytest.raises(ScenarioError, match="line 5"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("line, message", [
+        ("dt", "line 13: dt needs one value"),
+        ("exploration seed 1.5", "line 13: bad exploration.seed value '1.5'"),
+    ])
+    def test_bad_scalar_line_carries_line_number(self, line, message):
+        text = ("scenario t\ndt 0.01\nmatrix B 1 1\n1\nmatrix Q 1 1\n1\n"
+                "matrix R 1 1\n1\nmask 1 1\n1\nvector x0 1\n1\n" + line + "\n")
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(text)
+
+    def test_solver_knobs_validated(self):
+        for knob, value in (("tol", float("nan")), ("max_iter", 0)):
+            with pytest.raises(ValueError, match=knob):
+                SolverConfig(**{knob: value})
+        text = save_scenario(builtin_scenario("consensus-a"))
+        with pytest.raises(ScenarioError, match="max_iter"):
+            parse_scenario(text.replace("solver max-iter 30",
+                                        "solver max-iter 0"))
 
     def test_missing_blocks(self):
         with pytest.raises(ScenarioError, match="mask"):

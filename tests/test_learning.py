@@ -146,6 +146,10 @@ class TestCollect:
             network_config(mask_a, num_windows=50)  # below required samples
         with pytest.raises(ValueError):
             network_config(mask_a, window=0.010123)  # not a multiple of dt
+        for knob, value in (("tol", float("nan")), ("tol", 0.0),
+                            ("max_iter", 0)):
+            with pytest.raises(ValueError, match=knob):
+                network_config(mask_a, **{knob: value})
 
 
 class TestCheckRank:

@@ -121,6 +121,15 @@ class TestKleinmanStructured:
         with pytest.raises(NotStabilizingError):
             kleinman_structured(network, weights, mask_a, np.zeros((6, 6)))
 
+    @pytest.mark.parametrize("knob, value", [
+        ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
+        ("max_iter", 0), ("max_iter", -1)])
+    def test_stopping_rule_validated(self, network, weights, mask_a, knob,
+                                     value):
+        with pytest.raises(ValueError, match=knob):
+            kleinman_structured(network, weights, mask_a,
+                                masked_identity_gain(mask_a), **{knob: value})
+
     def test_budget_exhaustion_carries_partial_result(self, network, weights,
                                                       mask_a):
         with pytest.raises(ConvergenceError) as err:

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import (NETWORK_A, OPEN_LOOP_EIGS, X0, matrix_exponential_state,
-                     random_stable_matrix)
+                     random_stable_matrix, rk4_reference)
 from structlqr import (CostWeights, InputPolicy, LtiSystem, SimulationDiverged,
                        Trajectory, TruncationWarning, UnstableClosedLoopError,
                        evaluate_cost, evaluate_cost_analytic, is_hurwitz,
@@ -138,6 +140,48 @@ class TestSimulate:
             simulate(sys, InputPolicy.zero(1), np.array([1.0]), horizon=2.0,
                      dt=0.01)
         assert 0.0 < err.value.time <= 2.0
+        with pytest.raises(SimulationDiverged) as ref:
+            rk4_reference(sys, InputPolicy.zero(1), np.array([1.0]), 2.0,
+                          dt=0.01)
+        assert err.value.time == ref.value.time
+
+    def test_divergence_overflowing_later_in_the_block(self):
+        # the state passes 1e150 at the 6th sample, then reaches inf and nan
+        # within the same block of steps: no overflow warning may leak
+        sys = LtiSystem(A=6000.0 * np.array([[1.0, 1.0], [1.0, -1.0]]),
+                        B=np.eye(2))
+        x0 = np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SimulationDiverged) as err:
+                simulate(sys, InputPolicy.zero(2), x0, horizon=2.0, dt=0.01)
+        with pytest.raises(SimulationDiverged) as ref:
+            rk4_reference(sys, InputPolicy.zero(2), x0, 2.0, dt=0.01)
+        assert err.value.time == ref.value.time == pytest.approx(0.06)
+
+    @pytest.mark.parametrize("case", ["consensus-a", "consensus-b",
+                                      "feedback-substeps", "zero-policy"])
+    def test_matches_per_stage_rk4(self, case):
+        from structlqr.experiments import builtin_scenario
+
+        if case.startswith("consensus"):
+            # the full exploration run of the data-driven route
+            spec = builtin_scenario(case)
+            config = spec.srl_config()
+            sys = spec.system()
+            policy = InputPolicy.feedback_with_probe(config.initial_gain,
+                                                     spec.probe())
+            args = (spec.x0, config.num_windows * config.window)
+            kwargs = dict(dt=config.dt, substeps=1)
+        else:
+            sys = LtiSystem(A=NETWORK_A, B=np.eye(6))
+            policy = (InputPolicy.feedback(3.0 * np.eye(6))
+                      if case == "feedback-substeps" else InputPolicy.zero(6))
+            args, kwargs = (X0, 6.0), dict(dt=0.01, substeps=10)
+        traj = simulate(sys, policy, *args, **kwargs)
+        states, inputs = rk4_reference(sys, policy, *args, **kwargs)
+        for got, want in ((traj.states, states), (traj.inputs, inputs)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_recorded_inputs_are_applied_inputs(self, network):
         K = 0.5 * np.eye(6)
