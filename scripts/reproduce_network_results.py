@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from structlqr.experiments import builtin_scenario, run_compare
+from structlqr.experiments import builtin_scenario, run_srl
 
 
 def print_matrix(name, M):
@@ -34,7 +34,8 @@ def main():
     for name in ("consensus-a", "consensus-b"):
         spec = builtin_scenario(name)
         out_dir = Path(args.out) / name if args.out else None
-        report = run_compare(spec, out_dir=out_dir, seed=args.seed)
+        report = run_srl(spec, out_dir=out_dir, seed=args.seed,
+                         method="compare")
 
         print("=" * 72)
         print(f"scenario {name}: converged={report.converged} "

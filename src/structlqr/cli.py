@@ -9,8 +9,8 @@ import dataclasses
 import json
 import sys
 
-from .experiments import (ScenarioError, load_scenario, run_compare,
-                          run_model_based, run_simulate, run_srl)
+from .experiments import (ScenarioError, load_scenario, run_model_based,
+                          run_simulate, run_srl)
 from .learning import RankDeficientError
 from .model_based import (ConvergenceError, IterateDestabilizedError,
                           NotStabilizingError)
@@ -35,24 +35,27 @@ def _build_parser() -> _Parser:
                                  "trajectory-data-driven")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary, seed=False, solver=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--scenario", required=True,
                        help="builtin name (consensus-a, consensus-b, "
                             "consensus-b-declared) or scenario file path")
         p.add_argument("--out", default=None, help="directory for CSV/JSON output")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the exploration seed")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the solver stopping tolerance")
-        p.add_argument("--max-iter", type=int, default=None,
-                       help="override the solver iteration budget")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the exploration seed")
+        if solver:
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the solver stopping tolerance")
+            p.add_argument("--max-iter", type=int, default=None,
+                           help="override the solver iteration budget")
+        return p
 
-    common(sub.add_parser("srl", help="data-driven structured synthesis"))
-    common(sub.add_parser("model-based", help="structured policy iteration"))
-    common(sub.add_parser("compare", help="data-driven run plus baselines"))
-    common(sub.add_parser("bound", help="suboptimality bound report"))
-    sim = sub.add_parser("simulate", help="zero-input simulation from x0")
-    common(sim)
+    command("srl", "data-driven structured synthesis", seed=True)
+    command("model-based", "structured policy iteration")
+    command("compare", "data-driven run plus baselines", seed=True)
+    command("bound", "suboptimality bound report")
+    sim = command("simulate", "zero-input simulation from x0", solver=False)
     sim.add_argument("--horizon", type=float, default=5.0)
     return parser
 
@@ -72,7 +75,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = load_scenario(args.scenario)
-        spec = _apply_overrides(spec, args)
         if args.command == "simulate":
             traj = run_simulate(spec, horizon=args.horizon, out_dir=args.out)
             print(json.dumps({
@@ -82,12 +84,12 @@ def main(argv=None) -> int:
             }, indent=2, sort_keys=True))
             return EXIT_OK
 
+        spec = _apply_overrides(spec, args)
         if args.command == "model-based":
             report = run_model_based(spec, out_dir=args.out)
-        elif args.command == "srl":
-            report = run_srl(spec, out_dir=args.out, seed=args.seed)
-        elif args.command == "compare":
-            report = run_compare(spec, out_dir=args.out, seed=args.seed)
+        elif args.command in ("srl", "compare"):
+            report = run_srl(spec, out_dir=args.out, seed=args.seed,
+                             method=args.command)
         else:  # bound
             report = run_model_based(spec, out_dir=args.out)
             print(json.dumps({"scenario": spec.name, "bound": report.bound},

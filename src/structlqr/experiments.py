@@ -15,8 +15,8 @@ from .model_based import (SynthesisResult, _check_stopping_rule,
                           solve_unstructured_lqr, suboptimality_bound)
 from .structure import SparsityMask, check_membership
 from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory,
-                     TruncationWarning, evaluate_cost, evaluate_cost_analytic,
-                     simulate)
+                     TruncationWarning, _check_positive, evaluate_cost,
+                     evaluate_cost_analytic, simulate)
 
 
 class ScenarioError(ValueError):
@@ -69,6 +69,10 @@ class ExplorationConfig:
     amplitude: float = 1.0
     substeps: int = 1
 
+    def __post_init__(self):
+        _check_positive("exploration duration", self.duration)
+        _check_positive("exploration window", self.window)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -95,6 +99,7 @@ class ScenarioSpec:
     initial_gain: Optional[np.ndarray] = None  # None -> stabilizing-gain search
 
     def __post_init__(self):
+        _check_positive("dt", self.dt)
         B = np.asarray(self.B, dtype=float)
         n, m = B.shape
         for nm, M, shape in (("Q", self.Q, (n, n)), ("R", self.R, (m, m))):
@@ -265,6 +270,13 @@ def _parse_value(token: str, lineno: int, what: str, cast=float):
         raise ScenarioError(f"line {lineno}: bad {what} value '{token}'") from None
 
 
+def _parse_size(token: str, lineno: int, what: str) -> int:
+    size = _parse_value(token, lineno, what, cast=int)
+    if size < 1:
+        raise ScenarioError(f"line {lineno}: {what} must be at least 1, got {size}")
+    return size
+
+
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse the block text scenario format; errors carry line numbers."""
     lines = _Lines(text)
@@ -300,21 +312,21 @@ def parse_scenario(text: str) -> ScenarioSpec:
         elif kw == "matrix":
             if len(toks) != 4:
                 raise ScenarioError(f"line {ln}: matrix needs name rows cols")
-            rows = int(_parse_value(toks[2], ln, "rows"))
-            cols = int(_parse_value(toks[3], ln, "cols"))
+            rows = _parse_size(toks[2], ln, "rows")
+            cols = _parse_size(toks[3], ln, "cols")
             matrices[toks[1]] = read_rows(rows, cols, ln, f"matrix {toks[1]}")
         elif kw == "mask":
             if len(toks) != 3:
                 raise ScenarioError(f"line {ln}: mask needs rows cols")
-            rows = int(_parse_value(toks[1], ln, "rows"))
-            cols = int(_parse_value(toks[2], ln, "cols"))
+            rows = _parse_size(toks[1], ln, "rows")
+            cols = _parse_size(toks[2], ln, "cols")
             mask_arr = read_rows(rows, cols, ln, "mask")
             if not np.all((mask_arr == 0) | (mask_arr == 1)):
                 raise ScenarioError(f"line {ln}: mask entries must be 0 or 1")
         elif kw == "vector":
             if len(toks) != 3:
                 raise ScenarioError(f"line {ln}: vector needs name length")
-            length = int(_parse_value(toks[2], ln, "length"))
+            length = _parse_size(toks[2], ln, "length")
             vectors[toks[1]] = read_rows(1, length, ln, f"vector {toks[1]}")[0]
         elif kw == "dt":
             if len(toks) != 2:
@@ -345,28 +357,26 @@ def parse_scenario(text: str) -> ScenarioSpec:
         token, lineno = scalars[key]
         return _parse_value(token, lineno, key, cast)
 
-    ex = ExplorationConfig(
-        seed=scal("exploration.seed", 0, int),
-        duration=scal("exploration.duration", 1.4),
-        window=scal("exploration.window", 0.01),
-        num_sinusoids=scal("exploration.sinusoids", 100, int),
-        freq_min=scal("exploration.freq-min", 0.5),
-        freq_max=scal("exploration.freq-max", 50.0),
-        amplitude=scal("exploration.amplitude", 1.0),
-        substeps=scal("exploration.substeps", 1, int),
-    )
-    solver = dict(
-        tol=scal("solver.tol", 1e-6),
-        max_iter=scal("solver.max-iter", 50, int),
-        rank_tol=scal("solver.rank-tol", 1e-12),
-    )
-    dt = scal("dt", None)
     try:
+        ex = ExplorationConfig(
+            seed=scal("exploration.seed", 0, int),
+            duration=scal("exploration.duration", 1.4),
+            window=scal("exploration.window", 0.01),
+            num_sinusoids=scal("exploration.sinusoids", 100, int),
+            freq_min=scal("exploration.freq-min", 0.5),
+            freq_max=scal("exploration.freq-max", 50.0),
+            amplitude=scal("exploration.amplitude", 1.0),
+            substeps=scal("exploration.substeps", 1, int),
+        )
+        solver = SolverConfig(
+            tol=scal("solver.tol", 1e-6),
+            max_iter=scal("solver.max-iter", 50, int),
+            rank_tol=scal("solver.rank-tol", 1e-12),
+        )
         return ScenarioSpec(name=name, A=matrices.get("A"), B=matrices["B"],
                             Q=matrices["Q"], R=matrices["R"],
                             mask=SparsityMask(mask_arr), x0=vectors["x0"],
-                            dt=dt, exploration=ex,
-                            solver=SolverConfig(**solver),
+                            dt=scal("dt", None), exploration=ex, solver=solver,
                             initial_gain=matrices.get("K0"))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
@@ -468,18 +478,37 @@ def write_report_json(path, report: RunReport):
 # pipelines
 
 
-def _evaluate(spec: ScenarioSpec, result: SynthesisResult):
+def _report(spec: ScenarioSpec, method: str, result: SynthesisResult,
+            unstructured: SynthesisResult, **fields) -> RunReport:
+    """Report fields every runner shares: costs, closed-loop spectrum,
+    structure check, and the bound against the unstructured optimum."""
     sys = spec.system()
     weights = spec.weights()
     analytic = evaluate_cost_analytic(sys, weights, result.K, spec.x0)
-    truncated = False
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
         quad = evaluate_cost(sys, weights, result.K, spec.x0)
         truncated = any(issubclass(w.category, TruncationWarning) for w in caught)
-    eigs = np.linalg.eigvals(sys.A - sys.B @ result.K)
-    membership = check_membership(result.K, spec.mask)
-    return analytic, quad, truncated, eigs, membership
+    unstr_cost = evaluate_cost_analytic(sys, weights, unstructured.K, spec.x0)
+    bound = suboptimality_bound(sys, weights, spec.x0, analytic, unstr_cost,
+                                deviation=result.L)
+    return RunReport(
+        scenario=spec.name, method=method,
+        converged=result.converged, iterations=result.iterations,
+        K=result.K, P=result.P,
+        cost_quadrature=quad, cost_analytic=analytic,
+        closed_loop_eigenvalues=_complex_list(
+            np.linalg.eigvals(sys.A - sys.B @ result.K)),
+        structure_violation_max=check_membership(result.K, spec.mask).max_violation,
+        bound=bound.to_dict(),
+        comparison={
+            "cost_unstructured": unstr_cost,
+            "gain_distance_to_unstructured":
+                float(np.linalg.norm(result.K - unstructured.K, "fro")),
+        },
+        cost_truncated=truncated,
+        **fields,
+    )
 
 
 def _baselines(spec: ScenarioSpec, K0):
@@ -514,28 +543,8 @@ def _emit(out_dir, report: RunReport, result: SynthesisResult,
 
 def run_model_based(spec: ScenarioSpec, out_dir=None) -> RunReport:
     """Structured policy iteration on the scenario, with reports and CSVs."""
-    K0 = spec.resolve_initial_gain()
-    mb, unstr = _baselines(spec, K0)
-    analytic, quad, truncated, eigs, membership = _evaluate(spec, mb)
-    unstr_cost = evaluate_cost_analytic(spec.system(), spec.weights(),
-                                        unstr.K, spec.x0)
-    bound = suboptimality_bound(spec.system(), spec.weights(), spec.x0,
-                                analytic, unstr_cost, deviation=mb.L)
-    report = RunReport(
-        scenario=spec.name, method="model-based",
-        converged=mb.converged, iterations=mb.iterations,
-        K=mb.K, P=mb.P,
-        cost_quadrature=quad, cost_analytic=analytic,
-        closed_loop_eigenvalues=_complex_list(eigs),
-        structure_violation_max=membership.max_violation,
-        bound=bound.to_dict(),
-        comparison={
-            "cost_unstructured": unstr_cost,
-            "gain_distance_to_unstructured":
-                float(np.linalg.norm(mb.K - unstr.K, "fro")),
-        },
-        cost_truncated=truncated,
-    )
+    mb, unstr = _baselines(spec, spec.resolve_initial_gain())
+    report = _report(spec, "model-based", mb, unstr)
     if out_dir is not None:
         traj = _closed_loop_trajectory(spec, mb.K, spec.x0)
         _emit(out_dir, report, mb,
@@ -544,8 +553,10 @@ def run_model_based(spec: ScenarioSpec, out_dir=None) -> RunReport:
     return report
 
 
-def run_srl(spec: ScenarioSpec, out_dir=None, seed: Optional[int] = None) -> RunReport:
-    """Exploration, data-driven synthesis, then closed-loop implementation."""
+def run_srl(spec: ScenarioSpec, out_dir=None, seed: Optional[int] = None,
+            method: str = "srl") -> RunReport:
+    """Exploration, data-driven synthesis, then closed-loop implementation,
+    compared with the model-based and unstructured solutions."""
     config = spec.srl_config()
     probe = spec.probe(seed)
     plant = hide_state_matrix(spec.system())
@@ -554,35 +565,17 @@ def run_srl(spec: ScenarioSpec, out_dir=None, seed: Optional[int] = None) -> Run
     rank_report = check_rank(data, spec.mask, rank_tol=config.rank_tol)
     learned = srl_synthesize(data, config)
 
-    analytic, quad, truncated, eigs, membership = _evaluate(spec, learned)
     mb, unstr = _baselines(spec, config.initial_gain)
-    unstr_cost = evaluate_cost_analytic(spec.system(), spec.weights(),
-                                        unstr.K, spec.x0)
-    bound = suboptimality_bound(spec.system(), spec.weights(), spec.x0,
-                                analytic, unstr_cost, deviation=learned.L)
-    report = RunReport(
-        scenario=spec.name, method="srl",
-        converged=learned.converged, iterations=learned.iterations,
-        K=learned.K, P=learned.P,
-        cost_quadrature=quad, cost_analytic=analytic,
-        closed_loop_eigenvalues=_complex_list(eigs),
-        structure_violation_max=membership.max_violation,
-        bound=bound.to_dict(),
-        comparison={
-            "cost_model_based": evaluate_cost_analytic(
-                spec.system(), spec.weights(), mb.K, spec.x0),
-            "cost_unstructured": unstr_cost,
-            "gain_distance_to_model_based":
-                float(np.linalg.norm(learned.K - mb.K, "fro")),
-            "value_distance_to_model_based":
-                float(np.linalg.norm(learned.P - mb.P, "fro")),
-            "gain_distance_to_unstructured":
-                float(np.linalg.norm(learned.K - unstr.K, "fro")),
-        },
-        rank=rank_report.to_dict(),
-        exploration_peak_state=float(np.max(np.abs(traj.states))),
-        cost_truncated=truncated,
-    )
+    report = _report(spec, method, learned, unstr, rank=rank_report.to_dict(),
+                     exploration_peak_state=float(np.max(np.abs(traj.states))))
+    report.comparison.update({
+        "cost_model_based": evaluate_cost_analytic(
+            spec.system(), spec.weights(), mb.K, spec.x0),
+        "gain_distance_to_model_based":
+            float(np.linalg.norm(learned.K - mb.K, "fro")),
+        "value_distance_to_model_based":
+            float(np.linalg.norm(learned.P - mb.P, "fro")),
+    })
     if out_dir is not None:
         # exploration downsampled to the window grid, then the loop is closed
         stride = int(round(config.window / config.dt))
@@ -597,20 +590,11 @@ def run_srl(spec: ScenarioSpec, out_dir=None, seed: Optional[int] = None) -> Run
     return report
 
 
-def run_compare(spec: ScenarioSpec, out_dir=None, seed: Optional[int] = None) -> RunReport:
-    """Data-driven run with full model-based and unstructured comparison."""
-    report = run_srl(spec, out_dir=out_dir, seed=seed)
-    report.method = "compare"
-    if out_dir is not None:
-        write_report_json(Path(out_dir) / "report.json", report)
-    return report
-
-
 def run_simulate(spec: ScenarioSpec, horizon: float = 5.0, out_dir=None,
                  dt: float = 0.01) -> Trajectory:
     """Zero-input simulation of the scenario system from its x0."""
     sys = spec.system()
-    traj = simulate(sys, InputPolicy.zero(sys.m), spec.x0, horizon, dt=dt)
+    traj = simulate(sys, InputPolicy.zero(), spec.x0, horizon, dt=dt)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

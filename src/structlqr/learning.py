@@ -7,14 +7,14 @@ integrals of the recorded states and inputs.
 """
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .model_based import (ConvergenceError, IterationRecord, SynthesisResult,
-                          _check_stopping_rule)
+from .model_based import SynthesisResult, _check_stopping_rule, _policy_iteration
 from .structure import SparsityMask, off_pattern, on_pattern
-from .system import CostWeights, InputPolicy, LtiSystem, Trajectory, _as_matrix, _freeze
+from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory, _as_matrix,
+                     _check_positive, _freeze)
 
 
 class RankDeficientError(RuntimeError):
@@ -182,6 +182,8 @@ class SrlConfig:
         K0 = _as_matrix(self.initial_gain, rows=m, cols=n, name="initial_gain")
         object.__setattr__(self, "B", _freeze(B))
         object.__setattr__(self, "initial_gain", _freeze(K0))
+        _check_positive("dt", self.dt)
+        _check_positive("window", self.window)
         if self.window < 2.0 * self.dt:
             raise ValueError("window must span at least 2 recording steps")
         stride = self.window / self.dt
@@ -298,33 +300,6 @@ def check_rank(data: DataMatrices, mask: SparsityMask,
                       sigma_min=float(sv[-1]) if sv.size else 0.0)
 
 
-def _half_pairs(n: int):
-    return [(i, j) for j in range(n) for i in range(j + 1)]
-
-
-def _fold_symmetric_columns(block: np.ndarray, n: int) -> np.ndarray:
-    """Merge the kron(x,x) columns multiplying P_ij and P_ji (i != j).
-
-    The regressors cannot separate symmetric entries, so the unknown is
-    reduced to the n(n+1)/2 distinct values of a symmetric P.
-    """
-    cols = []
-    for (i, j) in _half_pairs(n):
-        if i == j:
-            cols.append(block[:, j * n + i])
-        else:
-            cols.append(block[:, j * n + i] + block[:, i * n + j])
-    return np.stack(cols, axis=1)
-
-
-def _unfold_symmetric(values: np.ndarray, n: int) -> np.ndarray:
-    P = np.zeros((n, n))
-    for v, (i, j) in zip(values, _half_pairs(n)):
-        P[i, j] = v
-        P[j, i] = v
-    return P
-
-
 def solve_iteration(data: DataMatrices, gain, config: SrlConfig):
     """One policy-evaluation/update least squares.
 
@@ -336,10 +311,17 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig):
     R = config.weights.R
     Qbar = config.weights.Q + K.T @ R @ K
 
+    # The regressors cannot separate P_ij from P_ji, so their kron(x, x)
+    # columns are merged and the unknown is the n(n+1)/2 distinct values
+    # of a symmetric P, ordered (i, j) with i <= j, column by column.
+    j, i = np.tril_indices(n)
+    delta_sym = data.delta_xx[:, j * n + i]
+    off = i != j
+    delta_sym[:, off] += data.delta_xx[:, i[off] * n + j[off]]
     eye = np.eye(n)
     theta_gain = (-2.0 * data.int_xx @ np.kron(eye, K.T @ R)
                   - 2.0 * data.int_xu @ np.kron(eye, R))
-    theta = np.hstack([_fold_symmetric_columns(data.delta_xx, n), theta_gain])
+    theta = np.hstack([delta_sym, theta_gain])
     rhs = -data.int_xx @ Qbar.ravel(order="F")
 
     # equilibrate rows then columns; plain scaling, undone after the solve
@@ -357,9 +339,9 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig):
             f"regression matrix rank {rank} < {ncols} unknowns; "
             f"deficient subspace dimension {ncols - rank}")
     sol = sol / col_scale
-    nh = n * (n + 1) // 2
-    P = _unfold_symmetric(sol[:nh], n)
-    M = sol[nh:].reshape(m, n, order="F")
+    P = np.zeros((n, n))
+    P[i, j] = P[j, i] = sol[:len(i)]
+    M = sol[len(i):].reshape(m, n, order="F")
     return P, M
 
 
@@ -388,28 +370,12 @@ def srl_synthesize(source, config: SrlConfig, x0=None,
             f"{report.required_regression} (classical count "
             f"{report.required}); gather more or richer data")
 
-    R = config.weights.R
-    RinvBt = np.linalg.solve(R, config.B.T)
-    K = config.initial_gain.copy()
-    history: List[IterationRecord] = []
-    P_prev: Optional[np.ndarray] = None
-    for k in range(config.max_iter):
+    RinvBt = np.linalg.solve(config.weights.R, config.B.T)
+
+    def step(k, K):
         P, M = solve_iteration(data, K, config)
         F = off_pattern(RinvBt @ P, config.mask)
-        K = on_pattern(M - F, config.mask)  # masked entries exactly zero
-        delta = np.inf if P_prev is None else float(np.linalg.norm(P - P_prev, "fro"))
-        history.append(IterationRecord(P=P, K=K, delta_P=delta))
-        if P_prev is not None and delta < config.tol:
-            return SynthesisResult(P=P, K=K, L=off_pattern(RinvBt @ P, config.mask),
-                                   iterations=k + 1, history=history,
-                                   converged=True)
-        P_prev = P
+        return P, on_pattern(M - F, config.mask)  # masked entries exactly zero
 
-    partial = SynthesisResult(P=P_prev, K=K,
-                              L=off_pattern(RinvBt @ P_prev, config.mask),
-                              iterations=config.max_iter, history=history,
-                              converged=False)
-    raise ConvergenceError(
-        f"no convergence after {config.max_iter} iterations "
-        f"(last ||dP|| = {history[-1].delta_P:.3g}, tol = {config.tol:g})",
-        result=partial)
+    return _policy_iteration(step, config.initial_gain, RinvBt, config.mask,
+                             config.tol, config.max_iter)

@@ -74,7 +74,8 @@ def solve_lyapunov(M, S) -> np.ndarray:
             "the Lyapunov equation may have no positive solution")
     n = M.shape[0]
     eye = np.eye(n)
-    op = np.kron(eye, M.T) + np.kron(M.T, eye)
+    op = np.kron(eye, M.T)
+    op += np.kron(M.T, eye)  # in place: one n^2 x n^2 temporary fewer
     p = np.linalg.solve(op, -S.ravel(order="F"))
     P = p.reshape(n, n, order="F")
     return 0.5 * (P + P.T)
@@ -98,6 +99,34 @@ def _check_stopping_rule(tol, max_iter):
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
 
+def _policy_iteration(step, K, RinvBt, mask: SparsityMask, tol: float,
+                      max_iter: int) -> SynthesisResult:
+    """Policy iteration around one evaluation oracle.
+
+    step(k, K) evaluates the gain K in iteration k (0-based) and returns
+    the value matrix P and the next masked gain. The loop stops once
+    ||P_k - P_{k-1}||_F < tol; L is the off-pattern part of R^-1 B' P.
+    """
+    history: List[IterationRecord] = []
+    P_prev: Optional[np.ndarray] = None
+    for k in range(max_iter):
+        P, K = step(k, K)
+        delta = np.inf if P_prev is None else float(np.linalg.norm(P - P_prev, "fro"))
+        history.append(IterationRecord(P=P, K=K, delta_P=delta))
+        if P_prev is not None and delta < tol:
+            return SynthesisResult(P=P, K=K, L=off_pattern(RinvBt @ P, mask),
+                                   iterations=k + 1, history=history,
+                                   converged=True)
+        P_prev = P
+
+    partial = SynthesisResult(P=P, K=K, L=off_pattern(RinvBt @ P, mask),
+                              iterations=max_iter, history=history, converged=False)
+    raise ConvergenceError(
+        f"no convergence after {max_iter} iterations "
+        f"(last ||dP|| = {history[-1].delta_P:.3g}, tol = {tol:g})",
+        result=partial)
+
+
 def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask,
                         initial_gain, tol: float = 1e-6,
                         max_iter: int = 50) -> SynthesisResult:
@@ -116,32 +145,17 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
         raise NotStabilizingError(
             "initial gain is not stabilizing (spectral abscissa "
             f"{spectral_abscissa(sys.A - sys.B @ K):.6g})")
-
     RinvBt = np.linalg.solve(weights.R, sys.B.T)
-    history: List[IterationRecord] = []
-    P_prev: Optional[np.ndarray] = None
-    for k in range(max_iter):
+
+    def step(k, K):
         P = solve_lyapunov(sys.A - sys.B @ K, weights.Q + K.T @ weights.R @ K)
-        phi = RinvBt @ P
-        K_next = on_pattern(phi, mask)
+        K_next = on_pattern(RinvBt @ P, mask)
         sa = spectral_abscissa(sys.A - sys.B @ K_next)
         if sa >= 0.0:
             raise IterateDestabilizedError(iteration=k + 1, abscissa=sa)
-        delta = np.inf if P_prev is None else float(np.linalg.norm(P - P_prev, "fro"))
-        history.append(IterationRecord(P=P, K=K_next, delta_P=delta))
-        if P_prev is not None and delta < tol:
-            L = off_pattern(phi, mask)
-            return SynthesisResult(P=P, K=K_next, L=L, iterations=k + 1,
-                                   history=history, converged=True)
-        P_prev = P
-        K = K_next
+        return P, K_next
 
-    partial = SynthesisResult(P=P_prev, K=K, L=off_pattern(RinvBt @ P_prev, mask),
-                              iterations=max_iter, history=history, converged=False)
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations "
-        f"(last ||dP|| = {history[-1].delta_P:.3g}, tol = {tol:g})",
-        result=partial)
+    return _policy_iteration(step, K, RinvBt, mask, tol, max_iter)
 
 
 def solve_unstructured_lqr(sys: LtiSystem, weights: CostWeights,
@@ -224,7 +238,8 @@ def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
             "two eigenvalues of A - B R^-1 B' sum to zero; "
             "the bound operator is singular")
     eye = np.eye(sys.n)
-    V = np.kron(eye, Mv.T) + np.kron(Mv.T, eye)
+    V = np.kron(eye, Mv.T)
+    V += np.kron(Mv.T, eye)
     l = 1.0 / float(np.linalg.norm(np.linalg.inv(V), 2))
 
     # ||x0 (x) x0||_2 = ||x0||^2

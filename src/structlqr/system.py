@@ -36,6 +36,12 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
     return M
 
 
+def _check_positive(name: str, value) -> None:
+    """Reject a time step or span that is not finite and positive."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
@@ -142,15 +148,15 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class InputPolicy:
-    """Input law u(t, x) = -gain @ x + probe(t); either part may be absent."""
+    """Input law u(t, x) = -gain @ x + probe(t); either part may be absent,
+    and with neither the input is zero."""
 
     gain: Optional[np.ndarray] = None
     probe: Optional[Callable[[float], np.ndarray]] = None
-    num_inputs: Optional[int] = None  # only needed when both parts are absent
 
     @classmethod
-    def zero(cls, num_inputs: int):
-        return cls(num_inputs=num_inputs)
+    def zero(cls):
+        return cls()
 
     @classmethod
     def feedback(cls, gain):
@@ -163,18 +169,6 @@ class InputPolicy:
     @classmethod
     def feedback_with_probe(cls, gain, probe):
         return cls(gain=np.asarray(gain, dtype=float), probe=probe)
-
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        u = None
-        if self.gain is not None:
-            u = -self.gain @ x
-        if self.probe is not None:
-            u = self.probe(t) if u is None else u + self.probe(t)
-        if u is None:
-            if self.num_inputs is None:
-                raise ValueError("zero policy needs num_inputs to fix the dimension")
-            u = np.zeros(self.num_inputs)
-        return u
 
 
 def spectral_abscissa(M) -> float:
@@ -236,8 +230,7 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
         SimulationDiverged: at the first recorded sample that is non-finite
             or exceeds 1e150 in magnitude.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_positive("dt", dt)
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
     if horizon < dt:

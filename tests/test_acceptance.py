@@ -265,7 +265,7 @@ def test_criterion_7f_rk4_order():
     horizon = 2.0
     exact = matrix_exponential_state(A, x0, horizon)
     errs = [np.linalg.norm(
-        simulate(sys, InputPolicy.zero(1), x0, horizon, dt=dt,
+        simulate(sys, InputPolicy.zero(), x0, horizon, dt=dt,
                  substeps=1).states[-1] - exact)
         for dt in (0.02, 0.01)]
     ratio = errs[0] / errs[1]

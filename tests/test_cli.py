@@ -94,3 +94,35 @@ def test_compare_writes_full_report(tmp_path, capsys):
     assert report["method"] == "compare"
     assert report["comparison"]["gain_distance_to_model_based"] <= 1e-3
     assert report["bound"]["within_bound"] is True
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("srl", "dt", "0"),
+    ("model-based", "dt", "-1"),
+    ("srl", "exploration window", "0"),
+    ("srl", "exploration duration", "inf"),
+])
+def test_bad_time_step_or_span_is_usage_error(tmp_path, capsys, command, key,
+                                              value):
+    lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+    idx = next(k for k, line in enumerate(lines)
+               if line.rsplit(" ", 1)[0] == key)
+    lines[idx] = f"{key} {value}"
+    path = tmp_path / "bad.scn"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, "--scenario", str(path)]) == 1
+    assert (f"error: {key} must be finite and positive, got {float(value)!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["model-based", "--seed", "5"],
+    ["bound", "--seed", "5"],
+    ["simulate", "--tol", "1e-3"],
+    ["simulate", "--max-iter", "3"],
+])
+def test_option_not_read_by_subcommand_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--scenario", "consensus-a"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -111,6 +111,22 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match=message):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("header, bad, message", [
+        ("matrix B 6 6", "matrix B 6.7 6", "bad rows value '6.7'"),
+        ("matrix B 6 6", "matrix B -1 6", "rows must be at least 1, got -1"),
+        ("matrix Q 6 6", "matrix Q 6 0", "cols must be at least 1, got 0"),
+        ("mask 6 6", "mask 6.0 6", "bad rows value '6.0'"),
+        ("mask 6 6", "mask 6 -2", "cols must be at least 1, got -2"),
+        ("vector x0 6", "vector x0 6.5", "bad length value '6.5'"),
+        ("vector x0 6", "vector x0 0", "length must be at least 1, got 0"),
+    ])
+    def test_block_sizes_are_positive_integers(self, header, bad, message):
+        lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+        lineno = lines.index(header) + 1
+        lines[lineno - 1] = bad
+        with pytest.raises(ScenarioError, match=f"^line {lineno}: {message}$"):
+            parse_scenario("\n".join(lines))
+
     def test_solver_knobs_validated(self):
         for knob, value in (("tol", float("nan")), ("max_iter", 0)):
             with pytest.raises(ValueError, match=knob):

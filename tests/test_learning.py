@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from helpers import NETWORK_A, X0, ZEROS_A
-from structlqr import (CostWeights, ExplorationSignal, InputPolicy, LtiSystem,
-                       RankDeficientError, SparsityMask, SrlConfig, check_rank,
-                       collect, hide_state_matrix, kleinman_structured,
-                       make_exploration, required_samples, solve_iteration,
-                       solve_lyapunov, solve_unstructured_lqr, srl_synthesize)
+from structlqr import (ConvergenceError, CostWeights, ExplorationSignal,
+                       InputPolicy, LtiSystem, RankDeficientError, SparsityMask,
+                       SrlConfig, check_rank, collect, hide_state_matrix,
+                       kleinman_structured, make_exploration, off_pattern,
+                       required_samples, solve_iteration, solve_lyapunov,
+                       solve_unstructured_lqr, srl_synthesize)
 from structlqr.learning import assemble_data
 from structlqr.system import Trajectory, simulate
 
@@ -103,7 +104,7 @@ class TestCollect:
         sys = LtiSystem(A=np.zeros((6, 6)), B=np.eye(6))
         plant = hide_state_matrix(sys)
         config = network_config(mask_a)
-        traj, data = collect(plant, InputPolicy.zero(6), X0, config)
+        traj, data = collect(plant, InputPolicy.zero(), X0, config)
         assert data.num_windows == 140
         assert np.array_equal(data.delta_xx, np.zeros_like(data.delta_xx))
         expected = config.window * np.kron(X0, X0)
@@ -128,13 +129,13 @@ class TestCollect:
             assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-6
 
     def test_window_must_align_with_grid(self, network):
-        traj = simulate(network, InputPolicy.zero(6), X0, 0.5, dt=0.01,
+        traj = simulate(network, InputPolicy.zero(), X0, 0.5, dt=0.01,
                         substeps=1)
         with pytest.raises(ValueError):
             assemble_data(traj, window=0.015)
 
     def test_window_needs_at_least_two_steps(self, network):
-        traj = simulate(network, InputPolicy.zero(6), X0, 0.5, dt=0.01,
+        traj = simulate(network, InputPolicy.zero(), X0, 0.5, dt=0.01,
                         substeps=1)
         with pytest.raises(ValueError):
             assemble_data(traj, window=0.01)
@@ -156,13 +157,13 @@ class TestCheckRank:
     def test_zero_excitation_from_origin(self, network, mask_a):
         plant = hide_state_matrix(network)
         config = network_config(mask_a)
-        _, data = collect(plant, InputPolicy.zero(6), np.zeros(6), config)
+        _, data = collect(plant, InputPolicy.zero(), np.zeros(6), config)
         report = check_rank(data, mask_a)
         assert report.rank == 0
         assert not report.passed
 
     def test_single_window_insufficient(self, network, mask_a):
-        traj = simulate(network, InputPolicy.zero(6), X0, 0.02, dt=0.01,
+        traj = simulate(network, InputPolicy.zero(), X0, 0.02, dt=0.01,
                         substeps=1)
         data = assemble_data(traj, window=0.02)
         report = check_rank(data, mask_a)
@@ -233,7 +234,7 @@ class TestSolveIteration:
     def test_zero_state_data_is_rank_deficient(self, network, mask_a):
         plant = hide_state_matrix(network)
         config = network_config(mask_a)
-        _, data = collect(plant, InputPolicy.zero(6), np.zeros(6), config)
+        _, data = collect(plant, InputPolicy.zero(), np.zeros(6), config)
         with pytest.raises(RankDeficientError):
             solve_iteration(data, config.initial_gain, config)
 
@@ -268,6 +269,27 @@ class TestSrlSynthesize:
             assert np.linalg.norm(rec_l.P - rec_m.P, "fro") < 1e-3
             assert np.linalg.norm(rec_l.K - rec_m.K, "fro") < 1e-3
         assert learned.history[-1].delta_P < config.tol
+
+    @pytest.mark.parametrize("synthesize", [kleinman_structured, srl_synthesize])
+    def test_budget_exhaustion_carries_partial_result(self, network, mask_a,
+                                                      synthesize):
+        config = network_config(mask_a, max_iter=1)
+        if synthesize is kleinman_structured:
+            args = (network, config.weights, mask_a, config.initial_gain)
+            kwargs = dict(tol=config.tol, max_iter=config.max_iter)
+        else:
+            probe = make_exploration(7, 6, amplitude=100.0)
+            policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
+            _, data = collect(hide_state_matrix(network), policy, X0, config)
+            args, kwargs = (data, config), {}
+        with pytest.raises(ConvergenceError) as err:
+            synthesize(*args, **kwargs)
+        result = err.value.result
+        assert result.converged is False
+        assert result.iterations == 1
+        assert np.array_equal(off_pattern(result.K, mask_a), np.zeros((6, 6)))
+        RinvBt = np.linalg.solve(config.weights.R, config.B.T)
+        assert np.array_equal(result.L, off_pattern(RinvBt @ result.P, mask_a))
 
     def test_masked_entries_exactly_zero(self, network, mask_a):
         config = network_config(mask_a)

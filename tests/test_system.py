@@ -79,12 +79,12 @@ class TestSpectralAbscissa:
 class TestSimulate:
     def test_zero_dynamics_constant_state(self):
         sys = LtiSystem(A=np.zeros((6, 6)), B=np.eye(6))
-        traj = simulate(sys, InputPolicy.zero(6), X0, horizon=1.0, dt=0.01)
+        traj = simulate(sys, InputPolicy.zero(), X0, horizon=1.0, dt=0.01)
         assert np.allclose(traj.states, X0, atol=0.0)
         assert traj.states.shape == (101, 6)
 
     def test_sample_count(self, network):
-        traj = simulate(network, InputPolicy.zero(6), X0, horizon=1.4, dt=0.01)
+        traj = simulate(network, InputPolicy.zero(), X0, horizon=1.4, dt=0.01)
         assert len(traj.times) == 141
 
     def test_rotation_against_closed_form(self):
@@ -92,7 +92,7 @@ class TestSimulate:
         sys = LtiSystem(A=A, B=np.zeros((2, 1)))
         x0 = np.array([1.0, 0.0])
         horizon = 2 * np.pi
-        traj = simulate(sys, InputPolicy.zero(1), x0, horizon, dt=horizon / 628)
+        traj = simulate(sys, InputPolicy.zero(), x0, horizon, dt=horizon / 628)
         assert traj.times[-1] == pytest.approx(horizon, abs=1e-12)
         assert np.linalg.norm(traj.states[-1] - x0) < 1e-6
         # closed-form solution at every recorded instant
@@ -108,14 +108,14 @@ class TestSimulate:
         exact = matrix_exponential_state(A, x0, horizon)
         errs = []
         for dt in (0.02, 0.01):
-            traj = simulate(sys, InputPolicy.zero(1), x0, horizon, dt=dt,
+            traj = simulate(sys, InputPolicy.zero(), x0, horizon, dt=dt,
                             substeps=1)
             errs.append(np.linalg.norm(traj.states[-1] - exact))
         ratio = errs[0] / errs[1]
         assert 8.0 <= ratio <= 32.0
 
     def test_network_converges_to_consensus(self, network):
-        traj = simulate(network, InputPolicy.zero(6), X0, horizon=20.0, dt=0.01)
+        traj = simulate(network, InputPolicy.zero(), X0, horizon=20.0, dt=0.01)
 
         def consensus_distance(x):
             return np.linalg.norm(x - np.mean(x))
@@ -137,11 +137,11 @@ class TestSimulate:
     def test_divergence_raises_with_time(self):
         sys = LtiSystem(A=np.array([[600.0]]), B=np.array([[1.0]]))
         with pytest.raises(SimulationDiverged) as err:
-            simulate(sys, InputPolicy.zero(1), np.array([1.0]), horizon=2.0,
+            simulate(sys, InputPolicy.zero(), np.array([1.0]), horizon=2.0,
                      dt=0.01)
         assert 0.0 < err.value.time <= 2.0
         with pytest.raises(SimulationDiverged) as ref:
-            rk4_reference(sys, InputPolicy.zero(1), np.array([1.0]), 2.0,
+            rk4_reference(sys, InputPolicy.zero(), np.array([1.0]), 2.0,
                           dt=0.01)
         assert err.value.time == ref.value.time
 
@@ -154,9 +154,9 @@ class TestSimulate:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SimulationDiverged) as err:
-                simulate(sys, InputPolicy.zero(2), x0, horizon=2.0, dt=0.01)
+                simulate(sys, InputPolicy.zero(), x0, horizon=2.0, dt=0.01)
         with pytest.raises(SimulationDiverged) as ref:
-            rk4_reference(sys, InputPolicy.zero(2), x0, 2.0, dt=0.01)
+            rk4_reference(sys, InputPolicy.zero(), x0, 2.0, dt=0.01)
         assert err.value.time == ref.value.time == pytest.approx(0.06)
 
     @pytest.mark.parametrize("case", ["consensus-a", "consensus-b",
@@ -176,7 +176,7 @@ class TestSimulate:
         else:
             sys = LtiSystem(A=NETWORK_A, B=np.eye(6))
             policy = (InputPolicy.feedback(3.0 * np.eye(6))
-                      if case == "feedback-substeps" else InputPolicy.zero(6))
+                      if case == "feedback-substeps" else InputPolicy.zero())
             args, kwargs = (X0, 6.0), dict(dt=0.01, substeps=10)
         traj = simulate(sys, policy, *args, **kwargs)
         states, inputs = rk4_reference(sys, policy, *args, **kwargs)
