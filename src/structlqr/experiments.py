@@ -72,6 +72,13 @@ class ExplorationConfig:
     def __post_init__(self):
         _check_positive("exploration duration", self.duration)
         _check_positive("exploration window", self.window)
+        _check_positive("exploration freq-min", self.freq_min)
+        _check_positive("exploration freq-max", self.freq_max)
+        if self.freq_min > self.freq_max:
+            raise ValueError(
+                f"exploration freq-min {self.freq_min!r} exceeds "
+                f"exploration freq-max {self.freq_max!r}")
+        _check_positive("exploration amplitude", self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_stopping_rule(self.tol, self.max_iter)
+        _check_positive("solver rank-tol", self.rank_tol)
 
 
 @dataclass(frozen=True)

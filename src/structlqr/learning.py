@@ -197,17 +197,11 @@ class SrlConfig:
         _check_stopping_rule(self.tol, self.max_iter)
 
 
-def _cumulative_trapezoid(rows: np.ndarray, dt: float) -> np.ndarray:
-    out = np.zeros_like(rows)
-    np.cumsum(0.5 * dt * (rows[1:] + rows[:-1]), axis=0, out=out[1:])
-    return out
-
-
 def assemble_data(traj: Trajectory, window: float) -> DataMatrices:
     """Window the kron(x,x) / kron(x,u) records of a trajectory.
 
     Increment rows use exact endpoint evaluations; integral rows use the
-    composite trapezoidal rule on the recorded grid.
+    composite trapezoidal rule, one Gram product Xw'Xw per window.
     """
     dt = traj.dt
     stride_f = window / dt
@@ -221,15 +215,17 @@ def assemble_data(traj: Trajectory, window: float) -> DataMatrices:
         raise ValueError("trajectory too short for a single window")
 
     X, U = traj.states, traj.inputs
-    kxx = np.einsum("ti,tj->tij", X, X).reshape(len(X), -1)
-    kxu = np.einsum("ti,tj->tij", X, U).reshape(len(X), -1)
-    cxx = _cumulative_trapezoid(kxx, dt)
-    cxu = _cumulative_trapezoid(kxu, dt)
     idx = np.arange(nwin + 1) * stride
+    delta_xx = np.diff(np.einsum("wi,wj->wij", X[idx], X[idx]), axis=0)
+    delta_xu = np.diff(np.einsum("wi,wj->wij", X[idx], U[idx]), axis=0)
+    Xw = X[:idx[-1]].reshape(nwin, stride, -1)
+    Uw = U[:idx[-1]].reshape(nwin, stride, -1)
+    int_xx = dt * (Xw.transpose(0, 2, 1) @ Xw) + (0.5 * dt) * delta_xx
+    int_xu = dt * (Xw.transpose(0, 2, 1) @ Uw) + (0.5 * dt) * delta_xu
     return DataMatrices(
-        delta_xx=kxx[idx[1:]] - kxx[idx[:-1]],
-        int_xx=cxx[idx[1:]] - cxx[idx[:-1]],
-        int_xu=cxu[idx[1:]] - cxu[idx[:-1]],
+        delta_xx=delta_xx.reshape(nwin, -1),
+        int_xx=int_xx.reshape(nwin, -1),
+        int_xu=int_xu.reshape(nwin, -1),
         window_length=window,
         window_starts=traj.times[idx[:-1]],
     )
@@ -300,6 +296,13 @@ def check_rank(data: DataMatrices, mask: SparsityMask,
                       sigma_min=float(sv[-1]) if sv.size else 0.0)
 
 
+def _gain_regressors(data: DataMatrices, K, R) -> np.ndarray:
+    """Rows of int_xx @ kron(I, K'R) + int_xu @ kron(I, R), without the krons."""
+    N, n, m = data.num_windows, data.n, data.m
+    return ((data.int_xx.reshape(N, n, n) @ K.T
+             + data.int_xu.reshape(N, n, m)) @ R).reshape(N, -1)
+
+
 def solve_iteration(data: DataMatrices, gain, config: SrlConfig):
     """One policy-evaluation/update least squares.
 
@@ -318,10 +321,7 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig):
     delta_sym = data.delta_xx[:, j * n + i]
     off = i != j
     delta_sym[:, off] += data.delta_xx[:, i[off] * n + j[off]]
-    eye = np.eye(n)
-    theta_gain = (-2.0 * data.int_xx @ np.kron(eye, K.T @ R)
-                  - 2.0 * data.int_xu @ np.kron(eye, R))
-    theta = np.hstack([delta_sym, theta_gain])
+    theta = np.hstack([delta_sym, -2.0 * _gain_regressors(data, K, R)])
     rhs = -data.int_xx @ Qbar.ravel(order="F")
 
     # equilibrate rows then columns; plain scaling, undone after the solve

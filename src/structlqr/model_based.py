@@ -193,10 +193,10 @@ def find_stabilizing_gain(sys: LtiSystem, weights: CostWeights,
 class BoundReport:
     """Suboptimality bound data for structured-vs-unstructured objectives.
 
-    g is the spectral norm of B R^-1 B', l the reciprocal norm of the
-    inverse of the Lyapunov-type operator built from A - B R^-1 B', and
-    the bound is (l / 2g) * ||x0||^2. epsilon = ||L'RL|| / l is logged
-    when a deviation matrix is supplied.
+    g is the spectral norm of B R^-1 B', l the smallest singular value of
+    the Lyapunov-type operator built from A - B R^-1 B', and the bound is
+    (l / 2g) * ||x0||^2. epsilon = ||L'RL|| / l is logged when a deviation
+    matrix is supplied.
     """
 
     g: float
@@ -240,7 +240,7 @@ def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
     eye = np.eye(sys.n)
     V = np.kron(eye, Mv.T)
     V += np.kron(Mv.T, eye)
-    l = 1.0 / float(np.linalg.norm(np.linalg.inv(V), 2))
+    l = float(np.linalg.norm(V, -2))  # smallest singular value
 
     # ||x0 (x) x0||_2 = ||x0||^2
     bound = (l / (2.0 * g)) * float(x0 @ x0)

@@ -4,6 +4,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from structlqr import SimulationDiverged
+from structlqr.learning import DataMatrices
 
 # 6-agent diffusive network benchmark: reference values the fixtures must
 # reproduce (gains quoted to 4 decimals, costs in objective units).
@@ -116,3 +117,32 @@ def rk4_reference(sys, policy, x0, horizon, dt=0.01, substeps=10):
     if policy.gain is not None:
         inputs -= states @ policy.gain.T
     return states, inputs
+
+
+def _cumulative_trapezoid(rows: np.ndarray, dt: float) -> np.ndarray:
+    out = np.zeros_like(rows)
+    np.cumsum(0.5 * dt * (rows[1:] + rows[:-1]), axis=0, out=out[1:])
+    return out
+
+
+def assemble_data_reference(traj, window: float) -> DataMatrices:
+    """Per-sample kron(x,x) / kron(x,u) rows, running trapezoid integrals
+    and differences at the window edges: the oracle for the per-window Gram
+    products in ``assemble_data``."""
+    dt = traj.dt
+    stride = int(round(window / dt))
+    nwin = (len(traj.times) - 1) // stride
+
+    X, U = traj.states, traj.inputs
+    kxx = np.einsum("ti,tj->tij", X, X).reshape(len(X), -1)
+    kxu = np.einsum("ti,tj->tij", X, U).reshape(len(X), -1)
+    cxx = _cumulative_trapezoid(kxx, dt)
+    cxu = _cumulative_trapezoid(kxu, dt)
+    idx = np.arange(nwin + 1) * stride
+    return DataMatrices(
+        delta_xx=kxx[idx[1:]] - kxx[idx[:-1]],
+        int_xx=cxx[idx[1:]] - cxx[idx[:-1]],
+        int_xu=cxu[idx[1:]] - cxu[idx[:-1]],
+        window_length=window,
+        window_starts=traj.times[idx[:-1]],
+    )

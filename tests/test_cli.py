@@ -101,6 +101,10 @@ def test_compare_writes_full_report(tmp_path, capsys):
     ("model-based", "dt", "-1"),
     ("srl", "exploration window", "0"),
     ("srl", "exploration duration", "inf"),
+    ("srl", "exploration freq-min", "0"),
+    ("srl", "exploration freq-max", "inf"),
+    ("srl", "exploration amplitude", "nan"),
+    ("srl", "solver rank-tol", "nan"),
 ])
 def test_bad_time_step_or_span_is_usage_error(tmp_path, capsys, command, key,
                                               value):

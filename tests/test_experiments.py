@@ -135,6 +135,9 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match="max_iter"):
             parse_scenario(text.replace("solver max-iter 30",
                                         "solver max-iter 0"))
+        with pytest.raises(ScenarioError, match="freq-min 60.0 exceeds"):
+            parse_scenario(text.replace("exploration freq-min 0.5",
+                                        "exploration freq-min 60"))
 
     def test_missing_blocks(self):
         with pytest.raises(ScenarioError, match="mask"):

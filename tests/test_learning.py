@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import NETWORK_A, X0, ZEROS_A
+from helpers import NETWORK_A, X0, ZEROS_A, assemble_data_reference
 from structlqr import (ConvergenceError, CostWeights, ExplorationSignal,
                        InputPolicy, LtiSystem, RankDeficientError, SparsityMask,
                        SrlConfig, check_rank, collect, hide_state_matrix,
                        kleinman_structured, make_exploration, off_pattern,
                        required_samples, solve_iteration, solve_lyapunov,
                        solve_unstructured_lqr, srl_synthesize)
-from structlqr.learning import assemble_data
+from structlqr.experiments import builtin_scenario
+from structlqr.learning import _gain_regressors, assemble_data
 from structlqr.system import Trajectory, simulate
 
 
@@ -151,6 +154,79 @@ class TestCollect:
                             ("max_iter", 0)):
             with pytest.raises(ValueError, match=knob):
                 network_config(mask_a, **{knob: value})
+
+
+def _builtin_record(name):
+    """The exploration record a data-driven run on a builtin collects."""
+    spec = builtin_scenario(name)
+    config = spec.srl_config()
+    policy = InputPolicy.feedback_with_probe(config.initial_gain, spec.probe())
+    traj, _ = collect(hide_state_matrix(spec.system()), policy, spec.x0, config)
+    return traj, config.window
+
+
+def _substep_record():
+    sys = LtiSystem(A=np.array([[-1.0, 2.0], [0.0, -3.0]]),
+                    B=np.array([[1.0, 0.0], [0.5, 1.0]]))
+    probe = make_exploration(3, 2, num_sinusoids=20, freq_range=(0.5, 5.0),
+                             amplitude=4.0)
+    traj = simulate(sys, InputPolicy.exploration(probe), np.array([1.0, -0.5]),
+                    2.0, dt=5e-4, substeps=4)
+    return traj, 0.2
+
+
+def _rectangular_record():
+    """n = 3 states, m = 2 inputs, so a slip in reshape order shows."""
+    sys = LtiSystem(A=np.array([[-1.0, 2.0, 0.0], [0.0, -3.0, 1.0],
+                                [0.5, 0.0, -2.0]]),
+                    B=np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]]))
+    probe = make_exploration(5, 2, num_sinusoids=20, freq_range=(0.5, 5.0),
+                             amplitude=4.0)
+    K = np.array([[0.3, 0.0, 0.1], [0.1, 0.2, 0.0]])
+    traj = simulate(sys, InputPolicy.feedback_with_probe(K, probe),
+                    np.array([1.0, -0.5, 0.7]), 2.0, dt=1e-3, substeps=1)
+    return traj, 0.05
+
+
+RECORDS = {"consensus-a": lambda: _builtin_record("consensus-a"),
+           "consensus-b": lambda: _builtin_record("consensus-b"),
+           "substeps-4": _substep_record,
+           "n3-m2": _rectangular_record}
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestAssembleData:
+    @pytest.mark.parametrize("case", sorted(RECORDS))
+    def test_matches_per_sample_reference(self, case):
+        traj, window = RECORDS[case]()
+        got = assemble_data(traj, window)
+        ref = assemble_data_reference(traj, window)
+        assert np.array_equal(got.delta_xx, ref.delta_xx)
+        assert _rel(got.int_xx, ref.int_xx) <= 1e-12
+        assert _rel(got.int_xu, ref.int_xu) <= 1e-12
+        assert np.array_equal(got.window_starts, ref.window_starts)
+
+    def test_gain_regressors_match_kron_form(self):
+        data = assemble_data(*_rectangular_record())
+        K = np.array([[0.3, -0.2, 0.1], [0.1, 0.2, 0.4]])
+        R = np.array([[2.0, 0.3], [0.3, 1.0]])
+        eye = np.eye(3)
+        expected = (data.int_xx @ np.kron(eye, K.T @ R)
+                    + data.int_xu @ np.kron(eye, R))
+        assert _rel(_gain_regressors(data, K, R), expected) <= 1e-12
+
+    def test_peak_memory_below_the_record(self):
+        traj, window = _builtin_record("consensus-a")
+        tracemalloc.start()
+        try:
+            assemble_data(traj, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < traj.states.nbytes + traj.inputs.nbytes
 
 
 class TestCheckRank:
