@@ -2,7 +2,7 @@
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -15,8 +15,8 @@ from .model_based import (SynthesisResult, _check_stopping_rule,
                           solve_unstructured_lqr, suboptimality_bound)
 from .structure import SparsityMask, check_membership
 from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory,
-                     TruncationWarning, _check_positive, evaluate_cost,
-                     evaluate_cost_analytic, simulate)
+                     TruncationWarning, _check_at_least, _check_positive,
+                     evaluate_cost, evaluate_cost_analytic, simulate)
 
 
 class ScenarioError(ValueError):
@@ -70,6 +70,9 @@ class ExplorationConfig:
     substeps: int = 1
 
     def __post_init__(self):
+        _check_at_least("exploration seed", self.seed, 0)
+        _check_at_least("exploration sinusoids", self.num_sinusoids, 1)
+        _check_at_least("exploration substeps", self.substeps, 1)
         _check_positive("exploration duration", self.duration)
         _check_positive("exploration window", self.window)
         _check_positive("exploration freq-min", self.freq_min)
@@ -148,8 +151,9 @@ class ScenarioSpec:
                          rank_tol=self.solver.rank_tol)
 
     def probe(self, seed: Optional[int] = None):
-        ex = self.exploration
-        return make_exploration(ex.seed if seed is None else seed,
+        ex = self.exploration if seed is None else replace(self.exploration,
+                                                            seed=seed)
+        return make_exploration(ex.seed,
                                 num_inputs=self.B.shape[1],
                                 num_sinusoids=ex.num_sinusoids,
                                 freq_range=(ex.freq_min, ex.freq_max),
@@ -214,43 +218,52 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _matrix_block(keyword: str, name: str, M: np.ndarray) -> str:
-    rows, cols = M.shape
-    head = f"{keyword} {name} {rows} {cols}" if name else f"{keyword} {rows} {cols}"
-    body = "\n".join(" ".join(_fmt(v) for v in row) for row in M)
-    return head + "\n" + body
+# The header words after each block keyword.
+_HEADERS = {"matrix": ("name", "rows", "cols"), "mask": ("rows", "cols"),
+            "vector": ("name", "length")}
+
+# Every block a scenario file may hold, in file order: the ScenarioSpec
+# field it fills and whether the file must have it.
+_BLOCKS = {"matrix A": ("A", False), "matrix B": ("B", True),
+           "matrix Q": ("Q", True), "matrix R": ("R", True),
+           "mask": ("mask", True), "vector x0": ("x0", True),
+           "matrix K0": ("initial_gain", False)}
+
+# Every knob line, in file order: the config field it sets and its cast.
+# The defaults live on ExplorationConfig and SolverConfig alone.
+_KNOBS = {
+    "exploration seed": ("seed", int),
+    "exploration duration": ("duration", float),
+    "exploration window": ("window", float),
+    "exploration sinusoids": ("num_sinusoids", int),
+    "exploration freq-min": ("freq_min", float),
+    "exploration freq-max": ("freq_max", float),
+    "exploration amplitude": ("amplitude", float),
+    "exploration substeps": ("substeps", int),
+    "solver tol": ("tol", float),
+    "solver max-iter": ("max_iter", int),
+    "solver rank-tol": ("rank_tol", float),
+}
 
 
 def save_scenario(spec: ScenarioSpec, path=None) -> str:
     """Serialize a scenario to the block text format; returns the text."""
     parts = [f"scenario {spec.name}", f"dt {_fmt(spec.dt)}", ""]
-    if spec.A is not None:
-        parts += [_matrix_block("matrix", "A", np.asarray(spec.A, float)), ""]
-    parts += [_matrix_block("matrix", "B", np.asarray(spec.B, float)), ""]
-    parts += [_matrix_block("matrix", "Q", np.asarray(spec.Q, float)), ""]
-    parts += [_matrix_block("matrix", "R", np.asarray(spec.R, float)), ""]
-    mask_rows = "\n".join(" ".join(str(int(v)) for v in row)
-                          for row in spec.mask.indicator)
-    parts += [f"mask {spec.mask.shape[0]} {spec.mask.shape[1]}\n{mask_rows}", ""]
-    x0 = np.asarray(spec.x0, float)
-    parts += [f"vector x0 {len(x0)}\n" + " ".join(_fmt(v) for v in x0), ""]
-    if spec.initial_gain is not None:
-        parts += [_matrix_block("matrix", "K0",
-                                np.asarray(spec.initial_gain, float)), ""]
-    ex, so = spec.exploration, spec.solver
-    parts += [
-        f"exploration seed {ex.seed}",
-        f"exploration duration {_fmt(ex.duration)}",
-        f"exploration window {_fmt(ex.window)}",
-        f"exploration sinusoids {ex.num_sinusoids}",
-        f"exploration freq-min {_fmt(ex.freq_min)}",
-        f"exploration freq-max {_fmt(ex.freq_max)}",
-        f"exploration amplitude {_fmt(ex.amplitude)}",
-        f"exploration substeps {ex.substeps}",
-        f"solver tol {_fmt(so.tol)}",
-        f"solver max-iter {so.max_iter}",
-        f"solver rank-tol {_fmt(so.rank_tol)}",
-    ]
+    for label, (attr, _) in _BLOCKS.items():
+        value = getattr(spec, attr)
+        if value is None:
+            continue
+        if label == "mask":
+            value, fmt = value.indicator, lambda v: str(int(v))
+        else:
+            value, fmt = np.asarray(value, float), _fmt
+        head = " ".join([label, *map(str, value.shape)])
+        body = "\n".join(" ".join(fmt(v) for v in row)
+                         for row in np.atleast_2d(value))
+        parts += [head + "\n" + body, ""]
+    for key, (attr, cast) in _KNOBS.items():
+        value = getattr(getattr(spec, key.split()[0]), attr)
+        parts.append(f"{key} {_fmt(value) if cast is float else value}")
     text = "\n".join(parts) + "\n"
     if path is not None:
         Path(path).write_text(text)
@@ -286,17 +299,24 @@ def _parse_size(token: str, lineno: int, what: str) -> int:
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
-    """Parse the block text scenario format; errors carry line numbers."""
+    """Parse the block text scenario format; errors carry line numbers.
+    Keys and blocks outside _BLOCKS and _KNOBS, or given twice, are errors."""
     lines = _Lines(text)
-    name = None
-    matrices: Dict[str, np.ndarray] = {}
-    vectors: Dict[str, np.ndarray] = {}
-    mask_arr = None
-    scalars: Dict[str, Tuple[str, int]] = {}  # key -> (token, line number)
+    seen: Dict[str, int] = {}  # key or block label -> line it appeared on
+    blocks: Dict[str, np.ndarray] = {}
+    configs: Dict[str, dict] = {"exploration": {}, "solver": {}}
 
-    def read_rows(rows, cols, lineno, what):
-        out = np.empty((rows, cols))
-        for r in range(rows):
+    def claim(label, lineno):
+        if label in seen:
+            raise ScenarioError(
+                f"line {lineno}: {label} repeats line {seen[label]}")
+        seen[label] = lineno
+
+    def read_block(sizes, what):
+        # built from the rows actually read, so memory follows the file size
+        rows, cols = sizes if len(sizes) == 2 else (1, sizes[0])
+        out = []
+        for _ in range(rows):
             line, ln = lines.next_content()
             if line is None:
                 raise ScenarioError(f"line {ln}: unexpected end of file in {what}")
@@ -304,8 +324,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
             if len(toks) != cols:
                 raise ScenarioError(
                     f"line {ln}: expected {cols} values in {what}, got {len(toks)}")
-            out[r] = [_parse_value(t, ln, what) for t in toks]
-        return out
+            out.append([_parse_value(t, ln, what) for t in toks])
+        return np.array(out).reshape(sizes)
 
     while True:
         line, ln = lines.next_content()
@@ -316,76 +336,52 @@ def parse_scenario(text: str) -> ScenarioSpec:
         if kw == "scenario":
             if len(toks) != 2:
                 raise ScenarioError(f"line {ln}: scenario needs a name")
+            claim(kw, ln)
             name = toks[1]
-        elif kw == "matrix":
-            if len(toks) != 4:
-                raise ScenarioError(f"line {ln}: matrix needs name rows cols")
-            rows = _parse_size(toks[2], ln, "rows")
-            cols = _parse_size(toks[3], ln, "cols")
-            matrices[toks[1]] = read_rows(rows, cols, ln, f"matrix {toks[1]}")
-        elif kw == "mask":
-            if len(toks) != 3:
-                raise ScenarioError(f"line {ln}: mask needs rows cols")
-            rows = _parse_size(toks[1], ln, "rows")
-            cols = _parse_size(toks[2], ln, "cols")
-            mask_arr = read_rows(rows, cols, ln, "mask")
-            if not np.all((mask_arr == 0) | (mask_arr == 1)):
+        elif kw in _HEADERS:
+            words = _HEADERS[kw]
+            if len(toks) != 1 + len(words):
+                raise ScenarioError(f"line {ln}: {kw} needs {' '.join(words)}")
+            named = words[0] == "name"
+            label = " ".join(toks[:1 + named])
+            if label not in _BLOCKS:
+                raise ScenarioError(f"line {ln}: unknown {kw} '{toks[1]}'")
+            claim(label, ln)
+            sizes = [_parse_size(t, ln, w)
+                     for t, w in zip(toks[1 + named:], words[named:])]
+            value = read_block(sizes, label)
+            if kw == "mask" and not np.all((value == 0) | (value == 1)):
                 raise ScenarioError(f"line {ln}: mask entries must be 0 or 1")
-        elif kw == "vector":
-            if len(toks) != 3:
-                raise ScenarioError(f"line {ln}: vector needs name length")
-            length = _parse_size(toks[2], ln, "length")
-            vectors[toks[1]] = read_rows(1, length, ln, f"vector {toks[1]}")[0]
+            blocks[_BLOCKS[label][0]] = value
         elif kw == "dt":
             if len(toks) != 2:
                 raise ScenarioError(f"line {ln}: dt needs one value")
-            scalars["dt"] = toks[1], ln
-        elif kw in ("exploration", "solver"):
+            claim(kw, ln)
+            dt = _parse_value(toks[1], ln, kw)
+        elif kw in configs:
             if len(toks) != 3:
                 raise ScenarioError(f"line {ln}: {kw} needs key and value")
-            scalars[f"{kw}.{toks[1]}"] = toks[2], ln
+            key = f"{kw} {toks[1]}"
+            if key not in _KNOBS:
+                raise ScenarioError(f"line {ln}: unknown {kw} key '{toks[1]}'")
+            claim(key, ln)
+            attr, cast = _KNOBS[key]
+            configs[kw][attr] = _parse_value(toks[2], ln, f"{kw}.{toks[1]}", cast)
         else:
             raise ScenarioError(f"line {ln}: unknown keyword '{kw}'")
 
-    if name is None:
+    if "scenario" not in seen:
         raise ScenarioError("missing 'scenario <name>' line")
-    for required in ("B", "Q", "R"):
-        if required not in matrices:
-            raise ScenarioError(f"missing matrix {required}")
-    if mask_arr is None:
-        raise ScenarioError("missing mask block")
-    if "x0" not in vectors:
-        raise ScenarioError("missing vector x0")
-    if "dt" not in scalars:
+    for label, (attr, required) in _BLOCKS.items():
+        if required and attr not in blocks:
+            raise ScenarioError(f"missing {label}" + " block" * (label == "mask"))
+    if "dt" not in seen:
         raise ScenarioError("missing dt")
-
-    def scal(key, default, cast=float):
-        if key not in scalars:
-            return default
-        token, lineno = scalars[key]
-        return _parse_value(token, lineno, key, cast)
-
     try:
-        ex = ExplorationConfig(
-            seed=scal("exploration.seed", 0, int),
-            duration=scal("exploration.duration", 1.4),
-            window=scal("exploration.window", 0.01),
-            num_sinusoids=scal("exploration.sinusoids", 100, int),
-            freq_min=scal("exploration.freq-min", 0.5),
-            freq_max=scal("exploration.freq-max", 50.0),
-            amplitude=scal("exploration.amplitude", 1.0),
-            substeps=scal("exploration.substeps", 1, int),
-        )
-        solver = SolverConfig(
-            tol=scal("solver.tol", 1e-6),
-            max_iter=scal("solver.max-iter", 50, int),
-            rank_tol=scal("solver.rank-tol", 1e-12),
-        )
-        return ScenarioSpec(name=name, A=matrices.get("A"), B=matrices["B"],
-                            Q=matrices["Q"], R=matrices["R"],
-                            mask=SparsityMask(mask_arr), x0=vectors["x0"],
-                            dt=scal("dt", None), exploration=ex, solver=solver,
-                            initial_gain=matrices.get("K0"))
+        blocks["mask"] = SparsityMask(blocks["mask"])
+        return ScenarioSpec(name=name, dt=dt,
+                            exploration=ExplorationConfig(**configs["exploration"]),
+                            solver=SolverConfig(**configs["solver"]), **blocks)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 

@@ -195,6 +195,7 @@ class SrlConfig:
                 f"num_windows = {self.num_windows} below the required "
                 f"sample count {need}")
         _check_stopping_rule(self.tol, self.max_iter)
+        _check_positive("rank_tol", self.rank_tol)
 
 
 def assemble_data(traj: Trajectory, window: float) -> DataMatrices:

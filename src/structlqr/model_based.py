@@ -7,8 +7,8 @@ from typing import List, Optional
 import numpy as np
 
 from .structure import SparsityMask, off_pattern, on_pattern
-from .system import (CostWeights, LtiSystem, _as_matrix, is_hurwitz,
-                     spectral_abscissa)
+from .system import (CostWeights, LtiSystem, _as_matrix, _check_at_least,
+                     is_hurwitz, spectral_abscissa)
 
 
 class NotStabilizingError(ValueError):
@@ -95,8 +95,7 @@ def _check_stopping_rule(tol, max_iter):
     """Reject iteration knobs the policy-iteration loop cannot run with."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    _check_at_least("max_iter", max_iter, 1)
 
 
 def _policy_iteration(step, K, RinvBt, mask: SparsityMask, tol: float,

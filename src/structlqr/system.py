@@ -42,6 +42,12 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_at_least(name: str, value, low: int) -> None:
+    """Reject a count below its smallest meaningful value."""
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
@@ -295,13 +301,18 @@ def _trapezoid(values: np.ndarray, dt: float) -> float:
     return float(dt * (np.sum(values) - 0.5 * (values[0] + values[-1])))
 
 
+_COST_DT = 1e-3      # quadrature step of evaluate_cost, seconds
+_COST_DECAY = 1e-6   # evaluate_cost stops once ||x|| <= _COST_DECAY * ||x0||
+
+
 def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0,
-                  horizon: Optional[float] = None, dt: float = 1e-3,
-                  horizon_cap: float = 50.0, decay: float = 1e-6) -> float:
+                  horizon: Optional[float] = None,
+                  horizon_cap: float = 50.0) -> float:
     """Closed-loop quadratic cost by trapezoidal quadrature along x' = (A - BK)x.
 
-    With horizon=None the integration runs until ||x|| <= decay * ||x0||
-    or horizon_cap is hit; hitting the cap attaches a TruncationWarning.
+    The quadrature step is _COST_DT. With horizon=None the integration runs
+    until ||x|| <= _COST_DECAY * ||x0|| or horizon_cap is hit; hitting the
+    cap attaches a TruncationWarning.
     """
     gain = _as_matrix(gain, rows=sys.m, cols=sys.n, name="gain")
     x0 = np.asarray(x0, dtype=float)
@@ -312,7 +323,7 @@ def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0,
             f"{spectral_abscissa(Acl):.6g}); cost diverges")
 
     policy = InputPolicy.feedback(gain)
-    target = decay * np.linalg.norm(x0)
+    target = _COST_DECAY * np.linalg.norm(x0)
     if np.linalg.norm(x0) == 0.0:
         return 0.0
 
@@ -322,21 +333,21 @@ def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0,
         return xQx + uRu
 
     if horizon is not None:
-        traj = simulate(sys, policy, x0, horizon, dt=dt, substeps=1)
+        traj = simulate(sys, policy, x0, horizon, dt=_COST_DT, substeps=1)
         if np.linalg.norm(traj.states[-1]) > target:
             warnings.warn(
                 f"state norm {np.linalg.norm(traj.states[-1]):.3g} above decay "
                 f"target at t = {horizon:g} s; cost is truncated",
                 TruncationWarning)
-        return _trapezoid(running(traj), dt)
+        return _trapezoid(running(traj), _COST_DT)
 
     total = 0.0
     x = x0
     elapsed = 0.0
     chunk = 1.0
     while True:
-        traj = simulate(sys, policy, x, chunk, dt=dt, substeps=1)
-        total += _trapezoid(running(traj), dt)
+        traj = simulate(sys, policy, x, chunk, dt=_COST_DT, substeps=1)
+        total += _trapezoid(running(traj), _COST_DT)
         x = traj.states[-1]
         elapsed += traj.times[-1]
         if np.linalg.norm(x) <= target:

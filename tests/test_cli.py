@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,3 +131,62 @@ def test_option_not_read_by_subcommand_is_rejected(capsys, argv):
         main(argv + ["--scenario", "consensus-a"])
     assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, offset, message", [
+    ("exploration window 0.01", "exploration windw 0.02", 0,
+     "unknown exploration key 'windw'"),
+    ("solver tol 0.001", "solver tolerance 5", 0,
+     "unknown solver key 'tolerance'"),
+    ("matrix K0 6 6", "matrix K 6 6", 0, "unknown matrix 'K'"),
+    ("vector x0 6", "vector y0 6", 0, "unknown vector 'y0'"),
+    ("dt 5e-05", "dt 5e-05\ndt 0.0001", 1, "dt repeats line 2"),
+    ("scenario consensus-a", "scenario consensus-a\nscenario b", 1,
+     "scenario repeats line 1"),
+    ("solver max-iter 30", "solver max-iter 30\nsolver max-iter 40", 1,
+     "solver max-iter repeats line 64"),
+    ("matrix R 6 6", "matrix Q 6 6", 0, "matrix Q repeats line 20"),
+    ("matrix B 6 6", "matrix B 100000000 100000000", 1,
+     "expected 100000000 values in matrix B, got 6"),
+])
+def test_unknown_repeated_or_oversized_entry_is_line_error(tmp_path, capsys,
+                                                           old, new, offset,
+                                                           message):
+    lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+    lineno = lines.index(old) + 1 + offset
+    path = tmp_path / "bad.scn"
+    path.write_text("\n".join(lines).replace(old, new, 1) + "\n")
+    tracemalloc.start()
+    try:
+        assert main(["model-based", "--scenario", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"error: line {lineno}: {message}\n" in capsys.readouterr().err
+    assert peak < 1e6  # block arrays follow the file, not the header
+
+
+@pytest.mark.parametrize("command, key, value, low", [
+    ("srl", "exploration seed", "-1", 0),
+    ("model-based", "exploration seed", "-1", 0),
+    ("model-based", "exploration substeps", "0", 1),
+    ("model-based", "exploration sinusoids", "0", 1),
+    ("srl", "exploration sinusoids", "-3", 1),
+])
+def test_count_knob_below_its_bound_is_usage_error(tmp_path, capsys, command,
+                                                   key, value, low):
+    text = save_scenario(builtin_scenario("consensus-a"))
+    lines = [f"{key} {value}" if line.rsplit(" ", 1)[0] == key else line
+             for line in text.splitlines()]
+    path = tmp_path / "bad.scn"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, "--scenario", str(path)]) == 1
+    assert (f"error: {key} must be at least {low}, got {value}\n"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["srl", "compare"])
+def test_negative_seed_override_is_usage_error(capsys, command):
+    assert main([command, "--scenario", "consensus-a", "--seed", "-1"]) == 1
+    assert ("error: exploration seed must be at least 0, got -1\n"
+            in capsys.readouterr().err)

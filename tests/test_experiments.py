@@ -151,6 +151,19 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("header, message", [
+        ("matrix B 6 6", "missing matrix B"),
+        ("mask 6 6", "missing mask block"),
+        ("vector x0 6", "missing vector x0"),
+    ])
+    def test_missing_required_block_message(self, header, message):
+        lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+        idx = lines.index(header)
+        rows = 1 if header.startswith("vector") else 6
+        del lines[idx:idx + 1 + rows]
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            parse_scenario("\n".join(lines))
+
     def test_system_requires_state_matrix(self):
         spec = builtin_scenario("consensus-a")
         text = save_scenario(spec)

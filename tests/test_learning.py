@@ -151,7 +151,7 @@ class TestCollect:
         with pytest.raises(ValueError):
             network_config(mask_a, window=0.010123)  # not a multiple of dt
         for knob, value in (("tol", float("nan")), ("tol", 0.0),
-                            ("max_iter", 0)):
+                            ("max_iter", 0), ("rank_tol", float("nan"))):
             with pytest.raises(ValueError, match=knob):
                 network_config(mask_a, **{knob: value})
 

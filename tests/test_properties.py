@@ -7,6 +7,10 @@ from hypothesis.extra.numpy import arrays
 from helpers import random_stable_matrix
 from structlqr import (InputPolicy, LtiSystem, SparsityMask, required_samples,
                        simulate, solve_lyapunov)
+from structlqr.experiments import (BUILTIN_SCENARIOS, ExplorationConfig,
+                                   ScenarioError, ScenarioSpec, SolverConfig,
+                                   builtin_scenario, parse_scenario,
+                                   save_scenario)
 
 
 @settings(max_examples=80, deadline=None)
@@ -53,3 +57,72 @@ def test_simulation_sample_count_contract(seed):
     traj = simulate(sys, InputPolicy.zero(), rng.standard_normal(n),
                     horizon, dt=dt, substeps=2)
     assert len(traj.times) == steps + 1
+
+
+_BUILTIN_LINES = {name: save_scenario(builtin_scenario(name)).splitlines()
+                  for name in BUILTIN_SCENARIOS}
+_TOKENS = st.one_of(
+    st.integers(-10**9, 10**9).map(str),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,8}", fullmatch=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(BUILTIN_SCENARIOS), data=st.data())
+def test_scenario_line_mutation_parses_or_raises_scenario_error(name, data):
+    lines = list(_BUILTIN_LINES[name])
+    idx = data.draw(st.integers(0, len(lines) - 1))
+    mutation = data.draw(st.sampled_from(["drop", "repeat", "replace"]))
+    if mutation == "drop":
+        del lines[idx]
+    elif mutation == "repeat":
+        lines.insert(idx, lines[idx])
+    else:
+        toks = lines[idx].split() or [""]
+        toks[data.draw(st.integers(0, len(toks) - 1))] = data.draw(_TOKENS)
+        lines[idx] = " ".join(toks)
+    try:
+        parse_scenario("\n".join(lines))
+    except ScenarioError:
+        pass
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def _scenario_specs(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    mask = draw(arrays(np.float64, (m, n), elements=st.sampled_from([0.0, 1.0])))
+    mask[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = 1.0
+    freq_min, freq_max = sorted(draw(st.lists(_POSITIVE, min_size=2,
+                                              max_size=2)))
+    return ScenarioSpec(
+        name=draw(st.from_regex(r"[a-z][a-z0-9-]{0,10}", fullmatch=True)),
+        A=draw(st.none() | arrays(np.float64, (n, n), elements=_FINITE)),
+        B=draw(arrays(np.float64, (n, m), elements=_FINITE)),
+        Q=draw(arrays(np.float64, (n, n), elements=_FINITE)),
+        R=draw(arrays(np.float64, (m, m), elements=_FINITE)),
+        mask=SparsityMask(mask),
+        x0=draw(arrays(np.float64, (n,), elements=_FINITE)),
+        dt=draw(_POSITIVE),
+        exploration=ExplorationConfig(
+            seed=draw(st.integers(0, 2**63 - 1)),
+            duration=draw(_POSITIVE), window=draw(_POSITIVE),
+            num_sinusoids=draw(st.integers(1, 10**6)),
+            freq_min=freq_min, freq_max=freq_max,
+            amplitude=draw(_POSITIVE),
+            substeps=draw(st.integers(1, 10**6))),
+        solver=SolverConfig(tol=draw(_POSITIVE),
+                            max_iter=draw(st.integers(1, 10**6)),
+                            rank_tol=draw(_POSITIVE)),
+        initial_gain=draw(st.none() | arrays(np.float64, (m, n),
+                                             elements=_FINITE)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_scenario_specs())
+def test_scenario_save_parse_save_is_byte_identical(spec):
+    text = save_scenario(spec)
+    assert save_scenario(parse_scenario(text)) == text
