@@ -8,15 +8,18 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .learning import (SrlConfig, check_rank, collect, hide_state_matrix,
-                       make_exploration, srl_synthesize)
-from .model_based import (SynthesisResult, _check_stopping_rule,
-                          find_stabilizing_gain, kleinman_structured,
-                          solve_unstructured_lqr, suboptimality_bound)
+from .learning import (_AMPLITUDE, _FREQ_RANGE, _NUM_SINUSOIDS, _RANK_TOL,
+                       _WINDOW, SrlConfig, check_rank, collect,
+                       hide_state_matrix, make_exploration, srl_synthesize)
+from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
+                          _check_stopping_rule, find_stabilizing_gain,
+                          kleinman_structured, solve_unstructured_lqr,
+                          suboptimality_bound)
 from .structure import SparsityMask, check_membership
-from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory,
-                     TruncationWarning, _check_at_least, _check_positive,
-                     evaluate_cost, evaluate_cost_analytic, simulate)
+from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
+                     Trajectory, TruncationWarning, _check_at_least,
+                     _check_positive, evaluate_cost, evaluate_cost_analytic,
+                     simulate)
 
 
 class ScenarioError(ValueError):
@@ -58,20 +61,30 @@ def make_consensus_network(num_agents: int,
 # scenario spec
 
 
+# The probe stores and evaluates every sinusoid at each RK4 stage time, so
+# the count sizes memory and time (100000000 grew a consensus-a run to
+# 7.8 GB); 10000 per channel is 100x the default.
+_MAX_SINUSOIDS = 10000
+
+
 @dataclass(frozen=True)
 class ExplorationConfig:
     seed: int = 0
     duration: float = 1.4
-    window: float = 0.01
-    num_sinusoids: int = 100
-    freq_min: float = 0.5
-    freq_max: float = 50.0
-    amplitude: float = 1.0
+    window: float = _WINDOW
+    num_sinusoids: int = _NUM_SINUSOIDS
+    freq_min: float = _FREQ_RANGE[0]
+    freq_max: float = _FREQ_RANGE[1]
+    amplitude: float = _AMPLITUDE
     substeps: int = 1
 
     def __post_init__(self):
         _check_at_least("exploration seed", self.seed, 0)
         _check_at_least("exploration sinusoids", self.num_sinusoids, 1)
+        if self.num_sinusoids > _MAX_SINUSOIDS:
+            raise ValueError(
+                f"exploration sinusoids must be at most {_MAX_SINUSOIDS}, "
+                f"got {self.num_sinusoids!r}")
         _check_at_least("exploration substeps", self.substeps, 1)
         _check_positive("exploration duration", self.duration)
         _check_positive("exploration window", self.window)
@@ -86,9 +99,9 @@ class ExplorationConfig:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol: float = 1e-6
-    max_iter: int = 50
-    rank_tol: float = 1e-12
+    tol: float = _TOL
+    max_iter: int = _MAX_ITER
+    rank_tol: float = _RANK_TOL
 
     def __post_init__(self):
         _check_stopping_rule(self.tol, self.max_iter)
@@ -122,6 +135,11 @@ class ScenarioSpec:
             raise ScenarioError(f"mask must have shape {(m, n)}")
         if np.asarray(self.x0).shape != (n,):
             raise ScenarioError(f"x0 must have shape {(n,)}")
+        peak = float(np.max(np.abs(self.x0)))
+        if not peak <= _DIVERGENCE_BOUND:
+            raise ScenarioError(
+                f"x0 entries must be finite and at most "
+                f"{_DIVERGENCE_BOUND:g} in magnitude, got {peak!r}")
         if self.initial_gain is not None and np.asarray(self.initial_gain).shape != (m, n):
             raise ScenarioError(f"K0 must have shape {(m, n)}")
 

@@ -6,15 +6,24 @@ iteration solves one least-squares problem assembled from windowed
 integrals of the recorded states and inputs.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .model_based import SynthesisResult, _check_stopping_rule, _policy_iteration
-from .structure import SparsityMask, off_pattern, on_pattern
+from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
+                          _check_stopping_rule, _policy_iteration)
+from .structure import SparsityMask
 from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory, _as_matrix,
                      _check_positive, _freeze)
+
+
+# Knob defaults, shared with the scenario configs.
+_WINDOW = 0.01             # data-window length T, seconds
+_RANK_TOL = 1e-12          # rank cutoff relative to the largest singular value
+_NUM_SINUSOIDS = 100       # probe sinusoids per input channel
+_FREQ_RANGE = (0.5, 50.0)  # probe frequencies, rad/s
+_AMPLITUDE = 1.0           # per-channel probe peak budget
 
 
 class RankDeficientError(RuntimeError):
@@ -65,9 +74,10 @@ class ExplorationSignal:
         return np.einsum("mk,tmk->tm", self.amplitudes, np.sin(arg))
 
 
-def make_exploration(seed: int, num_inputs: int, num_sinusoids: int = 100,
-                     freq_range: Tuple[float, float] = (0.5, 50.0),
-                     amplitude: float = 1.0) -> ExplorationSignal:
+def make_exploration(seed: int, num_inputs: int,
+                     num_sinusoids: int = _NUM_SINUSOIDS,
+                     freq_range: Tuple[float, float] = _FREQ_RANGE,
+                     amplitude: float = _AMPLITUDE) -> ExplorationSignal:
     """Draw a seeded exploration signal.
 
     Each channel gets its own frequencies (uniform over freq_range, rad/s)
@@ -126,7 +136,9 @@ class DataMatrices:
 
     delta_xx rows are increments of kron(x, x) across each window,
     int_xx / int_xu are window integrals of kron(x, x) and kron(x, u)
-    where u is the input applied to the plant.
+    where u is the input applied to the plant. The columns stay in kron
+    order (n*n, n*n and n*m of them); solve_iteration folds them into its
+    n(n+1)/2 + nnz(mask) unknowns.
     """
 
     delta_xx: np.ndarray
@@ -166,13 +178,13 @@ class SrlConfig:
     weights: CostWeights
     B: np.ndarray
     initial_gain: np.ndarray
-    window: float = 0.01          # data-sample spacing T, seconds
+    window: float = _WINDOW       # data-sample spacing T, seconds
     num_windows: int = 140
     dt: float = 5e-5              # trajectory recording / quadrature step
     substeps: int = 1
-    tol: float = 1e-6
-    max_iter: int = 50
-    rank_tol: float = 1e-12
+    tol: float = _TOL
+    max_iter: int = _MAX_ITER
+    rank_tol: float = _RANK_TOL
 
     def __post_init__(self):
         B = _as_matrix(self.B, name="B")
@@ -243,56 +255,36 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
 
 @dataclass(frozen=True)
 class RankReport:
-    """Numerical rank of [int_xx int_xu] against both solvability counts.
-
-    required counts the classical condition n(n+1)/2 + nnz(mask); the
-    regression actually solved has n(n+1)/2 + n*m unknowns (the gain block
-    is dense before masking), so required_regression is the operative bar.
-    """
+    """Numerical rank of [int_xx int_xu] against the regression's unknown
+    count n(n+1)/2 + nnz(mask): the distinct entries of the symmetric value
+    matrix plus the free gain entries."""
 
     rank: int
     required: int
-    required_regression: int
-    passed_required: bool
-    passed_regression: bool
     sigma_max: float
     sigma_min: float
 
     @property
     def passed(self) -> bool:
-        return self.passed_regression
+        return self.rank >= self.required
 
     @property
     def margin(self) -> int:
-        return self.rank - self.required_regression
+        return self.rank - self.required
 
     def to_dict(self):
-        return {
-            "rank": self.rank,
-            "required": self.required,
-            "required_regression": self.required_regression,
-            "passed_required": self.passed_required,
-            "passed_regression": self.passed_regression,
-            "margin": self.margin,
-            "sigma_max": self.sigma_max,
-            "sigma_min": self.sigma_min,
-        }
+        return {**asdict(self), "passed": self.passed, "margin": self.margin}
 
 
 def check_rank(data: DataMatrices, mask: SparsityMask,
-               rank_tol: float = 1e-12) -> RankReport:
+               rank_tol: float = _RANK_TOL) -> RankReport:
     """Rank diagnostic for the excitation content of collected data."""
-    n, m = data.n, data.m
+    n = data.n
     block = np.hstack([data.int_xx, data.int_xu])
     sv = np.linalg.svd(block, compute_uv=False)
     smax = float(sv[0]) if sv.size else 0.0
     rank = int(np.sum(sv > rank_tol * smax)) if smax > 0 else 0
-    required = n * (n + 1) // 2 + mask.nnz
-    required_regression = n * (n + 1) // 2 + n * m
-    return RankReport(rank=rank, required=required,
-                      required_regression=required_regression,
-                      passed_required=rank >= required,
-                      passed_regression=rank >= required_regression,
+    return RankReport(rank=rank, required=n * (n + 1) // 2 + mask.nnz,
                       sigma_max=smax,
                       sigma_min=float(sv[-1]) if sv.size else 0.0)
 
@@ -305,24 +297,37 @@ def _gain_regressors(data: DataMatrices, K, R) -> np.ndarray:
 
 
 def solve_iteration(data: DataMatrices, gain, config: SrlConfig):
-    """One policy-evaluation/update least squares.
+    """One policy-evaluation/update least squares in the paper's unknowns.
 
-    Solves for the symmetric value matrix P (half-vectorized) and the dense
-    update block M = K_next + F jointly; returns (P, M).
+    Solves jointly for the n(n+1)/2 distinct entries of the symmetric value
+    matrix P and the nnz(mask) free entries of the next gain; returns
+    (P, K_next) with K_next exactly zero off the mask.
     """
     n, m = data.n, data.m
     K = _as_matrix(gain, rows=m, cols=n, name="gain")
     R = config.weights.R
     Qbar = config.weights.Q + K.T @ R @ K
+    RinvBt = np.linalg.solve(R, config.B.T)
 
-    # The regressors cannot separate P_ij from P_ji, so their kron(x, x)
-    # columns are merged and the unknown is the n(n+1)/2 distinct values
-    # of a symmetric P, ordered (i, j) with i <= j, column by column.
+    # G[:, c, r] multiplies entry (r, c) of R^-1 B' P. Off the mask that
+    # entry is known from P, sum_l RinvBt[r, l] P[l, c], so those columns
+    # are added to the coefficients of P (at [c, l]; P is symmetric) and
+    # only the nnz on-mask gain entries stay unknowns.
+    G = _gain_regressors(data, K, R).reshape(-1, n, m)
+    r, c = np.nonzero(config.mask.indicator)
+    gain_cols = -2.0 * G[:, c, r]
+    G *= config.mask.complement.T  # in place: one (N, n, m) array fewer
+    coef = G @ (-2.0 * RinvBt)
+    coef += data.delta_xx.reshape(-1, n, n)
+
+    # The regressors cannot separate P_ij from P_ji, so their coefficients
+    # are merged and the unknown is the n(n+1)/2 distinct values of a
+    # symmetric P, ordered (i, j) with i <= j, column by column.
     j, i = np.tril_indices(n)
-    delta_sym = data.delta_xx[:, j * n + i]
+    P_cols = coef[:, j, i]
     off = i != j
-    delta_sym[:, off] += data.delta_xx[:, i[off] * n + j[off]]
-    theta = np.hstack([delta_sym, -2.0 * _gain_regressors(data, K, R)])
+    P_cols[:, off] += coef[:, i[off], j[off]]
+    theta = np.hstack([P_cols, gain_cols])
     rhs = -data.int_xx @ Qbar.ravel(order="F")
 
     # equilibrate rows then columns; plain scaling, undone after the solve
@@ -342,8 +347,9 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig):
     sol = sol / col_scale
     P = np.zeros((n, n))
     P[i, j] = P[j, i] = sol[:len(i)]
-    M = sol[len(i):].reshape(m, n, order="F")
-    return P, M
+    K_next = np.zeros((m, n))
+    K_next[r, c] = sol[len(i):]
+    return P, K_next
 
 
 def srl_synthesize(source, config: SrlConfig, x0=None,
@@ -351,9 +357,9 @@ def srl_synthesize(source, config: SrlConfig, x0=None,
     """Data-driven structured synthesis.
 
     source is either precollected DataMatrices or a PlantHandle; a plant
-    needs x0 and an exploration policy for the collection phase. The loop
-    alternates the joint least squares with the masked gain update
-    K <- M - F, F = (R^-1 B' P) o complement, until ||dP|| < tol.
+    needs x0 and an exploration policy for the collection phase. Each
+    iteration is one solve_iteration least squares for P and the masked
+    next gain, until ||dP|| < tol.
     """
     if isinstance(source, DataMatrices):
         data = source
@@ -367,16 +373,10 @@ def srl_synthesize(source, config: SrlConfig, x0=None,
     report = check_rank(data, config.mask, rank_tol=config.rank_tol)
     if not report.passed:
         raise RankDeficientError(
-            f"data rank {report.rank} below the regression requirement "
-            f"{report.required_regression} (classical count "
-            f"{report.required}); gather more or richer data")
+            f"data rank {report.rank} below the required count "
+            f"{report.required} = n(n+1)/2 + nnz; gather more or richer data")
 
     RinvBt = np.linalg.solve(config.weights.R, config.B.T)
-
-    def step(k, K):
-        P, M = solve_iteration(data, K, config)
-        F = off_pattern(RinvBt @ P, config.mask)
-        return P, on_pattern(M - F, config.mask)  # masked entries exactly zero
-
-    return _policy_iteration(step, config.initial_gain, RinvBt, config.mask,
+    return _policy_iteration(lambda k, K: solve_iteration(data, K, config),
+                             config.initial_gain, RinvBt, config.mask,
                              config.tol, config.max_iter)

@@ -11,6 +11,9 @@ from .system import (CostWeights, LtiSystem, _as_matrix, _check_at_least,
                      is_hurwitz, spectral_abscissa)
 
 
+_TOL, _MAX_ITER = 1e-6, 50  # default stopping rule of every policy iteration
+
+
 class NotStabilizingError(ValueError):
     """Initial gain does not render A - B K0 Hurwitz."""
 
@@ -127,8 +130,8 @@ def _policy_iteration(step, K, RinvBt, mask: SparsityMask, tol: float,
 
 
 def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask,
-                        initial_gain, tol: float = 1e-6,
-                        max_iter: int = 50) -> SynthesisResult:
+                        initial_gain, tol: float = _TOL,
+                        max_iter: int = _MAX_ITER) -> SynthesisResult:
     """Structured policy iteration.
 
     Alternates the closed-loop Lyapunov solve (policy evaluation) with the
@@ -158,8 +161,8 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
 
 
 def solve_unstructured_lqr(sys: LtiSystem, weights: CostWeights,
-                           initial_gain=None, tol: float = 1e-6,
-                           max_iter: int = 50) -> SynthesisResult:
+                           initial_gain=None, tol: float = _TOL,
+                           max_iter: int = _MAX_ITER) -> SynthesisResult:
     """Classical LQR baseline: the structured iteration with an all-ones mask."""
     mask = SparsityMask.all_ones(sys.m, sys.n)
     if initial_gain is None:

@@ -209,6 +209,10 @@ def _rk4_step(G, h, x, f_start, f_mid, f_end):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# A recorded state entry above this counts as divergence; it also caps a
+# scenario's x0 entries, whose quadratic costs would overflow a float.
+_DIVERGENCE_BOUND = 1e150
+
 # RK4 steps whose forcing terms are formed at once, in one (steps, n)
 # buffer reused across blocks; a full-length array would add 8 * steps * n
 # bytes to the peak memory of a long exploration run.
@@ -234,7 +238,7 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
 
     Raises:
         SimulationDiverged: at the first recorded sample that is non-finite
-            or exceeds 1e150 in magnitude.
+            or exceeds _DIVERGENCE_BOUND in magnitude.
     """
     _check_positive("dt", dt)
     if substeps < 1:
@@ -284,7 +288,7 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
             x = x.copy()  # the next block overwrites the buffer
             recorded = path[substeps - 1::substeps]
             # the comparison is False for nan, so non-finite rows are bad too
-            bad = ~np.all(np.abs(recorded) <= 1e150, axis=1)
+            bad = ~np.all(np.abs(recorded) <= _DIVERGENCE_BOUND, axis=1)
             if bad.any():
                 raise SimulationDiverged(
                     time=(first + 1 + int(np.argmax(bad))) * dt)

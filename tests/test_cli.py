@@ -63,11 +63,13 @@ def test_bad_solver_override_is_usage_error(capsys, flag, value, knob):
 
 
 def test_rank_failure_exit_code(tmp_path, capsys):
+    # a single probe frequency excites rank 19 of the 50 unknowns
     spec = builtin_scenario("consensus-a")
-    short = dataclasses.replace(
-        spec, exploration=dataclasses.replace(spec.exploration, duration=1.0))
-    path = tmp_path / "short.scn"
-    save_scenario(short, path)
+    tone = dataclasses.replace(
+        spec, exploration=dataclasses.replace(spec.exploration, freq_min=5.0,
+                                              freq_max=5.0))
+    path = tmp_path / "tone.scn"
+    save_scenario(tone, path)
     assert main(["srl", "--scenario", str(path)]) == 2
 
 
@@ -183,6 +185,35 @@ def test_count_knob_below_its_bound_is_usage_error(tmp_path, capsys, command,
     assert main([command, "--scenario", str(path)]) == 1
     assert (f"error: {key} must be at least {low}, got {value}\n"
             in capsys.readouterr().err)
+
+
+def test_sinusoid_count_above_its_bound_is_usage_error(tmp_path, capsys):
+    text = save_scenario(builtin_scenario("consensus-a"))
+    path = tmp_path / "bad.scn"
+    path.write_text(text.replace("exploration sinusoids 100",
+                                 "exploration sinusoids 100000000"))
+    tracemalloc.start()
+    try:
+        assert main(["srl", "--scenario", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ("error: exploration sinusoids must be at most 10000, "
+            "got 100000000\n" in capsys.readouterr().err)
+    assert peak < 1e6  # rejected before any probe array is allocated
+
+
+@pytest.mark.parametrize("command", ["model-based", "srl"])
+def test_huge_x0_is_usage_error(tmp_path, capsys, command):
+    text = save_scenario(builtin_scenario("consensus-a"))
+    lines = text.splitlines()
+    idx = lines.index("vector x0 6") + 1
+    lines[idx] = "1e300 " + lines[idx].split(" ", 1)[1]
+    path = tmp_path / "bad.scn"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, "--scenario", str(path)]) == 1
+    assert ("error: x0 entries must be finite and at most 1e+150 in "
+            "magnitude, got 1e+300\n" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["srl", "compare"])

@@ -200,7 +200,7 @@ class TestRunners:
         spec = builtin_scenario("consensus-a")
         report = run_srl(spec, out_dir=tmp_path)
         assert report.converged and report.iterations <= 10
-        assert report.rank["passed_regression"]
+        assert report.rank["passed"]
         assert report.comparison["gain_distance_to_model_based"] <= 1e-3
         assert report.structure_violation_max == 0.0
         assert report.exploration_peak_state is not None

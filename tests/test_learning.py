@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,8 @@ from structlqr import (ConvergenceError, CostWeights, ExplorationSignal,
                        InputPolicy, LtiSystem, RankDeficientError, SparsityMask,
                        SrlConfig, check_rank, collect, hide_state_matrix,
                        kleinman_structured, make_exploration, off_pattern,
-                       required_samples, solve_iteration, solve_lyapunov,
-                       solve_unstructured_lqr, srl_synthesize)
+                       on_pattern, required_samples, solve_iteration,
+                       solve_lyapunov, solve_unstructured_lqr, srl_synthesize)
 from structlqr.experiments import builtin_scenario
 from structlqr.learning import _gain_regressors, assemble_data
 from structlqr.system import Trajectory, simulate
@@ -253,11 +254,10 @@ class TestCheckRank:
         policy = InputPolicy.feedback_with_probe(config.initial_gain, spec_probe)
         _, data = collect(plant, policy, X0, config)
         report = check_rank(data, mask_a)
-        assert report.rank >= 50  # classical count for structure A
+        assert report.rank >= 50  # n(n+1)/2 + nnz for structure A
         assert report.required == 50
-        assert report.required_regression == 57
-        assert report.passed_required and report.passed_regression
-        assert report.margin >= 0
+        assert report.passed
+        assert report.margin == report.rank - 50 >= 0
 
     def test_default_amplitude_still_passes(self, network, mask_a):
         probe = make_exploration(7, 6)  # unit peak budget
@@ -306,6 +306,30 @@ class TestSolveIteration:
         assert np.linalg.norm(P - P_model, "fro") < 1e-4
         RinvBtP = np.linalg.solve(weights.R, config.B.T @ P)
         assert np.linalg.norm(M - RinvBtP, "fro") < 1e-4
+
+    def test_masked_update_matches_model_based(self):
+        # B and R are not the identity, so the known off-mask map R^-1 B' P
+        # is not a plain copy of P's entries
+        A = np.array([[-1.0, 2.0, 0.0], [0.0, -3.0, 1.0], [0.5, 0.0, -2.0]])
+        B = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 0.3]])
+        weights = CostWeights(Q=np.eye(3),
+                              R=np.array([[2.0, 0.3], [0.3, 1.0]]))
+        mask = SparsityMask.from_zero_positions(2, 3, [(0, 2), (1, 0)])
+        K = np.array([[0.3, 0.1, 0.0], [0.0, 0.2, 0.4]])
+        config = SrlConfig(mask=mask, weights=weights, B=B, initial_gain=K,
+                           window=0.05, num_windows=40, dt=2e-4, tol=1e-6,
+                           max_iter=20)
+        probe = make_exploration(3, 2, num_sinusoids=20,
+                                 freq_range=(0.5, 5.0), amplitude=4.0)
+        policy = InputPolicy.feedback_with_probe(K, probe)
+        _, data = collect(hide_state_matrix(LtiSystem(A=A, B=B)), policy,
+                          np.array([1.0, -0.5, 0.3]), config)
+        P, K_next = solve_iteration(data, K, config)
+        P_model = solve_lyapunov(A - B @ K, weights.Q + K.T @ weights.R @ K)
+        K_model = on_pattern(np.linalg.solve(weights.R, B.T @ P_model), mask)
+        assert np.linalg.norm(P - P_model, "fro") < 1e-4
+        assert np.linalg.norm(K_next - K_model, "fro") < 1e-4
+        assert np.array_equal(K_next * mask.complement, np.zeros((2, 3)))
 
     def test_zero_state_data_is_rank_deficient(self, network, mask_a):
         plant = hide_state_matrix(network)
@@ -402,13 +426,41 @@ class TestSrlSynthesize:
         assert np.linalg.norm(gains[0] - gains[1], "fro") <= 2e-3
 
     def test_insufficient_span_fails_rank_gate(self, network, mask_a):
-        # 1 s of data leaves one regression direction unexcited
-        config = network_config(mask_a, num_windows=100)
-        probe = make_exploration(7, 6, amplitude=100.0)
+        # one probe frequency per channel spans rank 19 of the 50 unknowns
+        config = network_config(mask_a)
+        probe = make_exploration(7, 6, freq_range=(5.0, 5.0), amplitude=100.0)
         plant = hide_state_matrix(network)
         policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
         with pytest.raises(RankDeficientError):
             srl_synthesize(plant, config, x0=X0, policy=policy)
+
+    @pytest.mark.parametrize("seed", [7, 9, 34])
+    @pytest.mark.parametrize("span", [1.0, 1.4])
+    def test_gate_fails_or_gain_matches_model_based(self, seed, span):
+        # Each run fails the rank gate or lands within 2e-3 of the
+        # model-based gain (worst seen 1.5e-3, over seeds 0-3, 7, 9, 34).
+        # 1.0 s is 100 windows, the paper's required_samples for
+        # consensus-a, and that must be enough at seed 7.
+        spec = builtin_scenario("consensus-a")
+        spec = dataclasses.replace(spec, exploration=dataclasses.replace(
+            spec.exploration, duration=span))
+        config = spec.srl_config()
+        if span == 1.0:
+            assert config.num_windows == required_samples(6, spec.mask)
+        policy = InputPolicy.feedback_with_probe(config.initial_gain,
+                                                 spec.probe(seed))
+        _, data = collect(hide_state_matrix(spec.system()), policy, spec.x0,
+                          config)
+        try:
+            learned = srl_synthesize(data, config)
+        except RankDeficientError:
+            assert (seed, span) != (7, 1.0)
+            return
+        model = kleinman_structured(spec.system(), config.weights, spec.mask,
+                                    config.initial_gain, tol=config.tol,
+                                    max_iter=config.max_iter)
+        assert learned.converged
+        assert np.linalg.norm(learned.K - model.K, "fro") <= 2e-3
 
     def test_plant_source_requires_policy_and_x0(self, network, mask_a):
         plant = hide_state_matrix(network)

@@ -105,12 +105,12 @@ def _scenario_specs(draw):
         Q=draw(arrays(np.float64, (n, n), elements=_FINITE)),
         R=draw(arrays(np.float64, (m, m), elements=_FINITE)),
         mask=SparsityMask(mask),
-        x0=draw(arrays(np.float64, (n,), elements=_FINITE)),
+        x0=draw(arrays(np.float64, (n,), elements=st.floats(-1e150, 1e150))),
         dt=draw(_POSITIVE),
         exploration=ExplorationConfig(
             seed=draw(st.integers(0, 2**63 - 1)),
             duration=draw(_POSITIVE), window=draw(_POSITIVE),
-            num_sinusoids=draw(st.integers(1, 10**6)),
+            num_sinusoids=draw(st.integers(1, 10**4)),
             freq_min=freq_min, freq_max=freq_max,
             amplitude=draw(_POSITIVE),
             substeps=draw(st.integers(1, 10**6))),

@@ -15,16 +15,6 @@ def _run_script(name, argv, monkeypatch):
     module.main()
 
 
-def test_excitation_span_study_prints_its_table(monkeypatch, capsys):
-    _run_script("excitation_span_study", [], monkeypatch)
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("classical sample requirement:")
-    assert out[1].split()[:2] == ["span", "(s)"]
-    spans = [row.split()[0] for row in out[2:]]
-    assert spans == ["0.8", "1.0", "1.1", "1.2", "1.4", "1.6"]
-    assert all(row.split()[-1] in ("pass", "FAIL") for row in out[2:])
-
-
 def test_reproduce_network_results_prints_its_table(monkeypatch, capsys):
     _run_script("reproduce_network_results", [], monkeypatch)
     out = capsys.readouterr().out
