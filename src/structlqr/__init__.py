@@ -35,6 +35,7 @@ __all__ = [
     "off_pattern", "on_pattern", "required_samples", "simulate",
     "solve_iteration", "solve_lyapunov", "solve_unstructured_lqr",
     "spectral_abscissa", "srl_synthesize", "structured_gain",
+    "suboptimality_bound",
 ]
 
 __version__ = "0.1.0"

@@ -35,12 +35,14 @@ def _build_parser() -> _Parser:
                                  "trajectory-data-driven")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, seed=False, solver=True):
+    def command(name, summary, seed=False, solver=True, out=True):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--scenario", required=True,
                        help="builtin name (consensus-a, consensus-b, "
                             "consensus-b-declared) or scenario file path")
-        p.add_argument("--out", default=None, help="directory for CSV/JSON output")
+        if out:
+            p.add_argument("--out", default=None,
+                           help="directory for CSV/JSON output")
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="override the exploration seed")
@@ -54,7 +56,7 @@ def _build_parser() -> _Parser:
     command("srl", "data-driven structured synthesis", seed=True)
     command("model-based", "structured policy iteration")
     command("compare", "data-driven run plus baselines", seed=True)
-    command("bound", "suboptimality bound report")
+    command("bound", "suboptimality bound report", out=False)
     sim = command("simulate", "zero-input simulation from x0", solver=False)
     sim.add_argument("--horizon", type=float, default=5.0)
     return parser
@@ -91,7 +93,7 @@ def main(argv=None) -> int:
             report = run_srl(spec, out_dir=args.out, seed=args.seed,
                              method=args.command)
         else:  # bound
-            report = run_model_based(spec, out_dir=args.out)
+            report = run_model_based(spec)
             print(json.dumps({"scenario": spec.name, "bound": report.bound},
                              indent=2, sort_keys=True))
             return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE

@@ -228,6 +228,28 @@ def builtin_scenario(name: str) -> ScenarioSpec:
 BUILTIN_SCENARIOS = ("consensus-a", "consensus-b", "consensus-b-declared")
 
 
+def ring_scenario(n: int) -> ScenarioSpec:
+    """Consensus ring of n agents, for runs that scale n.
+
+    Couplings are drawn uniformly from [1, 3] and x0 from [0.2, 1] with a
+    fixed seed, so each n gives one scenario; B = R = I, Q = 30 I, each
+    agent's gain row is free on itself and its two ring neighbours, and
+    K0 = 10 I, as in the 6-agent builtins.
+    """
+    _check_at_least("ring size", n, 3)
+    rng = np.random.default_rng(0)
+    net = make_consensus_network(
+        n, {(i, (i + 1) % n): float(rng.uniform(1.0, 3.0)) for i in range(n)})
+    hops = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    mask = SparsityMask((np.minimum(hops, n - hops) <= 1).astype(float))
+    return ScenarioSpec(
+        name=f"ring{n}", A=net.A, B=net.B, Q=30.0 * np.eye(n), R=np.eye(n),
+        mask=mask, x0=rng.uniform(0.2, 1.0, size=n), dt=5e-5,
+        exploration=ExplorationConfig(),
+        solver=SolverConfig(tol=1e-3, max_iter=30),
+        initial_gain=10.0 * np.eye(n))
+
+
 # ---------------------------------------------------------------------------
 # scenario text format
 

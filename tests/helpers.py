@@ -56,6 +56,26 @@ def random_stable_matrix(rng, n, shift=0.5):
     return M - (sa + shift) * np.eye(n)
 
 
+def kron_operator(M):
+    """V = I (x) M' + M' (x) I, so that V vec(X) = vec(M'X + XM) (column-major
+    vec). It has n^4 entries: the oracles below are for small n only."""
+    eye = np.eye(M.shape[0])
+    return np.kron(eye, M.T) + np.kron(M.T, eye)
+
+
+def kron_lyapunov_oracle(M, S):
+    """Dense Kronecker solve of M'P + PM + S = 0."""
+    n = M.shape[0]
+    p = np.linalg.solve(kron_operator(M), -S.ravel(order="F"))
+    P = p.reshape(n, n, order="F")
+    return 0.5 * (P + P.T)
+
+
+def kron_bound_constant_oracle(M):
+    """Smallest singular value of I (x) M' + M' (x) I, from its full SVD."""
+    return float(np.linalg.svd(kron_operator(M), compute_uv=False)[-1])
+
+
 def lyapunov_integral_oracle(M, S, dt=0.002, horizon=120.0):
     """Independent quadrature oracle: Simpson sum of expm(M't) S expm(Mt)."""
     nst = int(round(horizon / dt))

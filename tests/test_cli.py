@@ -44,6 +44,16 @@ def test_bound_subcommand(capsys):
     assert out["bound"]["within_bound"] is True
 
 
+def test_bound_takes_no_out_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--scenario", "consensus-a", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_subcommand(tmp_path, capsys):
     assert main(["simulate", "--scenario", "consensus-a", "--horizon", "0.5",
                  "--out", str(tmp_path)]) == 0

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,8 @@ from helpers import NETWORK_A, X0
 from structlqr.experiments import (ScenarioError, ScenarioSpec, SolverConfig,
                                    builtin_scenario, load_scenario,
                                    make_consensus_network, parse_scenario,
-                                   run_model_based, run_simulate, run_srl,
-                                   save_scenario)
+                                   ring_scenario, run_model_based,
+                                   run_simulate, run_srl, save_scenario)
 
 
 class TestConsensusNetwork:
@@ -28,6 +32,14 @@ class TestConsensusNetwork:
     def test_two_agents(self):
         sys = make_consensus_network(2, {(0, 1): 1.0})
         assert np.array_equal(sys.A, np.array([[-1.0, 1.0], [1.0, -1.0]]))
+
+    def test_ring_scenario(self):
+        spec = ring_scenario(5)
+        assert np.max(np.abs(spec.A @ np.ones(5))) < 1e-12
+        assert np.count_nonzero(spec.A) == 15  # diagonal plus two neighbours
+        assert np.array_equal(spec.mask.indicator, spec.A != 0)
+        with pytest.raises(ValueError, match="ring size must be at least 3"):
+            ring_scenario(2)
 
     def test_invalid_couplings(self):
         with pytest.raises(ValueError):
@@ -220,3 +232,20 @@ class TestRunners:
         traj = run_simulate(spec, horizon=1.0, out_dir=tmp_path)
         assert len(traj.times) == 101
         assert (tmp_path / "trajectory.csv").exists()
+
+
+def test_runners_never_import_scipy():
+    # scipy is a test-only dependency; importing it would also cost a
+    # noticeable share of a short run's start-up time
+    code = ("import sys\n"
+            "from structlqr.experiments import (builtin_scenario, "
+            "run_model_based, run_srl)\n"
+            "spec = builtin_scenario('consensus-a')\n"
+            "run_model_based(spec)\n"
+            "run_srl(spec)\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

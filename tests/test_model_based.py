@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 
 from helpers import (NETWORK_A, REFERENCE_GAIN_A, REFERENCE_GAIN_UNSTRUCTURED,
-                     X0, ZEROS_A, lyapunov_integral_oracle,
+                     X0, ZEROS_A, kron_bound_constant_oracle,
+                     kron_lyapunov_oracle, lyapunov_integral_oracle,
                      random_stable_matrix)
 from structlqr import (ConvergenceError, CostWeights, IterateDestabilizedError,
                        LtiSystem, NotStabilizingError, SparsityMask,
@@ -12,6 +15,8 @@ from structlqr import (ConvergenceError, CostWeights, IterateDestabilizedError,
                        modified_are_residual, solve_lyapunov,
                        solve_unstructured_lqr, spectral_abscissa,
                        suboptimality_bound)
+from structlqr.experiments import (builtin_scenario, ring_scenario,
+                                   run_model_based)
 
 
 @pytest.fixture
@@ -57,6 +62,56 @@ class TestSolveLyapunov:
         S = G.T @ G
         assert np.allclose(solve_lyapunov(M, S),
                            solve_continuous_lyapunov(M.T, -S), atol=1e-9)
+
+    def test_matches_both_oracles_on_random_hurwitz_matrices(self):
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        for k in range(100):
+            n = int(rng.integers(2, 13))
+            M = random_stable_matrix(rng, n, shift=rng.uniform(0.05, 1.0))
+            if k % 2:  # strongly non-normal: large strictly upper part
+                M += 5.0 * np.triu(rng.standard_normal((n, n)), 1)
+                M -= (spectral_abscissa(M) + 0.3) * np.eye(n)
+            G = rng.standard_normal((n, n))
+            S = G @ G.T
+            P = solve_lyapunov(M, S)
+            for oracle in (kron_lyapunov_oracle(M, S),
+                           solve_continuous_lyapunov(M.T, -S)):
+                worst = max(worst, np.linalg.norm(P - oracle)
+                            / np.linalg.norm(oracle))
+        assert worst <= 1e-10
+
+    def test_matches_both_oracles_on_ring_closed_loops(self):
+        spec = ring_scenario(40)
+        res = kleinman_structured(spec.system(), spec.weights(), spec.mask,
+                                  spec.initial_gain, tol=1e-3)
+        for K in [spec.initial_gain] + [rec.K for rec in res.history]:
+            M = spec.A - spec.B @ K
+            S = spec.Q + K.T @ spec.R @ K
+            P = solve_lyapunov(M, S)
+            assert np.array_equal(P, P.T)
+            for oracle in (kron_lyapunov_oracle(M, S),
+                           solve_continuous_lyapunov(M.T, -S)):
+                assert (np.linalg.norm(P - oracle)
+                        <= 1e-10 * np.linalg.norm(oracle))
+
+    def test_matches_both_oracles_on_defective_m(self):
+        # a rotated Jordan block: eig finds no eigenbasis, so the Schur
+        # basis is only accurate after refinement
+        rng = np.random.default_rng(5)
+        for n in (6, 10):
+            rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            M = rot @ (np.diag(np.ones(n - 1), 1) - np.eye(n)) @ rot.T
+            S = np.eye(n)
+            P = solve_lyapunov(M, S)
+            for oracle in (kron_lyapunov_oracle(M, S),
+                           solve_continuous_lyapunov(M.T, -S)):
+                assert (np.linalg.norm(P - oracle)
+                        <= 1e-10 * np.linalg.norm(oracle))
+
+    def test_non_square_m_is_named_before_s(self):
+        with pytest.raises(ValueError, match="M must be square"):
+            solve_lyapunov(np.ones((2, 3)), np.eye(3))
 
     def test_against_integral_oracle(self, network, weights):
         K0 = 0.1 * np.eye(6)
@@ -229,12 +284,54 @@ class TestSuboptimalityBound:
         assert np.allclose(rep.operator_matrix, network.A - np.eye(6))
 
     def test_oracle_for_l_constant(self, network, weights):
-        # independent route: smallest singular value of the explicit operator
-        Mv = network.A - np.eye(6)
-        V = np.kron(np.eye(6), Mv.T) + np.kron(Mv.T, np.eye(6))
-        sigma_min = np.linalg.svd(V, compute_uv=False)[-1]
         rep = suboptimality_bound(network, weights, X0, 1.0, 1.0)
-        assert rep.l == pytest.approx(sigma_min, rel=1e-9)
+        assert rep.l == pytest.approx(
+            kron_bound_constant_oracle(network.A - np.eye(6)), rel=1e-9)
+
+    @pytest.mark.parametrize("case", ["random", "mixed-spectrum", "defective"])
+    def test_l_matches_full_svd(self, case):
+        rng = np.random.default_rng(4)
+        for k in range(10 if case == "random" else 4):
+            if case == "random":  # non-normal, complex spectrum
+                n = int(rng.integers(2, 9))
+                M = random_stable_matrix(rng, n) + 3.0 * np.triu(
+                    rng.standard_normal((n, n)), 1)
+            elif case == "mixed-spectrum":  # eigenvalues 1, -0.5, -2
+                M = np.diag([1.0, -0.5, -2.0]) + np.triu(
+                    rng.standard_normal((3, 3)), 1)
+            else:  # a rotated Jordan block: eig finds no eigenbasis
+                n = (6, 10)[k % 2]
+                rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                M = rot @ (np.diag(np.ones(n - 1), 1) - np.eye(n)) @ rot.T
+            sys = LtiSystem(A=M + np.eye(M.shape[0]), B=np.eye(M.shape[0]))
+            w = CostWeights(Q=np.eye(M.shape[0]), R=np.eye(M.shape[0]))
+            rep = suboptimality_bound(sys, w, np.ones(M.shape[0]), 1.0, 1.0)
+            assert rep.l == pytest.approx(kron_bound_constant_oracle(M),
+                                          rel=1e-8)
+
+    @pytest.mark.parametrize("name", ["consensus-a", "consensus-b", "ring20"])
+    def test_l_matches_full_svd_on_scenarios(self, name):
+        spec = (ring_scenario(20) if name == "ring20"
+                else builtin_scenario(name))
+        rep = suboptimality_bound(spec.system(), spec.weights(), spec.x0,
+                                  1.0, 1.0)
+        M = spec.A - spec.B @ np.linalg.solve(spec.R, spec.B.T)
+        assert rep.l == pytest.approx(kron_bound_constant_oracle(M), rel=1e-8)
+
+    @pytest.mark.parametrize("x0, message", [
+        (np.ones(3), r"x0 must have shape \(6,\), got \(3,\)"),
+        (np.ones((6, 6)), r"x0 must have shape \(6,\), got \(6, 6\)"),
+        (np.array([1.0, np.nan, 0, 0, 0, 0]), "x0 has non-finite entries")])
+    def test_bad_x0_rejected(self, network, weights, x0, message):
+        with pytest.raises(ValueError, match=message):
+            suboptimality_bound(network, weights, x0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("costs, name", [
+        ((float("nan"), 1.0), "cost_structured"),
+        ((1.0, float("inf")), "cost_unstructured")])
+    def test_non_finite_cost_rejected(self, network, weights, costs, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            suboptimality_bound(network, weights, X0, *costs)
 
     def test_zero_input_matrix_rejected(self):
         sys = LtiSystem(A=-np.eye(2), B=np.zeros((2, 1)))
@@ -248,3 +345,15 @@ class TestSuboptimalityBound:
         w = CostWeights(Q=np.eye(2), R=np.eye(2))
         with pytest.raises(ValueError):
             suboptimality_bound(sys, w, np.ones(2), 1.0, 1.0)
+
+
+def test_model_based_run_memory_stays_quadratic():
+    # a dense n^2 x n^2 operator at n = 40 alone is 20 MB
+    spec = ring_scenario(40)
+    tracemalloc.start()
+    try:
+        run_model_based(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -22,3 +22,11 @@ def test_reproduce_network_results_prints_its_table(monkeypatch, capsys):
         assert f"scenario {name}: converged=True" in out
     assert out.count("learned structured gain =") == 2
     assert out.count("suboptimality bound: gap") == 2
+
+
+def test_model_based_scaling_prints_one_row_per_size(monkeypatch, capsys):
+    _run_script("model_based_scaling", ["--sizes", "4", "8"], monkeypatch)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["n", "iterations", "wall_s", "peak_mb", "l",
+                                "dense_op_mb"]
+    assert [line.split()[0] for line in lines[1:]] == ["4", "8"]
