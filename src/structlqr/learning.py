@@ -7,7 +7,7 @@ integrals of the recorded states and inputs.
 """
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -37,32 +37,16 @@ class ExplorationSignal:
     frequencies: np.ndarray  # (m, num_sinusoids), rad/s
     amplitudes: np.ndarray
     phases: np.ndarray
-    seed: Optional[int] = None
 
     def __post_init__(self):
-        f = np.atleast_2d(np.asarray(self.frequencies, dtype=float))
-        a = np.atleast_2d(np.asarray(self.amplitudes, dtype=float))
-        p = np.atleast_2d(np.asarray(self.phases, dtype=float))
-        if not (f.shape == a.shape == p.shape):
+        arrays = {name: _as_matrix(np.atleast_2d(getattr(self, name)), name=name)
+                  for name in ("frequencies", "amplitudes", "phases")}
+        if len({a.shape for a in arrays.values()}) != 1:
             raise ValueError("frequencies, amplitudes, phases must share a shape")
-        if np.any(f <= 0):
+        if np.any(arrays["frequencies"] <= 0):
             raise ValueError("frequencies must be positive")
-        object.__setattr__(self, "frequencies", _freeze(f))
-        object.__setattr__(self, "amplitudes", _freeze(a))
-        object.__setattr__(self, "phases", _freeze(p))
-
-    @property
-    def num_channels(self) -> int:
-        return self.frequencies.shape[0]
-
-    @property
-    def num_sinusoids(self) -> int:
-        return self.frequencies.shape[1]
-
-    @property
-    def peak_bound(self) -> np.ndarray:
-        """Per-channel bound sum |a_ji| on |u0_j(t)|."""
-        return np.sum(np.abs(self.amplitudes), axis=1)
+        for name, a in arrays.items():
+            object.__setattr__(self, name, _freeze(a))
 
     def __call__(self, t: float) -> np.ndarray:
         return (self.amplitudes
@@ -93,8 +77,7 @@ def make_exploration(seed: int, num_inputs: int,
     freqs = rng.uniform(lo, hi, size=(num_inputs, num_sinusoids))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(num_inputs, num_sinusoids))
     amps = np.full((num_inputs, num_sinusoids), amplitude / num_sinusoids)
-    return ExplorationSignal(frequencies=freqs, amplitudes=amps, phases=phases,
-                             seed=seed)
+    return ExplorationSignal(frequencies=freqs, amplitudes=amps, phases=phases)
 
 
 @dataclass(frozen=True)
@@ -125,49 +108,50 @@ def hide_state_matrix(sys: LtiSystem) -> PlantHandle:
     return PlantHandle(B=sys.B, n=sys.n, m=sys.m, _run=run)
 
 
+def _num_unknowns(n: int, mask: SparsityMask) -> int:
+    """Regression unknowns: n(n+1)/2 entries of the symmetric P plus nnz."""
+    return n * (n + 1) // 2 + mask.nnz
+
+
 def required_samples(n: int, mask: SparsityMask) -> int:
     """Data windows needed: twice the unknown count n(n+1)/2 + nnz."""
-    return 2 * (n * (n + 1) // 2 + mask.nnz)
+    return 2 * _num_unknowns(n, mask)
 
 
 @dataclass(frozen=True)
 class DataMatrices:
-    """Windowed regression blocks built from one exploration run.
-
-    delta_xx rows are increments of kron(x, x) across each window,
-    int_xx / int_xu are window integrals of kron(x, x) and kron(x, u)
-    where u is the input applied to the plant. The columns stay in kron
-    order (n*n, n*n and n*m of them); solve_iteration folds them into its
-    n(n+1)/2 + nnz(mask) unknowns.
-    """
+    """Windowed regression blocks built from one exploration run: per window,
+    delta_xx (N, n, n) is the increment of x x', and int_xx (N, n, n) /
+    int_xu (N, n, m) are the integrals of x x' and x u', u being the input
+    applied to the plant."""
 
     delta_xx: np.ndarray
     int_xx: np.ndarray
     int_xu: np.ndarray
-    window_length: float
-    window_starts: np.ndarray
 
     def __post_init__(self):
-        if not (self.delta_xx.shape[0] == self.int_xx.shape[0]
-                == self.int_xu.shape[0] == len(self.window_starts)):
-            raise ValueError("row counts of the data blocks must agree")
-        object.__setattr__(self, "delta_xx", _freeze(np.asarray(self.delta_xx, float)))
-        object.__setattr__(self, "int_xx", _freeze(np.asarray(self.int_xx, float)))
-        object.__setattr__(self, "int_xu", _freeze(np.asarray(self.int_xu, float)))
-        object.__setattr__(self, "window_starts",
-                           _freeze(np.asarray(self.window_starts, float)))
+        d, xx, xu = (_freeze(np.asarray(b, float))
+                     for b in (self.delta_xx, self.int_xx, self.int_xu))
+        if not (xu.ndim == 3
+                and d.shape == xx.shape == (len(xu), xu.shape[1], xu.shape[1])):
+            raise ValueError(
+                "data blocks must be (N, n, n), (N, n, n) and (N, n, m), "
+                f"got {d.shape}, {xx.shape} and {xu.shape}")
+        object.__setattr__(self, "delta_xx", d)
+        object.__setattr__(self, "int_xx", xx)
+        object.__setattr__(self, "int_xu", xu)
 
     @property
     def num_windows(self) -> int:
-        return self.delta_xx.shape[0]
+        return self.int_xu.shape[0]
 
     @property
     def n(self) -> int:
-        return int(round(np.sqrt(self.int_xx.shape[1])))
+        return self.int_xu.shape[1]
 
     @property
     def m(self) -> int:
-        return self.int_xu.shape[1] // self.n
+        return self.int_xu.shape[2]
 
 
 @dataclass(frozen=True)
@@ -211,10 +195,10 @@ class SrlConfig:
 
 
 def assemble_data(traj: Trajectory, window: float) -> DataMatrices:
-    """Window the kron(x,x) / kron(x,u) records of a trajectory.
+    """Window the x x' / x u' records of a trajectory.
 
-    Increment rows use exact endpoint evaluations; integral rows use the
-    composite trapezoidal rule, one Gram product Xw'Xw per window.
+    Increments use exact endpoint evaluations; integrals use the composite
+    trapezoidal rule, one Gram product Xw'Xw per window.
     """
     dt = traj.dt
     stride_f = window / dt
@@ -235,13 +219,7 @@ def assemble_data(traj: Trajectory, window: float) -> DataMatrices:
     Uw = U[:idx[-1]].reshape(nwin, stride, -1)
     int_xx = dt * (Xw.transpose(0, 2, 1) @ Xw) + (0.5 * dt) * delta_xx
     int_xu = dt * (Xw.transpose(0, 2, 1) @ Uw) + (0.5 * dt) * delta_xu
-    return DataMatrices(
-        delta_xx=delta_xx.reshape(nwin, -1),
-        int_xx=int_xx.reshape(nwin, -1),
-        int_xu=int_xu.reshape(nwin, -1),
-        window_length=window,
-        window_starts=traj.times[idx[:-1]],
-    )
+    return DataMatrices(delta_xx=delta_xx, int_xx=int_xx, int_xu=int_xu)
 
 
 def collect(plant: PlantHandle, policy: InputPolicy, x0,
@@ -256,8 +234,7 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
 @dataclass(frozen=True)
 class RankReport:
     """Numerical rank of [int_xx int_xu] against the regression's unknown
-    count n(n+1)/2 + nnz(mask): the distinct entries of the symmetric value
-    matrix plus the free gain entries."""
+    count n(n+1)/2 + nnz(mask)."""
 
     rank: int
     required: int
@@ -279,21 +256,19 @@ class RankReport:
 def check_rank(data: DataMatrices, mask: SparsityMask,
                rank_tol: float = _RANK_TOL) -> RankReport:
     """Rank diagnostic for the excitation content of collected data."""
-    n = data.n
-    block = np.hstack([data.int_xx, data.int_xu])
+    block = np.hstack([b.reshape(data.num_windows, -1)
+                       for b in (data.int_xx, data.int_xu)])
     sv = np.linalg.svd(block, compute_uv=False)
     smax = float(sv[0]) if sv.size else 0.0
     rank = int(np.sum(sv > rank_tol * smax)) if smax > 0 else 0
-    return RankReport(rank=rank, required=n * (n + 1) // 2 + mask.nnz,
+    return RankReport(rank=rank, required=_num_unknowns(data.n, mask),
                       sigma_max=smax,
                       sigma_min=float(sv[-1]) if sv.size else 0.0)
 
 
 def _gain_regressors(data: DataMatrices, K, R) -> np.ndarray:
-    """Rows of int_xx @ kron(I, K'R) + int_xu @ kron(I, R), without the krons."""
-    N, n, m = data.num_windows, data.n, data.m
-    return ((data.int_xx.reshape(N, n, n) @ K.T
-             + data.int_xu.reshape(N, n, m)) @ R).reshape(N, -1)
+    """Per window, (int_xx K' + int_xu) R: the regressors of K_next'."""
+    return (data.int_xx @ K.T + data.int_xu) @ R
 
 
 def solve_iteration(data: DataMatrices, gain, config: SrlConfig):
@@ -313,12 +288,12 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig):
     # entry is known from P, sum_l RinvBt[r, l] P[l, c], so those columns
     # are added to the coefficients of P (at [c, l]; P is symmetric) and
     # only the nnz on-mask gain entries stay unknowns.
-    G = _gain_regressors(data, K, R).reshape(-1, n, m)
+    G = _gain_regressors(data, K, R)
     r, c = np.nonzero(config.mask.indicator)
     gain_cols = -2.0 * G[:, c, r]
     G *= config.mask.complement.T  # in place: one (N, n, m) array fewer
     coef = G @ (-2.0 * RinvBt)
-    coef += data.delta_xx.reshape(-1, n, n)
+    coef += data.delta_xx
 
     # The regressors cannot separate P_ij from P_ji, so their coefficients
     # are merged and the unknown is the n(n+1)/2 distinct values of a
@@ -328,7 +303,7 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig):
     off = i != j
     P_cols[:, off] += coef[:, i[off], j[off]]
     theta = np.hstack([P_cols, gain_cols])
-    rhs = -data.int_xx @ Qbar.ravel(order="F")
+    rhs = -np.tensordot(data.int_xx, Qbar.T)  # window integrals of x'Qbar x
 
     # equilibrate rows then columns; plain scaling, undone after the solve
     row_scale = np.linalg.norm(theta, axis=1)
@@ -352,24 +327,10 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig):
     return P, K_next
 
 
-def srl_synthesize(source, config: SrlConfig, x0=None,
-                   policy: Optional[InputPolicy] = None) -> SynthesisResult:
-    """Data-driven structured synthesis.
-
-    source is either precollected DataMatrices or a PlantHandle; a plant
-    needs x0 and an exploration policy for the collection phase. Each
-    iteration is one solve_iteration least squares for P and the masked
-    next gain, until ||dP|| < tol.
+def srl_synthesize(data: DataMatrices, config: SrlConfig) -> SynthesisResult:
+    """Data-driven structured synthesis from collected data: a rank gate,
+    then one solve_iteration least squares per iteration until ||dP|| < tol.
     """
-    if isinstance(source, DataMatrices):
-        data = source
-    elif isinstance(source, PlantHandle):
-        if x0 is None or policy is None:
-            raise ValueError("collecting from a plant needs x0 and a policy")
-        _, data = collect(source, policy, x0, config)
-    else:
-        raise TypeError("source must be DataMatrices or PlantHandle")
-
     report = check_rank(data, config.mask, rank_tol=config.rank_tol)
     if not report.passed:
         raise RankDeficientError(

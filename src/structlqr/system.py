@@ -185,9 +185,9 @@ def spectral_abscissa(M) -> float:
     return float(np.max(np.linalg.eigvals(M).real))
 
 
-def is_hurwitz(M, margin: float = 0.0) -> bool:
-    """True when every eigenvalue satisfies Re(lambda) < -margin."""
-    return spectral_abscissa(M) < -margin
+def is_hurwitz(M) -> bool:
+    """True when every eigenvalue satisfies Re(lambda) < 0."""
+    return spectral_abscissa(M) < 0.0
 
 
 def _probe_samples(probe, times, m):
@@ -241,6 +241,7 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
             or exceeds _DIVERGENCE_BOUND in magnitude.
     """
     _check_positive("dt", dt)
+    _check_positive("horizon", horizon)
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
     if horizon < dt:
@@ -307,16 +308,15 @@ def _trapezoid(values: np.ndarray, dt: float) -> float:
 
 _COST_DT = 1e-3      # quadrature step of evaluate_cost, seconds
 _COST_DECAY = 1e-6   # evaluate_cost stops once ||x|| <= _COST_DECAY * ||x0||
+_COST_HORIZON_CAP = 50.0  # or at this many seconds, with a TruncationWarning
 
 
-def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0,
-                  horizon: Optional[float] = None,
-                  horizon_cap: float = 50.0) -> float:
+def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
     """Closed-loop quadratic cost by trapezoidal quadrature along x' = (A - BK)x.
 
-    The quadrature step is _COST_DT. With horizon=None the integration runs
-    until ||x|| <= _COST_DECAY * ||x0|| or horizon_cap is hit; hitting the
-    cap attaches a TruncationWarning.
+    The quadrature step is _COST_DT. The integration runs in 1 s chunks
+    until ||x|| <= _COST_DECAY * ||x0||, or until _COST_HORIZON_CAP, where
+    it attaches a TruncationWarning.
     """
     gain = _as_matrix(gain, rows=sys.m, cols=sys.n, name="gain")
     x0 = np.asarray(x0, dtype=float)
@@ -336,15 +336,6 @@ def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0,
         uRu = np.einsum("ti,ij,tj->t", traj.inputs, weights.R, traj.inputs)
         return xQx + uRu
 
-    if horizon is not None:
-        traj = simulate(sys, policy, x0, horizon, dt=_COST_DT, substeps=1)
-        if np.linalg.norm(traj.states[-1]) > target:
-            warnings.warn(
-                f"state norm {np.linalg.norm(traj.states[-1]):.3g} above decay "
-                f"target at t = {horizon:g} s; cost is truncated",
-                TruncationWarning)
-        return _trapezoid(running(traj), _COST_DT)
-
     total = 0.0
     x = x0
     elapsed = 0.0
@@ -356,10 +347,10 @@ def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0,
         elapsed += traj.times[-1]
         if np.linalg.norm(x) <= target:
             break
-        if elapsed >= horizon_cap:
+        if elapsed >= _COST_HORIZON_CAP:
             warnings.warn(
-                f"decay target not reached within {horizon_cap:g} s cap; "
-                "cost is truncated", TruncationWarning)
+                f"decay target not reached within the {_COST_HORIZON_CAP:g} s "
+                "cap; cost is truncated", TruncationWarning)
             break
     return total
 

@@ -146,16 +146,16 @@ def _cumulative_trapezoid(rows: np.ndarray, dt: float) -> np.ndarray:
 
 
 def assemble_data_reference(traj, window: float) -> DataMatrices:
-    """Per-sample kron(x,x) / kron(x,u) rows, running trapezoid integrals
-    and differences at the window edges: the oracle for the per-window Gram
+    """Per-sample x x' / x u' records, running trapezoid integrals and
+    differences at the window edges: the oracle for the per-window Gram
     products in ``assemble_data``."""
     dt = traj.dt
     stride = int(round(window / dt))
     nwin = (len(traj.times) - 1) // stride
 
     X, U = traj.states, traj.inputs
-    kxx = np.einsum("ti,tj->tij", X, X).reshape(len(X), -1)
-    kxu = np.einsum("ti,tj->tij", X, U).reshape(len(X), -1)
+    kxx = np.einsum("ti,tj->tij", X, X)
+    kxu = np.einsum("ti,tj->tij", X, U)
     cxx = _cumulative_trapezoid(kxx, dt)
     cxu = _cumulative_trapezoid(kxu, dt)
     idx = np.arange(nwin + 1) * stride
@@ -163,6 +163,4 @@ def assemble_data_reference(traj, window: float) -> DataMatrices:
         delta_xx=kxx[idx[1:]] - kxx[idx[:-1]],
         int_xx=cxx[idx[1:]] - cxx[idx[:-1]],
         int_xu=cxu[idx[1:]] - cxu[idx[:-1]],
-        window_length=window,
-        window_starts=traj.times[idx[:-1]],
     )

@@ -282,7 +282,8 @@ def test_criterion_7g_all_ones_srl(network, weights):
     probe = make_exploration(7, 6, amplitude=100.0)
     plant = hide_state_matrix(network)
     policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
-    learned = srl_synthesize(plant, config, x0=X0, policy=policy)
+    _, data = collect(plant, policy, X0, config)
+    learned = srl_synthesize(data, config)
     classical = solve_unstructured_lqr(network, weights,
                                        initial_gain=config.initial_gain,
                                        tol=config.tol)

@@ -231,3 +231,12 @@ def test_negative_seed_override_is_usage_error(capsys, command):
     assert main([command, "--scenario", "consensus-a", "--seed", "-1"]) == 1
     assert ("error: exploration seed must be at least 0, got -1\n"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_non_finite_simulate_horizon_is_usage_error(tmp_path, capsys, horizon):
+    assert main(["simulate", "--scenario", "consensus-a", "--horizon", horizon,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert (capsys.readouterr().err
+            == f"error: horizon must be finite and positive, got {horizon}\n")
+    assert not (tmp_path / "out").exists()

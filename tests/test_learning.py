@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from helpers import NETWORK_A, X0, ZEROS_A, assemble_data_reference
-from structlqr import (ConvergenceError, CostWeights, ExplorationSignal,
-                       InputPolicy, LtiSystem, RankDeficientError, SparsityMask,
-                       SrlConfig, check_rank, collect, hide_state_matrix,
-                       kleinman_structured, make_exploration, off_pattern,
-                       on_pattern, required_samples, solve_iteration,
-                       solve_lyapunov, solve_unstructured_lqr, srl_synthesize)
+from structlqr import (ConvergenceError, CostWeights, DataMatrices,
+                       ExplorationSignal, InputPolicy, LtiSystem,
+                       RankDeficientError, SparsityMask, SrlConfig, check_rank,
+                       collect, hide_state_matrix, kleinman_structured,
+                       make_exploration, off_pattern, on_pattern,
+                       required_samples, solve_iteration, solve_lyapunov,
+                       solve_unstructured_lqr, srl_synthesize)
 from structlqr.experiments import builtin_scenario
 from structlqr.learning import _gain_regressors, assemble_data
 from structlqr.system import Trajectory, simulate
@@ -72,13 +73,23 @@ class TestExplorationSignal:
         sig = make_exploration(5, 4, num_sinusoids=30, amplitude=2.5)
         ts = np.linspace(0.0, 10.0, 4000)
         samples = sig.sample(ts)
-        assert np.all(np.abs(samples) <= sig.peak_bound[None, :] + 1e-12)
-        assert np.allclose(sig.peak_bound, 2.5)
+        peak = np.abs(sig.amplitudes).sum(1)
+        assert np.all(np.abs(samples) <= peak[None, :] + 1e-12)
+        assert np.allclose(peak, 2.5)
 
     def test_positive_frequency_required(self):
         with pytest.raises(ValueError):
             ExplorationSignal(frequencies=[[0.0]], amplitudes=[[1.0]],
                               phases=[[0.0]])
+
+    @pytest.mark.parametrize("name", ["frequencies", "amplitudes", "phases"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, name, bad):
+        arrays = dict(frequencies=[[1.0, 2.0]], amplitudes=[[1.0, 1.0]],
+                      phases=[[0.0, 0.0]])
+        arrays[name] = [[1.0, bad]]
+        with pytest.raises(ValueError, match=f"{name} has non-finite"):
+            ExplorationSignal(**arrays)
 
     def test_sample_matches_pointwise(self):
         sig = make_exploration(9, 2, num_sinusoids=7)
@@ -111,8 +122,8 @@ class TestCollect:
         traj, data = collect(plant, InputPolicy.zero(), X0, config)
         assert data.num_windows == 140
         assert np.array_equal(data.delta_xx, np.zeros_like(data.delta_xx))
-        expected = config.window * np.kron(X0, X0)
-        assert np.allclose(data.int_xx, expected[None, :], rtol=1e-12)
+        expected = config.window * np.outer(X0, X0)
+        assert np.allclose(data.int_xx, expected[None], rtol=1e-12)
         assert np.array_equal(data.int_xu, np.zeros_like(data.int_xu))
 
     def test_integrals_against_fine_grid(self):
@@ -208,16 +219,31 @@ class TestAssembleData:
         assert np.array_equal(got.delta_xx, ref.delta_xx)
         assert _rel(got.int_xx, ref.int_xx) <= 1e-12
         assert _rel(got.int_xu, ref.int_xu) <= 1e-12
-        assert np.array_equal(got.window_starts, ref.window_starts)
 
     def test_gain_regressors_match_kron_form(self):
         data = assemble_data(*_rectangular_record())
         K = np.array([[0.3, -0.2, 0.1], [0.1, 0.2, 0.4]])
         R = np.array([[2.0, 0.3], [0.3, 1.0]])
         eye = np.eye(3)
-        expected = (data.int_xx @ np.kron(eye, K.T @ R)
-                    + data.int_xu @ np.kron(eye, R))
-        assert _rel(_gain_regressors(data, K, R), expected) <= 1e-12
+        N = data.num_windows
+        expected = (data.int_xx.reshape(N, -1) @ np.kron(eye, K.T @ R)
+                    + data.int_xu.reshape(N, -1) @ np.kron(eye, R))
+        got = _gain_regressors(data, K, R)
+        assert got.shape == (N, 3, 2)
+        assert _rel(got.reshape(N, -1), expected) <= 1e-12
+
+    def test_blocks_of_disagreeing_shape_rejected(self):
+        data = assemble_data(*_rectangular_record())
+        N, n, m = data.num_windows, data.n, data.m
+        assert (N, n, m) == (40, 3, 2)
+        good = dict(delta_xx=data.delta_xx, int_xx=data.int_xx,
+                    int_xu=data.int_xu)
+        for name, bad in (("delta_xx", data.delta_xx[:-1]),
+                          ("int_xx", data.int_xu),
+                          ("int_xu", data.int_xu[:-1]),
+                          ("int_xu", data.int_xu.reshape(N, -1))):
+            with pytest.raises(ValueError, match="data blocks must be"):
+                DataMatrices(**{**good, name: bad})
 
     def test_peak_memory_below_the_record(self):
         traj, window = _builtin_record("consensus-a")
@@ -358,7 +384,8 @@ class TestSrlSynthesize:
         probe = make_exploration(7, 6, amplitude=100.0)
         plant = hide_state_matrix(network)
         policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
-        learned = srl_synthesize(plant, config, x0=X0, policy=policy)
+        _, data = collect(plant, policy, X0, config)
+        learned = srl_synthesize(data, config)
         model = kleinman_structured(network, config.weights, mask_a,
                                     config.initial_gain, tol=config.tol,
                                     max_iter=config.max_iter)
@@ -396,7 +423,8 @@ class TestSrlSynthesize:
         probe = make_exploration(7, 6, amplitude=100.0)
         plant = hide_state_matrix(network)
         policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
-        learned = srl_synthesize(plant, config, x0=X0, policy=policy)
+        _, data = collect(plant, policy, X0, config)
+        learned = srl_synthesize(data, config)
         for rec in learned.history:
             off = rec.K * mask_a.complement
             assert np.array_equal(off, np.zeros((6, 6)))
@@ -421,7 +449,8 @@ class TestSrlSynthesize:
         for seed in (7, 11):
             probe = make_exploration(seed, 6, amplitude=100.0)
             policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
-            learned = srl_synthesize(plant, config, x0=X0, policy=policy)
+            _, data = collect(plant, policy, X0, config)
+            learned = srl_synthesize(data, config)
             gains.append(learned.K)
         assert np.linalg.norm(gains[0] - gains[1], "fro") <= 2e-3
 
@@ -431,8 +460,9 @@ class TestSrlSynthesize:
         probe = make_exploration(7, 6, freq_range=(5.0, 5.0), amplitude=100.0)
         plant = hide_state_matrix(network)
         policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
+        _, data = collect(plant, policy, X0, config)
         with pytest.raises(RankDeficientError):
-            srl_synthesize(plant, config, x0=X0, policy=policy)
+            srl_synthesize(data, config)
 
     @pytest.mark.parametrize("seed", [7, 9, 34])
     @pytest.mark.parametrize("span", [1.0, 1.4])
@@ -461,10 +491,3 @@ class TestSrlSynthesize:
                                     max_iter=config.max_iter)
         assert learned.converged
         assert np.linalg.norm(learned.K - model.K, "fro") <= 2e-3
-
-    def test_plant_source_requires_policy_and_x0(self, network, mask_a):
-        plant = hide_state_matrix(network)
-        with pytest.raises(ValueError):
-            srl_synthesize(plant, network_config(mask_a))
-        with pytest.raises(TypeError):
-            srl_synthesize("nonsense", network_config(mask_a))
