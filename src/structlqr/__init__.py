@@ -15,8 +15,7 @@ from .model_based import (BoundReport, ConvergenceError,
                           find_stabilizing_gain, kleinman_structured,
                           modified_are_residual, solve_lyapunov,
                           solve_unstructured_lqr, suboptimality_bound)
-from .structure import (MembershipReport, SparsityMask, check_membership,
-                        off_pattern, on_pattern, structured_gain)
+from .structure import SparsityMask, check_membership, off_pattern, on_pattern
 from .system import (CostWeights, InputPolicy, LtiSystem, SimulationDiverged,
                      Trajectory, TruncationWarning, UnstableClosedLoopError,
                      evaluate_cost, evaluate_cost_analytic, is_hurwitz,
@@ -25,16 +24,15 @@ from .system import (CostWeights, InputPolicy, LtiSystem, SimulationDiverged,
 __all__ = [
     "BoundReport", "ConvergenceError", "CostWeights", "DataMatrices",
     "ExplorationSignal", "InputPolicy", "IterateDestabilizedError",
-    "IterationRecord", "LtiSystem", "MembershipReport", "NotStabilizingError",
-    "PlantHandle", "RankDeficientError", "RankReport", "SimulationDiverged",
-    "SparsityMask", "SrlConfig", "SynthesisResult", "Trajectory",
-    "TruncationWarning", "UnstableClosedLoopError", "check_membership",
-    "check_rank", "collect", "evaluate_cost", "evaluate_cost_analytic",
-    "find_stabilizing_gain", "hide_state_matrix", "is_hurwitz",
-    "kleinman_structured", "make_exploration", "modified_are_residual",
-    "off_pattern", "on_pattern", "required_samples", "simulate",
-    "solve_iteration", "solve_lyapunov", "solve_unstructured_lqr",
-    "spectral_abscissa", "srl_synthesize", "structured_gain",
+    "IterationRecord", "LtiSystem", "NotStabilizingError", "PlantHandle",
+    "RankDeficientError", "RankReport", "SimulationDiverged", "SparsityMask",
+    "SrlConfig", "SynthesisResult", "Trajectory", "TruncationWarning",
+    "UnstableClosedLoopError", "check_membership", "check_rank", "collect",
+    "evaluate_cost", "evaluate_cost_analytic", "find_stabilizing_gain",
+    "hide_state_matrix", "is_hurwitz", "kleinman_structured",
+    "make_exploration", "modified_are_residual", "off_pattern", "on_pattern",
+    "required_samples", "simulate", "solve_iteration", "solve_lyapunov",
+    "solve_unstructured_lqr", "spectral_abscissa", "srl_synthesize",
     "suboptimality_bound",
 ]
 

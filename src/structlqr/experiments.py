@@ -2,15 +2,15 @@
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .learning import (_AMPLITUDE, _FREQ_RANGE, _NUM_SINUSOIDS, _RANK_TOL,
-                       _WINDOW, SrlConfig, check_rank, collect,
-                       hide_state_matrix, make_exploration, srl_synthesize)
+                       SrlConfig, check_rank, collect, hide_state_matrix,
+                       make_exploration, srl_synthesize)
 from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
                           _check_stopping_rule, find_stabilizing_gain,
                           kleinman_structured, solve_unstructured_lqr,
@@ -18,8 +18,8 @@ from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
 from .structure import SparsityMask, check_membership
 from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
                      Trajectory, TruncationWarning, _check_at_least,
-                     _check_positive, evaluate_cost, evaluate_cost_analytic,
-                     simulate)
+                     _check_positive, _check_step_count, evaluate_cost,
+                     evaluate_cost_analytic, simulate)
 
 
 class ScenarioError(ValueError):
@@ -71,7 +71,7 @@ _MAX_SINUSOIDS = 10000
 class ExplorationConfig:
     seed: int = 0
     duration: float = 1.4
-    window: float = _WINDOW
+    window: float = 0.01
     num_sinusoids: int = _NUM_SINUSOIDS
     freq_min: float = _FREQ_RANGE[0]
     freq_max: float = _FREQ_RANGE[1]
@@ -141,7 +141,7 @@ class ScenarioSpec:
                 f"x0 entries must be finite and at most "
                 f"{_DIVERGENCE_BOUND:g} in magnitude, got {peak!r}")
         if self.initial_gain is not None and np.asarray(self.initial_gain).shape != (m, n):
-            raise ScenarioError(f"K0 must have shape {(m, n)}")
+            raise ScenarioError(f"initial_gain must have shape {(m, n)}")
 
     def system(self) -> LtiSystem:
         if self.A is None:
@@ -160,6 +160,8 @@ class ScenarioSpec:
 
     def srl_config(self) -> SrlConfig:
         ex = self.exploration
+        _check_step_count("exploration duration", ex.duration, self.dt,
+                          ex.substeps)
         num_windows = int(round(ex.duration / ex.window))
         return SrlConfig(mask=self.mask, weights=self.weights(), B=self.B,
                          initial_gain=self.resolve_initial_gain(),
@@ -212,20 +214,17 @@ def _network_scenario(name: str, zeros) -> ScenarioSpec:
     )
 
 
+# Each builtin scenario and its gain structure's zero positions.
+_BUILTIN_ZEROS = {"consensus-a": _ZEROS_A, "consensus-b": _ZEROS_B,
+                  "consensus-b-declared": _ZEROS_B_DECLARED}
+BUILTIN_SCENARIOS = tuple(_BUILTIN_ZEROS)
+
+
 def builtin_scenario(name: str) -> ScenarioSpec:
-    builders = {
-        "consensus-a": lambda: _network_scenario("consensus-a", _ZEROS_A),
-        "consensus-b": lambda: _network_scenario("consensus-b", _ZEROS_B),
-        "consensus-b-declared": lambda: _network_scenario(
-            "consensus-b-declared", _ZEROS_B_DECLARED),
-    }
-    if name not in builders:
+    if name not in _BUILTIN_ZEROS:
         raise ScenarioError(f"unknown builtin scenario '{name}'; "
-                            f"available: {', '.join(sorted(builders))}")
-    return builders[name]()
-
-
-BUILTIN_SCENARIOS = ("consensus-a", "consensus-b", "consensus-b-declared")
+                            f"available: {', '.join(sorted(_BUILTIN_ZEROS))}")
+    return _network_scenario(name, _BUILTIN_ZEROS[name])
 
 
 def ring_scenario(n: int) -> ScenarioSpec:
@@ -284,6 +283,10 @@ _KNOBS = {
     "solver max-iter": ("max_iter", int),
     "solver rank-tol": ("rank_tol", float),
 }
+
+# Every scenario key and the ScenarioSpec or config field it fills.
+_FIELDS = {"dt": "dt",
+           **{key: entry[0] for key, entry in {**_BLOCKS, **_KNOBS}.items()}}
 
 
 def save_scenario(spec: ScenarioSpec, path=None) -> str:
@@ -423,7 +426,18 @@ def parse_scenario(text: str) -> ScenarioSpec:
                             exploration=ExplorationConfig(**configs["exploration"]),
                             solver=SolverConfig(**configs["solver"]), **blocks)
     except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+        raise _keyed(str(exc), seen) from exc
+
+
+def _keyed(message: str, seen: Dict[str, int]) -> ScenarioError:
+    """A validation message starts with the field it rejects, by key or by
+    field name; name it by its key and prefix the line the key is on."""
+    for key, attr in _FIELDS.items():
+        for name in (key, attr):
+            if key in seen and message.startswith(name + " "):
+                return ScenarioError(
+                    f"line {seen[key]}: {key}{message[len(name):]}")
+    return ScenarioError(message)
 
 
 def load_scenario(source) -> ScenarioSpec:
@@ -464,23 +478,10 @@ class RunReport:
     cost_truncated: bool = False
 
     def to_dict(self):
-        return {
-            "scenario": self.scenario,
-            "method": self.method,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "gain": self.K.tolist(),
-            "value_matrix": self.P.tolist(),
-            "cost_quadrature": self.cost_quadrature,
-            "cost_analytic": self.cost_analytic,
-            "closed_loop_eigenvalues": self.closed_loop_eigenvalues,
-            "structure_violation_max": self.structure_violation_max,
-            "bound": self.bound,
-            "comparison": self.comparison,
-            "rank": self.rank,
-            "exploration_peak_state": self.exploration_peak_state,
-            "cost_truncated": self.cost_truncated,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["gain"] = out.pop("K").tolist()
+        out["value_matrix"] = out.pop("P").tolist()
+        return out
 
 
 def write_trajectory_csv(path, times, states, inputs):
@@ -543,7 +544,7 @@ def _report(spec: ScenarioSpec, method: str, result: SynthesisResult,
         cost_quadrature=quad, cost_analytic=analytic,
         closed_loop_eigenvalues=_complex_list(
             np.linalg.eigvals(sys.A - sys.B @ result.K)),
-        structure_violation_max=check_membership(result.K, spec.mask).max_violation,
+        structure_violation_max=check_membership(result.K, spec.mask),
         bound=bound.to_dict(),
         comparison={
             "cost_unstructured": unstr_cost,
@@ -567,9 +568,9 @@ def _baselines(spec: ScenarioSpec, K0):
     return mb, unstr
 
 
-def _closed_loop_trajectory(spec: ScenarioSpec, gain, x0, horizon=6.0, dt=0.01):
-    return simulate(spec.system(), InputPolicy.feedback(gain), x0, horizon,
-                    dt=dt, substeps=10)
+def _closed_loop_trajectory(spec: ScenarioSpec, gain, x0):
+    return simulate(spec.system(), InputPolicy.feedback(gain), x0, 6.0,
+                    dt=0.01, substeps=10)
 
 
 def _emit(out_dir, report: RunReport, result: SynthesisResult,
@@ -634,11 +635,10 @@ def run_srl(spec: ScenarioSpec, out_dir=None, seed: Optional[int] = None,
     return report
 
 
-def run_simulate(spec: ScenarioSpec, horizon: float = 5.0, out_dir=None,
-                 dt: float = 0.01) -> Trajectory:
+def run_simulate(spec: ScenarioSpec, horizon: float = 5.0,
+                 out_dir=None) -> Trajectory:
     """Zero-input simulation of the scenario system from its x0."""
-    sys = spec.system()
-    traj = simulate(sys, InputPolicy.zero(), spec.x0, horizon, dt=dt)
+    traj = simulate(spec.system(), InputPolicy.zero(), spec.x0, horizon)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

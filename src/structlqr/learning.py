@@ -162,9 +162,9 @@ class SrlConfig:
     weights: CostWeights
     B: np.ndarray
     initial_gain: np.ndarray
-    window: float = _WINDOW       # data-sample spacing T, seconds
-    num_windows: int = 140
-    dt: float = 5e-5              # trajectory recording / quadrature step
+    window: float       # data-sample spacing T, seconds
+    num_windows: int
+    dt: float           # trajectory recording / quadrature step
     substeps: int = 1
     tol: float = _TOL
     max_iter: int = _MAX_ITER

@@ -1,7 +1,7 @@
 """Model-based synthesis: Lyapunov solves, structured policy iteration,
 the unstructured baseline, and the suboptimality bound report."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -326,19 +326,11 @@ class BoundReport:
     bound: float
     gap: float
     within_bound: bool
-    operator_matrix: np.ndarray  # the shifted state matrix A - B R^-1 B'
     epsilon: Optional[float] = None
 
     def to_dict(self):
-        return {
-            "g": self.g,
-            "l": self.l,
-            "bound": self.bound,
-            "gap": self.gap,
-            "within_bound": self.within_bound,
-            "gap_over_bound": self.gap / self.bound if self.bound > 0 else None,
-            "epsilon": self.epsilon,
-        }
+        return {**asdict(self), "gap_over_bound":
+                self.gap / self.bound if self.bound > 0 else None}
 
 
 def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
@@ -366,8 +358,7 @@ def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
     if g == 0.0:
         raise ValueError("B is zero; the bound is undefined (g = 0)")
 
-    Mv = sys.A - G
-    l = _bound_constant(Mv)
+    l = _bound_constant(sys.A - G)
 
     # ||x0 (x) x0||_2 = ||x0||^2
     bound = (l / (2.0 * g)) * float(x0 @ x0)
@@ -377,5 +368,4 @@ def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
         L = _as_matrix(deviation, rows=sys.m, cols=sys.n, name="deviation")
         eps = float(np.linalg.norm(L.T @ weights.R @ L, 2)) / l
     return BoundReport(g=g, l=l, bound=bound, gap=gap,
-                       within_bound=bool(gap <= bound),
-                       operator_matrix=Mv, epsilon=eps)
+                       within_bound=bool(gap <= bound), epsilon=eps)

@@ -48,6 +48,22 @@ def _check_at_least(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be at least {low}, got {value!r}")
 
 
+# RK4 steps one simulate call may take. A call holds 8 (2m + 1) bytes of
+# probe samples per step and 8 (n + m + 1) bytes of record per recorded
+# sample, so at one substep the cap bounds a 6-agent builtin run at 2.1 GB.
+# A builtin exploration run takes 28,000 steps, the largest benchmark run
+# 61,000.
+_MAX_STEPS = 10**7
+
+
+def _check_step_count(name: str, span, dt, substeps) -> None:
+    """Reject a time span that would take more than _MAX_STEPS RK4 steps."""
+    if span / dt * substeps > _MAX_STEPS:
+        raise ValueError(
+            f"{name} must be at most {_MAX_STEPS * dt / substeps:g} s at "
+            f"dt {dt:g} with {substeps} substeps, got {span!r}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
@@ -78,21 +94,6 @@ class LtiSystem:
     @property
     def m(self) -> int:
         return self.B.shape[1]
-
-    def stabilizability_report(self, tol: float = 1e-9):
-        """PBH test: every eigenvalue with Re >= 0 must be controllable.
-
-        Returns (stabilizable, offending_eigenvalues).
-        """
-        eigs = np.linalg.eigvals(self.A)
-        bad = []
-        for lam in eigs:
-            if lam.real < -tol:
-                continue
-            pencil = np.hstack([lam * np.eye(self.n) - self.A, self.B])
-            if np.linalg.matrix_rank(pencil, tol=tol) < self.n:
-                bad.append(lam)
-        return len(bad) == 0, bad
 
 
 @dataclass(frozen=True)
@@ -169,10 +170,6 @@ class InputPolicy:
         return cls(gain=np.asarray(gain, dtype=float))
 
     @classmethod
-    def exploration(cls, probe):
-        return cls(probe=probe)
-
-    @classmethod
     def feedback_with_probe(cls, gain, probe):
         return cls(gain=np.asarray(gain, dtype=float), probe=probe)
 
@@ -246,6 +243,7 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
         raise ValueError("substeps must be at least 1")
     if horizon < dt:
         raise ValueError("horizon must cover at least one step")
+    _check_step_count("horizon", horizon, dt, substeps)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.n,):
         raise ValueError(f"x0 must have shape ({sys.n},)")

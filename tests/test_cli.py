@@ -128,8 +128,8 @@ def test_bad_time_step_or_span_is_usage_error(tmp_path, capsys, command, key,
     path = tmp_path / "bad.scn"
     path.write_text("\n".join(lines) + "\n")
     assert main([command, "--scenario", str(path)]) == 1
-    assert (f"error: {key} must be finite and positive, got {float(value)!r}"
-            in capsys.readouterr().err)
+    assert (f"error: line {idx + 1}: {key} must be finite and positive, "
+            f"got {float(value)!r}\n" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -187,18 +187,20 @@ def test_unknown_repeated_or_oversized_entry_is_line_error(tmp_path, capsys,
 ])
 def test_count_knob_below_its_bound_is_usage_error(tmp_path, capsys, command,
                                                    key, value, low):
-    text = save_scenario(builtin_scenario("consensus-a"))
-    lines = [f"{key} {value}" if line.rsplit(" ", 1)[0] == key else line
-             for line in text.splitlines()]
+    lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+    idx = next(k for k, line in enumerate(lines)
+               if line.rsplit(" ", 1)[0] == key)
+    lines[idx] = f"{key} {value}"
     path = tmp_path / "bad.scn"
     path.write_text("\n".join(lines) + "\n")
     assert main([command, "--scenario", str(path)]) == 1
-    assert (f"error: {key} must be at least {low}, got {value}\n"
-            in capsys.readouterr().err)
+    assert (f"error: line {idx + 1}: {key} must be at least {low}, "
+            f"got {value}\n" in capsys.readouterr().err)
 
 
 def test_sinusoid_count_above_its_bound_is_usage_error(tmp_path, capsys):
     text = save_scenario(builtin_scenario("consensus-a"))
+    lineno = text.splitlines().index("exploration sinusoids 100") + 1
     path = tmp_path / "bad.scn"
     path.write_text(text.replace("exploration sinusoids 100",
                                  "exploration sinusoids 100000000"))
@@ -208,8 +210,8 @@ def test_sinusoid_count_above_its_bound_is_usage_error(tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ("error: exploration sinusoids must be at most 10000, "
-            "got 100000000\n" in capsys.readouterr().err)
+    assert (f"error: line {lineno}: exploration sinusoids must be at most "
+            "10000, got 100000000\n" in capsys.readouterr().err)
     assert peak < 1e6  # rejected before any probe array is allocated
 
 
@@ -222,8 +224,9 @@ def test_huge_x0_is_usage_error(tmp_path, capsys, command):
     path = tmp_path / "bad.scn"
     path.write_text("\n".join(lines) + "\n")
     assert main([command, "--scenario", str(path)]) == 1
-    assert ("error: x0 entries must be finite and at most 1e+150 in "
-            "magnitude, got 1e+300\n" in capsys.readouterr().err)
+    assert (f"error: line {idx}: vector x0 entries must be finite and at "
+            "most 1e+150 in magnitude, got 1e+300\n"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["srl", "compare"])
@@ -240,3 +243,82 @@ def test_non_finite_simulate_horizon_is_usage_error(tmp_path, capsys, horizon):
     assert (capsys.readouterr().err
             == f"error: horizon must be finite and positive, got {horizon}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dt", "0", "must be finite and positive, got 0.0"),
+    ("exploration seed", "-1", "must be at least 0, got -1"),
+    ("exploration duration", "-1", "must be finite and positive, got -1.0"),
+    ("exploration window", "0", "must be finite and positive, got 0.0"),
+    ("exploration sinusoids", "0", "must be at least 1, got 0"),
+    ("exploration freq-min", "60", "60.0 exceeds exploration freq-max 50.0"),
+    ("exploration freq-max", "nan", "must be finite and positive, got nan"),
+    ("exploration amplitude", "-2", "must be finite and positive, got -2.0"),
+    ("exploration substeps", "0", "must be at least 1, got 0"),
+    ("solver tol", "-1.0", "must be finite and positive, got -1.0"),
+    ("solver max-iter", "0", "must be at least 1, got 0"),
+    ("solver rank-tol", "inf", "must be finite and positive, got inf"),
+])
+def test_knob_error_names_its_key_and_line(tmp_path, capsys, key, value,
+                                           message):
+    lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+    idx = next(k for k, line in enumerate(lines)
+               if line.rsplit(" ", 1)[0] == key)
+    lines[idx] = f"{key} {value}"
+    path = tmp_path / "bad.scn"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["model-based", "--scenario", str(path)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: line {idx + 1}: {key} {message}\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("matrix A", "-1"), ("matrix Q", "1"), ("matrix R", "1"), ("mask", "1"),
+    ("vector x0", "0.5"), ("matrix K0", "10"),
+])
+def test_block_shape_error_names_its_key_and_line(tmp_path, capsys, key,
+                                                  value):
+    # each block becomes 1-by-1; all shapes follow from B's, so B is not listed
+    vector = key.startswith("vector")
+    lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+    idx = lines.index(f"{key} 6" if vector else f"{key} 6 6")
+    lines[idx:idx + (2 if vector else 7)] = [
+        f"{key} 1" if vector else f"{key} 1 1", value]
+    path = tmp_path / "bad.scn"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["model-based", "--scenario", str(path)]) == 1
+    shape = "(6,)" if vector else "(6, 6)"
+    assert (capsys.readouterr().err
+            == f"error: line {idx + 1}: {key} must have shape {shape}\n")
+
+
+def test_huge_simulate_horizon_is_usage_error(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--scenario", "consensus-a", "--horizon",
+                     "1e9", "--out", str(tmp_path / "out")]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (
+        "error: horizon must be at most 10000 s at dt 0.01 with 10 "
+        "substeps, got 1000000000.0\n")
+    assert peak < 1e6  # rejected before any array is sized
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_exploration_duration_is_usage_error(tmp_path, capsys):
+    text = save_scenario(builtin_scenario("consensus-a"))
+    path = tmp_path / "long.scn"
+    path.write_text(text.replace("exploration duration 1.4",
+                                 "exploration duration 1e9"))
+    tracemalloc.start()
+    try:
+        assert main(["srl", "--scenario", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (
+        "error: exploration duration must be at most 500 s at dt 5e-05 "
+        "with 1 substeps, got 1000000000.0\n")
+    assert peak < 1e6  # rejected before the probe or any record is sized

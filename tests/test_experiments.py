@@ -144,7 +144,9 @@ class TestScenarioSerialization:
             with pytest.raises(ValueError, match=knob):
                 SolverConfig(**{knob: value})
         text = save_scenario(builtin_scenario("consensus-a"))
-        with pytest.raises(ScenarioError, match="max_iter"):
+        lineno = text.splitlines().index("solver max-iter 30") + 1
+        with pytest.raises(ScenarioError, match=f"^line {lineno}: solver "
+                           "max-iter must be at least 1, got 0$"):
             parse_scenario(text.replace("solver max-iter 30",
                                         "solver max-iter 0"))
         with pytest.raises(ScenarioError, match="freq-min 60.0 exceeds"):
@@ -162,6 +164,14 @@ class TestScenarioSerialization:
                 "matrix R 1 1\n1\nmask 1 1\n2\nvector x0 1\n1\n")
         with pytest.raises(ScenarioError):
             parse_scenario(text)
+
+    def test_all_zero_mask_names_its_line(self):
+        lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+        idx = lines.index("mask 6 6")
+        lines[idx + 1:idx + 7] = ["0 0 0 0 0 0"] * 6
+        with pytest.raises(ScenarioError, match=f"^line {idx + 1}: mask must "
+                           "allow at least one entry"):
+            parse_scenario("\n".join(lines))
 
     @pytest.mark.parametrize("header, message", [
         ("matrix B 6 6", "missing matrix B"),

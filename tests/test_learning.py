@@ -132,7 +132,7 @@ class TestCollect:
         sys = LtiSystem(A=A, B=B)
         probe = make_exploration(3, 2, num_sinusoids=20, freq_range=(0.5, 5.0),
                                  amplitude=4.0)
-        policy = InputPolicy.exploration(probe)
+        policy = InputPolicy(probe=probe)
         x0 = np.array([1.0, -0.5])
         coarse = simulate(sys, policy, x0, 2.0, dt=5e-4, substeps=4)
         fine = simulate(sys, policy, x0, 2.0, dt=5e-5, substeps=1)
@@ -182,7 +182,7 @@ def _substep_record():
                     B=np.array([[1.0, 0.0], [0.5, 1.0]]))
     probe = make_exploration(3, 2, num_sinusoids=20, freq_range=(0.5, 5.0),
                              amplitude=4.0)
-    traj = simulate(sys, InputPolicy.exploration(probe), np.array([1.0, -0.5]),
+    traj = simulate(sys, InputPolicy(probe=probe), np.array([1.0, -0.5]),
                     2.0, dt=5e-4, substeps=4)
     return traj, 0.2
 
@@ -305,7 +305,7 @@ class TestSolveIteration:
         probe = make_exploration(21, 1, num_sinusoids=40, freq_range=(0.5, 20.0),
                                  amplitude=5.0)
         plant = hide_state_matrix(sys)
-        _, data = collect(plant, InputPolicy.exploration(probe),
+        _, data = collect(plant, InputPolicy(probe=probe),
                           np.array([1.0]), config)
         P, M = solve_iteration(data, np.array([[0.0]]), config)
         assert P[0, 0] == pytest.approx(0.5, abs=1e-3)

@@ -256,7 +256,7 @@ class TestFindStabilizingGain:
     def test_marginal_plant_gets_scaled_pattern(self, network, weights, mask_a):
         K0 = find_stabilizing_gain(network, weights, mask_a)
         assert is_hurwitz(network.A - network.B @ K0)
-        assert check_membership(K0, mask_a, tol=0.0).ok
+        assert check_membership(K0, mask_a) == 0.0
 
     def test_unstabilizable_plant_raises(self):
         sys = LtiSystem(A=np.diag([1.0, -1.0]), B=np.array([[0.0], [1.0]]))
@@ -281,7 +281,6 @@ class TestSuboptimalityBound:
         assert rep.gap == pytest.approx(abs(J - Jbar))
         assert rep.within_bound and rep.gap <= rep.bound
         assert rep.epsilon is not None and rep.epsilon > 0
-        assert np.allclose(rep.operator_matrix, network.A - np.eye(6))
 
     def test_oracle_for_l_constant(self, network, weights):
         rep = suboptimality_bound(network, weights, X0, 1.0, 1.0)

@@ -28,15 +28,6 @@ class TestTypes:
     def test_system_dimensions(self, network):
         assert network.n == 6 and network.m == 6
 
-    def test_stabilizability_report(self, network):
-        ok, bad = network.stabilizability_report()
-        assert ok and bad == []
-        # unstable mode outside the reach of B
-        sys = LtiSystem(A=np.diag([1.0, -1.0]), B=np.array([[0.0], [1.0]]))
-        ok, bad = sys.stabilizability_report()
-        assert not ok
-        assert any(abs(lam - 1.0) < 1e-9 for lam in bad)
-
     def test_weights_symmetrize_and_check(self):
         w = CostWeights(Q=np.eye(2) + 1e-14 * np.array([[0, 1], [0, 0]]), R=np.eye(2))
         assert np.array_equal(w.Q, w.Q.T)
