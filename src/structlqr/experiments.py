@@ -18,8 +18,8 @@ from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
 from .structure import SparsityMask, check_membership
 from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
                      Trajectory, TruncationWarning, _check_at_least,
-                     _check_positive, _check_step_count, evaluate_cost,
-                     evaluate_cost_analytic, simulate)
+                     _check_multiple, _check_positive, _check_step_count,
+                     evaluate_cost, evaluate_cost_analytic, simulate)
 
 
 class ScenarioError(ValueError):
@@ -162,7 +162,10 @@ class ScenarioSpec:
         ex = self.exploration
         _check_step_count("exploration duration", ex.duration, self.dt,
                           ex.substeps)
-        num_windows = int(round(ex.duration / ex.window))
+        _check_multiple("exploration window", ex.window, "dt", self.dt,
+                        least=2)
+        num_windows = _check_multiple("exploration duration", ex.duration,
+                                      "exploration window", ex.window)
         return SrlConfig(mask=self.mask, weights=self.weights(), B=self.B,
                          initial_gain=self.resolve_initial_gain(),
                          window=ex.window, num_windows=num_windows,

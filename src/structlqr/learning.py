@@ -7,6 +7,7 @@ integrals of the recorded states and inputs.
 """
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
@@ -15,7 +16,7 @@ from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
                           _check_stopping_rule, _policy_iteration)
 from .structure import SparsityMask
 from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory, _as_matrix,
-                     _check_positive, _freeze)
+                     _check_multiple, _check_positive, _freeze)
 
 
 # Knob defaults, shared with the scenario configs.
@@ -153,6 +154,19 @@ class DataMatrices:
     def m(self) -> int:
         return self.int_xu.shape[2]
 
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values, descending and read-only, of the distinct
+        columns of [int_xx int_xu]: the n(n+1)/2 entries of the symmetric
+        int_xx with i <= j beside the n*m of int_xu. An off-diagonal column
+        c stands for the pair c, c of the full block, so it is scaled by
+        sqrt(2) (same c c' sum); the nonzero singular values are those of
+        the full block. Computed on first use, once per data set."""
+        i, j = np.triu_indices(self.n)
+        xx = self.int_xx[:, i, j] * np.where(i == j, 1.0, np.sqrt(2.0))
+        block = np.hstack([xx, self.int_xu.reshape(self.num_windows, -1)])
+        return _freeze(np.linalg.svd(block, compute_uv=False))
+
 
 @dataclass(frozen=True)
 class SrlConfig:
@@ -180,11 +194,7 @@ class SrlConfig:
         object.__setattr__(self, "initial_gain", _freeze(K0))
         _check_positive("dt", self.dt)
         _check_positive("window", self.window)
-        if self.window < 2.0 * self.dt:
-            raise ValueError("window must span at least 2 recording steps")
-        stride = self.window / self.dt
-        if abs(stride - round(stride)) > 1e-9 * max(1.0, stride):
-            raise ValueError("window must be an integer multiple of dt")
+        _check_multiple("window", self.window, "dt", self.dt, least=2)
         need = required_samples(n, self.mask)
         if self.num_windows < need:
             raise ValueError(
@@ -201,12 +211,8 @@ def assemble_data(traj: Trajectory, window: float) -> DataMatrices:
     trapezoidal rule, one Gram product Xw'Xw per window.
     """
     dt = traj.dt
-    stride_f = window / dt
-    stride = int(round(stride_f))
-    if abs(stride_f - stride) > 1e-9 * max(1.0, stride_f) or stride < 2:
-        raise ValueError(
-            f"window {window:g} must be an integer multiple (>= 2) of the "
-            f"trajectory step {dt:g}")
+    stride = _check_multiple("window", window, "the trajectory step", dt,
+                             least=2)
     nwin = (len(traj.times) - 1) // stride
     if nwin < 1:
         raise ValueError("trajectory too short for a single window")
@@ -233,8 +239,10 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
 
 @dataclass(frozen=True)
 class RankReport:
-    """Numerical rank of [int_xx int_xu] against the regression's unknown
-    count n(n+1)/2 + nnz(mask)."""
+    """Numerical rank of the distinct columns of [int_xx int_xu] (see
+    DataMatrices.singular_values) against the regression's unknown count
+    n(n+1)/2 + nnz(mask). sigma_max and sigma_min are the largest and
+    smallest of those columns' singular values."""
 
     rank: int
     required: int
@@ -255,10 +263,10 @@ class RankReport:
 
 def check_rank(data: DataMatrices, mask: SparsityMask,
                rank_tol: float = _RANK_TOL) -> RankReport:
-    """Rank diagnostic for the excitation content of collected data."""
-    block = np.hstack([b.reshape(data.num_windows, -1)
-                       for b in (data.int_xx, data.int_xu)])
-    sv = np.linalg.svd(block, compute_uv=False)
+    """Rank diagnostic for the excitation content of collected data: the
+    singular values above rank_tol * sigma_max, counted from the spectrum
+    the data set computes once, however often it is checked."""
+    sv = data.singular_values
     smax = float(sv[0]) if sv.size else 0.0
     rank = int(np.sum(sv > rank_tol * smax)) if smax > 0 else 0
     return RankReport(rank=rank, required=_num_unknowns(data.n, mask),

@@ -48,6 +48,19 @@ def _check_at_least(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be at least {low}, got {value!r}")
 
 
+def _check_multiple(name: str, span, step_name: str, step, least: int = 1) -> int:
+    """Return span / step, rejecting a ratio that is not a whole number (to
+    1e-9 relative) of at least `least`."""
+    ratio = span / step
+    count = int(round(ratio)) if np.isfinite(ratio) else 0
+    if abs(ratio - count) > 1e-9 * max(1.0, ratio) or count < least:
+        at_least = f" (>= {least})" if least > 1 else ""
+        raise ValueError(
+            f"{name} must be an integer multiple{at_least} of {step_name} "
+            f"{step:g}, got {span!r}")
+    return count
+
+
 # RK4 steps one simulate call may take. A call holds 8 (2m + 1) bytes of
 # probe samples per step and 8 (n + m + 1) bytes of record per recorded
 # sample, so at one substep the cap bounds a 6-agent builtin run at 2.1 GB.

@@ -132,6 +132,29 @@ def test_bad_time_step_or_span_is_usage_error(tmp_path, capsys, command, key,
             f"got {float(value)!r}\n" in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("exploration window", "0.010003",
+     "exploration window must be an integer multiple (>= 2) of dt 5e-05, "
+     "got 0.010003"),
+    ("exploration window", "5e-05",
+     "exploration window must be an integer multiple (>= 2) of dt 5e-05, "
+     "got 5e-05"),
+    ("exploration duration", "1.4149",
+     "exploration duration must be an integer multiple of exploration "
+     "window 0.01, got 1.4149"),
+])
+def test_exploration_timing_off_its_grid_is_usage_error(tmp_path, capsys, key,
+                                                        value, message):
+    lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+    idx = next(k for k, line in enumerate(lines)
+               if line.rsplit(" ", 1)[0] == key)
+    lines[idx] = f"{key} {value}"
+    path = tmp_path / "bad.scn"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["srl", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["model-based", "--seed", "5"],
     ["bound", "--seed", "5"],

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import NETWORK_A, X0, ZEROS_A, assemble_data_reference
 from structlqr import (ConvergenceError, CostWeights, DataMatrices,
@@ -12,7 +14,7 @@ from structlqr import (ConvergenceError, CostWeights, DataMatrices,
                        make_exploration, off_pattern, on_pattern,
                        required_samples, solve_iteration, solve_lyapunov,
                        solve_unstructured_lqr, srl_synthesize)
-from structlqr.experiments import builtin_scenario
+from structlqr.experiments import builtin_scenario, run_srl
 from structlqr.learning import _gain_regressors, assemble_data
 from structlqr.system import Trajectory, simulate
 
@@ -292,6 +294,71 @@ class TestCheckRank:
         policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
         _, data = collect(plant, policy, X0, config)
         assert check_rank(data, mask_a).passed
+
+
+def _assert_spectrum_matches_full_block(data, mask, rank_tol=1e-12):
+    """Oracle: the SVD of the whole [int_xx int_xu] block, repeated
+    off-diagonal int_xx columns included."""
+    block = np.hstack([b.reshape(data.num_windows, -1)
+                       for b in (data.int_xx, data.int_xu)])
+    sv_full = np.linalg.svd(block, compute_uv=False)
+    report = check_rank(data, mask, rank_tol=rank_tol)
+    assert report.rank == int(np.sum(sv_full > rank_tol * sv_full[0]))
+    sv = data.singular_values
+    distinct = data.n * (data.n + 1) // 2 + data.n * data.m
+    assert len(sv) == min(data.num_windows, distinct)
+    np.testing.assert_allclose(sv, sv_full[:len(sv)], rtol=0,
+                               atol=1e-12 * sv_full[0])
+
+
+class TestRankSpectrum:
+    @pytest.fixture(scope="class")
+    def consensus_a(self):
+        traj, window = _builtin_record("consensus-a")
+        return assemble_data(traj, window)
+
+    def test_matches_full_block_on_exploration_data(self, consensus_a, mask_a):
+        _assert_spectrum_matches_full_block(consensus_a, mask_a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 5),
+           m=st.integers(1, 4), windows=st.integers(1, 40),
+           rank=st.integers(1, 40))
+    def test_matches_full_block_on_random_data(self, seed, n, m, windows,
+                                               rank):
+        # every window mixes the same `rank` symmetric samples, so the
+        # block's rank is often below its column count
+        rng = np.random.default_rng(seed)
+        base_xx = rng.standard_normal((rank, n, n))
+        base_xx += base_xx.transpose(0, 2, 1)
+        mix = rng.standard_normal((windows, rank))
+        int_xx = np.einsum("wr,rij->wij", mix, base_xx)
+        int_xu = np.einsum("wr,rij->wij", mix,
+                           rng.standard_normal((rank, n, m)))
+        data = DataMatrices(delta_xx=np.zeros_like(int_xx), int_xx=int_xx,
+                            int_xu=int_xu)
+        _assert_spectrum_matches_full_block(data, SparsityMask.all_ones(m, n))
+
+    def test_computed_once_per_data_set(self, consensus_a, mask_a,
+                                        monkeypatch):
+        svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        run_srl(builtin_scenario("consensus-a"))
+        assert len(calls) == 1  # run_srl and srl_synthesize both check_rank
+
+        calls.clear()
+        data = dataclasses.replace(consensus_a)  # fresh, nothing cached yet
+        report = check_rank(data, mask_a)
+        assert check_rank(data, mask_a) == report
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            data.singular_values[0] = 0.0
 
 
 class TestSolveIteration:
