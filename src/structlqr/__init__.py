@@ -9,12 +9,11 @@ from .learning import (DataMatrices, ExplorationSignal, PlantHandle,
                        RankDeficientError, RankReport, SrlConfig, check_rank,
                        collect, hide_state_matrix, make_exploration,
                        required_samples, solve_iteration, srl_synthesize)
-from .model_based import (BoundReport, ConvergenceError,
-                          IterateDestabilizedError, IterationRecord,
-                          NotStabilizingError, SynthesisResult,
-                          find_stabilizing_gain, kleinman_structured,
-                          modified_are_residual, solve_lyapunov,
-                          solve_unstructured_lqr, suboptimality_bound)
+from .model_based import (BoundReport, ConvergenceError, IterationRecord,
+                          SynthesisResult, find_stabilizing_gain,
+                          kleinman_structured, modified_are_residual,
+                          solve_lyapunov, solve_unstructured_lqr,
+                          suboptimality_bound)
 from .structure import SparsityMask, check_membership, off_pattern, on_pattern
 from .system import (CostWeights, InputPolicy, LtiSystem, SimulationDiverged,
                      Trajectory, TruncationWarning, UnstableClosedLoopError,
@@ -23,9 +22,9 @@ from .system import (CostWeights, InputPolicy, LtiSystem, SimulationDiverged,
 
 __all__ = [
     "BoundReport", "ConvergenceError", "CostWeights", "DataMatrices",
-    "ExplorationSignal", "InputPolicy", "IterateDestabilizedError",
-    "IterationRecord", "LtiSystem", "NotStabilizingError", "PlantHandle",
-    "RankDeficientError", "RankReport", "SimulationDiverged", "SparsityMask",
+    "ExplorationSignal", "InputPolicy", "IterationRecord", "LtiSystem",
+    "PlantHandle", "RankDeficientError", "RankReport", "SimulationDiverged",
+    "SparsityMask",
     "SrlConfig", "SynthesisResult", "Trajectory", "TruncationWarning",
     "UnstableClosedLoopError", "check_membership", "check_rank", "collect",
     "evaluate_cost", "evaluate_cost_analytic", "find_stabilizing_gain",

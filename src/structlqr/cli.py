@@ -1,7 +1,8 @@
 """Command-line entry points for scenario runs.
 
-Exit codes: 0 converged, 1 usage or scenario errors, 2 data rank failure,
-3 trajectory divergence, 4 non-convergence.
+Exit codes: 0 success, 1 usage or scenario errors, 2 data rank failure,
+3 trajectory divergence, 4 non-convergence or a closed loop that must be
+Hurwitz and is not (a non-stabilizing initial gain included).
 """
 
 import argparse
@@ -12,9 +13,8 @@ import sys
 from .experiments import (ScenarioError, load_scenario, run_model_based,
                           run_simulate, run_srl)
 from .learning import RankDeficientError
-from .model_based import (ConvergenceError, IterateDestabilizedError,
-                          NotStabilizingError)
-from .system import SimulationDiverged
+from .model_based import ConvergenceError
+from .system import SimulationDiverged, UnstableClosedLoopError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,27 +79,20 @@ def main(argv=None) -> int:
         spec = load_scenario(args.scenario)
         if args.command == "simulate":
             traj = run_simulate(spec, horizon=args.horizon, out_dir=args.out)
-            print(json.dumps({
-                "scenario": spec.name,
-                "samples": len(traj.times),
-                "final_state": traj.states[-1].tolist(),
-            }, indent=2, sort_keys=True))
-            return EXIT_OK
-
-        spec = _apply_overrides(spec, args)
-        if args.command == "model-based":
-            report = run_model_based(spec, out_dir=args.out)
-        elif args.command in ("srl", "compare"):
-            report = run_srl(spec, out_dir=args.out, seed=args.seed,
-                             method=args.command)
-        else:  # bound
-            report = run_model_based(spec)
-            print(json.dumps({"scenario": spec.name, "bound": report.bound},
-                             indent=2, sort_keys=True))
-            return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
-
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
+            out = {"scenario": spec.name, "samples": len(traj.times),
+                   "final_state": traj.states[-1].tolist()}
+        else:
+            spec = _apply_overrides(spec, args)
+            if args.command == "model-based":
+                out = run_model_based(spec, out_dir=args.out).to_dict()
+            elif args.command == "bound":
+                out = {"scenario": spec.name,
+                       "bound": run_model_based(spec).bound}
+            else:  # srl, compare
+                out = run_srl(spec, out_dir=args.out, seed=args.seed,
+                              method=args.command).to_dict()
+        print(json.dumps(out, indent=2, sort_keys=True))
+        return EXIT_OK
 
     except RankDeficientError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -107,7 +100,7 @@ def main(argv=None) -> int:
     except SimulationDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConvergenceError, IterateDestabilizedError, NotStabilizingError) as exc:
+    except (ConvergenceError, UnstableClosedLoopError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (ScenarioError, ValueError, OSError) as exc:

@@ -17,9 +17,10 @@ from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
                           suboptimality_bound)
 from .structure import SparsityMask, check_membership
 from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
-                     Trajectory, TruncationWarning, _check_at_least,
-                     _check_multiple, _check_positive, _check_step_count,
-                     evaluate_cost, evaluate_cost_analytic, simulate)
+                     Trajectory, TruncationWarning, _as_matrix,
+                     _check_at_least, _check_multiple, _check_positive,
+                     _check_step_count, evaluate_cost, evaluate_cost_analytic,
+                     simulate)
 
 
 class ScenarioError(ValueError):
@@ -124,8 +125,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         _check_positive("dt", self.dt)
-        B = np.asarray(self.B, dtype=float)
-        n, m = B.shape
+        n, m = _as_matrix(self.B, name="B").shape
         for nm, M, shape in (("Q", self.Q, (n, n)), ("R", self.R, (m, m))):
             if np.asarray(M).shape != shape:
                 raise ScenarioError(f"{nm} must have shape {shape}")
@@ -142,6 +142,11 @@ class ScenarioSpec:
                 f"{_DIVERGENCE_BOUND:g} in magnitude, got {peak!r}")
         if self.initial_gain is not None and np.asarray(self.initial_gain).shape != (m, n):
             raise ScenarioError(f"initial_gain must have shape {(m, n)}")
+        # entries after shapes, so a misshapen block is named by its shape
+        CostWeights(Q=self.Q, R=self.R)
+        for name, M in (("A", self.A), ("initial_gain", self.initial_gain)):
+            if M is not None:
+                _as_matrix(M, name=name)
 
     def system(self) -> LtiSystem:
         if self.A is None:
@@ -606,14 +611,15 @@ def run_srl(spec: ScenarioSpec, out_dir=None, seed: Optional[int] = None,
     """Exploration, data-driven synthesis, then closed-loop implementation,
     compared with the model-based and unstructured solutions."""
     config = spec.srl_config()
+    # first, so a K0 that does not stabilize the loop is named as such
+    # before the exploration run diverges or yields rank-deficient data
+    mb, unstr = _baselines(spec, config.initial_gain)
     probe = spec.probe(seed)
     plant = hide_state_matrix(spec.system())
     policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
     traj, data = collect(plant, policy, spec.x0, config)
     rank_report = check_rank(data, spec.mask, rank_tol=config.rank_tol)
     learned = srl_synthesize(data, config)
-
-    mb, unstr = _baselines(spec, config.initial_gain)
     report = _report(spec, method, learned, unstr, rank=rank_report.to_dict(),
                      exploration_peak_state=float(np.max(np.abs(traj.states))))
     report.comparison.update({

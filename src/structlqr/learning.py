@@ -1,7 +1,7 @@
 """Trajectory-data-driven structured gain synthesis.
 
 This path never reads the state matrix: data comes through a plant handle
-that only exposes simulation, the input matrix and measurements. Each
+that only exposes simulation, and the input matrix through the config. Each
 iteration solves one least-squares problem assembled from windowed
 integrals of the recorded states and inputs.
 """
@@ -20,7 +20,6 @@ from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory, _as_matrix
 
 
 # Knob defaults, shared with the scenario configs.
-_WINDOW = 0.01             # data-window length T, seconds
 _RANK_TOL = 1e-12          # rank cutoff relative to the largest singular value
 _NUM_SINUSOIDS = 100       # probe sinusoids per input channel
 _FREQ_RANGE = (0.5, 50.0)  # probe frequencies, rad/s
@@ -83,30 +82,22 @@ def make_exploration(seed: int, num_inputs: int,
 
 @dataclass(frozen=True)
 class PlantHandle:
-    """What the learner may touch: simulate, the input matrix, dimensions.
+    """What the learner may touch: simulate(policy, x0, horizon, dt=...,
+    substeps=...) -> Trajectory, and nothing else. A real plant is wrapped
+    as PlantHandle(simulate=fn)."""
 
-    The state matrix stays inside the closure and is not reachable from
-    this object.
-    """
-
-    B: np.ndarray
-    n: int
-    m: int
-    _run: Callable
-
-    def simulate(self, policy: InputPolicy, x0, horizon: float, dt: float,
-                 substeps: int = 1) -> Trajectory:
-        return self._run(policy, x0, horizon, dt, substeps)
+    simulate: Callable[..., Trajectory]
 
 
 def hide_state_matrix(sys: LtiSystem) -> PlantHandle:
-    """Wrap a system so downstream code can only excite and measure it."""
+    """Wrap a system so downstream code can only excite and measure it; the
+    state matrix stays inside the closure."""
     from .system import simulate as _simulate
 
-    def run(policy, x0, horizon, dt, substeps=1):
+    def simulate(policy, x0, horizon, dt, substeps):
         return _simulate(sys, policy, x0, horizon, dt=dt, substeps=substeps)
 
-    return PlantHandle(B=sys.B, n=sys.n, m=sys.m, _run=run)
+    return PlantHandle(simulate=simulate)
 
 
 def _num_unknowns(n: int, mask: SparsityMask) -> int:

@@ -7,28 +7,13 @@ from typing import List, Optional
 import numpy as np
 
 from .structure import SparsityMask, off_pattern, on_pattern
-from .system import (CostWeights, LtiSystem, _as_matrix, _check_at_least,
-                     is_hurwitz, spectral_abscissa)
+from .system import (CostWeights, LtiSystem, UnstableClosedLoopError,
+                     _as_matrix, _check_at_least, is_hurwitz, spectral_abscissa)
 
 
 _TOL, _MAX_ITER = 1e-6, 50  # default stopping rule of every policy iteration
 _REFINE_TOL = 1e-14  # Sylvester residual target, relative to its terms
 _LANCZOS_TOL = 1e-10  # relative residual of the bound constant's Ritz pair
-
-
-class NotStabilizingError(ValueError):
-    """Initial gain does not render A - B K0 Hurwitz."""
-
-
-class IterateDestabilizedError(RuntimeError):
-    """A policy-update iterate lost closed-loop stability."""
-
-    def __init__(self, iteration: int, abscissa: float):
-        super().__init__(
-            f"iterate {iteration} destabilized the loop "
-            f"(spectral abscissa {abscissa:.6g}); aborting")
-        self.iteration = iteration
-        self.abscissa = abscissa
 
 
 class ConvergenceError(RuntimeError):
@@ -160,7 +145,7 @@ def solve_lyapunov(M, S) -> np.ndarray:
     if np.max(np.abs(S - S.T)) > 1e-10 * (1.0 + np.max(np.abs(S))):
         raise ValueError("S must be symmetric")
     if not is_hurwitz(M):
-        raise NotStabilizingError(
+        raise UnstableClosedLoopError(
             f"M is not Hurwitz (spectral abscissa {spectral_abscissa(M):.6g}); "
             "the Lyapunov equation may have no positive solution")
     P = _sylvester_solver(M, "M")(-S)
@@ -227,7 +212,7 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
         raise ValueError(f"mask must be {sys.m}x{sys.n}")
     K = _as_matrix(initial_gain, rows=sys.m, cols=sys.n, name="initial_gain")
     if not is_hurwitz(sys.A - sys.B @ K):
-        raise NotStabilizingError(
+        raise UnstableClosedLoopError(
             "initial gain is not stabilizing (spectral abscissa "
             f"{spectral_abscissa(sys.A - sys.B @ K):.6g})")
     RinvBt = np.linalg.solve(weights.R, sys.B.T)
@@ -237,7 +222,9 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
         K_next = on_pattern(RinvBt @ P, mask)
         sa = spectral_abscissa(sys.A - sys.B @ K_next)
         if sa >= 0.0:
-            raise IterateDestabilizedError(iteration=k + 1, abscissa=sa)
+            raise UnstableClosedLoopError(
+                f"iterate {k + 1} destabilized the loop "
+                f"(spectral abscissa {sa:.6g}); aborting")
         return P, K_next
 
     return _policy_iteration(step, K, RinvBt, mask, tol, max_iter)
@@ -269,7 +256,7 @@ def find_stabilizing_gain(sys: LtiSystem, weights: CostWeights,
         K0 = c * base
         if is_hurwitz(sys.A - sys.B @ K0):
             return K0
-    raise NotStabilizingError(
+    raise UnstableClosedLoopError(
         "no stabilizing initial gain found among the built-in candidates; "
         "supply one explicitly")
 

@@ -16,7 +16,8 @@ class SimulationDiverged(RuntimeError):
 
 
 class UnstableClosedLoopError(ValueError):
-    """Closed-loop matrix is not Hurwitz where stability is required."""
+    """A matrix that must be Hurwitz is not: a closed loop, a Lyapunov
+    equation's M, or the loop of an initial gain or a policy iterate."""
 
 
 class TruncationWarning(UserWarning):

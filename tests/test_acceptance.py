@@ -14,10 +14,10 @@ from helpers import (NETWORK_A, REFERENCE_CLOSED_LOOP_EIGS_B,
                      REFERENCE_COST_A, REFERENCE_COST_B,
                      REFERENCE_COST_UNSTRUCTURED, REFERENCE_GAIN_A,
                      REFERENCE_GAIN_UNSTRUCTURED, X0, random_stable_matrix)
-from structlqr import (ConvergenceError, CostWeights, InputPolicy,
-                       IterateDestabilizedError, LtiSystem, SparsityMask,
-                       collect, evaluate_cost_analytic, hide_state_matrix,
-                       is_hurwitz, kleinman_structured, make_exploration,
+from structlqr import (ConvergenceError, CostWeights, InputPolicy, LtiSystem,
+                       SparsityMask, UnstableClosedLoopError, collect,
+                       evaluate_cost_analytic, hide_state_matrix, is_hurwitz,
+                       kleinman_structured, make_exploration,
                        modified_are_residual, required_samples, simulate,
                        solve_lyapunov, solve_unstructured_lqr,
                        srl_synthesize, suboptimality_bound)
@@ -191,7 +191,7 @@ def _random_feasible_runs(count=20, seed=99):
         try:
             res = kleinman_structured(sys, weights, mask, np.zeros((m, n)),
                                       tol=1e-8, max_iter=200)
-        except (IterateDestabilizedError, ConvergenceError):
+        except (UnstableClosedLoopError, ConvergenceError):
             continue
         runs.append((sys, weights, mask, res))
     assert len(runs) == count, f"only {len(runs)} feasible runs in {attempts}"

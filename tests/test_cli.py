@@ -93,11 +93,29 @@ def test_divergence_exit_code(tmp_path, capsys):
         dt=5e-4,
         exploration=ExplorationConfig(seed=1, duration=1.4, window=0.01),
         solver=SolverConfig(),
-        initial_gain=np.array([[0.0]]),  # no feedback: the probe run blows up
+        initial_gain=np.array([[0.0]]),  # no feedback: the open loop blows up
     )
     path = tmp_path / "runaway.scn"
     save_scenario(spec, path)
-    assert main(["srl", "--scenario", str(path)]) == 3
+    assert main(["simulate", "--scenario", str(path)]) == 3
+    assert "error: state diverged" in capsys.readouterr().err
+    # srl rejects the non-stabilizing K0 before it explores
+    assert main(["srl", "--scenario", str(path)]) == 4
+    assert "error: initial gain is not stabilizing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["srl", "compare", "model-based",
+                                     "bound"])
+def test_non_stabilizing_initial_gain_exits_4(tmp_path, capsys, command):
+    spec = builtin_scenario("consensus-a")
+    K0 = spec.initial_gain.copy()
+    K0[0, 0] = -100.0
+    path = tmp_path / "k0.scn"
+    save_scenario(dataclasses.replace(spec, initial_gain=K0), path)
+    assert main([command, "--scenario", str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "error: initial gain is not stabilizing (spectral abscissa "
+        "95.1178)\n")
 
 
 def test_compare_writes_full_report(tmp_path, capsys):
@@ -313,6 +331,27 @@ def test_block_shape_error_names_its_key_and_line(tmp_path, capsys, key,
     shape = "(6,)" if vector else "(6, 6)"
     assert (capsys.readouterr().err
             == f"error: line {idx + 1}: {key} must have shape {shape}\n")
+
+
+@pytest.mark.parametrize("key, row, col, value, message", [
+    ("matrix R", 0, 1, "0.5", "must be symmetric"),
+    ("matrix Q", 0, 0, "-1.0", "must be positive semidefinite"),
+    ("matrix A", 2, 3, "nan", "has non-finite entries"),
+    ("matrix K0", 0, 0, "nan", "has non-finite entries"),
+    ("matrix B", 5, 5, "inf", "has non-finite entries"),
+])
+def test_matrix_entry_error_names_its_key_and_line(tmp_path, capsys, key, row,
+                                                   col, value, message):
+    lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+    idx = lines.index(f"{key} 6 6")
+    entries = lines[idx + 1 + row].split()
+    entries[col] = value
+    lines[idx + 1 + row] = " ".join(entries)
+    path = tmp_path / "bad.scn"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["model-based", "--scenario", str(path)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: line {idx + 1}: {key} {message}\n")
 
 
 def test_huge_simulate_horizon_is_usage_error(tmp_path, capsys):

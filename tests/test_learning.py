@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import NETWORK_A, X0, ZEROS_A, assemble_data_reference
 from structlqr import (ConvergenceError, CostWeights, DataMatrices,
-                       ExplorationSignal, InputPolicy, LtiSystem,
+                       ExplorationSignal, InputPolicy, LtiSystem, PlantHandle,
                        RankDeficientError, SparsityMask, SrlConfig, check_rank,
                        collect, hide_state_matrix, kleinman_structured,
                        make_exploration, off_pattern, on_pattern,
@@ -104,16 +104,32 @@ class TestExplorationSignal:
 class TestPlantHandle:
     def test_state_matrix_hidden(self, network):
         plant = hide_state_matrix(network)
-        assert not hasattr(plant, "A")
-        assert plant.n == 6 and plant.m == 6
-        assert np.array_equal(plant.B, network.B)
+        assert [f.name for f in dataclasses.fields(plant)] == ["simulate"]
+        assert not hasattr(plant, "A") and not hasattr(plant, "B")
 
     def test_simulation_matches_direct(self, network):
         plant = hide_state_matrix(network)
         policy = InputPolicy.feedback(0.5 * np.eye(6))
-        via_plant = plant.simulate(policy, X0, 0.5, dt=0.01)
+        via_plant = plant.simulate(policy, X0, 0.5, dt=0.01, substeps=1)
         direct = simulate(network, policy, X0, 0.5, dt=0.01, substeps=1)
         assert np.array_equal(via_plant.states, direct.states)
+
+    def test_collect_runs_through_a_user_built_handle(self, network, mask_a):
+        calls = []
+
+        def plant(policy, x0, horizon, dt, substeps):
+            calls.append((horizon, dt, substeps))
+            return simulate(network, policy, x0, horizon, dt=dt,
+                            substeps=substeps)
+
+        config = network_config(mask_a)
+        policy = InputPolicy.feedback(config.initial_gain)
+        _, data = collect(PlantHandle(simulate=plant), policy, X0, config)
+        _, direct = collect(hide_state_matrix(network), policy, X0, config)
+        assert calls == [(config.num_windows * config.window, config.dt,
+                          config.substeps)]
+        assert np.array_equal(data.int_xx, direct.int_xx)
+        assert np.array_equal(data.int_xu, direct.int_xu)
 
 
 class TestCollect:

@@ -8,13 +8,12 @@ from helpers import (NETWORK_A, REFERENCE_GAIN_A, REFERENCE_GAIN_UNSTRUCTURED,
                      X0, ZEROS_A, kron_bound_constant_oracle,
                      kron_lyapunov_oracle, lyapunov_integral_oracle,
                      random_stable_matrix)
-from structlqr import (ConvergenceError, CostWeights, IterateDestabilizedError,
-                       LtiSystem, NotStabilizingError, SparsityMask,
-                       check_membership, evaluate_cost_analytic,
-                       find_stabilizing_gain, is_hurwitz, kleinman_structured,
-                       modified_are_residual, solve_lyapunov,
-                       solve_unstructured_lqr, spectral_abscissa,
-                       suboptimality_bound)
+from structlqr import (ConvergenceError, CostWeights, LtiSystem, SparsityMask,
+                       UnstableClosedLoopError, check_membership,
+                       evaluate_cost_analytic, find_stabilizing_gain,
+                       is_hurwitz, kleinman_structured, modified_are_residual,
+                       solve_lyapunov, solve_unstructured_lqr,
+                       spectral_abscissa, suboptimality_bound)
 from structlqr.experiments import (builtin_scenario, ring_scenario,
                                    run_model_based)
 
@@ -122,7 +121,7 @@ class TestSolveLyapunov:
         assert np.linalg.norm(P - P_quad, "fro") <= 1e-6
 
     def test_non_hurwitz_rejected(self, network):
-        with pytest.raises(NotStabilizingError):
+        with pytest.raises(UnstableClosedLoopError):
             solve_lyapunov(network.A, np.eye(6))  # zero mode
 
     def test_asymmetric_s_rejected(self):
@@ -168,12 +167,12 @@ class TestKleinmanStructured:
                                                          mask_a):
         K0 = masked_identity_gain(mask_a, scale=0.1)
         assert is_hurwitz(network.A - network.B @ K0)
-        with pytest.raises(IterateDestabilizedError) as err:
+        with pytest.raises(UnstableClosedLoopError,
+                           match=r"^iterate 1 destabilized the loop"):
             kleinman_structured(network, weights, mask_a, K0)
-        assert err.value.iteration == 1
 
     def test_nonstabilizing_initial_gain_rejected(self, network, weights, mask_a):
-        with pytest.raises(NotStabilizingError):
+        with pytest.raises(UnstableClosedLoopError):
             kleinman_structured(network, weights, mask_a, np.zeros((6, 6)))
 
     @pytest.mark.parametrize("knob, value", [
@@ -261,7 +260,7 @@ class TestFindStabilizingGain:
     def test_unstabilizable_plant_raises(self):
         sys = LtiSystem(A=np.diag([1.0, -1.0]), B=np.array([[0.0], [1.0]]))
         w = CostWeights(Q=np.eye(2), R=np.eye(1))
-        with pytest.raises(NotStabilizingError):
+        with pytest.raises(UnstableClosedLoopError):
             find_stabilizing_gain(sys, w, SparsityMask.all_ones(1, 2))
 
 

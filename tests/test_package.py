@@ -12,3 +12,36 @@ def test_all_lists_each_imported_public_name_once():
     assert all(hasattr(structlqr, name) for name in structlqr.__all__)
     assert set(structlqr.__all__) == {name for name in imported
                                       if not name.startswith("_")}
+
+
+def test_every_private_module_name_is_read():
+    # a private name defined at module level is read by its module or
+    # imported by another; a private name imported is read where imported
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in Path(structlqr.__file__).parent.glob("*.py")
+               if path.name != "__init__.py"}
+    imported = {(node.module, alias.name) for tree in modules.values()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    unread = []
+    for module, tree in sorted(modules.items()):
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        exported = {name for mod, name in imported if mod == module}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name} - exported
+            elif isinstance(node, ast.Assign):
+                names = {sub.id for target in node.targets
+                         for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name)} - exported
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in sorted(names)
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    assert unread == []

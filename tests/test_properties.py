@@ -89,6 +89,7 @@ def test_scenario_line_mutation_parses_or_raises_scenario_error(name, data):
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+_BOUNDED = st.floats(-1.0, 1.0)
 
 
 @st.composite
@@ -98,12 +99,14 @@ def _scenario_specs(draw):
     mask[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = 1.0
     freq_min, freq_max = sorted(draw(st.lists(_POSITIVE, min_size=2,
                                               max_size=2)))
+    # cost weights a scenario accepts: Q positive semidefinite, R definite
+    G = draw(arrays(np.float64, (n, n), elements=_BOUNDED))
+    H = draw(arrays(np.float64, (m, m), elements=_BOUNDED))
     return ScenarioSpec(
         name=draw(st.from_regex(r"[a-z][a-z0-9-]{0,10}", fullmatch=True)),
         A=draw(st.none() | arrays(np.float64, (n, n), elements=_FINITE)),
         B=draw(arrays(np.float64, (n, m), elements=_FINITE)),
-        Q=draw(arrays(np.float64, (n, n), elements=_FINITE)),
-        R=draw(arrays(np.float64, (m, m), elements=_FINITE)),
+        Q=G.T @ G, R=H.T @ H + np.eye(m),
         mask=SparsityMask(mask),
         x0=draw(arrays(np.float64, (n,), elements=st.floats(-1e150, 1e150))),
         dt=draw(_POSITIVE),
