@@ -10,6 +10,7 @@ Usage: python scripts/reproduce_network_results.py [--out DIR] [--seed N]
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +34,11 @@ def main():
 
     for name in ("consensus-a", "consensus-b"):
         spec = builtin_scenario(name)
+        if args.seed is not None:
+            spec = replace(spec, exploration=replace(spec.exploration,
+                                                     seed=args.seed))
         out_dir = Path(args.out) / name if args.out else None
-        report = run_srl(spec, out_dir=out_dir, seed=args.seed,
-                         method="compare")
+        report = run_srl(spec, out_dir=out_dir, method="compare")
 
         print("=" * 72)
         print(f"scenario {name}: converged={report.converged} "

@@ -63,34 +63,31 @@ def _build_parser() -> _Parser:
 
 
 def _apply_overrides(spec, args):
-    solver = spec.solver
-    if args.tol is not None:
-        solver = dataclasses.replace(solver, tol=args.tol)
-    if args.max_iter is not None:
-        solver = dataclasses.replace(solver, max_iter=args.max_iter)
-    if solver is not spec.solver:
-        spec = dataclasses.replace(spec, solver=solver)
-    return spec
+    """Fold the --seed, --tol and --max-iter a subcommand takes into the
+    scenario; each is checked as the scenario field it sets."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    exploration = {k: given[k] for k in ("seed",) if k in given}
+    solver = {k: given[k] for k in ("tol", "max_iter") if k in given}
+    return dataclasses.replace(
+        spec, exploration=dataclasses.replace(spec.exploration, **exploration),
+        solver=dataclasses.replace(spec.solver, **solver))
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        spec = load_scenario(args.scenario)
+        spec = _apply_overrides(load_scenario(args.scenario), args)
         if args.command == "simulate":
             traj = run_simulate(spec, horizon=args.horizon, out_dir=args.out)
             out = {"scenario": spec.name, "samples": len(traj.times),
                    "final_state": traj.states[-1].tolist()}
-        else:
-            spec = _apply_overrides(spec, args)
-            if args.command == "model-based":
-                out = run_model_based(spec, out_dir=args.out).to_dict()
-            elif args.command == "bound":
-                out = {"scenario": spec.name,
-                       "bound": run_model_based(spec).bound}
-            else:  # srl, compare
-                out = run_srl(spec, out_dir=args.out, seed=args.seed,
-                              method=args.command).to_dict()
+        elif args.command == "model-based":
+            out = run_model_based(spec, out_dir=args.out).to_dict()
+        elif args.command == "bound":
+            out = {"scenario": spec.name, "bound": run_model_based(spec).bound}
+        else:  # srl, compare
+            out = run_srl(spec, out_dir=args.out,
+                          method=args.command).to_dict()
         print(json.dumps(out, indent=2, sort_keys=True))
         return EXIT_OK
 

@@ -2,7 +2,7 @@
 
 import json
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -12,9 +12,8 @@ from .learning import (_AMPLITUDE, _FREQ_RANGE, _NUM_SINUSOIDS, _RANK_TOL,
                        SrlConfig, check_rank, collect, hide_state_matrix,
                        make_exploration, srl_synthesize)
 from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
-                          _check_stopping_rule, find_stabilizing_gain,
-                          kleinman_structured, solve_unstructured_lqr,
-                          suboptimality_bound)
+                          find_stabilizing_gain, kleinman_structured,
+                          solve_unstructured_lqr, suboptimality_bound)
 from .structure import SparsityMask, check_membership
 from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
                      Trajectory, TruncationWarning, _as_matrix,
@@ -105,7 +104,8 @@ class SolverConfig:
     rank_tol: float = _RANK_TOL
 
     def __post_init__(self):
-        _check_stopping_rule(self.tol, self.max_iter)
+        _check_positive("tol", self.tol)
+        _check_at_least("max_iter", self.max_iter, 1)
         _check_positive("solver rank-tol", self.rank_tol)
 
 
@@ -125,6 +125,14 @@ class ScenarioSpec:
 
     def __post_init__(self):
         _check_positive("dt", self.dt)
+        # the exploration grid, here so that every subcommand reads a file alike
+        ex = self.exploration
+        _check_step_count("exploration duration", ex.duration, self.dt,
+                          ex.substeps)
+        _check_multiple("exploration window", ex.window, "dt", self.dt,
+                        least=2)
+        _check_multiple("exploration duration", ex.duration,
+                        "exploration window", ex.window)
         n, m = _as_matrix(self.B, name="B").shape
         for nm, M, shape in (("Q", self.Q, (n, n)), ("R", self.R, (m, m))):
             if np.asarray(M).shape != shape:
@@ -165,24 +173,17 @@ class ScenarioSpec:
 
     def srl_config(self) -> SrlConfig:
         ex = self.exploration
-        _check_step_count("exploration duration", ex.duration, self.dt,
-                          ex.substeps)
-        _check_multiple("exploration window", ex.window, "dt", self.dt,
-                        least=2)
-        num_windows = _check_multiple("exploration duration", ex.duration,
-                                      "exploration window", ex.window)
         return SrlConfig(mask=self.mask, weights=self.weights(), B=self.B,
                          initial_gain=self.resolve_initial_gain(),
-                         window=ex.window, num_windows=num_windows,
+                         window=ex.window,
+                         num_windows=int(round(ex.duration / ex.window)),
                          dt=self.dt, substeps=ex.substeps,
                          tol=self.solver.tol, max_iter=self.solver.max_iter,
                          rank_tol=self.solver.rank_tol)
 
-    def probe(self, seed: Optional[int] = None):
-        ex = self.exploration if seed is None else replace(self.exploration,
-                                                            seed=seed)
-        return make_exploration(ex.seed,
-                                num_inputs=self.B.shape[1],
+    def probe(self):
+        ex = self.exploration
+        return make_exploration(ex.seed, num_inputs=self.B.shape[1],
                                 num_sinusoids=ex.num_sinusoids,
                                 freq_range=(ex.freq_min, ex.freq_max),
                                 amplitude=ex.amplitude)
@@ -606,15 +607,15 @@ def run_model_based(spec: ScenarioSpec, out_dir=None) -> RunReport:
     return report
 
 
-def run_srl(spec: ScenarioSpec, out_dir=None, seed: Optional[int] = None,
-            method: str = "srl") -> RunReport:
+def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> RunReport:
     """Exploration, data-driven synthesis, then closed-loop implementation,
-    compared with the model-based and unstructured solutions."""
+    compared with the model-based and unstructured solutions. The probe
+    comes from spec.exploration, seed included."""
     config = spec.srl_config()
     # first, so a K0 that does not stabilize the loop is named as such
     # before the exploration run diverges or yields rank-deficient data
     mb, unstr = _baselines(spec, config.initial_gain)
-    probe = spec.probe(seed)
+    probe = spec.probe()
     plant = hide_state_matrix(spec.system())
     policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
     traj, data = collect(plant, policy, spec.x0, config)

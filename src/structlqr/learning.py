@@ -12,11 +12,10 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
-                          _check_stopping_rule, _policy_iteration)
+from .model_based import _MAX_ITER, _TOL, SynthesisResult, _policy_iteration
 from .structure import SparsityMask
 from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory, _as_matrix,
-                     _check_multiple, _check_positive, _freeze)
+                     _check_at_least, _check_multiple, _check_positive, _freeze)
 
 
 # Knob defaults, shared with the scenario configs.
@@ -68,8 +67,7 @@ def make_exploration(seed: int, num_inputs: int,
     and phases; the per-sinusoid amplitude is amplitude / num_sinusoids so
     the per-channel peak stays within the amplitude budget.
     """
-    if num_sinusoids < 1:
-        raise ValueError("num_sinusoids must be at least 1")
+    _check_at_least("num_sinusoids", num_sinusoids, 1)
     lo, hi = freq_range
     if not (0 < lo <= hi):
         raise ValueError("freq_range must satisfy 0 < lo <= hi")
@@ -191,7 +189,8 @@ class SrlConfig:
             raise ValueError(
                 f"num_windows = {self.num_windows} below the required "
                 f"sample count {need}")
-        _check_stopping_rule(self.tol, self.max_iter)
+        _check_positive("tol", self.tol)
+        _check_at_least("max_iter", self.max_iter, 1)
         _check_positive("rank_tol", self.rank_tol)
 
 

@@ -8,7 +8,8 @@ import numpy as np
 
 from .structure import SparsityMask, off_pattern, on_pattern
 from .system import (CostWeights, LtiSystem, UnstableClosedLoopError,
-                     _as_matrix, _check_at_least, is_hurwitz, spectral_abscissa)
+                     _as_matrix, _as_state, _check_at_least, _check_hurwitz,
+                     _check_positive, is_hurwitz)
 
 
 _TOL, _MAX_ITER = 1e-6, 50  # default stopping rule of every policy iteration
@@ -135,7 +136,8 @@ def solve_lyapunov(M, S) -> np.ndarray:
     1e-10). The refinement keeps the relative residual near 1e-17 even on
     M with a 100x random strictly upper part, where a determinant-scaled
     Newton sign iteration left residuals up to 1e-7 and did not converge
-    on 5 of 100 draws. If the refinement stalls it raises ValueError.
+    on 5 of 100 draws. If the refinement stalls it raises ValueError; an M
+    that is not Hurwitz raises UnstableClosedLoopError before any solve.
     """
     M = _as_matrix(M, name="M")
     if M.shape[0] != M.shape[1]:
@@ -144,10 +146,7 @@ def solve_lyapunov(M, S) -> np.ndarray:
     S = _as_matrix(S, rows=n, cols=n, name="S")
     if np.max(np.abs(S - S.T)) > 1e-10 * (1.0 + np.max(np.abs(S))):
         raise ValueError("S must be symmetric")
-    if not is_hurwitz(M):
-        raise UnstableClosedLoopError(
-            f"M is not Hurwitz (spectral abscissa {spectral_abscissa(M):.6g}); "
-            "the Lyapunov equation may have no positive solution")
+    _check_hurwitz(M, "M is not Hurwitz")
     P = _sylvester_solver(M, "M")(-S)
     return 0.5 * (P + P.T)
 
@@ -160,13 +159,6 @@ def modified_are_residual(P, L, sys: LtiSystem, weights: CostWeights) -> float:
     res = (sys.A.T @ P + P @ sys.A - P @ sys.B @ RinvBt @ P
            + weights.Q + L.T @ weights.R @ L)
     return float(np.linalg.norm(res, "fro"))
-
-
-def _check_stopping_rule(tol, max_iter):
-    """Reject iteration knobs the policy-iteration loop cannot run with."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    _check_at_least("max_iter", max_iter, 1)
 
 
 def _policy_iteration(step, K, RinvBt, mask: SparsityMask, tol: float,
@@ -207,24 +199,19 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
     ||P_k - P_{k-1}||_F < tol. Every accepted iterate must keep the loop
     Hurwitz; a destabilizing update aborts with the iteration index.
     """
-    _check_stopping_rule(tol, max_iter)
+    _check_positive("tol", tol)
+    _check_at_least("max_iter", max_iter, 1)
     if mask.shape != (sys.m, sys.n):
         raise ValueError(f"mask must be {sys.m}x{sys.n}")
     K = _as_matrix(initial_gain, rows=sys.m, cols=sys.n, name="initial_gain")
-    if not is_hurwitz(sys.A - sys.B @ K):
-        raise UnstableClosedLoopError(
-            "initial gain is not stabilizing (spectral abscissa "
-            f"{spectral_abscissa(sys.A - sys.B @ K):.6g})")
+    _check_hurwitz(sys.A - sys.B @ K, "initial gain is not stabilizing")
     RinvBt = np.linalg.solve(weights.R, sys.B.T)
 
     def step(k, K):
         P = solve_lyapunov(sys.A - sys.B @ K, weights.Q + K.T @ weights.R @ K)
         K_next = on_pattern(RinvBt @ P, mask)
-        sa = spectral_abscissa(sys.A - sys.B @ K_next)
-        if sa >= 0.0:
-            raise UnstableClosedLoopError(
-                f"iterate {k + 1} destabilized the loop "
-                f"(spectral abscissa {sa:.6g}); aborting")
+        _check_hurwitz(sys.A - sys.B @ K_next,
+                       f"iterate {k + 1} destabilized the loop")
         return P, K_next
 
     return _policy_iteration(step, K, RinvBt, mask, tol, max_iter)
@@ -330,11 +317,7 @@ def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
     to zero, or if its eigenvectors are too ill-conditioned for l to be
     computed to rounding accuracy (see BoundReport).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.n,):
-        raise ValueError(f"x0 must have shape ({sys.n},), got {x0.shape}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 has non-finite entries")
+    x0 = _as_state(x0, sys.n)
     for name, cost in (("cost_structured", cost_structured),
                        ("cost_unstructured", cost_unstructured)):
         if not np.isfinite(cost):

@@ -51,9 +51,6 @@ class SparsityMask:
             ind[i, j] = 0.0
         return cls(ind)
 
-    def zero_positions(self):
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.complement))]
-
 
 def off_pattern(gain, mask: SparsityMask) -> np.ndarray:
     """Component of the gain outside the allowed pattern (Hadamard with the

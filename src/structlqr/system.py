@@ -201,6 +201,23 @@ def is_hurwitz(M) -> bool:
     return spectral_abscissa(M) < 0.0
 
 
+def _check_hurwitz(M, what: str) -> None:
+    """Raise UnstableClosedLoopError, saying `what`, unless M is Hurwitz."""
+    sa = spectral_abscissa(M)
+    if sa >= 0.0:
+        raise UnstableClosedLoopError(f"{what} (spectral abscissa {sa:.6g})")
+
+
+def _as_state(x0, n: int) -> np.ndarray:
+    """x0 as a float vector of shape (n,) with finite entries."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 has non-finite entries")
+    return x0
+
+
 def _probe_samples(probe, times, m):
     if probe is None:
         return np.zeros((len(times), m))
@@ -253,16 +270,11 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
     """
     _check_positive("dt", dt)
     _check_positive("horizon", horizon)
-    if substeps < 1:
-        raise ValueError("substeps must be at least 1")
+    _check_at_least("substeps", substeps, 1)
     if horizon < dt:
         raise ValueError("horizon must cover at least one step")
     _check_step_count("horizon", horizon, dt, substeps)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.n,):
-        raise ValueError(f"x0 must have shape ({sys.n},)")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 has non-finite entries")
+    x0 = _as_state(x0, sys.n)
     if policy.gain is not None and policy.gain.shape != (sys.m, sys.n):
         raise ValueError(f"feedback gain must be {sys.m}x{sys.n}")
 
@@ -328,15 +340,12 @@ def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
 
     The quadrature step is _COST_DT. The integration runs in 1 s chunks
     until ||x|| <= _COST_DECAY * ||x0||, or until _COST_HORIZON_CAP, where
-    it attaches a TruncationWarning.
+    it attaches a TruncationWarning. x0 must be a finite vector of length
+    n, and a closed loop that is not Hurwitz raises UnstableClosedLoopError.
     """
     gain = _as_matrix(gain, rows=sys.m, cols=sys.n, name="gain")
-    x0 = np.asarray(x0, dtype=float)
-    Acl = sys.A - sys.B @ gain
-    if not is_hurwitz(Acl):
-        raise UnstableClosedLoopError(
-            f"closed loop is not Hurwitz (spectral abscissa "
-            f"{spectral_abscissa(Acl):.6g}); cost diverges")
+    x0 = _as_state(x0, sys.n)
+    _check_hurwitz(sys.A - sys.B @ gain, "closed loop is not Hurwitz")
 
     policy = InputPolicy.feedback(gain)
     target = _COST_DECAY * np.linalg.norm(x0)
@@ -368,14 +377,13 @@ def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
 
 
 def evaluate_cost_analytic(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
-    """Closed-form cost x0' P x0 with P from the closed-loop Lyapunov equation."""
+    """Closed-form cost x0' P x0 with P from the closed-loop Lyapunov equation.
+    x0 must be a finite vector of length n; solve_lyapunov raises
+    UnstableClosedLoopError for a closed loop that is not Hurwitz."""
     from .model_based import solve_lyapunov
 
     gain = _as_matrix(gain, rows=sys.m, cols=sys.n, name="gain")
-    x0 = np.asarray(x0, dtype=float)
-    Acl = sys.A - sys.B @ gain
-    if not is_hurwitz(Acl):
-        raise UnstableClosedLoopError(
-            "closed loop is not Hurwitz; infinite-horizon cost is undefined")
-    P = solve_lyapunov(Acl, weights.Q + gain.T @ weights.R @ gain)
+    x0 = _as_state(x0, sys.n)
+    P = solve_lyapunov(sys.A - sys.B @ gain,
+                       weights.Q + gain.T @ weights.R @ gain)
     return float(x0 @ P @ x0)

@@ -294,10 +294,10 @@ def test_criterion_7g_all_ones_srl(network, weights):
 
 @criterion("8 seeded runs are byte-identical")
 def test_criterion_8_determinism(tmp_path):
-    spec = builtin_scenario("consensus-a")
+    spec = builtin_scenario("consensus-a")  # exploration seed 7
     dirs = [tmp_path / "run1", tmp_path / "run2"]
     for d in dirs:
-        run_srl(spec, out_dir=d, seed=7)
+        run_srl(spec, out_dir=d)
     files = ["trajectory.csv", "convergence.csv", "gains.csv", "report.json"]
     for name in files:
         b1 = (dirs[0] / name).read_bytes()

@@ -11,6 +11,8 @@ from structlqr.experiments import (ExplorationConfig, ScenarioSpec,
                                    save_scenario)
 from structlqr.structure import SparsityMask
 
+_COMMANDS = ("srl", "compare", "model-based", "bound", "simulate")
+
 
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -163,14 +165,17 @@ def test_bad_time_step_or_span_is_usage_error(tmp_path, capsys, command, key,
 ])
 def test_exploration_timing_off_its_grid_is_usage_error(tmp_path, capsys, key,
                                                         value, message):
+    # the grid is checked when the file is read, whatever the subcommand
     lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
     idx = next(k for k, line in enumerate(lines)
                if line.rsplit(" ", 1)[0] == key)
     lines[idx] = f"{key} {value}"
     path = tmp_path / "bad.scn"
     path.write_text("\n".join(lines) + "\n")
-    assert main(["srl", "--scenario", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    for command in _COMMANDS:
+        assert main([command, "--scenario", str(path)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: line {idx + 1}: {message}\n"), command
 
 
 @pytest.mark.parametrize("argv", [
@@ -371,16 +376,18 @@ def test_huge_simulate_horizon_is_usage_error(tmp_path, capsys):
 
 def test_huge_exploration_duration_is_usage_error(tmp_path, capsys):
     text = save_scenario(builtin_scenario("consensus-a"))
+    lineno = text.splitlines().index("exploration duration 1.4") + 1
     path = tmp_path / "long.scn"
     path.write_text(text.replace("exploration duration 1.4",
                                  "exploration duration 1e9"))
-    tracemalloc.start()
-    try:
-        assert main(["srl", "--scenario", str(path)]) == 1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert capsys.readouterr().err == (
-        "error: exploration duration must be at most 500 s at dt 5e-05 "
-        "with 1 substeps, got 1000000000.0\n")
-    assert peak < 1e6  # rejected before the probe or any record is sized
+    for command in _COMMANDS:
+        tracemalloc.start()
+        try:
+            assert main([command, "--scenario", str(path)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            f"error: line {lineno}: exploration duration must be at most "
+            "500 s at dt 5e-05 with 1 substeps, got 1000000000.0\n"), command
+        assert peak < 1e6  # rejected before the probe or any record is sized

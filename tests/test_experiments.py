@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -232,8 +233,9 @@ class TestRunners:
 
     def test_srl_seed_override_changes_probe(self):
         spec = builtin_scenario("consensus-a")
-        r1 = run_srl(spec, seed=7)
-        r2 = run_srl(spec, seed=11)
+        r1, r2 = (run_srl(replace(spec, exploration=replace(spec.exploration,
+                                                            seed=seed)))
+                  for seed in (7, 11))
         assert not np.array_equal(r1.K, r2.K)
         assert np.linalg.norm(r1.K - r2.K, "fro") <= 2e-3
 

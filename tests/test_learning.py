@@ -556,12 +556,12 @@ class TestSrlSynthesize:
         # consensus-a, and that must be enough at seed 7.
         spec = builtin_scenario("consensus-a")
         spec = dataclasses.replace(spec, exploration=dataclasses.replace(
-            spec.exploration, duration=span))
+            spec.exploration, duration=span, seed=seed))
         config = spec.srl_config()
         if span == 1.0:
             assert config.num_windows == required_samples(6, spec.mask)
         policy = InputPolicy.feedback_with_probe(config.initial_gain,
-                                                 spec.probe(seed))
+                                                 spec.probe())
         _, data = collect(hide_state_matrix(spec.system()), policy, spec.x0,
                           config)
         try:

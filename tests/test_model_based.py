@@ -8,12 +8,13 @@ from helpers import (NETWORK_A, REFERENCE_GAIN_A, REFERENCE_GAIN_UNSTRUCTURED,
                      X0, ZEROS_A, kron_bound_constant_oracle,
                      kron_lyapunov_oracle, lyapunov_integral_oracle,
                      random_stable_matrix)
-from structlqr import (ConvergenceError, CostWeights, LtiSystem, SparsityMask,
-                       UnstableClosedLoopError, check_membership,
-                       evaluate_cost_analytic, find_stabilizing_gain,
-                       is_hurwitz, kleinman_structured, modified_are_residual,
-                       solve_lyapunov, solve_unstructured_lqr,
-                       spectral_abscissa, suboptimality_bound)
+from structlqr import (ConvergenceError, CostWeights, InputPolicy, LtiSystem,
+                       SparsityMask, UnstableClosedLoopError, check_membership,
+                       evaluate_cost, evaluate_cost_analytic,
+                       find_stabilizing_gain, is_hurwitz, kleinman_structured,
+                       modified_are_residual, simulate, solve_lyapunov,
+                       solve_unstructured_lqr, spectral_abscissa,
+                       suboptimality_bound)
 from structlqr.experiments import (builtin_scenario, ring_scenario,
                                    run_model_based)
 
@@ -319,10 +320,17 @@ class TestSuboptimalityBound:
     @pytest.mark.parametrize("x0, message", [
         (np.ones(3), r"x0 must have shape \(6,\), got \(3,\)"),
         (np.ones((6, 6)), r"x0 must have shape \(6,\), got \(6, 6\)"),
-        (np.array([1.0, np.nan, 0, 0, 0, 0]), "x0 has non-finite entries")])
+        (np.array([1.0, np.nan, 0, 0, 0, 0]), "x0 has non-finite entries"),
+        (np.array([np.inf, 0, 0, 0, 0, 0]), "x0 has non-finite entries")])
     def test_bad_x0_rejected(self, network, weights, x0, message):
-        with pytest.raises(ValueError, match=message):
-            suboptimality_bound(network, weights, x0, 1.0, 1.0)
+        # every entry point that takes an x0 gives the same message
+        K = 10.0 * np.eye(6)
+        for run in (lambda: suboptimality_bound(network, weights, x0, 1.0, 1.0),
+                    lambda: evaluate_cost_analytic(network, weights, K, x0),
+                    lambda: evaluate_cost(network, weights, K, x0),
+                    lambda: simulate(network, InputPolicy.zero(), x0, 1.0)):
+            with pytest.raises(ValueError, match=message):
+                run()
 
     @pytest.mark.parametrize("costs, name", [
         ((float("nan"), 1.0), "cost_structured"),

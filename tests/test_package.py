@@ -45,3 +45,25 @@ def test_every_private_module_name_is_read():
                        if name.startswith("_") and not name.startswith("__")
                        and name not in read]
     assert unread == []
+
+
+def test_unstable_loop_is_raised_by_the_stability_gate_alone():
+    # _check_hurwitz is the one stability check; the gain search raises
+    # when no candidate passes it. A copy of the check would raise too.
+    def raisers(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from raisers(child, child.name)
+            elif isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc
+                target = exc.func if isinstance(exc, ast.Call) else exc
+                if getattr(target, "id", None) == "UnstableClosedLoopError":
+                    yield owner
+            else:
+                yield from raisers(child, owner)
+
+    sites = [f"{path.stem}.{owner}"
+             for path in sorted(Path(structlqr.__file__).parent.glob("*.py"))
+             for owner in raisers(ast.parse(path.read_text()), None)]
+    assert sites == ["model_based.find_stabilizing_gain",
+                     "system._check_hurwitz"]

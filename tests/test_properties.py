@@ -11,6 +11,7 @@ from structlqr.experiments import (BUILTIN_SCENARIOS, ExplorationConfig,
                                    ScenarioError, ScenarioSpec, SolverConfig,
                                    builtin_scenario, parse_scenario,
                                    save_scenario)
+from structlqr.system import _MAX_STEPS
 
 
 @settings(max_examples=80, deadline=None)
@@ -99,6 +100,14 @@ def _scenario_specs(draw):
     mask[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = 1.0
     freq_min, freq_max = sorted(draw(st.lists(_POSITIVE, min_size=2,
                                               max_size=2)))
+    # the exploration grid a scenario accepts: window = k dt with k >= 2,
+    # duration = j windows, and k j substeps RK4 steps within _MAX_STEPS
+    # (one step below it, so rounding in duration / dt cannot cross it)
+    budget = _MAX_STEPS - 1
+    substeps = draw(st.integers(1, budget // 2))
+    k = draw(st.integers(2, budget // substeps))
+    j = draw(st.integers(1, budget // (substeps * k)))
+    dt = draw(st.floats(min_value=1e-300, max_value=1e290))
     # cost weights a scenario accepts: Q positive semidefinite, R definite
     G = draw(arrays(np.float64, (n, n), elements=_BOUNDED))
     H = draw(arrays(np.float64, (m, m), elements=_BOUNDED))
@@ -109,14 +118,13 @@ def _scenario_specs(draw):
         Q=G.T @ G, R=H.T @ H + np.eye(m),
         mask=SparsityMask(mask),
         x0=draw(arrays(np.float64, (n,), elements=st.floats(-1e150, 1e150))),
-        dt=draw(_POSITIVE),
+        dt=dt,
         exploration=ExplorationConfig(
             seed=draw(st.integers(0, 2**63 - 1)),
-            duration=draw(_POSITIVE), window=draw(_POSITIVE),
+            duration=j * (k * dt), window=k * dt,
             num_sinusoids=draw(st.integers(1, 10**4)),
             freq_min=freq_min, freq_max=freq_max,
-            amplitude=draw(_POSITIVE),
-            substeps=draw(st.integers(1, 10**6))),
+            amplitude=draw(_POSITIVE), substeps=substeps),
         solver=SolverConfig(tol=draw(_POSITIVE),
                             max_iter=draw(st.integers(1, 10**6)),
                             rank_tol=draw(_POSITIVE)),
@@ -129,3 +137,25 @@ def _scenario_specs(draw):
 def test_scenario_save_parse_save_is_byte_identical(spec):
     text = save_scenario(spec)
     assert save_scenario(parse_scenario(text)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_scenario_specs(),
+       key=st.sampled_from(["exploration window", "exploration duration"]),
+       frac=st.floats(0.01, 0.99))
+def test_off_grid_exploration_timing_raises_scenario_error(spec, key, frac):
+    # a window between two dt multiples, or a duration between two windows;
+    # shortened, so the step budget still holds
+    ex = spec.exploration
+    if key == "exploration window":
+        value = ex.window - frac * spec.dt
+    else:
+        value = ex.duration - frac * ex.window
+    lines = save_scenario(spec).splitlines()
+    idx = next(k for k, line in enumerate(lines)
+               if line.rsplit(" ", 1)[0] == key)
+    lines[idx] = f"{key} {value!r}"
+    with pytest.raises(ScenarioError,
+                       match=rf"^line {idx + 1}: {key} must be an integer "
+                             "multiple"):
+        parse_scenario("\n".join(lines))

@@ -27,10 +27,6 @@ class TestMask:
         assert np.array_equal(mask_a.complement, 1.0 - mask_a.indicator)
         assert int(mask_a.complement.sum()) == 7
 
-    def test_zero_positions_roundtrip(self, mask_a):
-        rebuilt = SparsityMask.from_zero_positions(6, 6, mask_a.zero_positions())
-        assert np.array_equal(rebuilt.indicator, mask_a.indicator)
-
     def test_out_of_range_zero_position(self):
         with pytest.raises(ValueError):
             SparsityMask.from_zero_positions(2, 2, [(2, 0)])
