@@ -1,5 +1,6 @@
 """Scenario definitions, benchmark fixtures, pipeline runners and reports."""
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field, fields
@@ -24,6 +25,20 @@ from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
 
 class ScenarioError(ValueError):
     """Malformed scenario file or inconsistent scenario data."""
+
+
+def _scenario_check(check):
+    """A scenario dataclass's __post_init__ that raises ScenarioError for
+    every field it rejects, also where a shared check raised ValueError."""
+    @functools.wraps(check)
+    def wrapper(self):
+        try:
+            check(self)
+        except ScenarioError:
+            raise
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +93,7 @@ class ExplorationConfig:
     amplitude: float = _AMPLITUDE
     substeps: int = 1
 
+    @_scenario_check
     def __post_init__(self):
         _check_at_least("exploration seed", self.seed, 0)
         _check_at_least("exploration sinusoids", self.num_sinusoids, 1)
@@ -103,6 +119,7 @@ class SolverConfig:
     max_iter: int = _MAX_ITER
     rank_tol: float = _RANK_TOL
 
+    @_scenario_check
     def __post_init__(self):
         _check_positive("tol", self.tol)
         _check_at_least("max_iter", self.max_iter, 1)
@@ -123,6 +140,7 @@ class ScenarioSpec:
     A: Optional[np.ndarray] = None          # ground truth; hidden from the learner
     initial_gain: Optional[np.ndarray] = None  # None -> stabilizing-gain search
 
+    @_scenario_check
     def __post_init__(self):
         _check_positive("dt", self.dt)
         # the exploration grid, here so that every subcommand reads a file alike

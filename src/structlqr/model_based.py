@@ -48,6 +48,16 @@ class SynthesisResult:
     converged: bool
 
 
+def _check_eigenvalue_sums(eigs, sums, name: str) -> None:
+    """Raise ValueError, calling M by name, when a pairwise sum of its
+    eigenvalues vanishes to 1e-12 of the largest: then X -> M' X + X M is
+    singular."""
+    if np.min(np.abs(sums)) < 1e-12 * max(1.0, float(np.max(np.abs(eigs)))):
+        raise ValueError(
+            f"two eigenvalues of {name} sum to zero; "
+            f"X -> {name}' X + X {name} is singular")
+
+
 def _sylvester_solver(M, name: str):
     """Return solve(Y), the X with M' X + X M = Y: vec(X) = V^-1 vec(Y) for
     V = I (x) M' + M' (x) I, in O(n^3) per call without forming V.
@@ -68,10 +78,7 @@ def _sylvester_solver(M, name: str):
     T = Uh @ M @ U
     d = np.diag(T)
     sums = d.conj()[:, None] + d[None, :]
-    if np.min(np.abs(sums)) < 1e-12 * max(1.0, float(np.max(np.abs(d)))):
-        raise ValueError(
-            f"two eigenvalues of {name} sum to zero; "
-            f"X -> {name}' X + X {name} is singular")
+    _check_eigenvalue_sums(d, sums, name)
     # Row i of [Z, L] dotted with row j of [L^*, Z'], L the strict lower
     # triangle of T^H, is sum_k Z_ik conj(L_jk) + L_ik Z_kj: the known part
     # of entry (i, j). Z is written into both buffers; the second is stored
@@ -249,19 +256,29 @@ def find_stabilizing_gain(sys: LtiSystem, weights: CostWeights,
 
 
 def _bound_constant(Mv) -> float:
-    """l = sigma_min(V) = 1 / sqrt(lambda_max((V V')^-1)) for
-    V = I (x) M' + M' (x) I, without forming V.
+    """l = sigma_min(V) for V = I (x) M' + M' (x) I, without forming V.
 
-    Lanczos on the symmetric operator V^-T V^-1, with full
-    reorthogonalization and a fixed random start, so reruns give the same
-    bits. Each step is a solve with V and one with V' (_sylvester_solver of
-    M and of M'). It stops once the top Ritz pair's residual is below
-    _LANCZOS_TOL of its value, so an eigenvalue lies that close to it (the
-    largest one, which the random start reaches first), or when the Krylov
-    space is all of R^(n x n).
+    When M equals its transpose exactly, V is symmetric with eigenvalues
+    lambda_i + lambda_j (Horn & Johnson, Topics in Matrix Analysis, 1991,
+    Thm 4.4.5), so l = min |lambda_i + lambda_j| from eigvalsh(M). Every
+    builtin, ring and benchmark scenario takes this path.
+
+    Otherwise l = 1 / sqrt(lambda_max((V V')^-1)), by Lanczos on the
+    symmetric operator V^-T V^-1, with full reorthogonalization and a fixed
+    random start, so reruns give the same bits. Each step is a solve with V
+    and one with V' (_sylvester_solver of M and of M'). It stops once the
+    top Ritz pair's residual is below _LANCZOS_TOL of its value, so an
+    eigenvalue lies that close to it (the largest one, which the random
+    start reaches first), or when the Krylov space is all of R^(n x n).
+    Either way, two eigenvalues of M that sum to zero raise ValueError.
     """
-    n = Mv.shape[0]
     name = "A - B R^-1 B'"
+    if np.array_equal(Mv, Mv.T):
+        eigs = np.linalg.eigvalsh(Mv)
+        sums = np.abs(eigs[:, None] + eigs[None, :])
+        _check_eigenvalue_sums(eigs, sums, name)
+        return float(np.min(sums))
+    n = Mv.shape[0]
     solve, solve_t = _sylvester_solver(Mv, name), _sylvester_solver(Mv.T, name)
     q = np.random.default_rng(0).standard_normal((n, n))
     basis = [q / np.linalg.norm(q)]
@@ -289,9 +306,11 @@ class BoundReport:
     g is the spectral norm of B R^-1 B', l the smallest singular value of
     the Lyapunov-type operator V = I (x) M' + M' (x) I with M = A - B R^-1 B',
     and the bound is (l / 2g) * ||x0||^2. l is computed without forming the
-    n^2 x n^2 operator (_bound_constant): O(n^3) per Lanczos step and O(n^2)
-    memory per Lanczos vector. It agrees with the full SVD of V to about
-    1e-13 relative, defective M included (the tests require 1e-8).
+    n^2 x n^2 operator (_bound_constant): for a symmetric M in closed form
+    from the eigenvalues of M, one O(n^3) eigvalsh, and otherwise by
+    Lanczos, O(n^3) per step and O(n^2) memory per Lanczos vector. It
+    agrees with the full SVD of V to about 1e-13 relative, defective M
+    included (the tests require 1e-8, and 1e-12 for the closed form).
     epsilon = ||L'RL|| / l is logged when a deviation matrix is supplied.
     """
 

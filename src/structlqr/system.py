@@ -63,10 +63,11 @@ def _check_multiple(name: str, span, step_name: str, step, least: int = 1) -> in
 
 
 # RK4 steps one simulate call may take. A call holds 8 (2m + 1) bytes of
-# probe samples per step and 8 (n + m + 1) bytes of record per recorded
-# sample, so at one substep the cap bounds a 6-agent builtin run at 2.1 GB.
-# A builtin exploration run takes 28,000 steps, the largest benchmark run
-# 61,000.
+# probe samples per RK4 step when it has a probe, and 8 (n + m + 1) bytes
+# of record per recorded sample; the blocked scan's temporaries are bounded
+# by _SEGMENT_ENTRIES. At one substep the cap bounds a 6-agent builtin
+# exploration at 2.1 GB. A builtin exploration run takes 28,000 steps, the
+# largest benchmark run 61,000.
 _MAX_STEPS = 10**7
 
 
@@ -79,8 +80,11 @@ def _check_step_count(name: str, span, dt, substeps) -> None:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = arr.copy()
-    arr.setflags(write=False)
+    """A read-only copy of arr; an array that is already read-only and owns
+    its data is taken as it is, as simulate hands over its record."""
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
     return arr
 
 
@@ -219,8 +223,6 @@ def _as_state(x0, n: int) -> np.ndarray:
 
 
 def _probe_samples(probe, times, m):
-    if probe is None:
-        return np.zeros((len(times), m))
     out = np.empty((len(times), m))
     for i, t in enumerate(times):
         out[i] = np.asarray(probe(t), dtype=float)
@@ -241,10 +243,22 @@ def _rk4_step(G, h, x, f_start, f_mid, f_end):
 # scenario's x0 entries, whose quadratic costs would overflow a float.
 _DIVERGENCE_BOUND = 1e150
 
-# RK4 steps whose forcing terms are formed at once, in one (steps, n)
-# buffer reused across blocks; a full-length array would add 8 * steps * n
-# bytes to the peak memory of a long exploration run.
-_BLOCK_STEPS = 1024
+# State entries one segment of simulate's blocked scan holds (segment rows
+# times n): its buffers are a few arrays of this size, however long the
+# horizon, and its Python steps number about 2 sqrt(rows).
+_SEGMENT_ENTRIES = 2**16
+
+
+def _power_table(Phi, count: int) -> np.ndarray:
+    """[Phi^1' ... Phi^b'] side by side, shape (n, b n), with b <= count the
+    largest power count whose entries are all finite (at least 1)."""
+    powers = [Phi.T]
+    while len(powers) < count:
+        nxt = powers[-1] @ Phi.T
+        if not np.all(np.isfinite(nxt)):
+            break
+        powers.append(nxt)
+    return np.concatenate(powers, axis=1)
 
 
 def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
@@ -254,6 +268,16 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
     The plant is LTI and the policy affine, so one RK4 step is the fixed
     linear map x+ = Phi x + E1 u0(t) + E2 u0(t + h/2) + E3 u0(t + h),
     built once per call from the RK4 stage formulas (h = dt / substeps).
+    The substeps fold into one recorded-step map x+ = Phi^s x + F, F the
+    probe's forcing over the step, and that recurrence runs as a blocked
+    scan (Blelloch, CMU-CS-90-190, 1990): in segments of at most
+    _SEGMENT_ENTRIES state entries, each cut into blocks of about
+    sqrt(rows) steps, the blocks' particular parts are stepped side by
+    side, one carry step per block gives its start state, and one matmul
+    with the table [Phi^s, ..., (Phi^s)^b] adds the free response. The
+    table holds only finite powers, so a stiff mode that the state does
+    not excite cannot turn into 0 * inf. The states agree with the
+    per-step recursion to rounding (the tests require 1e-12 relative).
 
     Args:
         sys: plant dynamics.
@@ -278,51 +302,77 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
     if policy.gain is not None and policy.gain.shape != (sys.m, sys.n):
         raise ValueError(f"feedback gain must be {sys.m}x{sys.n}")
 
-    nsteps = int(np.floor(horizon / dt + 1e-9))
-    total = nsteps * substeps
+    n, nsteps = sys.n, int(np.floor(horizon / dt + 1e-9))
     h = dt / substeps
-
     G = sys.A if policy.gain is None else sys.A - sys.B @ policy.gain
-    # probe u0(t), evaluated at step starts and midpoints in one pass
-    starts = h * np.arange(total + 1)
-    probe_start = _probe_samples(policy.probe, starts, sys.m)
-    probe_mid = _probe_samples(policy.probe, starts[:-1] + 0.5 * h, sys.m)
+    Phi = _rk4_step(G, h, np.eye(n), 0.0, 0.0, 0.0)
+    rows = min(nsteps, max(1, _SEGMENT_ENTRIES // n))
 
-    zero, B = np.zeros_like(sys.B), sys.B
-    PhiT = _rk4_step(G, h, np.eye(sys.n), 0.0, 0.0, 0.0).T
-    E1T, E2T, E3T = (_rk4_step(G, h, zero, *f).T for f in
-                     ((B, zero, zero), (zero, B, zero), (zero, zero, B)))
+    if policy.probe is not None:
+        # probe u0(t), evaluated at step starts and midpoints in one pass
+        starts = h * np.arange(nsteps * substeps + 1)
+        probe_start = _probe_samples(policy.probe, starts, sys.m)
+        probe_mid = _probe_samples(policy.probe, starts[:-1] + 0.5 * h, sys.m)
+        zero, B = np.zeros_like(sys.B), sys.B
+        E1T, E2T, E3T = (_rk4_step(G, h, zero, *f).T for f in
+                         ((B, zero, zero), (zero, B, zero), (zero, zero, B)))
 
-    states = np.empty((nsteps + 1, sys.n))
-    states[0] = x0
-    x = x0
-    # whole recorded samples per block, so each block ends on one
-    rows = min(nsteps, max(1, _BLOCK_STEPS // substeps))
-    block = np.empty((rows * substeps, sys.n))
+    states = np.empty((nsteps + 1, n))
+    states[0] = x = x0
     with np.errstate(over="ignore", invalid="ignore"):
+        table = _power_table(np.linalg.matrix_power(Phi, substeps),
+                             int(np.ceil(np.sqrt(rows))))
+        b = table.shape[1] // n
+        step_T, block_T = table[:, :n], table[:, -n:]
         for first in range(0, nsteps, rows):
             last = min(first + rows, nsteps)
-            k0, k1 = first * substeps, last * substeps
-            # the forcing terms, then in place the states after each step
-            path = np.matmul(probe_start[k0:k1], E1T, out=block[:k1 - k0])
-            path += probe_mid[k0:k1] @ E2T
-            path += probe_start[k0 + 1:k1 + 1] @ E3T
-            for row in path:
-                row += x @ PhiT
-                x = row
-            x = x.copy()  # the next block overwrites the buffer
-            recorded = path[substeps - 1::substeps]
+            blocks = -(-(last - first) // b)
+            carry = np.empty((blocks, n))
+            carry[0] = x
+            if policy.probe is None:
+                for k in range(1, blocks):
+                    carry[k] = carry[k - 1] @ block_T
+                path = (carry @ table).reshape(-1, n)
+            else:
+                # the forcing of each recorded step, its substeps folded in
+                path = np.zeros((blocks * b, n))
+                for j in range(substeps):
+                    k0, k1 = first * substeps + j, last * substeps
+                    f = probe_start[k0:k1:substeps] @ E1T
+                    f += probe_mid[k0:k1:substeps] @ E2T
+                    f += probe_start[k0 + 1:k1 + 1:substeps] @ E3T
+                    if j:
+                        f += path[:last - first] @ Phi.T
+                    path[:last - first] = f
+                # in place, each block's path from a zero start state
+                blocked = path.reshape(blocks, b, n)
+                for j in range(1, b):
+                    blocked[:, j] += blocked[:, j - 1] @ step_T
+                for k in range(1, blocks):
+                    carry[k] = carry[k - 1] @ block_T + blocked[k - 1, -1]
+                path += (carry @ table).reshape(-1, n)
+            recorded = path[:last - first]
             # the comparison is False for nan, so non-finite rows are bad too
             bad = ~np.all(np.abs(recorded) <= _DIVERGENCE_BOUND, axis=1)
             if bad.any():
                 raise SimulationDiverged(
                     time=(first + 1 + int(np.argmax(bad))) * dt)
             states[first + 1:last + 1] = recorded
+            x = recorded[-1]
 
     times = dt * np.arange(nsteps + 1)
-    inputs = probe_start[::substeps].copy()
-    if policy.gain is not None:
-        inputs -= states @ policy.gain.T
+    if policy.probe is not None:
+        inputs = probe_start[::substeps].copy()
+        if policy.gain is not None:
+            inputs -= states @ policy.gain.T
+    elif policy.gain is not None:
+        # 0 - states K', as the probe branch forms it, in one buffer
+        inputs = states @ policy.gain.T
+        np.subtract(0.0, inputs, out=inputs)
+    else:
+        inputs = np.zeros((nsteps + 1, sys.m))
+    for arr in (times, states, inputs):
+        arr.setflags(write=False)  # so Trajectory takes them without a copy
     return Trajectory(times=times, states=states, inputs=inputs)
 
 
@@ -353,8 +403,8 @@ def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
         return 0.0
 
     def running(traj):
-        xQx = np.einsum("ti,ij,tj->t", traj.states, weights.Q, traj.states)
-        uRu = np.einsum("ti,ij,tj->t", traj.inputs, weights.R, traj.inputs)
+        xQx = np.einsum("ti,ti->t", traj.states @ weights.Q, traj.states)
+        uRu = np.einsum("ti,ti->t", traj.inputs @ weights.R, traj.inputs)
         return xQx + uRu
 
     total = 0.0

@@ -187,6 +187,26 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match=f"^{message}$"):
             parse_scenario("\n".join(lines))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("dt", 0.0, "dt must be finite and positive"),
+        ("dt", 0.003, "exploration window must be an integer multiple"),
+        ("x0", np.ones(3), "x0 must have shape"),
+        ("Q", np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]),
+         "Q must be positive semidefinite"),
+        ("A", np.full((6, 6), np.nan), "A has non-finite entries"),
+        ("exploration", dict(window=0.010025),
+         "exploration window must be an integer multiple"),
+        ("exploration", dict(seed=-1), "exploration seed must be at least 0"),
+        ("solver", dict(tol=0.0), "tol must be finite and positive"),
+    ])
+    def test_code_built_spec_raises_scenario_error(self, field, value,
+                                                    message):
+        spec = builtin_scenario("consensus-a")
+        with pytest.raises(ScenarioError, match=message):
+            if isinstance(value, dict):
+                value = replace(getattr(spec, field), **value)
+            replace(spec, **{field: value})
+
     def test_system_requires_state_matrix(self):
         spec = builtin_scenario("consensus-a")
         text = save_scenario(spec)

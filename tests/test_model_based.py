@@ -15,7 +15,8 @@ from structlqr import (ConvergenceError, CostWeights, InputPolicy, LtiSystem,
                        modified_are_residual, simulate, solve_lyapunov,
                        solve_unstructured_lqr, spectral_abscissa,
                        suboptimality_bound)
-from structlqr.experiments import (builtin_scenario, ring_scenario,
+from structlqr.experiments import (builtin_scenario,
+                                   make_consensus_network, ring_scenario,
                                    run_model_based)
 
 
@@ -316,6 +317,42 @@ class TestSuboptimalityBound:
                                   1.0, 1.0)
         M = spec.A - spec.B @ np.linalg.solve(spec.R, spec.B.T)
         assert rep.l == pytest.approx(kron_bound_constant_oracle(M), rel=1e-8)
+
+    @pytest.mark.parametrize("name", ["consensus-a", "ring8-chords"])
+    def test_closed_form_l_on_symmetric_m(self, name, monkeypatch):
+        from structlqr import model_based
+
+        if name == "ring8-chords":
+            couplings = {(i, (i + 1) % 8): 1.0 + 0.25 * i for i in range(8)}
+            couplings.update({(0, 4): 2.0, (1, 6): 0.5, (2, 5): 1.5})
+            sys = make_consensus_network(8, couplings)
+            w = CostWeights(Q=np.eye(8), R=0.5 * np.eye(8))
+        else:
+            spec = builtin_scenario(name)
+            sys, w = spec.system(), spec.weights()
+        M = sys.A - sys.B @ np.linalg.solve(w.R, sys.B.T)
+        assert np.array_equal(M, M.T)
+        # the closed form builds no Sylvester solver
+        monkeypatch.setattr(model_based, "_sylvester_solver", None)
+        l = model_based._bound_constant(M)
+        oracle = kron_bound_constant_oracle(M)
+        assert abs(l - oracle) <= 1e-12 * oracle
+
+    def test_non_symmetric_m_takes_lanczos(self, monkeypatch):
+        from structlqr import model_based
+
+        builds = []
+        solver = model_based._sylvester_solver
+
+        def counting(M, name):
+            builds.append(M)
+            return solver(M, name)
+
+        monkeypatch.setattr(model_based, "_sylvester_solver", counting)
+        M = random_stable_matrix(np.random.default_rng(3), 5)
+        l = model_based._bound_constant(M)
+        assert len(builds) == 2  # one for V, one for V'
+        assert l == pytest.approx(kron_bound_constant_oracle(M), rel=1e-8)
 
     @pytest.mark.parametrize("x0, message", [
         (np.ones(3), r"x0 must have shape \(6,\), got \(3,\)"),

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -145,6 +146,35 @@ class TestSimulate:
         with pytest.raises(SimulationDiverged) as ref:
             rk4_reference(sys, InputPolicy.zero(), x0, 2.0, dt=0.01)
         assert err.value.time == ref.value.time == pytest.approx(0.06)
+
+    def test_unexcited_stiff_mode_is_not_divergence(self):
+        # the 6000/s mode grows by 4e20 per recorded step and is never
+        # excited: a blocked scan whose power table overflowed would read
+        # 0 * inf = nan there and report divergence at 0.15 s
+        sys = LtiSystem(A=np.diag([-1.0, 6000.0]), B=np.eye(2))
+        x0 = np.array([1.0, 0.0])
+        traj = simulate(sys, InputPolicy.zero(), x0, horizon=40.0, dt=0.01)
+        states, _ = rk4_reference(sys, InputPolicy.zero(), x0, 40.0, dt=0.01)
+        assert np.all(traj.states[:, 1] == 0.0)
+        assert np.max(np.abs(traj.states - states)) <= 1e-12
+
+    def test_temporaries_stay_bounded(self):
+        # feedback only on a 40-agent ring over 1e5 recorded steps: above
+        # the returned 64 MB record the peak holds the scan's segment
+        # buffers and a few 0.8 MB time-grid arrays, not a second record
+        from structlqr.experiments import ring_scenario
+
+        spec = ring_scenario(40)
+        policy = InputPolicy.feedback(spec.resolve_initial_gain())
+        tracemalloc.start()
+        try:
+            traj = simulate(spec.system(), policy, spec.x0, 1000.0, dt=0.01,
+                            substeps=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == 100001
+        assert peak < traj.states.nbytes + traj.inputs.nbytes + 8e6
 
     @pytest.mark.parametrize("case", ["consensus-a", "consensus-b",
                                       "feedback-substeps", "zero-policy"])
