@@ -152,23 +152,19 @@ class ScenarioSpec:
         _check_multiple("exploration duration", ex.duration,
                         "exploration window", ex.window)
         n, m = _as_matrix(self.B, name="B").shape
-        for nm, M, shape in (("Q", self.Q, (n, n)), ("R", self.R, (m, m))):
-            if np.asarray(M).shape != shape:
+        for nm, M, shape in (("Q", self.Q, (n, n)), ("R", self.R, (m, m)),
+                             ("A", self.A, (n, n)),
+                             ("mask", self.mask.indicator, (m, n)),
+                             ("x0", self.x0, (n,)),
+                             ("initial_gain", self.initial_gain, (m, n))):
+            if M is not None and np.shape(M) != shape:
                 raise ScenarioError(f"{nm} must have shape {shape}")
-        if self.A is not None and np.asarray(self.A).shape != (n, n):
-            raise ScenarioError(f"A must have shape {(n, n)}")
-        if self.mask.shape != (m, n):
-            raise ScenarioError(f"mask must have shape {(m, n)}")
-        if np.asarray(self.x0).shape != (n,):
-            raise ScenarioError(f"x0 must have shape {(n,)}")
+        # entries after shapes, so a misshapen block is named by its shape
         peak = float(np.max(np.abs(self.x0)))
         if not peak <= _DIVERGENCE_BOUND:
             raise ScenarioError(
                 f"x0 entries must be finite and at most "
                 f"{_DIVERGENCE_BOUND:g} in magnitude, got {peak!r}")
-        if self.initial_gain is not None and np.asarray(self.initial_gain).shape != (m, n):
-            raise ScenarioError(f"initial_gain must have shape {(m, n)}")
-        # entries after shapes, so a misshapen block is named by its shape
         CostWeights(Q=self.Q, R=self.R)
         for name, M in (("A", self.A), ("initial_gain", self.initial_gain)):
             if M is not None:
@@ -284,6 +280,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _rows(table: np.ndarray, sep: str):
+    """Each row of a 2-D table as its entries' shortest round-trip reprs
+    joined by sep; a row at a time, so the table is never one Python list."""
+    return (sep.join(map(repr, row.tolist())) for row in table)
+
+
 # The header words after each block keyword.
 _HEADERS = {"matrix": ("name", "rows", "cols"), "mask": ("rows", "cols"),
             "vector": ("name", "length")}
@@ -323,14 +325,10 @@ def save_scenario(spec: ScenarioSpec, path=None) -> str:
         value = getattr(spec, attr)
         if value is None:
             continue
-        if label == "mask":
-            value, fmt = value.indicator, lambda v: str(int(v))
-        else:
-            value, fmt = np.asarray(value, float), _fmt
-        head = " ".join([label, *map(str, value.shape)])
-        body = "\n".join(" ".join(fmt(v) for v in row)
-                         for row in np.atleast_2d(value))
-        parts += [head + "\n" + body, ""]
+        value = (value.indicator.astype(int) if label == "mask"
+                 else np.asarray(value, float))
+        parts += [" ".join([label, *map(str, value.shape)]),
+                  *_rows(np.atleast_2d(value), " "), ""]
     for key, (attr, cast) in _KNOBS.items():
         value = getattr(getattr(spec, key.split()[0]), attr)
         parts.append(f"{key} {_fmt(value) if cast is float else value}")
@@ -338,20 +336,6 @@ def save_scenario(spec: ScenarioSpec, path=None) -> str:
     if path is not None:
         Path(path).write_text(text)
     return text
-
-
-class _Lines:
-    def __init__(self, text: str):
-        self.raw = text.splitlines()
-        self.pos = 0
-
-    def next_content(self):
-        while self.pos < len(self.raw):
-            line = self.raw[self.pos].strip()
-            self.pos += 1
-            if line and not line.startswith("#"):
-                return line, self.pos
-        return None, self.pos
 
 
 def _parse_value(token: str, lineno: int, what: str, cast=float):
@@ -371,7 +355,11 @@ def _parse_size(token: str, lineno: int, what: str) -> int:
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse the block text scenario format; errors carry line numbers.
     Keys and blocks outside _BLOCKS and _KNOBS, or given twice, are errors."""
-    lines = _Lines(text)
+    raw = text.splitlines()
+    # (line number, tokens) of each line that is not blank or a comment,
+    # drawn lazily by the main loop and by read_block alike
+    lines = ((ln, toks) for ln, toks in enumerate(map(str.split, raw), 1)
+             if toks and not toks[0].startswith("#"))
     seen: Dict[str, int] = {}  # key or block label -> line it appeared on
     blocks: Dict[str, np.ndarray] = {}
     configs: Dict[str, dict] = {"exploration": {}, "solver": {}}
@@ -387,21 +375,16 @@ def parse_scenario(text: str) -> ScenarioSpec:
         rows, cols = sizes if len(sizes) == 2 else (1, sizes[0])
         out = []
         for _ in range(rows):
-            line, ln = lines.next_content()
-            if line is None:
+            ln, toks = next(lines, (len(raw), None))
+            if toks is None:
                 raise ScenarioError(f"line {ln}: unexpected end of file in {what}")
-            toks = line.split()
             if len(toks) != cols:
                 raise ScenarioError(
                     f"line {ln}: expected {cols} values in {what}, got {len(toks)}")
             out.append([_parse_value(t, ln, what) for t in toks])
         return np.array(out).reshape(sizes)
 
-    while True:
-        line, ln = lines.next_content()
-        if line is None:
-            break
-        toks = line.split()
+    for ln, toks in lines:
         kw = toks[0]
         if kw == "scenario":
             if len(toks) != 2:
@@ -419,10 +402,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
             claim(label, ln)
             sizes = [_parse_size(t, ln, w)
                      for t, w in zip(toks[1 + named:], words[named:])]
-            value = read_block(sizes, label)
-            if kw == "mask" and not np.all((value == 0) | (value == 1)):
-                raise ScenarioError(f"line {ln}: mask entries must be 0 or 1")
-            blocks[_BLOCKS[label][0]] = value
+            blocks[_BLOCKS[label][0]] = read_block(sizes, label)
         elif kw == "dt":
             if len(toks) != 2:
                 raise ScenarioError(f"line {ln}: dt needs one value")
@@ -512,14 +492,10 @@ class RunReport:
 
 
 def write_trajectory_csv(path, times, states, inputs):
-    n = states.shape[1]
-    m = inputs.shape[1]
-    header = "t," + ",".join(f"x{i+1}" for i in range(n)) + "," + \
-             ",".join(f"u{j+1}" for j in range(m))
-    rows = [header]
-    for t, x, u in zip(times, states, inputs):
-        rows.append(",".join([_fmt(t)] + [_fmt(v) for v in x] + [_fmt(v) for v in u]))
-    Path(path).write_text("\n".join(rows) + "\n")
+    header = ",".join(["t", *(f"x{i+1}" for i in range(states.shape[1])),
+                       *(f"u{j+1}" for j in range(inputs.shape[1]))])
+    table = np.column_stack([times, states, inputs])
+    Path(path).write_text("\n".join([header, *_rows(table, ",")]) + "\n")
 
 
 def write_convergence_csv(path, result: SynthesisResult):
@@ -535,10 +511,9 @@ def write_convergence_csv(path, result: SynthesisResult):
 def write_gains_csv(path, gains: Dict[str, np.ndarray]):
     rows = ["matrix,row,col,value"]
     for name in sorted(gains):
-        M = gains[name]
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                rows.append(f"{name},{i+1},{j+1},{_fmt(M[i, j])}")
+        # Python floats: repr of a numpy scalar is not its number alone
+        for i, row in enumerate(np.asarray(gains[name], float).tolist(), 1):
+            rows += (f"{name},{i},{j},{v!r}" for j, v in enumerate(row, 1))
     Path(path).write_text("\n".join(rows) + "\n")
 
 

@@ -255,7 +255,11 @@ def check_rank(data: DataMatrices, mask: SparsityMask,
                rank_tol: float = _RANK_TOL) -> RankReport:
     """Rank diagnostic for the excitation content of collected data: the
     singular values above rank_tol * sigma_max, counted from the spectrum
-    the data set computes once, however often it is checked."""
+    the data set computes once, however often it is checked. A mask that
+    is not m-by-n for the data's n states and m inputs is a ValueError."""
+    if mask.shape != (data.m, data.n):
+        raise ValueError(f"mask shape {mask.shape} does not match the data's "
+                         f"gain shape {(data.m, data.n)}")
     sv = data.singular_values
     smax = float(sv[0]) if sv.size else 0.0
     rank = int(np.sum(sv > rank_tol * smax)) if smax > 0 else 0

@@ -15,7 +15,7 @@ class SparsityMask:
     indicator: np.ndarray
 
     def __post_init__(self):
-        ind = _as_matrix(self.indicator, name="indicator")
+        ind = _as_matrix(self.indicator, name="mask")
         if not np.all((ind == 0.0) | (ind == 1.0)):
             raise ValueError("mask entries must be exactly 0 or 1")
         if np.sum(ind) < 1:

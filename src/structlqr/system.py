@@ -179,17 +179,22 @@ class InputPolicy:
     gain: Optional[np.ndarray] = None
     probe: Optional[Callable[[float], np.ndarray]] = None
 
+    def __post_init__(self):
+        if self.gain is not None:
+            object.__setattr__(self, "gain",
+                               _as_matrix(self.gain, name="feedback gain"))
+
     @classmethod
     def zero(cls):
         return cls()
 
     @classmethod
     def feedback(cls, gain):
-        return cls(gain=np.asarray(gain, dtype=float))
+        return cls(gain=gain)
 
     @classmethod
     def feedback_with_probe(cls, gain, probe):
-        return cls(gain=np.asarray(gain, dtype=float), probe=probe)
+        return cls(gain=gain, probe=probe)
 
 
 def spectral_abscissa(M) -> float:
@@ -223,9 +228,16 @@ def _as_state(x0, n: int) -> np.ndarray:
 
 
 def _probe_samples(probe, times, m):
+    """probe(t) at each time, one call per sample; the first sample's shape
+    is checked before the others are drawn."""
+    first = np.asarray(probe(times[0]), dtype=float)
+    if first.shape != (m,):
+        raise ValueError(
+            f"probe samples must have shape {(m,)}, got {first.shape}")
     out = np.empty((len(times), m))
-    for i, t in enumerate(times):
-        out[i] = np.asarray(probe(t), dtype=float)
+    out[0] = first
+    for i in range(1, len(times)):
+        out[i] = np.asarray(probe(times[i]), dtype=float)
     return out
 
 
@@ -361,16 +373,11 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
             x = recorded[-1]
 
     times = dt * np.arange(nsteps + 1)
-    if policy.probe is not None:
-        inputs = probe_start[::substeps].copy()
-        if policy.gain is not None:
-            inputs -= states @ policy.gain.T
-    elif policy.gain is not None:
-        # 0 - states K', as the probe branch forms it, in one buffer
-        inputs = states @ policy.gain.T
-        np.subtract(0.0, inputs, out=inputs)
-    else:
-        inputs = np.zeros((nsteps + 1, sys.m))
+    # u0 - states K', u0 the probe or zero, formed in one buffer
+    inputs = (np.zeros((nsteps + 1, sys.m)) if policy.gain is None
+              else states @ policy.gain.T)
+    np.subtract(0.0 if policy.probe is None else probe_start[::substeps],
+                inputs, out=inputs)
     for arr in (times, states, inputs):
         arr.setflags(write=False)  # so Trajectory takes them without a copy
     return Trajectory(times=times, states=states, inputs=inputs)

@@ -344,6 +344,8 @@ def test_block_shape_error_names_its_key_and_line(tmp_path, capsys, key,
     ("matrix A", 2, 3, "nan", "has non-finite entries"),
     ("matrix K0", 0, 0, "nan", "has non-finite entries"),
     ("matrix B", 5, 5, "inf", "has non-finite entries"),
+    ("mask", 1, 2, "nan", "has non-finite entries"),
+    ("mask", 4, 0, "2", "entries must be exactly 0 or 1"),
 ])
 def test_matrix_entry_error_names_its_key_and_line(tmp_path, capsys, key, row,
                                                    col, value, message):

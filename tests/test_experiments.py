@@ -13,7 +13,8 @@ from structlqr.experiments import (ScenarioError, ScenarioSpec, SolverConfig,
                                    builtin_scenario, load_scenario,
                                    make_consensus_network, parse_scenario,
                                    ring_scenario, run_model_based,
-                                   run_simulate, run_srl, save_scenario)
+                                   run_simulate, run_srl, save_scenario,
+                                   write_gains_csv, write_trajectory_csv)
 
 
 class TestConsensusNetwork:
@@ -166,6 +167,14 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError):
             parse_scenario(text)
 
+    def test_block_cut_short_names_the_last_line(self):
+        lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+        idx = lines.index("matrix K0 6 6")
+        lines[idx + 4:] = ["", "# a comment", "   ", "#"]
+        with pytest.raises(ScenarioError, match=f"^line {len(lines)}: "
+                           "unexpected end of file in matrix K0$"):
+            parse_scenario("\n".join(lines) + "\n")
+
     def test_all_zero_mask_names_its_line(self):
         lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
         idx = lines.index("mask 6 6")
@@ -216,6 +225,64 @@ class TestScenarioSerialization:
         noA = parse_scenario("\n".join(lines))
         with pytest.raises(ScenarioError, match="state matrix"):
             noA.system()
+
+
+# Floats whose shortest round-trip text is easy to get wrong: a signed
+# zero, the smallest subnormal, a binary-inexact decimal, a huge value.
+_HARD_FLOATS = np.array([-0.0, 5e-324, 0.1, 1e300])
+
+
+def _hard_table(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(
+        -300, 300, size=(rows, cols))
+    table.flat[:len(_HARD_FLOATS)] = _HARD_FLOATS
+    return table
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+class TestOutputPrecision:
+    def test_trajectory_fields_parse_back_exactly(self, tmp_path):
+        times = 0.1 * np.arange(5)
+        states, inputs = _hard_table(5, 3, 0), _hard_table(5, 2, 1)
+        write_trajectory_csv(tmp_path / "t.csv", times, states, inputs)
+        head, *rows = (tmp_path / "t.csv").read_text().splitlines()
+        assert head == "t,x1,x2,x3,u1,u2"
+        back = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert _same_bits(back, np.column_stack([times, states, inputs]))
+
+    def test_gain_fields_parse_back_exactly(self, tmp_path):
+        gains = {"b": _hard_table(2, 3, 2), "a": _hard_table(3, 2, 3)}
+        write_gains_csv(tmp_path / "g.csv", gains)
+        head, *rows = (tmp_path / "g.csv").read_text().splitlines()
+        assert head == "matrix,row,col,value"
+        back = {name: np.full(M.shape, np.nan) for name, M in gains.items()}
+        for row in rows:
+            name, i, j, value = row.split(",")
+            back[name][int(i) - 1, int(j) - 1] = float(value)
+        assert [row.split(",")[0] for row in rows] == ["a"] * 6 + ["b"] * 6
+        assert all(_same_bits(back[k], gains[k]) for k in gains)
+
+    def test_scenario_fields_parse_back_exactly(self):
+        spec = builtin_scenario("consensus-a")
+        hard = dict(A=_hard_table(6, 6, 4), B=_hard_table(6, 6, 5),
+                    initial_gain=_hard_table(6, 6, 6),
+                    x0=np.concatenate([_HARD_FLOATS[:3], [1e150, -2.5, 7.0]]))
+        spec = replace(spec, **hard)
+        text = save_scenario(spec)
+        loaded = parse_scenario(text)
+        assert all(_same_bits(getattr(loaded, k), v) for k, v in hard.items())
+        lines = text.splitlines()
+        idx = lines.index("matrix A 6 6")
+        body = [[float(v) for v in row.split()]
+                for row in lines[idx + 1:idx + 7]]
+        assert _same_bits(body, hard["A"])
+        assert save_scenario(loaded) == text
 
 
 class TestRunners:

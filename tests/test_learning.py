@@ -303,6 +303,19 @@ class TestCheckRank:
         assert report.passed
         assert report.margin == report.rank - 50 >= 0
 
+    def test_mask_of_another_shape_is_error(self, mask_a):
+        # n = 5 states, m = 6 inputs, against a 6-by-6 mask
+        rng = np.random.default_rng(0)
+        data = DataMatrices(delta_xx=np.zeros((100, 5, 5)),
+                            int_xx=rng.standard_normal((100, 5, 5)),
+                            int_xu=rng.standard_normal((100, 5, 6)))
+        message = (r"^mask shape \(6, 6\) does not match the data's gain "
+                   r"shape \(6, 5\)$")
+        with pytest.raises(ValueError, match=message):
+            check_rank(data, mask_a)
+        with pytest.raises(ValueError, match=message):
+            srl_synthesize(data, network_config(mask_a))
+
     def test_default_amplitude_still_passes(self, network, mask_a):
         probe = make_exploration(7, 6)  # unit peak budget
         plant = hide_state_matrix(network)

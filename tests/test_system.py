@@ -9,7 +9,7 @@ from helpers import (NETWORK_A, OPEN_LOOP_EIGS, X0, matrix_exponential_state,
 from structlqr import (CostWeights, InputPolicy, LtiSystem, SimulationDiverged,
                        Trajectory, TruncationWarning, UnstableClosedLoopError,
                        evaluate_cost, evaluate_cost_analytic, is_hurwitz,
-                       simulate, spectral_abscissa)
+                       make_exploration, simulate, spectral_abscissa)
 
 
 @pytest.fixture
@@ -204,6 +204,61 @@ class TestSimulate:
         K = 0.5 * np.eye(6)
         traj = simulate(network, InputPolicy.feedback(K), X0, 0.2, dt=0.01)
         assert np.allclose(traj.inputs, -traj.states @ K.T)
+
+    @pytest.mark.parametrize("parts", ["zero", "probe", "gain", "both"])
+    def test_recorded_inputs_are_probe_minus_feedback_bits(self, network,
+                                                           parts):
+        probe = make_exploration(3, 6, num_sinusoids=10)
+        K = 0.5 * np.eye(6)
+        policy = InputPolicy(gain=K if parts in ("gain", "both") else None,
+                             probe=probe if parts in ("probe", "both")
+                             else None)
+        traj = simulate(network, policy, X0, 0.2, dt=0.01, substeps=1)
+        u0 = (np.array([probe(t) for t in traj.times])
+              if policy.probe is not None else np.zeros_like(traj.inputs))
+        want = u0 if policy.gain is None else u0 - traj.states @ K.T
+        assert np.array_equal(traj.inputs, want)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_probe_of_another_width_is_error(self, network, width):
+        calls = []
+
+        def probe(t, signal=make_exploration(0, width)):
+            calls.append(t)
+            return signal(t)
+
+        with pytest.raises(ValueError, match=r"^probe samples must have shape "
+                           rf"\(6,\), got \({width},\)$"):
+            simulate(network, InputPolicy(probe=probe), X0, 0.05, dt=1e-3)
+        assert len(calls) == 1  # rejected on the first sample
+
+    def test_probe_is_sampled_once_per_stage_time(self, network):
+        calls = []
+
+        def probe(t, signal=make_exploration(0, 6)):
+            calls.append(t)
+            return signal(t)
+
+        simulate(network, InputPolicy(probe=probe), X0, 0.05, dt=1e-2,
+                 substeps=2)
+        assert len(calls) == (5 * 2 + 1) + 5 * 2  # starts, then midpoints
+
+    def test_policy_converts_its_gain(self, network):
+        K = [[0.5 * (i == j) for j in range(6)] for i in range(6)]
+        traj = simulate(network, InputPolicy(gain=K), X0, 0.2, dt=0.01)
+        want = simulate(network, InputPolicy.feedback(np.array(K)), X0, 0.2,
+                        dt=0.01)
+        assert np.array_equal(traj.states, want.states)
+        assert np.array_equal(traj.inputs, want.inputs)
+
+    def test_policy_rejects_a_non_finite_gain(self):
+        K = np.eye(6)
+        K[2, 3] = np.inf
+        for make in (lambda: InputPolicy(gain=K), lambda: InputPolicy.feedback(K),
+                     lambda: InputPolicy.feedback_with_probe(K, None)):
+            with pytest.raises(ValueError,
+                               match="^feedback gain has non-finite entries$"):
+                make()
 
 
 class TestCost:
