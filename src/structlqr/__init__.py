@@ -16,16 +16,16 @@ from .model_based import (BoundReport, ConvergenceError, IterationRecord,
                           suboptimality_bound)
 from .structure import SparsityMask, check_membership, off_pattern, on_pattern
 from .system import (CostWeights, InputPolicy, LtiSystem, SimulationDiverged,
-                     Trajectory, TruncationWarning, UnstableClosedLoopError,
-                     evaluate_cost, evaluate_cost_analytic, is_hurwitz,
-                     simulate, spectral_abscissa)
+                     Trajectory, UnstableClosedLoopError, evaluate_cost,
+                     evaluate_cost_analytic, is_hurwitz, simulate,
+                     spectral_abscissa)
 
 __all__ = [
     "BoundReport", "ConvergenceError", "CostWeights", "DataMatrices",
     "ExplorationSignal", "InputPolicy", "IterationRecord", "LtiSystem",
     "PlantHandle", "RankDeficientError", "RankReport", "SimulationDiverged",
     "SparsityMask",
-    "SrlConfig", "SynthesisResult", "Trajectory", "TruncationWarning",
+    "SrlConfig", "SynthesisResult", "Trajectory",
     "UnstableClosedLoopError", "check_membership", "check_rank", "collect",
     "evaluate_cost", "evaluate_cost_analytic", "find_stabilizing_gain",
     "hide_state_matrix", "is_hurwitz", "kleinman_structured",

@@ -2,7 +2,6 @@
 
 import functools
 import json
-import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -11,16 +10,15 @@ import numpy as np
 
 from .learning import (_AMPLITUDE, _FREQ_RANGE, _NUM_SINUSOIDS, _RANK_TOL,
                        SrlConfig, check_rank, collect, hide_state_matrix,
-                       make_exploration, srl_synthesize)
+                       make_exploration, required_samples, srl_synthesize)
 from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
                           find_stabilizing_gain, kleinman_structured,
                           solve_unstructured_lqr, suboptimality_bound)
 from .structure import SparsityMask, check_membership
 from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
-                     Trajectory, TruncationWarning, _as_matrix,
-                     _check_at_least, _check_multiple, _check_positive,
-                     _check_step_count, evaluate_cost, evaluate_cost_analytic,
-                     simulate)
+                     Trajectory, _as_matrix, _check_at_least, _check_multiple,
+                     _check_positive, _check_step_count, evaluate_cost,
+                     evaluate_cost_analytic, simulate)
 
 
 class ScenarioError(ValueError):
@@ -151,6 +149,9 @@ class ScenarioSpec:
                         least=2)
         _check_multiple("exploration duration", ex.duration,
                         "exploration window", ex.window)
+        if not isinstance(self.mask, SparsityMask):
+            raise ScenarioError(
+                f"mask must be a SparsityMask, got {type(self.mask).__name__}")
         n, m = _as_matrix(self.B, name="B").shape
         for nm, M, shape in (("Q", self.Q, (n, n)), ("R", self.R, (m, m)),
                              ("A", self.A, (n, n)),
@@ -187,10 +188,15 @@ class ScenarioSpec:
 
     def srl_config(self) -> SrlConfig:
         ex = self.exploration
+        num_windows = int(round(ex.duration / ex.window))
+        need = required_samples(self.B.shape[0], self.mask)
+        if num_windows < need:
+            raise ScenarioError(
+                f"exploration duration must be at least {need * ex.window:g} "
+                f"s ({need} windows of {ex.window:g} s), got {ex.duration!r}")
         return SrlConfig(mask=self.mask, weights=self.weights(), B=self.B,
                          initial_gain=self.resolve_initial_gain(),
-                         window=ex.window,
-                         num_windows=int(round(ex.duration / ex.window)),
+                         window=ex.window, num_windows=num_windows,
                          dt=self.dt, substeps=ex.substeps,
                          tol=self.solver.tol, max_iter=self.solver.max_iter,
                          rank_tol=self.solver.rank_tol)
@@ -482,7 +488,6 @@ class RunReport:
     comparison: dict = field(default_factory=dict)
     rank: Optional[dict] = None
     exploration_peak_state: Optional[float] = None
-    cost_truncated: bool = False
 
     def to_dict(self):
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -532,10 +537,7 @@ def _report(spec: ScenarioSpec, method: str, result: SynthesisResult,
     sys = spec.system()
     weights = spec.weights()
     analytic = evaluate_cost_analytic(sys, weights, result.K, spec.x0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TruncationWarning)
-        quad = evaluate_cost(sys, weights, result.K, spec.x0)
-        truncated = any(issubclass(w.category, TruncationWarning) for w in caught)
+    quad = evaluate_cost(sys, weights, result.K, spec.x0)
     unstr_cost = evaluate_cost_analytic(sys, weights, unstructured.K, spec.x0)
     bound = suboptimality_bound(sys, weights, spec.x0, analytic, unstr_cost,
                                 deviation=result.L)
@@ -553,7 +555,6 @@ def _report(spec: ScenarioSpec, method: str, result: SynthesisResult,
             "gain_distance_to_unstructured":
                 float(np.linalg.norm(result.K - unstructured.K, "fro")),
         },
-        cost_truncated=truncated,
         **fields,
     )
 

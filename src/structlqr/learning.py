@@ -15,7 +15,8 @@ import numpy as np
 from .model_based import _MAX_ITER, _TOL, SynthesisResult, _policy_iteration
 from .structure import SparsityMask
 from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory, _as_matrix,
-                     _check_at_least, _check_multiple, _check_positive, _freeze)
+                     _check_at_least, _check_multiple, _check_positive,
+                     _check_weights, _freeze)
 
 
 # Knob defaults, shared with the scenario configs.
@@ -67,10 +68,12 @@ def make_exploration(seed: int, num_inputs: int,
     and phases; the per-sinusoid amplitude is amplitude / num_sinusoids so
     the per-channel peak stays within the amplitude budget.
     """
+    _check_at_least("num_inputs", num_inputs, 1)
     _check_at_least("num_sinusoids", num_sinusoids, 1)
     lo, hi = freq_range
-    if not (0 < lo <= hi):
-        raise ValueError("freq_range must satisfy 0 < lo <= hi")
+    if not (0 < lo <= hi < np.inf):
+        raise ValueError(
+            f"freq_range must satisfy 0 < lo <= hi < inf, got {freq_range!r}")
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(lo, hi, size=(num_inputs, num_sinusoids))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(num_inputs, num_sinusoids))
@@ -179,6 +182,7 @@ class SrlConfig:
         if self.mask.shape != (m, n):
             raise ValueError(f"mask must be {m}x{n}")
         K0 = _as_matrix(self.initial_gain, rows=m, cols=n, name="initial_gain")
+        _check_weights(self.weights, n, m)
         object.__setattr__(self, "B", _freeze(B))
         object.__setattr__(self, "initial_gain", _freeze(K0))
         _check_positive("dt", self.dt)

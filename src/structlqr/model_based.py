@@ -9,7 +9,7 @@ import numpy as np
 from .structure import SparsityMask, off_pattern, on_pattern
 from .system import (CostWeights, LtiSystem, UnstableClosedLoopError,
                      _as_matrix, _as_state, _check_at_least, _check_hurwitz,
-                     _check_positive, is_hurwitz)
+                     _check_positive, _check_weights, is_hurwitz)
 
 
 _TOL, _MAX_ITER = 1e-6, 50  # default stopping rule of every policy iteration
@@ -162,6 +162,7 @@ def modified_are_residual(P, L, sys: LtiSystem, weights: CostWeights) -> float:
     """Frobenius residual of A'P + PA - P B R^-1 B' P + Q + L' R L."""
     P = _as_matrix(P, rows=sys.n, cols=sys.n, name="P")
     L = _as_matrix(L, rows=sys.m, cols=sys.n, name="L")
+    _check_weights(weights, sys.n, sys.m)
     RinvBt = np.linalg.solve(weights.R, sys.B.T)
     res = (sys.A.T @ P + P @ sys.A - P @ sys.B @ RinvBt @ P
            + weights.Q + L.T @ weights.R @ L)
@@ -211,6 +212,7 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
     if mask.shape != (sys.m, sys.n):
         raise ValueError(f"mask must be {sys.m}x{sys.n}")
     K = _as_matrix(initial_gain, rows=sys.m, cols=sys.n, name="initial_gain")
+    _check_weights(weights, sys.n, sys.m)
     _check_hurwitz(sys.A - sys.B @ K, "initial gain is not stabilizing")
     RinvBt = np.linalg.solve(weights.R, sys.B.T)
 
@@ -242,6 +244,7 @@ def find_stabilizing_gain(sys: LtiSystem, weights: CostWeights,
     Only closed-loop Hurwitzness of A - B K0 is verified; the synthesis
     itself may still abort if a later iterate destabilizes.
     """
+    _check_weights(weights, sys.n, sys.m)
     zero = np.zeros((sys.m, sys.n))
     if is_hurwitz(sys.A):
         return zero
@@ -337,6 +340,7 @@ def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
     computed to rounding accuracy (see BoundReport).
     """
     x0 = _as_state(x0, sys.n)
+    _check_weights(weights, sys.n, sys.m)
     for name, cost in (("cost_structured", cost_structured),
                        ("cost_unstructured", cost_unstructured)):
         if not np.isfinite(cost):

@@ -1,6 +1,5 @@
 """Continuous-time LTI dynamics: simulation, stability checks, quadratic cost."""
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -18,10 +17,6 @@ class SimulationDiverged(RuntimeError):
 class UnstableClosedLoopError(ValueError):
     """A matrix that must be Hurwitz is not: a closed loop, a Lyapunov
     equation's M, or the loop of an initial gain or a policy iterate."""
-
-
-class TruncationWarning(UserWarning):
-    """Cost integral truncated before the state decayed to the target level."""
 
 
 def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
@@ -140,6 +135,14 @@ class CostWeights:
         object.__setattr__(self, "R", _freeze(R))
 
 
+def _check_weights(weights: CostWeights, n: int, m: int) -> None:
+    """Reject cost weights that do not fit n states and m inputs."""
+    for name, M, size in (("Q", weights.Q, n), ("R", weights.R, m)):
+        if M.shape != (size, size):
+            raise ValueError(
+                f"{name} must have shape {(size, size)}, got {M.shape}")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled state/input record of one simulation run."""
@@ -152,6 +155,11 @@ class Trajectory:
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
         inputs = np.asarray(self.inputs, dtype=float)
+        for name, arr, ndim in (("times", times, 1), ("states", states, 2),
+                                ("inputs", inputs, 2)):
+            if arr.ndim != ndim:
+                raise ValueError(
+                    f"{name} must be {ndim}-D, got shape {arr.shape}")
         if not (len(times) == len(states) == len(inputs)):
             raise ValueError("times, states, inputs must have equal length")
         if len(times) < 2:
@@ -383,54 +391,44 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
     return Trajectory(times=times, states=states, inputs=inputs)
 
 
-def _trapezoid(values: np.ndarray, dt: float) -> float:
-    return float(dt * (np.sum(values) - 0.5 * (values[0] + values[-1])))
-
-
-_COST_DT = 1e-3      # quadrature step of evaluate_cost, seconds
-_COST_DECAY = 1e-6   # evaluate_cost stops once ||x|| <= _COST_DECAY * ||x0||
-_COST_HORIZON_CAP = 50.0  # or at this many seconds, with a TruncationWarning
+# Quadrature step of evaluate_cost, seconds, and the most doublings it
+# takes: 2^64 steps let the slowest loop solve_lyapunov accepts (about 57
+# doublings) converge, and stop a step map that rounds to spectral radius 1.
+_COST_DT = 1e-3
+_COST_DOUBLINGS = 64
 
 
 def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
-    """Closed-loop quadratic cost by trapezoidal quadrature along x' = (A - BK)x.
+    """Closed-loop quadratic cost: the trapezoid rule along x' = (A - BK)x
+    on the RK4 grid of step _COST_DT, summed to t = infinity.
 
-    The quadrature step is _COST_DT. The integration runs in 1 s chunks
-    until ||x|| <= _COST_DECAY * ||x0||, or until _COST_HORIZON_CAP, where
-    it attaches a TruncationWarning. x0 must be a finite vector of length
-    n, and a closed loop that is not Hurwitz raises UnstableClosedLoopError.
+    On the grid x_k = Phi^k x0 (Phi the RK4 step map, as in simulate) the
+    running cost sums to x0' W x0, W = sum_k Phi'^k (Q + K'RK) Phi^k, which
+    Smith's doubling (SIAM J. Appl. Math. 16(1), 1968), W <- W + Phi'W Phi
+    and Phi <- Phi^2, forms until W stops changing. x0 must be a finite
+    vector of length n; a closed loop that is not Hurwitz raises
+    UnstableClosedLoopError. SimulationDiverged is raised where W turns
+    non-finite (a loop too fast for the grid) or has not settled after
+    2^_COST_DOUBLINGS steps, at the time the failed doubling would reach.
     """
     gain = _as_matrix(gain, rows=sys.m, cols=sys.n, name="gain")
     x0 = _as_state(x0, sys.n)
-    _check_hurwitz(sys.A - sys.B @ gain, "closed loop is not Hurwitz")
+    _check_weights(weights, sys.n, sys.m)
+    G = sys.A - sys.B @ gain
+    _check_hurwitz(G, "closed loop is not Hurwitz")
 
-    policy = InputPolicy.feedback(gain)
-    target = _COST_DECAY * np.linalg.norm(x0)
-    if np.linalg.norm(x0) == 0.0:
-        return 0.0
-
-    def running(traj):
-        xQx = np.einsum("ti,ti->t", traj.states @ weights.Q, traj.states)
-        uRu = np.einsum("ti,ti->t", traj.inputs @ weights.R, traj.inputs)
-        return xQx + uRu
-
-    total = 0.0
-    x = x0
-    elapsed = 0.0
-    chunk = 1.0
-    while True:
-        traj = simulate(sys, policy, x, chunk, dt=_COST_DT, substeps=1)
-        total += _trapezoid(running(traj), _COST_DT)
-        x = traj.states[-1]
-        elapsed += traj.times[-1]
-        if np.linalg.norm(x) <= target:
-            break
-        if elapsed >= _COST_HORIZON_CAP:
-            warnings.warn(
-                f"decay target not reached within the {_COST_HORIZON_CAP:g} s "
-                "cap; cost is truncated", TruncationWarning)
-            break
-    return total
+    Qbar = weights.Q + gain.T @ weights.R @ gain
+    Phi = _rk4_step(G, _COST_DT, np.eye(sys.n), 0.0, 0.0, 0.0)
+    W = Qbar
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(_COST_DOUBLINGS):
+            W_next = W + Phi.T @ W @ Phi
+            if not np.all(np.isfinite(W_next)):
+                break
+            if np.array_equal(W_next, W):
+                return float(_COST_DT * (x0 @ W @ x0 - 0.5 * (x0 @ Qbar @ x0)))
+            W, Phi = W_next, Phi @ Phi
+    raise SimulationDiverged(time=_COST_DT * 2.0**(j + 1))
 
 
 def evaluate_cost_analytic(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
@@ -441,6 +439,7 @@ def evaluate_cost_analytic(sys: LtiSystem, weights: CostWeights, gain, x0) -> fl
 
     gain = _as_matrix(gain, rows=sys.m, cols=sys.n, name="gain")
     x0 = _as_state(x0, sys.n)
+    _check_weights(weights, sys.n, sys.m)
     P = solve_lyapunov(sys.A - sys.B @ gain,
                        weights.Q + gain.T @ weights.R @ gain)
     return float(x0 @ P @ x0)

@@ -393,3 +393,19 @@ def test_huge_exploration_duration_is_usage_error(tmp_path, capsys):
             f"error: line {lineno}: exploration duration must be at most "
             "500 s at dt 5e-05 with 1 substeps, got 1000000000.0\n"), command
         assert peak < 1e6  # rejected before the probe or any record is sized
+
+
+def test_exploration_too_short_for_the_unknowns_is_usage_error(tmp_path,
+                                                                capsys):
+    # consensus-a has 50 unknowns, so 100 windows of 0.01 s; model-based
+    # runs no exploration and takes the file
+    text = save_scenario(builtin_scenario("consensus-a"))
+    path = tmp_path / "short.scn"
+    path.write_text(text.replace("exploration duration 1.4",
+                                 "exploration duration 0.5"))
+    for command in ("srl", "compare"):
+        assert main([command, "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: exploration duration must be at least 1 s (100 windows "
+            "of 0.01 s), got 0.5\n"), command
+    assert main(["model-based", "--scenario", str(path)]) == 0

@@ -207,6 +207,7 @@ class TestScenarioSerialization:
          "exploration window must be an integer multiple"),
         ("exploration", dict(seed=-1), "exploration seed must be at least 0"),
         ("solver", dict(tol=0.0), "tol must be finite and positive"),
+        ("mask", np.ones((6, 6)), "^mask must be a SparsityMask, got ndarray$"),
     ])
     def test_code_built_spec_raises_scenario_error(self, field, value,
                                                     message):

@@ -79,6 +79,18 @@ class TestExplorationSignal:
         assert np.all(np.abs(samples) <= peak[None, :] + 1e-12)
         assert np.allclose(peak, 2.5)
 
+    @pytest.mark.parametrize("num_inputs, freq_range, message", [
+        (0, (0.5, 50.0), "num_inputs must be at least 1, got 0"),
+        (2, (0.5, np.inf), r"freq_range must satisfy 0 < lo <= hi < inf, "
+         r"got \(0.5, inf\)"),
+        (2, (0.0, 5.0), "freq_range must satisfy"),
+        (2, (5.0, 0.5), "freq_range must satisfy"),
+        (2, (np.nan, 5.0), "freq_range must satisfy"),
+    ])
+    def test_bad_draw_rejected(self, num_inputs, freq_range, message):
+        with pytest.raises(ValueError, match=message):
+            make_exploration(0, num_inputs, freq_range=freq_range)
+
     def test_positive_frequency_required(self):
         with pytest.raises(ValueError):
             ExplorationSignal(frequencies=[[0.0]], amplitudes=[[1.0]],

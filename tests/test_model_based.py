@@ -9,7 +9,8 @@ from helpers import (NETWORK_A, REFERENCE_GAIN_A, REFERENCE_GAIN_UNSTRUCTURED,
                      kron_lyapunov_oracle, lyapunov_integral_oracle,
                      random_stable_matrix)
 from structlqr import (ConvergenceError, CostWeights, InputPolicy, LtiSystem,
-                       SparsityMask, UnstableClosedLoopError, check_membership,
+                       SparsityMask, SrlConfig, UnstableClosedLoopError,
+                       check_membership,
                        evaluate_cost, evaluate_cost_analytic,
                        find_stabilizing_gain, is_hurwitz, kleinman_structured,
                        modified_are_residual, simulate, solve_lyapunov,
@@ -366,6 +367,30 @@ class TestSuboptimalityBound:
                     lambda: evaluate_cost_analytic(network, weights, K, x0),
                     lambda: evaluate_cost(network, weights, K, x0),
                     lambda: simulate(network, InputPolicy.zero(), x0, 1.0)):
+            with pytest.raises(ValueError, match=message):
+                run()
+
+    @pytest.mark.parametrize("Q, R, message", [
+        (np.eye(3), np.eye(6), r"Q must have shape \(6, 6\), got \(3, 3\)"),
+        (np.eye(6), np.eye(2), r"R must have shape \(6, 6\), got \(2, 2\)")])
+    def test_weights_of_another_size_rejected(self, network, mask_a, Q, R,
+                                              message):
+        # every entry point that takes cost weights gives the same message
+        w = CostWeights(Q=Q, R=R)
+        K = masked_identity_gain(mask_a)
+        for run in (
+                lambda: kleinman_structured(network, w, mask_a, K),
+                lambda: solve_unstructured_lqr(network, w),
+                lambda: solve_unstructured_lqr(network, w, initial_gain=K),
+                lambda: find_stabilizing_gain(network, w, mask_a),
+                lambda: evaluate_cost(network, w, K, X0),
+                lambda: evaluate_cost_analytic(network, w, K, X0),
+                lambda: suboptimality_bound(network, w, X0, 1.0, 1.0),
+                lambda: modified_are_residual(np.eye(6), np.zeros((6, 6)),
+                                              network, w),
+                lambda: SrlConfig(mask=mask_a, weights=w, B=network.B,
+                                  initial_gain=K, window=0.01,
+                                  num_windows=100, dt=0.001)):
             with pytest.raises(ValueError, match=message):
                 run()
 

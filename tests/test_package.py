@@ -47,6 +47,24 @@ def test_every_private_module_name_is_read():
     assert unread == []
 
 
+def test_every_imported_name_is_read():
+    # an import, plain or from, binds a name that its module reads
+    unread = []
+    for path in sorted(Path(structlqr.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        bound = {alias.asname or alias.name.split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+        unread += [f"{path.stem}.{name}" for name in sorted(bound - read)]
+    assert unread == []
+
+
 def test_unstable_loop_is_raised_by_the_stability_gate_alone():
     # _check_hurwitz is the one stability check; the gain search raises
     # when no candidate passes it. A copy of the check would raise too.

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from helpers import (NETWORK_A, OPEN_LOOP_EIGS, X0, matrix_exponential_state,
                      random_stable_matrix, rk4_reference)
 from structlqr import (CostWeights, InputPolicy, LtiSystem, SimulationDiverged,
-                       Trajectory, TruncationWarning, UnstableClosedLoopError,
+                       Trajectory, UnstableClosedLoopError,
                        evaluate_cost, evaluate_cost_analytic, is_hurwitz,
                        make_exploration, simulate, spectral_abscissa)
 
@@ -49,6 +50,22 @@ class TestTypes:
             Trajectory(times=t[:2], states=x, inputs=u)
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 0.2, 0.25]), states=x, inputs=u)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("times", np.zeros((3, 1)), r"times must be 1-D, got shape \(3, 1\)"),
+        ("states", [1.0, 2.0, 3.0], r"states must be 2-D, got shape \(3,\)"),
+        ("states", np.zeros((3, 2, 1)),
+         r"states must be 2-D, got shape \(3, 2, 1\)"),
+        ("inputs", [1.0, 2.0, 3.0], r"inputs must be 2-D, got shape \(3,\)"),
+    ])
+    def test_trajectory_rejects_arrays_of_the_wrong_rank(self, field, value,
+                                                          message):
+        # a record from a wrapped plant reaches the window assembly as is
+        arrays = dict(times=[0.0, 0.5, 1.0], states=np.zeros((3, 2)),
+                      inputs=np.zeros((3, 1)))
+        arrays[field] = value
+        with pytest.raises(ValueError, match=message):
+            Trajectory(**arrays)
 
 
 class TestSpectralAbscissa:
@@ -292,11 +309,62 @@ class TestCost:
         Ja = evaluate_cost_analytic(network, w, res.K, X0)
         assert Jq == pytest.approx(Ja, rel=1e-3)
 
-    def test_truncation_warning_at_cap(self):
+    def test_slow_loop_is_summed_to_infinity(self):
+        # x(t) = exp(-0.05 t): the exact cost 10 needs t far past 50 s
         sys = LtiSystem(A=np.array([[-0.05]]), B=np.array([[1.0]]))
         w = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
-        with pytest.warns(TruncationWarning):
+        J = evaluate_cost(sys, w, np.array([[0.0]]), np.array([1.0]))
+        assert J == pytest.approx(10.0, rel=1e-8)
+
+    @pytest.mark.parametrize("x0", [np.array([1.0, 1.0]),
+                                    np.array([0.0, 1.0])])
+    def test_loop_too_fast_for_the_grid_diverges(self, x0):
+        # RK4 at 1 ms amplifies the -5000/s mode by 13.7 a step, excited
+        # by x0 or not
+        sys = LtiSystem(A=np.diag([-5000.0, -1.0]), B=np.eye(2))
+        w = CostWeights(Q=np.eye(2), R=np.eye(2))
+        with pytest.raises(SimulationDiverged) as err:
+            evaluate_cost(sys, w, np.zeros((2, 2)), x0)
+        assert err.value.time == pytest.approx(0.256)
+
+    def test_step_map_of_spectral_radius_one_diverges(self):
+        # 1 - 1e-20 rounds to 1: the sum grows without bound and must stop
+        # at the doubling cap with a finite time
+        sys = LtiSystem(A=np.array([[-1e-17]]), B=np.array([[1.0]]))
+        w = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
+        start = time.perf_counter()
+        with pytest.raises(SimulationDiverged) as err:
             evaluate_cost(sys, w, np.array([[0.0]]), np.array([1.0]))
+        assert time.perf_counter() - start < 1.0
+        assert np.isfinite(err.value.time) and err.value.time > 1e15
+
+    @pytest.mark.parametrize("case", ["consensus-a", "non-normal"])
+    def test_trapezoid_on_the_rk4_grid_oracle(self, case):
+        # the per-step RK4 loop over a horizon where the tail is below
+        # rounding, then the trapezoid rule on its record
+        if case == "consensus-a":
+            from structlqr import kleinman_structured
+            from structlqr.experiments import builtin_scenario
+            spec = builtin_scenario(case)
+            sys, w, x0 = spec.system(), spec.weights(), spec.x0
+            K = kleinman_structured(sys, w, spec.mask,
+                                    spec.resolve_initial_gain()).K
+            horizon = 12.0
+        else:
+            rng = np.random.default_rng(4)
+            A = np.triu(rng.standard_normal((5, 5)), 1) * 4.0 - np.eye(5)
+            sys = LtiSystem(A=A, B=rng.standard_normal((5, 2)))
+            w = CostWeights(Q=np.eye(5), R=np.eye(2))
+            K, x0 = np.zeros((2, 5)), rng.standard_normal(5)
+            horizon = 40.0
+        states, inputs = rk4_reference(sys, InputPolicy(gain=K), x0, horizon,
+                                       dt=1e-3, substeps=1)
+        running = (np.einsum("ti,ij,tj->t", states, w.Q, states)
+                   + np.einsum("ti,ij,tj->t", inputs, w.R, inputs))
+        assert running[-1] < 1e-16 * running.max()
+        expected = 1e-3 * (running.sum() - 0.5 * (running[0] + running[-1]))
+        J = evaluate_cost(sys, w, K, x0)
+        assert J == pytest.approx(expected, rel=1e-12)
 
     def test_random_stable_quadrature_cross_check(self):
         rng = np.random.default_rng(11)
