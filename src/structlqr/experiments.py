@@ -530,12 +530,11 @@ def write_report_json(path, report: RunReport):
 # pipelines
 
 
-def _report(spec: ScenarioSpec, method: str, result: SynthesisResult,
+def _report(spec: ScenarioSpec, sys: LtiSystem, weights: CostWeights,
+            method: str, result: SynthesisResult,
             unstructured: SynthesisResult, **fields) -> RunReport:
     """Report fields every runner shares: costs, closed-loop spectrum,
     structure check, and the bound against the unstructured optimum."""
-    sys = spec.system()
-    weights = spec.weights()
     analytic = evaluate_cost_analytic(sys, weights, result.K, spec.x0)
     quad = evaluate_cost(sys, weights, result.K, spec.x0)
     unstr_cost = evaluate_cost_analytic(sys, weights, unstructured.K, spec.x0)
@@ -559,10 +558,9 @@ def _report(spec: ScenarioSpec, method: str, result: SynthesisResult,
     )
 
 
-def _baselines(spec: ScenarioSpec, K0):
+def _baselines(spec: ScenarioSpec, sys: LtiSystem, weights: CostWeights,
+               K0):
     """Model-based structured + unstructured solutions for comparison."""
-    sys = spec.system()
-    weights = spec.weights()
     mb = kleinman_structured(sys, weights, spec.mask, K0,
                              tol=spec.solver.tol, max_iter=spec.solver.max_iter)
     unstr = solve_unstructured_lqr(sys, weights, initial_gain=K0,
@@ -571,9 +569,9 @@ def _baselines(spec: ScenarioSpec, K0):
     return mb, unstr
 
 
-def _closed_loop_trajectory(spec: ScenarioSpec, gain, x0):
-    return simulate(spec.system(), InputPolicy.feedback(gain), x0, 6.0,
-                    dt=0.01, substeps=10)
+def _closed_loop_trajectory(sys: LtiSystem, gain, x0):
+    return simulate(sys, InputPolicy.feedback(gain), x0, 6.0, dt=0.01,
+                    substeps=10)
 
 
 def _emit(out_dir, report: RunReport, result: SynthesisResult,
@@ -591,10 +589,11 @@ def _emit(out_dir, report: RunReport, result: SynthesisResult,
 
 def run_model_based(spec: ScenarioSpec, out_dir=None) -> RunReport:
     """Structured policy iteration on the scenario, with reports and CSVs."""
-    mb, unstr = _baselines(spec, spec.resolve_initial_gain())
-    report = _report(spec, "model-based", mb, unstr)
+    sys, weights = spec.system(), spec.weights()
+    mb, unstr = _baselines(spec, sys, weights, spec.resolve_initial_gain())
+    report = _report(spec, sys, weights, "model-based", mb, unstr)
     if out_dir is not None:
-        traj = _closed_loop_trajectory(spec, mb.K, spec.x0)
+        traj = _closed_loop_trajectory(sys, mb.K, spec.x0)
         _emit(out_dir, report, mb,
               [(traj.times, traj.states, traj.inputs)],
               {"structured": mb.K, "unstructured": unstr.K})
@@ -606,20 +605,22 @@ def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> RunReport:
     compared with the model-based and unstructured solutions. The probe
     comes from spec.exploration, seed included."""
     config = spec.srl_config()
+    sys, weights = spec.system(), config.weights
     # first, so a K0 that does not stabilize the loop is named as such
     # before the exploration run diverges or yields rank-deficient data
-    mb, unstr = _baselines(spec, config.initial_gain)
+    mb, unstr = _baselines(spec, sys, weights, config.initial_gain)
     probe = spec.probe()
-    plant = hide_state_matrix(spec.system())
+    plant = hide_state_matrix(sys)
     policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
     traj, data = collect(plant, policy, spec.x0, config)
     rank_report = check_rank(data, spec.mask, rank_tol=config.rank_tol)
     learned = srl_synthesize(data, config)
-    report = _report(spec, method, learned, unstr, rank=rank_report.to_dict(),
+    report = _report(spec, sys, weights, method, learned, unstr,
+                     rank=rank_report.to_dict(),
                      exploration_peak_state=float(np.max(np.abs(traj.states))))
     report.comparison.update({
-        "cost_model_based": evaluate_cost_analytic(
-            spec.system(), spec.weights(), mb.K, spec.x0),
+        "cost_model_based": evaluate_cost_analytic(sys, weights, mb.K,
+                                                   spec.x0),
         "gain_distance_to_model_based":
             float(np.linalg.norm(learned.K - mb.K, "fro")),
         "value_distance_to_model_based":
@@ -631,7 +632,7 @@ def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> RunReport:
         t_ex = traj.times[::stride]
         x_ex = traj.states[::stride]
         u_ex = traj.inputs[::stride]
-        impl = _closed_loop_trajectory(spec, learned.K, traj.states[-1])
+        impl = _closed_loop_trajectory(sys, learned.K, traj.states[-1])
         _emit(out_dir, report, learned,
               [(t_ex, x_ex, u_ex),
                (impl.times[1:] + traj.times[-1], impl.states[1:], impl.inputs[1:])],

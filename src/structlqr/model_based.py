@@ -58,22 +58,28 @@ def _check_eigenvalue_sums(eigs, sums, name: str) -> None:
             f"X -> {name}' X + X {name} is singular")
 
 
-def _sylvester_solver(M, name: str):
+def _sylvester_solver(M, name: str, unstable: Optional[str] = None):
     """Return solve(Y), the X with M' X + X M = Y: vec(X) = V^-1 vec(Y) for
     V = I (x) M' + M' (x) I, in O(n^3) per call without forming V.
 
-    U = qr(eigenvectors of M) is a unitary Schur basis and T = U^H M U is
-    upper triangular up to rounding, amplified by the eigenvectors'
-    condition. With that lower triangle dropped, T^H Z + Z T = U^H Y U is
-    solved one anti-diagonal of Z at a time (Bartels-Stewart style): entry
-    (i, j) needs only the entries (k, j), k < i, and (i, k), k < j. Each
-    solve is then refined against the exact operator until its residual is
-    at rounding level; a refinement step that does not halve the residual
-    means the basis is unusable and raises ValueError. Error messages call
-    M by name.
+    One eig(M) gives both the spectrum and the basis. When M must be
+    Hurwitz, `unstable` is the message _check_hurwitz raises with on that
+    spectrum, before any further work. U = qr(eigenvectors of M) is a
+    unitary Schur basis and T = U^H M U is upper triangular up to
+    rounding, amplified by the eigenvectors' condition. With that lower
+    triangle dropped, T^H Z + Z T = U^H Y U is solved one anti-diagonal of
+    Z at a time (Bartels-Stewart style): entry (i, j) needs only the
+    entries (k, j), k < i, and (i, k), k < j. Each solve is then refined
+    against the exact operator until its residual is at rounding level; a
+    refinement step that does not halve the residual means the basis is
+    unusable and raises ValueError. Error messages call M by name.
     """
     n = M.shape[0]
-    U = np.linalg.qr(np.linalg.eig(M)[1])[0]
+    eigs, V = np.linalg.eig(M)
+    if unstable is not None:
+        _check_hurwitz(eigs, unstable)
+    U = np.linalg.qr(V)[0]
+    del V  # so the peak holds one n x n basis, not two
     Uh = U.conj().T
     T = Uh @ M @ U
     d = np.diag(T)
@@ -143,8 +149,9 @@ def solve_lyapunov(M, S) -> np.ndarray:
     1e-10). The refinement keeps the relative residual near 1e-17 even on
     M with a 100x random strictly upper part, where a determinant-scaled
     Newton sign iteration left residuals up to 1e-7 and did not converge
-    on 5 of 100 draws. If the refinement stalls it raises ValueError; an M
-    that is not Hurwitz raises UnstableClosedLoopError before any solve.
+    on 5 of 100 draws. If the refinement stalls it raises ValueError. One
+    eig per solve, shared with the Hurwitz gate: an M that is not Hurwitz
+    raises UnstableClosedLoopError from the spectrum that gives the basis.
     """
     M = _as_matrix(M, name="M")
     if M.shape[0] != M.shape[1]:
@@ -153,8 +160,13 @@ def solve_lyapunov(M, S) -> np.ndarray:
     S = _as_matrix(S, rows=n, cols=n, name="S")
     if np.max(np.abs(S - S.T)) > 1e-10 * (1.0 + np.max(np.abs(S))):
         raise ValueError("S must be symmetric")
-    _check_hurwitz(M, "M is not Hurwitz")
-    P = _sylvester_solver(M, "M")(-S)
+    return _lyapunov(M, S, "M is not Hurwitz")
+
+
+def _lyapunov(M, S, unstable: str) -> np.ndarray:
+    """solve_lyapunov on checked M and S; a non-Hurwitz M raises
+    UnstableClosedLoopError saying `unstable`."""
+    P = _sylvester_solver(M, "M", unstable)(-S)
     return 0.5 * (P + P.T)
 
 
@@ -204,8 +216,11 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
 
     Alternates the closed-loop Lyapunov solve (policy evaluation) with the
     masked gain update K <- (R^-1 B' P) o mask (policy improvement) until
-    ||P_k - P_{k-1}||_F < tol. Every accepted iterate must keep the loop
-    Hurwitz; a destabilizing update aborts with the iteration index.
+    ||P_k - P_{k-1}||_F < tol. One eig per solve, shared with the Hurwitz
+    gate; each iterate is checked on the solve that uses it, so a K0 or an
+    update that does not keep the loop Hurwitz aborts with its index, and
+    the returned gain is checked once after the loop. The partial result
+    of a ConvergenceError carries its last gain unchecked.
     """
     _check_positive("tol", tol)
     _check_at_least("max_iter", max_iter, 1)
@@ -213,17 +228,18 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
         raise ValueError(f"mask must be {sys.m}x{sys.n}")
     K = _as_matrix(initial_gain, rows=sys.m, cols=sys.n, name="initial_gain")
     _check_weights(weights, sys.n, sys.m)
-    _check_hurwitz(sys.A - sys.B @ K, "initial gain is not stabilizing")
     RinvBt = np.linalg.solve(weights.R, sys.B.T)
 
     def step(k, K):
-        P = solve_lyapunov(sys.A - sys.B @ K, weights.Q + K.T @ weights.R @ K)
-        K_next = on_pattern(RinvBt @ P, mask)
-        _check_hurwitz(sys.A - sys.B @ K_next,
-                       f"iterate {k + 1} destabilized the loop")
-        return P, K_next
+        P = _lyapunov(sys.A - sys.B @ K, weights.Q + K.T @ weights.R @ K,
+                      "initial gain is not stabilizing" if k == 0
+                      else f"iterate {k} destabilized the loop")
+        return P, on_pattern(RinvBt @ P, mask)
 
-    return _policy_iteration(step, K, RinvBt, mask, tol, max_iter)
+    result = _policy_iteration(step, K, RinvBt, mask, tol, max_iter)
+    _check_hurwitz(np.linalg.eigvals(sys.A - sys.B @ result.K),
+                   f"iterate {result.iterations} destabilized the loop")
+    return result
 
 
 def solve_unstructured_lqr(sys: LtiSystem, weights: CostWeights,

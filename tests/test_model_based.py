@@ -40,6 +40,17 @@ def masked_identity_gain(mask, scale=10.0):
     return scale * (np.eye(6) * mask.indicator)
 
 
+def count_spectra(monkeypatch):
+    """Count np.linalg.eig and np.linalg.eigvals calls from here on."""
+    calls = {"eig": 0, "eigvals": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(np.linalg, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 class TestSolveLyapunov:
     def test_negative_identity(self):
         P = solve_lyapunov(-np.eye(3), 2.0 * np.eye(3))
@@ -124,8 +135,16 @@ class TestSolveLyapunov:
         assert np.linalg.norm(P - P_quad, "fro") <= 1e-6
 
     def test_non_hurwitz_rejected(self, network):
-        with pytest.raises(UnstableClosedLoopError):
-            solve_lyapunov(network.A, np.eye(6))  # zero mode
+        # the zero mode's real part reads 1.1e-16 in the eig of the solve
+        with pytest.raises(UnstableClosedLoopError,
+                           match=r"^M is not Hurwitz \(spectral abscissa"):
+            solve_lyapunov(network.A, np.eye(6))
+
+    def test_one_eig_per_solve(self, network, weights, monkeypatch):
+        calls = count_spectra(monkeypatch)
+        M = network.A - np.eye(6)
+        solve_lyapunov(M, weights.Q)
+        assert calls == {"eig": 1, "eigvals": 0}
 
     def test_asymmetric_s_rejected(self):
         with pytest.raises(ValueError):
@@ -170,13 +189,31 @@ class TestKleinmanStructured:
                                                          mask_a):
         K0 = masked_identity_gain(mask_a, scale=0.1)
         assert is_hurwitz(network.A - network.B @ K0)
-        with pytest.raises(UnstableClosedLoopError,
-                           match=r"^iterate 1 destabilized the loop"):
-            kleinman_structured(network, weights, mask_a, K0)
+        for max_iter in (2, 50):  # any budget that reaches iterate 1's solve
+            with pytest.raises(UnstableClosedLoopError,
+                               match=r"^iterate 1 destabilized the loop"):
+                kleinman_structured(network, weights, mask_a, K0,
+                                    max_iter=max_iter)
+
+    def test_budget_ends_before_the_weak_first_update_is_solved(
+            self, network, weights, mask_a):
+        # iterate 1 is checked on the solve that would use it, which a
+        # budget of one iteration never reaches
+        K0 = masked_identity_gain(mask_a, scale=0.1)
+        with pytest.raises(ConvergenceError) as err:
+            kleinman_structured(network, weights, mask_a, K0, max_iter=1)
+        partial = err.value.result
+        assert partial.iterations == 1 and not partial.converged
+        assert not is_hurwitz(network.A - network.B @ partial.K)
 
     def test_nonstabilizing_initial_gain_rejected(self, network, weights, mask_a):
-        with pytest.raises(UnstableClosedLoopError):
-            kleinman_structured(network, weights, mask_a, np.zeros((6, 6)))
+        K0 = np.zeros((6, 6))
+        for run in (lambda: kleinman_structured(network, weights, mask_a, K0),
+                    lambda: solve_unstructured_lqr(network, weights,
+                                                   initial_gain=K0)):
+            with pytest.raises(UnstableClosedLoopError,
+                               match=r"^initial gain is not stabilizing"):
+                run()
 
     @pytest.mark.parametrize("knob, value", [
         ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
@@ -413,6 +450,19 @@ class TestSuboptimalityBound:
         w = CostWeights(Q=np.eye(2), R=np.eye(2))
         with pytest.raises(ValueError):
             suboptimality_bound(sys, w, np.ones(2), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("name, decompositions", [("ring40", 16),
+                                                   ("consensus-a", 19)])
+def test_model_based_run_decomposes_each_closed_loop_once(
+        name, decompositions, monkeypatch):
+    # one eig per Lyapunov solve (each iterate's gate included), one
+    # eigvals per returned gain, the quadrature gate and the reported
+    # closed-loop spectrum
+    spec = ring_scenario(40) if name == "ring40" else builtin_scenario(name)
+    calls = count_spectra(monkeypatch)
+    run_model_based(spec)
+    assert calls["eig"] + calls["eigvals"] == decompositions
 
 
 def test_model_based_run_memory_stays_quadratic():

@@ -293,9 +293,11 @@ class TestCost:
 
     def test_unstable_loop_is_error_not_huge_number(self, network):
         w = CostWeights(Q=np.eye(6), R=np.eye(6))
-        with pytest.raises(UnstableClosedLoopError):
+        with pytest.raises(UnstableClosedLoopError,
+                           match=r"^closed loop is not Hurwitz"):
             evaluate_cost(network, w, np.zeros((6, 6)), X0)
-        with pytest.raises(UnstableClosedLoopError):
+        with pytest.raises(UnstableClosedLoopError,
+                           match=r"^M is not Hurwitz \(spectral abscissa"):
             evaluate_cost_analytic(network, w, np.zeros((6, 6)), X0)
 
     def test_quadrature_matches_analytic(self, network):
@@ -315,6 +317,18 @@ class TestCost:
         w = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
         J = evaluate_cost(sys, w, np.array([[0.0]]), np.array([1.0]))
         assert J == pytest.approx(10.0, rel=1e-8)
+
+    def test_drift_near_the_hurwitz_boundary_within_the_stated_bound(self):
+        # the step map 1 + h lam rounds to a multiple of 2^-53, so the sum
+        # may be off by 2^-54 / (h |lam|) relative, as the docstring says
+        lam = -1e-9
+        sys = LtiSystem(A=np.array([[lam]]), B=np.array([[1.0]]))
+        w = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
+        K, x0 = np.array([[0.0]]), np.array([1.0])
+        Jq = evaluate_cost(sys, w, K, x0)
+        Ja = evaluate_cost_analytic(sys, w, K, x0)
+        assert Ja == pytest.approx(0.5 / abs(lam), rel=1e-12)
+        assert abs(Jq - Ja) <= 2.0**-54 / (1e-3 * abs(lam)) * Ja
 
     @pytest.mark.parametrize("x0", [np.array([1.0, 1.0]),
                                     np.array([0.0, 1.0])])
