@@ -10,10 +10,9 @@ from .learning import (DataMatrices, ExplorationSignal, PlantHandle,
                        collect, hide_state_matrix, make_exploration,
                        required_samples, solve_iteration, srl_synthesize)
 from .model_based import (BoundReport, ConvergenceError, IterationRecord,
-                          SynthesisResult, find_stabilizing_gain,
-                          kleinman_structured, modified_are_residual,
-                          solve_lyapunov, solve_unstructured_lqr,
-                          suboptimality_bound)
+                          SynthesisResult, kleinman_structured,
+                          modified_are_residual, solve_lyapunov,
+                          solve_unstructured_lqr, suboptimality_bound)
 from .structure import SparsityMask, check_membership, off_pattern, on_pattern
 from .system import (CostWeights, InputPolicy, LtiSystem, SimulationDiverged,
                      Trajectory, UnstableClosedLoopError, evaluate_cost,
@@ -27,8 +26,8 @@ __all__ = [
     "SparsityMask",
     "SrlConfig", "SynthesisResult", "Trajectory",
     "UnstableClosedLoopError", "check_membership", "check_rank", "collect",
-    "evaluate_cost", "evaluate_cost_analytic", "find_stabilizing_gain",
-    "hide_state_matrix", "is_hurwitz", "kleinman_structured",
+    "evaluate_cost", "evaluate_cost_analytic", "hide_state_matrix",
+    "is_hurwitz", "kleinman_structured",
     "make_exploration", "modified_are_residual", "off_pattern", "on_pattern",
     "required_samples", "simulate", "solve_iteration", "solve_lyapunov",
     "solve_unstructured_lqr", "spectral_abscissa", "srl_synthesize",

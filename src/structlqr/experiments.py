@@ -12,8 +12,8 @@ from .learning import (_AMPLITUDE, _FREQ_RANGE, _NUM_SINUSOIDS, _RANK_TOL,
                        SrlConfig, check_rank, collect, hide_state_matrix,
                        make_exploration, required_samples, srl_synthesize)
 from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
-                          find_stabilizing_gain, kleinman_structured,
-                          solve_unstructured_lqr, suboptimality_bound)
+                          kleinman_structured, solve_unstructured_lqr,
+                          suboptimality_bound)
 from .structure import SparsityMask, check_membership
 from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
                      Trajectory, _as_matrix, _check_at_least, _check_multiple,
@@ -135,11 +135,14 @@ class ScenarioSpec:
     dt: float
     exploration: ExplorationConfig
     solver: SolverConfig
-    A: Optional[np.ndarray] = None          # ground truth; hidden from the learner
-    initial_gain: Optional[np.ndarray] = None  # None -> stabilizing-gain search
+    initial_gain: np.ndarray  # K0, a stabilizing structured gain
+    A: Optional[np.ndarray] = None  # ground truth; hidden from the learner
 
     @_scenario_check
     def __post_init__(self):
+        if self.initial_gain is None:
+            raise ScenarioError("initial_gain is required: the policy "
+                                "iterations start from a stabilizing K0")
         _check_positive("dt", self.dt)
         # the exploration grid, here so that every subcommand reads a file alike
         ex = self.exploration
@@ -181,11 +184,6 @@ class ScenarioSpec:
     def weights(self) -> CostWeights:
         return CostWeights(Q=self.Q, R=self.R)
 
-    def resolve_initial_gain(self) -> np.ndarray:
-        if self.initial_gain is not None:
-            return np.asarray(self.initial_gain, dtype=float)
-        return find_stabilizing_gain(self.system(), self.weights(), self.mask)
-
     def srl_config(self) -> SrlConfig:
         ex = self.exploration
         num_windows = int(round(ex.duration / ex.window))
@@ -195,7 +193,7 @@ class ScenarioSpec:
                 f"exploration duration must be at least {need * ex.window:g} "
                 f"s ({need} windows of {ex.window:g} s), got {ex.duration!r}")
         return SrlConfig(mask=self.mask, weights=self.weights(), B=self.B,
-                         initial_gain=self.resolve_initial_gain(),
+                         initial_gain=self.initial_gain,
                          window=ex.window, num_windows=num_windows,
                          dt=self.dt, substeps=ex.substeps,
                          tol=self.solver.tol, max_iter=self.solver.max_iter,
@@ -301,7 +299,7 @@ _HEADERS = {"matrix": ("name", "rows", "cols"), "mask": ("rows", "cols"),
 _BLOCKS = {"matrix A": ("A", False), "matrix B": ("B", True),
            "matrix Q": ("Q", True), "matrix R": ("R", True),
            "mask": ("mask", True), "vector x0": ("x0", True),
-           "matrix K0": ("initial_gain", False)}
+           "matrix K0": ("initial_gain", True)}
 
 # Every knob line, in file order: the config field it sets and its cast.
 # The defaults live on ExplorationConfig and SolverConfig alone.
@@ -590,7 +588,7 @@ def _emit(out_dir, report: RunReport, result: SynthesisResult,
 def run_model_based(spec: ScenarioSpec, out_dir=None) -> RunReport:
     """Structured policy iteration on the scenario, with reports and CSVs."""
     sys, weights = spec.system(), spec.weights()
-    mb, unstr = _baselines(spec, sys, weights, spec.resolve_initial_gain())
+    mb, unstr = _baselines(spec, sys, weights, spec.initial_gain)
     report = _report(spec, sys, weights, "model-based", mb, unstr)
     if out_dir is not None:
         traj = _closed_loop_trajectory(sys, mb.K, spec.x0)

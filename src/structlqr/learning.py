@@ -219,6 +219,8 @@ def assemble_data(traj: Trajectory, window: float) -> DataMatrices:
     Uw = U[:idx[-1]].reshape(nwin, stride, -1)
     int_xx = dt * (Xw.transpose(0, 2, 1) @ Xw) + (0.5 * dt) * delta_xx
     int_xu = dt * (Xw.transpose(0, 2, 1) @ Uw) + (0.5 * dt) * delta_xu
+    for block in (delta_xx, int_xx, int_xu):
+        block.setflags(write=False)  # so DataMatrices takes them without a copy
     return DataMatrices(delta_xx=delta_xx, int_xx=int_xx, int_xu=int_xu)
 
 

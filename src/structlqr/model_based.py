@@ -7,9 +7,9 @@ from typing import List, Optional
 import numpy as np
 
 from .structure import SparsityMask, off_pattern, on_pattern
-from .system import (CostWeights, LtiSystem, UnstableClosedLoopError,
-                     _as_matrix, _as_state, _check_at_least, _check_hurwitz,
-                     _check_positive, _check_weights, is_hurwitz)
+from .system import (CostWeights, LtiSystem, _as_matrix, _as_state,
+                     _check_at_least, _check_hurwitz, _check_positive,
+                     _check_weights)
 
 
 _TOL, _MAX_ITER = 1e-6, 50  # default stopping rule of every policy iteration
@@ -243,35 +243,12 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
 
 
 def solve_unstructured_lqr(sys: LtiSystem, weights: CostWeights,
-                           initial_gain=None, tol: float = _TOL,
+                           initial_gain, tol: float = _TOL,
                            max_iter: int = _MAX_ITER) -> SynthesisResult:
     """Classical LQR baseline: the structured iteration with an all-ones mask."""
     mask = SparsityMask.all_ones(sys.m, sys.n)
-    if initial_gain is None:
-        initial_gain = find_stabilizing_gain(sys, weights, mask)
     return kleinman_structured(sys, weights, mask, initial_gain,
                                tol=tol, max_iter=max_iter)
-
-
-def find_stabilizing_gain(sys: LtiSystem, weights: CostWeights,
-                          mask: SparsityMask) -> np.ndarray:
-    """Try K0 = 0, then c * (R^-1 B' masked) for c in {0.1, 1, 10}.
-
-    Only closed-loop Hurwitzness of A - B K0 is verified; the synthesis
-    itself may still abort if a later iterate destabilizes.
-    """
-    _check_weights(weights, sys.n, sys.m)
-    zero = np.zeros((sys.m, sys.n))
-    if is_hurwitz(sys.A):
-        return zero
-    base = on_pattern(np.linalg.solve(weights.R, sys.B.T), mask)
-    for c in (0.1, 1.0, 10.0):
-        K0 = c * base
-        if is_hurwitz(sys.A - sys.B @ K0):
-            return K0
-    raise UnstableClosedLoopError(
-        "no stabilizing initial gain found among the built-in candidates; "
-        "supply one explicitly")
 
 
 def _bound_constant(Mv) -> float:

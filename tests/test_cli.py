@@ -120,6 +120,18 @@ def test_non_stabilizing_initial_gain_exits_4(tmp_path, capsys, command):
         "95.1178)\n")
 
 
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_scenario_without_initial_gain_exits_1(tmp_path, capsys, command):
+    # K0 is a required block, so every subcommand rejects the file at parse
+    lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+    idx = lines.index("matrix K0 6 6")
+    del lines[idx:idx + 7]
+    path = tmp_path / "no-k0.scn"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == "error: missing matrix K0\n"
+
+
 def test_compare_writes_full_report(tmp_path, capsys):
     assert main(["compare", "--scenario", "consensus-a",
                  "--out", str(tmp_path)]) == 0

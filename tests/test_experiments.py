@@ -187,6 +187,7 @@ class TestScenarioSerialization:
         ("matrix B 6 6", "missing matrix B"),
         ("mask 6 6", "missing mask block"),
         ("vector x0 6", "missing vector x0"),
+        ("matrix K0 6 6", "missing matrix K0"),
     ])
     def test_missing_required_block_message(self, header, message):
         lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
@@ -208,6 +209,7 @@ class TestScenarioSerialization:
         ("exploration", dict(seed=-1), "exploration seed must be at least 0"),
         ("solver", dict(tol=0.0), "tol must be finite and positive"),
         ("mask", np.ones((6, 6)), "^mask must be a SparsityMask, got ndarray$"),
+        ("initial_gain", None, "^initial_gain is required"),
     ])
     def test_code_built_spec_raises_scenario_error(self, field, value,
                                                     message):

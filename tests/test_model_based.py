@@ -10,12 +10,10 @@ from helpers import (NETWORK_A, REFERENCE_GAIN_A, REFERENCE_GAIN_UNSTRUCTURED,
                      random_stable_matrix)
 from structlqr import (ConvergenceError, CostWeights, InputPolicy, LtiSystem,
                        SparsityMask, SrlConfig, UnstableClosedLoopError,
-                       check_membership,
-                       evaluate_cost, evaluate_cost_analytic,
-                       find_stabilizing_gain, is_hurwitz, kleinman_structured,
-                       modified_are_residual, simulate, solve_lyapunov,
-                       solve_unstructured_lqr, spectral_abscissa,
-                       suboptimality_bound)
+                       evaluate_cost, evaluate_cost_analytic, is_hurwitz,
+                       kleinman_structured, modified_are_residual, simulate,
+                       solve_lyapunov, solve_unstructured_lqr,
+                       spectral_abscissa, suboptimality_bound)
 from structlqr.experiments import (builtin_scenario,
                                    make_consensus_network, ring_scenario,
                                    run_model_based)
@@ -275,7 +273,7 @@ class TestUnstructuredLqr:
     def test_vanishing_state_weight(self):
         sys = LtiSystem(A=-np.eye(3), B=np.eye(3))
         w = CostWeights(Q=1e-9 * np.eye(3), R=np.eye(3))
-        res = solve_unstructured_lqr(sys, w)
+        res = solve_unstructured_lqr(sys, w, initial_gain=np.zeros((3, 3)))
         assert np.linalg.norm(res.P, "fro") < 1e-8
 
     def test_reference_cost(self, network, weights):
@@ -283,25 +281,6 @@ class TestUnstructuredLqr:
                                      initial_gain=10.0 * np.eye(6))
         J = evaluate_cost_analytic(network, weights, res.K, X0)
         assert abs(J - 12.0428) < 0.02
-
-
-class TestFindStabilizingGain:
-    def test_hurwitz_plant_gets_zero_gain(self):
-        sys = LtiSystem(A=-np.eye(3), B=np.eye(3))
-        w = CostWeights(Q=np.eye(3), R=np.eye(3))
-        K0 = find_stabilizing_gain(sys, w, SparsityMask.all_ones(3, 3))
-        assert np.array_equal(K0, np.zeros((3, 3)))
-
-    def test_marginal_plant_gets_scaled_pattern(self, network, weights, mask_a):
-        K0 = find_stabilizing_gain(network, weights, mask_a)
-        assert is_hurwitz(network.A - network.B @ K0)
-        assert check_membership(K0, mask_a) == 0.0
-
-    def test_unstabilizable_plant_raises(self):
-        sys = LtiSystem(A=np.diag([1.0, -1.0]), B=np.array([[0.0], [1.0]]))
-        w = CostWeights(Q=np.eye(2), R=np.eye(1))
-        with pytest.raises(UnstableClosedLoopError):
-            find_stabilizing_gain(sys, w, SparsityMask.all_ones(1, 2))
 
 
 class TestSuboptimalityBound:
@@ -417,9 +396,7 @@ class TestSuboptimalityBound:
         K = masked_identity_gain(mask_a)
         for run in (
                 lambda: kleinman_structured(network, w, mask_a, K),
-                lambda: solve_unstructured_lqr(network, w),
                 lambda: solve_unstructured_lqr(network, w, initial_gain=K),
-                lambda: find_stabilizing_gain(network, w, mask_a),
                 lambda: evaluate_cost(network, w, K, X0),
                 lambda: evaluate_cost_analytic(network, w, K, X0),
                 lambda: suboptimality_bound(network, w, X0, 1.0, 1.0),

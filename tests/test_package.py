@@ -1,4 +1,7 @@
 import ast
+import contextlib
+import io
+import re
 from pathlib import Path
 
 import structlqr
@@ -66,8 +69,8 @@ def test_every_imported_name_is_read():
 
 
 def test_unstable_loop_is_raised_by_the_stability_gate_alone():
-    # _check_hurwitz is the one stability check; the gain search raises
-    # when no candidate passes it. A copy of the check would raise too.
+    # _check_hurwitz is the one stability check; a copy of it, or any
+    # other raiser, would show up here.
     def raisers(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.FunctionDef):
@@ -83,5 +86,18 @@ def test_unstable_loop_is_raised_by_the_stability_gate_alone():
     sites = [f"{path.stem}.{owner}"
              for path in sorted(Path(structlqr.__file__).parent.glob("*.py"))
              for owner in raisers(ast.parse(path.read_text()), None)]
-    assert sites == ["model_based.find_stabilizing_gain",
-                     "system._check_hurwitz"]
+    assert sites == ["system._check_hurwitz"]
+
+
+def test_readme_quickstart_prints_the_value_its_comment_states():
+    # the quickstart's closing comment states the printed number to the
+    # digits shown; a change that moves the number updates the README
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    stated = re.search(r"^print\(.*\)\s+# (\S+)$", code, re.M).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    digits = len(stated.lower().split("e")[0].replace(".", "").lstrip("0"))
+    assert float(f"{float(out.getvalue()):.{digits - 1}e}") == float(stated)

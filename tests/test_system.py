@@ -182,7 +182,7 @@ class TestSimulate:
         from structlqr.experiments import ring_scenario
 
         spec = ring_scenario(40)
-        policy = InputPolicy.feedback(spec.resolve_initial_gain())
+        policy = InputPolicy.feedback(spec.initial_gain)
         tracemalloc.start()
         try:
             traj = simulate(spec.system(), policy, spec.x0, 1000.0, dt=0.01,
@@ -361,8 +361,7 @@ class TestCost:
             from structlqr.experiments import builtin_scenario
             spec = builtin_scenario(case)
             sys, w, x0 = spec.system(), spec.weights(), spec.x0
-            K = kleinman_structured(sys, w, spec.mask,
-                                    spec.resolve_initial_gain()).K
+            K = kleinman_structured(sys, w, spec.mask, spec.initial_gain).K
             horizon = 12.0
         else:
             rng = np.random.default_rng(4)
