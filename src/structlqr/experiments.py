@@ -14,7 +14,7 @@ from .learning import (_AMPLITUDE, _FREQ_RANGE, _NUM_SINUSOIDS, _RANK_TOL,
 from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
                           kleinman_structured, solve_unstructured_lqr,
                           suboptimality_bound)
-from .structure import SparsityMask, check_membership
+from .structure import SparsityMask, _check_on_mask, check_membership
 from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
                      Trajectory, _as_matrix, _check_at_least, _check_multiple,
                      _check_positive, _check_step_count, evaluate_cost,
@@ -173,6 +173,7 @@ class ScenarioSpec:
         for name, M in (("A", self.A), ("initial_gain", self.initial_gain)):
             if M is not None:
                 _as_matrix(M, name=name)
+        _check_on_mask("initial_gain", self.initial_gain, self.mask)
 
     def system(self) -> LtiSystem:
         if self.A is None:

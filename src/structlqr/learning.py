@@ -13,7 +13,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .model_based import _MAX_ITER, _TOL, SynthesisResult, _policy_iteration
-from .structure import SparsityMask
+from .structure import SparsityMask, _check_on_mask
 from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory, _as_matrix,
                      _check_at_least, _check_multiple, _check_positive,
                      _check_weights, _freeze)
@@ -182,6 +182,7 @@ class SrlConfig:
         if self.mask.shape != (m, n):
             raise ValueError(f"mask must be {m}x{n}")
         K0 = _as_matrix(self.initial_gain, rows=m, cols=n, name="initial_gain")
+        _check_on_mask("initial_gain", K0, self.mask)
         _check_weights(self.weights, n, m)
         object.__setattr__(self, "B", _freeze(B))
         object.__setattr__(self, "initial_gain", _freeze(K0))

@@ -73,3 +73,13 @@ def check_membership(gain, mask: SparsityMask) -> float:
     """Largest |gain| entry at a disallowed position; 0.0 means the gain
     satisfies the structure exactly."""
     return float(np.abs(off_pattern(gain, mask)).max())
+
+
+def _check_on_mask(name: str, gain, mask: SparsityMask) -> None:
+    """Reject a gain with a nonzero entry off the mask, naming the largest
+    one and its 0-based (row, column) index."""
+    off = off_pattern(gain, mask)
+    i, j = np.unravel_index(np.argmax(np.abs(off)), off.shape)
+    if off[i, j] != 0.0:
+        raise ValueError(f"{name} must be zero off the mask, got "
+                         f"{float(off[i, j])!r} at ({i}, {j})")

@@ -57,12 +57,12 @@ def _check_multiple(name: str, span, step_name: str, step, least: int = 1) -> in
     return count
 
 
-# RK4 steps one simulate call may take. A call holds 8 (2m + 1) bytes of
-# probe samples per RK4 step when it has a probe, and 8 (n + m + 1) bytes
-# of record per recorded sample; the blocked scan's temporaries are bounded
-# by _SEGMENT_ENTRIES. At one substep the cap bounds a 6-agent builtin
-# exploration at 2.1 GB. A builtin exploration run takes 28,000 steps, the
-# largest benchmark run 61,000.
+# RK4 steps one simulate call may take. A call holds 8 (n + m + 1) bytes
+# of record per recorded sample; the blocked scan's temporaries, the probe
+# samples among them, hold one segment (see _SEGMENT_ENTRIES), so the record
+# alone grows with the horizon and sets the budget. At one substep the cap
+# bounds a 6-agent builtin exploration at 1.04 GB. A builtin exploration
+# run takes 28,000 steps, the largest benchmark run 61,000.
 _MAX_STEPS = 10**7
 
 
@@ -265,8 +265,9 @@ def _rk4_step(G, h, x, f_start, f_mid, f_end):
 _DIVERGENCE_BOUND = 1e150
 
 # State entries one segment of simulate's blocked scan holds (segment rows
-# times n): its buffers are a few arrays of this size, however long the
-# horizon, and its Python steps number about 2 sqrt(rows).
+# times n): its buffers are a few arrays of this size, and its probe samples
+# substeps m / n times it, however long the horizon; its Python steps
+# number about 2 sqrt(rows).
 _SEGMENT_ENTRIES = 2**16
 
 
@@ -292,20 +293,20 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
     The substeps fold into one recorded-step map x+ = Phi^s x + F, F the
     probe's forcing over the step, and that recurrence runs as a blocked
     scan (Blelloch, CMU-CS-90-190, 1990): in segments of at most
-    _SEGMENT_ENTRIES state entries, each cut into blocks of about
-    sqrt(rows) steps, the blocks' particular parts are stepped side by
-    side, one carry step per block gives its start state, and one matmul
-    with the table [Phi^s, ..., (Phi^s)^b] adds the free response. The
-    table holds only finite powers, so a stiff mode that the state does
-    not excite cannot turn into 0 * inf. The states agree with the
-    per-step recursion to rounding (the tests require 1e-12 relative).
+    _SEGMENT_ENTRIES state entries, each with its own probe samples and cut
+    into blocks of about sqrt(rows) steps, the blocks' particular parts are
+    stepped side by side, one carry step per block gives its start state,
+    and one matmul with the table [Phi^s, ..., (Phi^s)^b] adds the free
+    response. The table holds only finite powers, so a stiff mode that the
+    state does not excite cannot turn into 0 * inf. The states agree with
+    the per-step recursion to rounding (the tests require 1e-12 relative).
 
     Args:
         sys: plant dynamics.
         policy: input law; the probe part is evaluated at the RK4 stage
             times, the feedback part at the stage states.
         x0: initial state.
-        horizon: total simulated time, seconds.
+        horizon: total simulated time, seconds, a whole number of dt.
         dt: recording step.
         substeps: internal RK4 steps per recorded sample.
 
@@ -316,30 +317,27 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
     _check_positive("dt", dt)
     _check_positive("horizon", horizon)
     _check_at_least("substeps", substeps, 1)
-    if horizon < dt:
-        raise ValueError("horizon must cover at least one step")
     _check_step_count("horizon", horizon, dt, substeps)
     x0 = _as_state(x0, sys.n)
     if policy.gain is not None and policy.gain.shape != (sys.m, sys.n):
         raise ValueError(f"feedback gain must be {sys.m}x{sys.n}")
 
-    n, nsteps = sys.n, int(np.floor(horizon / dt + 1e-9))
+    n, nsteps = sys.n, _check_multiple("horizon", horizon, "dt", dt)
     h = dt / substeps
     G = sys.A if policy.gain is None else sys.A - sys.B @ policy.gain
     Phi = _rk4_step(G, h, np.eye(n), 0.0, 0.0, 0.0)
     rows = min(nsteps, max(1, _SEGMENT_ENTRIES // n))
+    u0 = 0.0  # the probe at the recorded samples, zero without one
 
     if policy.probe is not None:
-        # probe u0(t), evaluated at step starts and midpoints in one pass
-        starts = h * np.arange(nsteps * substeps + 1)
-        probe_start = _probe_samples(policy.probe, starts, sys.m)
-        probe_mid = _probe_samples(policy.probe, starts[:-1] + 0.5 * h, sys.m)
         zero, B = np.zeros_like(sys.B), sys.B
         E1T, E2T, E3T = (_rk4_step(G, h, zero, *f).T for f in
                          ((B, zero, zero), (zero, B, zero), (zero, zero, B)))
+        u_start = _probe_samples(policy.probe, np.zeros(1), sys.m)
 
     states = np.empty((nsteps + 1, n))
-    states[0] = x = x0
+    inputs = np.empty((nsteps + 1, sys.m))
+    states[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         table = _power_table(np.linalg.matrix_power(Phi, substeps),
                              int(np.ceil(np.sqrt(rows))))
@@ -348,30 +346,32 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
         for first in range(0, nsteps, rows):
             last = min(first + rows, nsteps)
             blocks = -(-(last - first) // b)
-            carry = np.empty((blocks, n))
-            carry[0] = x
-            if policy.probe is None:
-                for k in range(1, blocks):
-                    carry[k] = carry[k - 1] @ block_T
-                path = (carry @ table).reshape(-1, n)
-            else:
-                # the forcing of each recorded step, its substeps folded in
-                path = np.zeros((blocks * b, n))
+            # the forcing of each recorded step, its substeps folded in
+            path = np.zeros((blocks * b, n))
+            if policy.probe is not None:
+                # the probe at the segment's stage times, a start carried over
+                k0, k1 = first * substeps, last * substeps
+                u_mid = _probe_samples(policy.probe,
+                                       h * np.arange(k0, k1) + 0.5 * h, sys.m)
+                u_start = np.concatenate((u_start[-1:], _probe_samples(
+                    policy.probe, h * np.arange(k0 + 1, k1 + 1), sys.m)))
+                u0 = u_start[::substeps]
                 for j in range(substeps):
-                    k0, k1 = first * substeps + j, last * substeps
-                    f = probe_start[k0:k1:substeps] @ E1T
-                    f += probe_mid[k0:k1:substeps] @ E2T
-                    f += probe_start[k0 + 1:k1 + 1:substeps] @ E3T
+                    f = u_start[j:-1:substeps] @ E1T
+                    f += u_mid[j::substeps] @ E2T
+                    f += u_start[j + 1::substeps] @ E3T
                     if j:
                         f += path[:last - first] @ Phi.T
                     path[:last - first] = f
-                # in place, each block's path from a zero start state
-                blocked = path.reshape(blocks, b, n)
-                for j in range(1, b):
-                    blocked[:, j] += blocked[:, j - 1] @ step_T
-                for k in range(1, blocks):
-                    carry[k] = carry[k - 1] @ block_T + blocked[k - 1, -1]
-                path += (carry @ table).reshape(-1, n)
+            # in place, each block's path from a zero start state
+            blocked = path.reshape(blocks, b, n)
+            for j in range(1, b):
+                blocked[:, j] += blocked[:, j - 1] @ step_T
+            carry = np.empty((blocks, n))
+            carry[0] = states[first]
+            for k in range(1, blocks):
+                carry[k] = carry[k - 1] @ block_T + blocked[k - 1, -1]
+            path += (carry @ table).reshape(-1, n)
             recorded = path[:last - first]
             # the comparison is False for nan, so non-finite rows are bad too
             bad = ~np.all(np.abs(recorded) <= _DIVERGENCE_BOUND, axis=1)
@@ -379,29 +379,32 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
                 raise SimulationDiverged(
                     time=(first + 1 + int(np.argmax(bad))) * dt)
             states[first + 1:last + 1] = recorded
-            x = recorded[-1]
+            del path, blocked, recorded  # before the next segment's are made
+            # u0 - states K' from the segment's start on: a product of two
+            # rows or more rounds each row as one product of the whole record
+            inputs[first:last + 1] = u0 if policy.gain is None else (
+                u0 - states[first:last + 1] @ policy.gain.T)
 
     times = dt * np.arange(nsteps + 1)
-    # u0 - states K', u0 the probe or zero, formed in one buffer
-    inputs = (np.zeros((nsteps + 1, sys.m)) if policy.gain is None
-              else states @ policy.gain.T)
-    np.subtract(0.0 if policy.probe is None else probe_start[::substeps],
-                inputs, out=inputs)
     for arr in (times, states, inputs):
         arr.setflags(write=False)  # so Trajectory takes them without a copy
     return Trajectory(times=times, states=states, inputs=inputs)
 
 
-# Quadrature step of evaluate_cost, seconds, and the most doublings it
-# takes: 2^64 steps let the slowest loop solve_lyapunov accepts (about 57
-# doublings) converge, and stop a step map that rounds to spectral radius 1.
+# Quadrature step of evaluate_cost, seconds; the most h |lambda| a faster
+# loop's step allows; and the most doublings it takes: 2^64 steps stop a
+# step map that rounds to spectral radius 1, and at the 1 ms step let the
+# slowest loop solve_lyapunov accepts (about 57 doublings) converge.
 _COST_DT = 1e-3
+_COST_H_LAMBDA = 0.02
 _COST_DOUBLINGS = 64
 
 
 def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
     """Closed-loop quadratic cost: the trapezoid rule along x' = (A - BK)x
-    on the RK4 grid of step _COST_DT, summed to t = infinity.
+    on the RK4 grid of step h = min(_COST_DT, _COST_H_LAMBDA / max|lambda|),
+    lambda over the closed-loop spectrum, summed to t = infinity. Every
+    shipped scenario has max|lambda| <= 13.4 and so takes the 1 ms grid.
 
     On the grid x_k = Phi^k x0 (Phi the RK4 step map, as in simulate) the
     running cost sums to x0' W x0, W = sum_k Phi'^k (Q + K'RK) Phi^k, which
@@ -409,23 +412,28 @@ def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
     and Phi <- Phi^2, forms until W stops changing. x0 must be a finite
     vector of length n; a closed loop that is not Hurwitz raises
     UnstableClosedLoopError. SimulationDiverged is raised where W turns
-    non-finite (a loop too fast for the grid) or has not settled after
-    2^_COST_DOUBLINGS steps, at the time the failed doubling would reach.
+    non-finite or has not settled after 2^_COST_DOUBLINGS steps, at the
+    time the failed doubling would reach.
 
-    Near the Hurwitz boundary the sum drifts from the closed form: a
-    mode's step factor 1 + h lambda + ... rounds to a multiple of 2^-53,
-    which moves the cost by up to about 2^-54 / (h |lambda|) relative
-    (h = _COST_DT). That is 2e-5 at lambda = -1e-9 and 8% at -6e-13,
-    where this returns 9.007e11 against the exact 8.333e11.
+    With h |lambda| <= 0.02 the trapezoid sum of a mode's exp(2 lambda t)
+    is within (2 h |lambda|)^2 / 12 <= 1.4e-4 relative of its integral; the
+    RK4 step adds about (h |lambda|)^4 / 240 < 1e-9. Near the Hurwitz
+    boundary the sum drifts from the closed form: a mode's step factor
+    1 + h lambda + ... rounds to a multiple of 2^-53, which moves the cost
+    by up to about 2^-54 / (h |lambda|) relative, h the step used. At the
+    1 ms step that is 2e-5 at lambda = -1e-9 and 8% at -6e-13, where this
+    returns 9.007e11 against the exact 8.333e11.
     """
     gain = _as_matrix(gain, rows=sys.m, cols=sys.n, name="gain")
     x0 = _as_state(x0, sys.n)
     _check_weights(weights, sys.n, sys.m)
     G = sys.A - sys.B @ gain
-    _check_hurwitz(np.linalg.eigvals(G), "closed loop is not Hurwitz")
+    eigs = np.linalg.eigvals(G)
+    _check_hurwitz(eigs, "closed loop is not Hurwitz")
+    h = min(_COST_DT, _COST_H_LAMBDA / float(np.max(np.abs(eigs))))
 
     Qbar = weights.Q + gain.T @ weights.R @ gain
-    Phi = _rk4_step(G, _COST_DT, np.eye(sys.n), 0.0, 0.0, 0.0)
+    Phi = _rk4_step(G, h, np.eye(sys.n), 0.0, 0.0, 0.0)
     W = Qbar
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(_COST_DOUBLINGS):
@@ -433,9 +441,9 @@ def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
             if not np.all(np.isfinite(W_next)):
                 break
             if np.array_equal(W_next, W):
-                return float(_COST_DT * (x0 @ W @ x0 - 0.5 * (x0 @ Qbar @ x0)))
+                return float(h * (x0 @ W @ x0 - 0.5 * (x0 @ Qbar @ x0)))
             W, Phi = W_next, Phi @ Phi
-    raise SimulationDiverged(time=_COST_DT * 2.0**(j + 1))
+    raise SimulationDiverged(time=h * 2.0**(j + 1))
 
 
 def evaluate_cost_analytic(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:

@@ -106,18 +106,43 @@ def test_divergence_exit_code(tmp_path, capsys):
     assert "error: initial gain is not stabilizing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", [1e6, 1e7])
+def test_fast_closed_loop_cost_exits_0(tmp_path, capsys, q):
+    # the synthesized loop's pole sits near -sqrt(q), -1000 and -3162 per
+    # s, too fast for the 1 ms cost grid: the quadrature takes a finer step
+    spec = ScenarioSpec(
+        name="fast", A=np.array([[-1.0]]), B=np.array([[1.0]]),
+        Q=np.array([[q]]), R=np.array([[1.0]]),
+        mask=SparsityMask.all_ones(1, 1), x0=np.array([1.0]), dt=5e-4,
+        exploration=ExplorationConfig(seed=1, duration=1.4, window=0.01),
+        solver=SolverConfig(), initial_gain=np.array([[0.0]]))
+    path = tmp_path / "fast.scn"
+    save_scenario(spec, path)
+    assert main(["model-based", "--scenario", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    quad, exact = report["cost_quadrature"], report["cost_analytic"]
+    assert abs(quad - exact) <= 1.4e-4 * exact
+
+
+def test_simulate_horizon_off_the_grid_exits_1(capsys):
+    assert main(["simulate", "--scenario", "consensus-a",
+                 "--horizon", "0.015"]) == 1
+    assert capsys.readouterr().err == (
+        "error: horizon must be an integer multiple of dt 0.01, got 0.015\n")
+
+
 @pytest.mark.parametrize("command", ["srl", "compare", "model-based",
                                      "bound"])
 def test_non_stabilizing_initial_gain_exits_4(tmp_path, capsys, command):
     spec = builtin_scenario("consensus-a")
     K0 = spec.initial_gain.copy()
-    K0[0, 0] = -100.0
+    K0[2, 2] = -100.0  # on the mask
     path = tmp_path / "k0.scn"
     save_scenario(dataclasses.replace(spec, initial_gain=K0), path)
     assert main([command, "--scenario", str(path)]) == 4
     assert capsys.readouterr().err == (
         "error: initial gain is not stabilizing (spectral abscissa "
-        "95.1178)\n")
+        "95.1273)\n")
 
 
 @pytest.mark.parametrize("command", _COMMANDS)
@@ -130,6 +155,20 @@ def test_scenario_without_initial_gain_exits_1(tmp_path, capsys, command):
     path.write_text("\n".join(lines) + "\n")
     assert main([command, "--scenario", str(path)]) == 1
     assert capsys.readouterr().err == "error: missing matrix K0\n"
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_initial_gain_off_the_mask_exits_1(tmp_path, capsys, command):
+    # K0[0, 0] is off consensus-a's mask
+    lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+    idx = lines.index("matrix K0 6 6")
+    lines[idx + 1] = "-7.5 " + lines[idx + 1].split(maxsplit=1)[1]
+    path = tmp_path / "k0.scn"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: line {idx + 1}: matrix K0 must be zero off the mask, got "
+        "-7.5 at (0, 0)\n")
 
 
 def test_compare_writes_full_report(tmp_path, capsys):

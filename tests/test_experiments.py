@@ -15,6 +15,7 @@ from structlqr.experiments import (ScenarioError, ScenarioSpec, SolverConfig,
                                    ring_scenario, run_model_based,
                                    run_simulate, run_srl, save_scenario,
                                    write_gains_csv, write_trajectory_csv)
+from structlqr.structure import SparsityMask
 
 
 class TestConsensusNetwork:
@@ -219,6 +220,22 @@ class TestScenarioSerialization:
                 value = replace(getattr(spec, field), **value)
             replace(spec, **{field: value})
 
+    def test_initial_gain_off_the_mask_is_rejected(self):
+        # K0[0, 0] and K0[0, 1] are off consensus-a's mask: a code-built
+        # spec names the larger, and a file the line of its matrix K0
+        spec = builtin_scenario("consensus-a")
+        K0 = spec.initial_gain.copy()
+        K0[0, 0], K0[0, 1] = 3.0, 3.0
+        with pytest.raises(ScenarioError, match=r"^initial_gain must be zero "
+                           r"off the mask, got 3\.0 at \(0, 0\)$"):
+            replace(spec, initial_gain=K0)
+        lines = save_scenario(spec).splitlines()
+        idx = lines.index("matrix K0 6 6")
+        lines[idx + 1] = "3.0 3.0 " + lines[idx + 1].split(maxsplit=2)[2]
+        with pytest.raises(ScenarioError, match=rf"^line {idx + 1}: matrix K0 "
+                           r"must be zero off the mask, got 3\.0 at \(0, 0\)$"):
+            parse_scenario("\n".join(lines))
+
     def test_system_requires_state_matrix(self):
         spec = builtin_scenario("consensus-a")
         text = save_scenario(spec)
@@ -272,7 +289,9 @@ class TestOutputPrecision:
         assert all(_same_bits(back[k], gains[k]) for k in gains)
 
     def test_scenario_fields_parse_back_exactly(self):
-        spec = builtin_scenario("consensus-a")
+        # an all-ones mask, so every K0 entry may be nonzero
+        spec = replace(builtin_scenario("consensus-a"),
+                       mask=SparsityMask.all_ones(6, 6))
         hard = dict(A=_hard_table(6, 6, 4), B=_hard_table(6, 6, 5),
                     initial_gain=_hard_table(6, 6, 6),
                     x0=np.concatenate([_HARD_FLOATS[:3], [1e150, -2.5, 7.0]]))

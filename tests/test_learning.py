@@ -197,6 +197,14 @@ class TestCollect:
             with pytest.raises(ValueError, match=knob):
                 network_config(mask_a, **{knob: value})
 
+    def test_initial_gain_off_the_mask_is_rejected(self, mask_a):
+        # (0, 0) and (0, 1) are off mask A; the larger entry is named
+        K0 = 10.0 * (np.eye(6) * mask_a.indicator)
+        K0[0, 0], K0[0, 1] = 2.0, -3.0
+        with pytest.raises(ValueError, match=r"^initial_gain must be zero off "
+                           r"the mask, got -3\.0 at \(0, 1\)$"):
+            network_config(mask_a, initial_gain=K0)
+
 
 def _builtin_record(name):
     """The exploration record a data-driven run on a builtin collects."""

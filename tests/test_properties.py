@@ -128,7 +128,9 @@ def _scenario_specs(draw):
         solver=SolverConfig(tol=draw(_POSITIVE),
                             max_iter=draw(st.integers(1, 10**6)),
                             rank_tol=draw(_POSITIVE)),
-        initial_gain=draw(arrays(np.float64, (m, n), elements=_FINITE)))
+        # K0 is zero off the mask
+        initial_gain=mask * draw(arrays(np.float64, (m, n),
+                                        elements=_FINITE)))
 
 
 @settings(max_examples=100, deadline=None)

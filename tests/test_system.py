@@ -193,6 +193,24 @@ class TestSimulate:
         assert len(traj.times) == 100001
         assert peak < traj.states.nbytes + traj.inputs.nbytes + 8e6
 
+    def test_probed_temporaries_stay_bounded(self, network):
+        # a probed run over 5e4 recorded steps, 5 segments: above the
+        # returned record the peak holds a few segment-sized buffers (0.5
+        # MB each here, m = n), not the probe at every RK4 stage time
+        from structlqr.system import _SEGMENT_ENTRIES
+
+        probe = make_exploration(0, 6, num_sinusoids=1)
+        policy = InputPolicy.feedback_with_probe(0.5 * np.eye(6), probe)
+        tracemalloc.start()
+        try:
+            traj = simulate(network, policy, X0, 500.0, dt=0.01, substeps=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = traj.times.nbytes + traj.states.nbytes + traj.inputs.nbytes
+        assert len(traj.times) == 50001
+        assert peak < record + 8 * (8 * _SEGMENT_ENTRIES)
+
     @pytest.mark.parametrize("case", ["consensus-a", "consensus-b",
                                       "feedback-substeps", "zero-policy"])
     def test_matches_per_stage_rk4(self, case):
@@ -258,7 +276,57 @@ class TestSimulate:
 
         simulate(network, InputPolicy(probe=probe), X0, 0.05, dt=1e-2,
                  substeps=2)
-        assert len(calls) == (5 * 2 + 1) + 5 * 2  # starts, then midpoints
+        assert len(calls) == (5 * 2 + 1) + 5 * 2  # 11 starts, 10 midpoints
+
+    def test_segments_sample_each_stage_time_once_in_order(self, network,
+                                                           monkeypatch):
+        # 60 state entries a segment: 10 recorded steps, so 35 steps take 4
+        # segments; each draws its own starts and midpoints, and the
+        # start it shares with the segment before is carried, not redrawn
+        import structlqr.system
+
+        monkeypatch.setattr(structlqr.system, "_SEGMENT_ENTRIES", 60)
+        calls = []
+
+        def probe(t, signal=make_exploration(0, 6)):
+            calls.append(t)
+            return signal(t)
+
+        policy = InputPolicy.feedback_with_probe(0.5 * np.eye(6), probe)
+        traj = simulate(network, policy, X0, 0.35, dt=1e-2, substeps=3)
+        h = 1e-2 / 3
+        starts = (h * np.arange(35 * 3 + 1)).tolist()
+        mids = (h * np.arange(35 * 3) + 0.5 * h).tolist()
+        assert len(calls) == 2 * 35 * 3 + 1
+        for grid in (starts, mids):
+            members = set(grid)
+            assert [t for t in calls if t in members] == grid
+        # the record of one segment, to rounding
+        monkeypatch.undo()
+        whole = simulate(network, policy, X0, 0.35, dt=1e-2, substeps=3)
+        for got, want in ((traj.states, whole.states),
+                          (traj.inputs, whole.inputs)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_divergence_stops_the_probe_at_its_segment(self, monkeypatch):
+        # 10 steps a segment: the state passes 1e150 at 0.73 s, in the 8th
+        # segment of 200, so the probe is drawn up to 0.8 s and no further
+        import structlqr.system
+
+        monkeypatch.setattr(structlqr.system, "_SEGMENT_ENTRIES", 10)
+        calls = []
+
+        def probe(t, signal=make_exploration(0, 1)):
+            calls.append(t)
+            return signal(t)
+
+        sys = LtiSystem(A=np.array([[600.0]]), B=np.array([[1.0]]))
+        with pytest.raises(SimulationDiverged) as err:
+            simulate(sys, InputPolicy(probe=probe), np.array([1.0]),
+                     horizon=20.0, dt=0.01, substeps=1)
+        assert err.value.time == pytest.approx(0.73)
+        assert len(calls) == 2 * 80 + 1 < 2 * 2000 + 1
+        assert max(calls) == pytest.approx(0.8)
 
     def test_policy_converts_its_gain(self, network):
         K = [[0.5 * (i == j) for j in range(6)] for i in range(6)]
@@ -330,16 +398,22 @@ class TestCost:
         assert Ja == pytest.approx(0.5 / abs(lam), rel=1e-12)
         assert abs(Jq - Ja) <= 2.0**-54 / (1e-3 * abs(lam)) * Ja
 
-    @pytest.mark.parametrize("x0", [np.array([1.0, 1.0]),
-                                    np.array([0.0, 1.0])])
-    def test_loop_too_fast_for_the_grid_diverges(self, x0):
-        # RK4 at 1 ms amplifies the -5000/s mode by 13.7 a step, excited
-        # by x0 or not
-        sys = LtiSystem(A=np.diag([-5000.0, -1.0]), B=np.eye(2))
-        w = CostWeights(Q=np.eye(2), R=np.eye(2))
-        with pytest.raises(SimulationDiverged) as err:
-            evaluate_cost(sys, w, np.zeros((2, 2)), x0)
-        assert err.value.time == pytest.approx(0.256)
+    @pytest.mark.parametrize("A, x0", [
+        (np.diag([-5000.0, -1.0]), np.array([1.0, 1.0])),
+        (np.diag([-5000.0, -1.0]), np.array([0.0, 1.0])),
+        (np.diag([-5000.0, -1.0]), np.array([1.0, 0.0])),
+        (np.array([[-1000.0]]), np.array([1.0])),
+        (np.array([[-np.sqrt(1e7)]]), np.array([1.0]))])
+    def test_fast_loop_takes_a_finer_step(self, A, x0):
+        # RK4 at 1 ms would amplify a -5000/s mode by 13.7 a step; the step
+        # 0.02 / max|lambda| keeps the sum within the docstring's
+        # (2 h |lambda|)^2 / 12 <= 1.4e-4 of the closed form
+        sys = LtiSystem(A=A, B=np.eye(len(x0)))
+        w = CostWeights(Q=np.eye(len(x0)), R=np.eye(len(x0)))
+        K = np.zeros((len(x0), len(x0)))
+        Jq = evaluate_cost(sys, w, K, x0)
+        Ja = evaluate_cost_analytic(sys, w, K, x0)
+        assert abs(Jq - Ja) <= 1.4e-4 * Ja
 
     def test_step_map_of_spectral_radius_one_diverges(self):
         # 1 - 1e-20 rounds to 1: the sum grows without bound and must stop
