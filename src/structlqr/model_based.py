@@ -62,17 +62,61 @@ def _sylvester_solver(M, name: str, unstable: Optional[str] = None):
     """Return solve(Y), the X with M' X + X M = Y: vec(X) = V^-1 vec(Y) for
     V = I (x) M' + M' (x) I, in O(n^3) per call without forming V.
 
-    One eig(M) gives both the spectrum and the basis. When M must be
-    Hurwitz, `unstable` is the message _check_hurwitz raises with on that
-    spectrum, before any further work. U = qr(eigenvectors of M) is a
-    unitary Schur basis and T = U^H M U is upper triangular up to
-    rounding, amplified by the eigenvectors' condition. With that lower
-    triangle dropped, T^H Z + Z T = U^H Y U is solved one anti-diagonal of
-    Z at a time (Bartels-Stewart style): entry (i, j) needs only the
-    entries (k, j), k < i, and (i, k), k < j. Each solve is then refined
-    against the exact operator until its residual is at rounding level; a
-    refinement step that does not halve the residual means the basis is
-    unusable and raises ValueError. Error messages call M by name.
+    One decomposition of M gives both the spectrum and the basis. When M
+    must be Hurwitz, `unstable` is the message _check_hurwitz raises with on
+    that spectrum, before any further work. When M equals its transpose
+    exactly (B = R = I and a symmetric gain: every ring, every unstructured
+    iterate of a symmetric A), that is one real eigh(M) = W diag(lambda) W'.
+    V then has eigenvalues lambda_i + lambda_j (Horn & Johnson, Topics in
+    Matrix Analysis, 1991, Thm 4.4.5), so X = W ((W' Y W) / (lambda_i +
+    lambda_j)) W', four matrix products. Otherwise it is one eig(M) and
+    _schur_sweep. Each solve is then refined against the exact operator
+    until its residual is at rounding level; a refinement step that does
+    not halve the residual means the basis is unusable and raises
+    ValueError. Error messages call M by name.
+    """
+    if np.array_equal(M, M.T):
+        lam, W = np.linalg.eigh(M)
+        if unstable is not None:
+            _check_hurwitz(lam, unstable)
+        sums = lam[:, None] + lam[None, :]
+        _check_eigenvalue_sums(lam, sums, name)
+        inv_sums = 1.0 / sums
+
+        def sweep(Y):
+            return W @ ((W.T @ Y @ W) * inv_sums) @ W.T
+    else:
+        sweep = _schur_sweep(M, name, unstable)
+    norm_M = np.linalg.norm(M)
+
+    def solve(Y):
+        X = sweep(Y)
+        R = Y - (M.T @ X + X @ M)
+        r = np.linalg.norm(R)
+        while not r <= _REFINE_TOL * (2.0 * norm_M * np.linalg.norm(X)
+                                     + np.linalg.norm(Y)):
+            X = X + sweep(R)
+            R = Y - (M.T @ X + X @ M)
+            r_prev, r = r, np.linalg.norm(R)
+            if not r <= 0.5 * r_prev:
+                raise ValueError(
+                    f"the eigenvectors of {name} are too ill-conditioned "
+                    "for the Schur-basis Sylvester solve (refinement stalled "
+                    f"at residual {r:.3g})")
+        return X
+
+    return solve
+
+
+def _schur_sweep(M, name: str, unstable: Optional[str]):
+    """Return sweep(Y), an unrefined solve of M' X + X M = Y for a general M,
+    from one eig(M), gated as in _sylvester_solver.
+
+    U = qr(eigenvectors of M) is a unitary Schur basis and T = U^H M U is
+    upper triangular up to rounding, amplified by the eigenvectors'
+    condition. With that lower triangle dropped, T^H Z + Z T = U^H Y U is
+    solved one anti-diagonal of Z at a time (Bartels-Stewart style): entry
+    (i, j) needs only the entries (k, j), k < i, and (i, k), k < j.
     """
     n = M.shape[0]
     eigs, V = np.linalg.eig(M)
@@ -107,7 +151,6 @@ def _sylvester_solver(M, name: str, unstable: Optional[str] = None):
         diagonals.append((a, b, n - 1 - s + a, at[start:end],
                           at_left[start:end], at_right[start:end],
                           inv[start:end]))
-    norm_M = np.linalg.norm(M)
 
     def sweep(Y):
         rhs = (Uh @ Y @ U).ravel()
@@ -119,39 +162,25 @@ def _sylvester_solver(M, name: str, unstable: Optional[str] = None):
             rz_flat.put(at_right, z)
         return (U @ lz[:, :n] @ Uh).real
 
-    def solve(Y):
-        X = sweep(Y)
-        R = Y - (M.T @ X + X @ M)
-        r = np.linalg.norm(R)
-        while not r <= _REFINE_TOL * (2.0 * norm_M * np.linalg.norm(X)
-                                     + np.linalg.norm(Y)):
-            X = X + sweep(R)
-            R = Y - (M.T @ X + X @ M)
-            r_prev, r = r, np.linalg.norm(R)
-            if not r <= 0.5 * r_prev:
-                raise ValueError(
-                    f"the eigenvectors of {name} are too ill-conditioned "
-                    "for the Schur-basis Sylvester solve (refinement stalled "
-                    f"at residual {r:.3g})")
-        return X
-
-    return solve
+    return sweep
 
 
 def solve_lyapunov(M, S) -> np.ndarray:
     """Solve M' P + P M + S = 0 for symmetric P, M Hurwitz.
 
-    One refined Schur-basis Sylvester solve (_sylvester_solver), the same
-    one the bound constant uses: O(n^3) time and O(n^2) memory, numpy only.
+    One refined Sylvester solve (_sylvester_solver), the same one the bound
+    constant uses: O(n^3) time and O(n^2) memory, numpy only.
     The result is symmetrized exactly; it agrees with scipy's
     Bartels-Stewart solver and with the dense Kronecker solve to about
-    1e-13 relative on random non-normal M up to n = 12 (the tests require
-    1e-10). The refinement keeps the relative residual near 1e-17 even on
-    M with a 100x random strictly upper part, where a determinant-scaled
-    Newton sign iteration left residuals up to 1e-7 and did not converge
-    on 5 of 100 draws. If the refinement stalls it raises ValueError. One
-    eig per solve, shared with the Hurwitz gate: an M that is not Hurwitz
-    raises UnstableClosedLoopError from the spectrum that gives the basis.
+    1e-13 relative on random non-normal M up to n = 12 and symmetric M up
+    to n = 40 (the tests require 1e-10). The refinement keeps the relative
+    residual near 1e-17 even on M with a 100x random strictly upper part,
+    where a determinant-scaled Newton sign iteration left residuals up to
+    1e-7 and did not converge on 5 of 100 draws. If the refinement stalls
+    it raises ValueError. One decomposition per solve, eigh for an exactly
+    symmetric M and eig otherwise, shared with the Hurwitz gate: an M that
+    is not Hurwitz raises UnstableClosedLoopError from the spectrum that
+    gives the basis.
     """
     M = _as_matrix(M, name="M")
     if M.shape[0] != M.shape[1]:
@@ -216,7 +245,8 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
 
     Alternates the closed-loop Lyapunov solve (policy evaluation) with the
     masked gain update K <- (R^-1 B' P) o mask (policy improvement) until
-    ||P_k - P_{k-1}||_F < tol. One eig per solve, shared with the Hurwitz
+    ||P_k - P_{k-1}||_F < tol. One decomposition per solve (eigh when the
+    closed loop is exactly symmetric, else eig), shared with the Hurwitz
     gate; each iterate is checked on the solve that uses it, so a K0 or an
     update that does not keep the loop Hurwitz aborts with its index, and
     the returned gain is checked once after the loop. The partial result

@@ -264,10 +264,10 @@ def _rk4_step(G, h, x, f_start, f_mid, f_end):
 # scenario's x0 entries, whose quadratic costs would overflow a float.
 _DIVERGENCE_BOUND = 1e150
 
-# State entries one segment of simulate's blocked scan holds (segment rows
-# times n): its buffers are a few arrays of this size, and its probe samples
-# substeps m / n times it, however long the horizon; its Python steps
-# number about 2 sqrt(rows).
+# Entries one segment of simulate's blocked scan holds per buffer: its rows
+# times n, or times substeps m when a probe's samples are the wider. Its
+# buffers, the probe samples among them, are a few arrays of this size
+# however long the horizon; its Python steps number about 2 sqrt(rows).
 _SEGMENT_ENTRIES = 2**16
 
 
@@ -326,7 +326,8 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
     h = dt / substeps
     G = sys.A if policy.gain is None else sys.A - sys.B @ policy.gain
     Phi = _rk4_step(G, h, np.eye(n), 0.0, 0.0, 0.0)
-    rows = min(nsteps, max(1, _SEGMENT_ENTRIES // n))
+    width = n if policy.probe is None else max(n, substeps * sys.m)
+    rows = min(nsteps, max(1, _SEGMENT_ENTRIES // width))
     u0 = 0.0  # the probe at the recorded samples, zero without one
 
     if policy.probe is not None:

@@ -39,8 +39,8 @@ def masked_identity_gain(mask, scale=10.0):
 
 
 def count_spectra(monkeypatch):
-    """Count np.linalg.eig and np.linalg.eigvals calls from here on."""
-    calls = {"eig": 0, "eigvals": 0}
+    """Count np.linalg.eig, eigh and eigvals calls from here on."""
+    calls = {"eig": 0, "eigh": 0, "eigvals": 0}
     for name in calls:
         def counting(*args, _fn=getattr(np.linalg, name), _name=name):
             calls[_name] += 1
@@ -133,16 +133,78 @@ class TestSolveLyapunov:
         assert np.linalg.norm(P - P_quad, "fro") <= 1e-6
 
     def test_non_hurwitz_rejected(self, network):
-        # the zero mode's real part reads 1.1e-16 in the eig of the solve
+        # the zero mode reads 2.1e-16 in the eigh of the solve
         with pytest.raises(UnstableClosedLoopError,
                            match=r"^M is not Hurwitz \(spectral abscissa"):
             solve_lyapunov(network.A, np.eye(6))
 
     def test_one_eig_per_solve(self, network, weights, monkeypatch):
         calls = count_spectra(monkeypatch)
-        M = network.A - np.eye(6)
+        M = network.A - np.eye(6) - 0.1 * np.triu(np.ones((6, 6)), 1)
         solve_lyapunov(M, weights.Q)
-        assert calls == {"eig": 1, "eigvals": 0}
+        assert calls == {"eig": 1, "eigh": 0, "eigvals": 0}
+
+    def test_one_eigh_per_symmetric_solve(self, network, weights,
+                                          monkeypatch):
+        calls = count_spectra(monkeypatch)
+        M = network.A - np.eye(6)
+        assert np.array_equal(M, M.T)
+        solve_lyapunov(M, weights.Q)
+        assert calls == {"eig": 0, "eigh": 1, "eigvals": 0}
+
+    def test_symmetric_m_matches_scipy(self):
+        # an exactly symmetric M takes the real eigh basis; every third
+        # draw repeats one eigenvalue over half the spectrum
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for k in range(60):
+            n = int(rng.integers(2, 41))
+            lam = -rng.uniform(0.05, 5.0, n)
+            if k % 3 == 0:
+                lam[:n // 2 + 1] = lam[0]
+            rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            M = rot @ np.diag(lam) @ rot.T
+            M = 0.5 * (M + M.T)
+            assert np.array_equal(M, M.T)
+            G = rng.standard_normal((n, n))
+            S = G @ G.T
+            P = solve_lyapunov(M, S)
+            oracle = solve_continuous_lyapunov(M.T, -S)
+            worst = max(worst, np.linalg.norm(P - oracle)
+                        / np.linalg.norm(oracle))
+        assert worst <= 1e-10
+
+    def test_symmetric_and_general_bases_agree(self):
+        # one ulp off symmetric takes the eig/Schur path; the two solutions
+        # differ by about the condition number times that ulp
+        rng = np.random.default_rng(12)
+        for n in (2, 7, 20, 40):
+            M = rng.standard_normal((n, n))
+            M = M + M.T
+            M -= (np.max(np.linalg.eigvalsh(M)) + 0.5) * np.eye(n)
+            near = M.copy()
+            near[0, 1] = np.nextafter(near[0, 1], np.inf)
+            assert not np.array_equal(near, near.T)
+            S = np.eye(n)
+            P, P_near = solve_lyapunov(M, S), solve_lyapunov(near, S)
+            assert (np.linalg.norm(P - P_near)
+                    <= 1e-12 * np.linalg.norm(P))
+
+    def test_symmetric_non_hurwitz_rejected(self):
+        rot = np.linalg.qr(np.array([[1.0, 2.0], [3.0, 4.0]]))[0]
+        M = rot @ np.diag([-1.0, 0.5]) @ rot.T
+        M = 0.5 * (M + M.T)
+        with pytest.raises(UnstableClosedLoopError,
+                           match=r"^M is not Hurwitz \(spectral abscissa"):
+            solve_lyapunov(M, np.eye(2))
+
+    def test_symmetric_eigenvalues_summing_to_zero_rejected(self):
+        rot = np.linalg.qr(np.array([[1.0, 2.0], [3.0, 4.0]]))[0]
+        M = rot @ np.diag([-1e-13, -1.0]) @ rot.T
+        M = 0.5 * (M + M.T)
+        with pytest.raises(ValueError, match="two eigenvalues of M sum to "
+                           "zero; X -> M' X \\+ X M is singular"):
+            solve_lyapunov(M, np.eye(2))
 
     def test_asymmetric_s_rejected(self):
         with pytest.raises(ValueError):
@@ -433,13 +495,14 @@ class TestSuboptimalityBound:
                                                    ("consensus-a", 19)])
 def test_model_based_run_decomposes_each_closed_loop_once(
         name, decompositions, monkeypatch):
-    # one eig per Lyapunov solve (each iterate's gate included), one
-    # eigvals per returned gain, the quadrature gate and the reported
-    # closed-loop spectrum
+    # one eig or eigh per Lyapunov solve (each iterate's gate included),
+    # one eigvals per returned gain, the quadrature gate and the reported
+    # closed-loop spectrum; every ring40 closed loop is symmetric
     spec = ring_scenario(40) if name == "ring40" else builtin_scenario(name)
     calls = count_spectra(monkeypatch)
     run_model_based(spec)
-    assert calls["eig"] + calls["eigvals"] == decompositions
+    assert sum(calls.values()) == decompositions
+    assert name != "ring40" or calls["eig"] == 0
 
 
 def test_model_based_run_memory_stays_quadratic():

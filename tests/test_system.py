@@ -211,6 +211,24 @@ class TestSimulate:
         assert len(traj.times) == 50001
         assert peak < record + 8 * (8 * _SEGMENT_ENTRIES)
 
+    def test_probed_temporaries_do_not_grow_with_substeps(self, network):
+        # 250 recorded steps of 200 substeps each: a segment of as many rows
+        # as the feedback-only scan takes would hold 300,000 probe samples
+        # per buffer (2.4 MB), so its rows shrink to fit the samples
+        from structlqr.system import _SEGMENT_ENTRIES
+
+        probe = make_exploration(0, 6, num_sinusoids=1)
+        policy = InputPolicy.feedback_with_probe(0.5 * np.eye(6), probe)
+        tracemalloc.start()
+        try:
+            traj = simulate(network, policy, X0, 0.25, dt=1e-3, substeps=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = traj.times.nbytes + traj.states.nbytes + traj.inputs.nbytes
+        assert len(traj.times) == 251
+        assert peak < record + 8 * (8 * _SEGMENT_ENTRIES)
+
     @pytest.mark.parametrize("case", ["consensus-a", "consensus-b",
                                       "feedback-substeps", "zero-policy"])
     def test_matches_per_stage_rk4(self, case):
