@@ -16,8 +16,7 @@ from .model_based import (BoundReport, ConvergenceError, IterationRecord,
 from .structure import SparsityMask, check_membership, off_pattern, on_pattern
 from .system import (CostWeights, InputPolicy, LtiSystem, SimulationDiverged,
                      Trajectory, UnstableClosedLoopError, evaluate_cost,
-                     evaluate_cost_analytic, is_hurwitz, simulate,
-                     spectral_abscissa)
+                     evaluate_cost_analytic, simulate)
 
 __all__ = [
     "BoundReport", "ConvergenceError", "CostWeights", "DataMatrices",
@@ -27,10 +26,10 @@ __all__ = [
     "SrlConfig", "SynthesisResult", "Trajectory",
     "UnstableClosedLoopError", "check_membership", "check_rank", "collect",
     "evaluate_cost", "evaluate_cost_analytic", "hide_state_matrix",
-    "is_hurwitz", "kleinman_structured",
+    "kleinman_structured",
     "make_exploration", "modified_are_residual", "off_pattern", "on_pattern",
     "required_samples", "simulate", "solve_iteration", "solve_lyapunov",
-    "solve_unstructured_lqr", "spectral_abscissa", "srl_synthesize",
+    "solve_unstructured_lqr", "srl_synthesize",
     "suboptimality_bound",
 ]
 

@@ -7,9 +7,9 @@ from typing import List, Optional
 import numpy as np
 
 from .structure import SparsityMask, off_pattern, on_pattern
-from .system import (CostWeights, LtiSystem, _as_matrix, _as_state,
-                     _check_at_least, _check_hurwitz, _check_positive,
-                     _check_weights)
+from .system import (_SPECTRAL_TOL, CostWeights, LtiSystem, _as_matrix,
+                     _as_state, _check_at_least, _check_hurwitz,
+                     _check_positive, _check_weights)
 
 
 _TOL, _MAX_ITER = 1e-6, 50  # default stopping rule of every policy iteration
@@ -48,45 +48,52 @@ class SynthesisResult:
     converged: bool
 
 
-def _check_eigenvalue_sums(eigs, sums, name: str) -> None:
-    """Raise ValueError, calling M by name, when a pairwise sum of its
-    eigenvalues vanishes to 1e-12 of the largest: then X -> M' X + X M is
-    singular."""
-    if np.min(np.abs(sums)) < 1e-12 * max(1.0, float(np.max(np.abs(eigs)))):
+def _check_eigenvalue_sums(eigs, name: str) -> float:
+    """Return min |conj(lambda_i) + lambda_j| over the eigenvalues eigs of M,
+    or raise ValueError, calling M by name, when it is below _SPECTRAL_TOL *
+    max(1, max |lambda|): X -> M' X + X M is then singular. For an M with no
+    Hurwitz gate."""
+    least = float(np.min(np.abs(eigs.conj()[:, None] + eigs[None, :])))
+    if least < _SPECTRAL_TOL * max(1.0, float(np.max(np.abs(eigs)))):
         raise ValueError(
             f"two eigenvalues of {name} sum to zero; "
             f"X -> {name}' X + X {name} is singular")
+    return least
 
 
 def _sylvester_solver(M, name: str, unstable: Optional[str] = None):
     """Return solve(Y), the X with M' X + X M = Y: vec(X) = V^-1 vec(Y) for
     V = I (x) M' + M' (x) I, in O(n^3) per call without forming V.
 
-    One decomposition of M gives both the spectrum and the basis. When M
-    must be Hurwitz, `unstable` is the message _check_hurwitz raises with on
-    that spectrum, before any further work. When M equals its transpose
-    exactly (B = R = I and a symmetric gain: every ring, every unstructured
-    iterate of a symmetric A), that is one real eigh(M) = W diag(lambda) W'.
+    One decomposition of M gives both the spectrum and the basis, and one
+    gate per solve reads that spectrum: _check_hurwitz, raising `unstable`,
+    when M must be Hurwitz (which also keeps V nonsingular), otherwise
+    _check_eigenvalue_sums. When M equals its transpose exactly (B = R = I
+    and a symmetric gain: every ring, every unstructured iterate of a
+    symmetric A), the decomposition is one real eigh(M) = W diag(lambda) W'.
     V then has eigenvalues lambda_i + lambda_j (Horn & Johnson, Topics in
     Matrix Analysis, 1991, Thm 4.4.5), so X = W ((W' Y W) / (lambda_i +
-    lambda_j)) W', four matrix products. Otherwise it is one eig(M) and
-    _schur_sweep. Each solve is then refined against the exact operator
-    until its residual is at rounding level; a refinement step that does
-    not halve the residual means the basis is unusable and raises
-    ValueError. Error messages call M by name.
+    lambda_j)) W', four matrix products. Otherwise it is one eig(M), whose
+    eigenvectors _schur_sweep turns into a Schur basis. Each solve is then
+    refined against the exact operator until its residual is at rounding
+    level; a refinement step that does not halve the residual means the
+    basis is unusable and raises ValueError. Error messages call M by name.
     """
-    if np.array_equal(M, M.T):
-        lam, W = np.linalg.eigh(M)
-        if unstable is not None:
-            _check_hurwitz(lam, unstable)
-        sums = lam[:, None] + lam[None, :]
-        _check_eigenvalue_sums(lam, sums, name)
-        inv_sums = 1.0 / sums
+    symmetric = np.array_equal(M, M.T)
+    eigs, basis = np.linalg.eigh(M) if symmetric else np.linalg.eig(M)
+    if unstable is None:
+        _check_eigenvalue_sums(eigs, name)
+    else:
+        _check_hurwitz(eigs, unstable)
+    if symmetric:
+        inv_sums = 1.0 / (eigs[:, None] + eigs[None, :])
 
         def sweep(Y):
-            return W @ ((W.T @ Y @ W) * inv_sums) @ W.T
+            return basis @ ((basis.T @ Y @ basis) * inv_sums) @ basis.T
     else:
-        sweep = _schur_sweep(M, name, unstable)
+        # so the peak holds one n x n basis, not two
+        basis = np.linalg.qr(basis)[0]
+        sweep = _schur_sweep(M, basis)
     norm_M = np.linalg.norm(M)
 
     def solve(Y):
@@ -108,9 +115,9 @@ def _sylvester_solver(M, name: str, unstable: Optional[str] = None):
     return solve
 
 
-def _schur_sweep(M, name: str, unstable: Optional[str]):
-    """Return sweep(Y), an unrefined solve of M' X + X M = Y for a general M,
-    from one eig(M), gated as in _sylvester_solver.
+def _schur_sweep(M, U):
+    """Return sweep(Y), an unrefined solve of M' X + X M = Y for a general M
+    whose spectrum the caller has gated.
 
     U = qr(eigenvectors of M) is a unitary Schur basis and T = U^H M U is
     upper triangular up to rounding, amplified by the eigenvectors'
@@ -119,16 +126,10 @@ def _schur_sweep(M, name: str, unstable: Optional[str]):
     (i, j) needs only the entries (k, j), k < i, and (i, k), k < j.
     """
     n = M.shape[0]
-    eigs, V = np.linalg.eig(M)
-    if unstable is not None:
-        _check_hurwitz(eigs, unstable)
-    U = np.linalg.qr(V)[0]
-    del V  # so the peak holds one n x n basis, not two
     Uh = U.conj().T
     T = Uh @ M @ U
     d = np.diag(T)
     sums = d.conj()[:, None] + d[None, :]
-    _check_eigenvalue_sums(d, sums, name)
     # Row i of [Z, L] dotted with row j of [L^*, Z'], L the strict lower
     # triangle of T^H, is sum_k Z_ik conj(L_jk) + L_ik Z_kj: the known part
     # of entry (i, j). Z is written into both buffers; the second is stored
@@ -178,9 +179,10 @@ def solve_lyapunov(M, S) -> np.ndarray:
     where a determinant-scaled Newton sign iteration left residuals up to
     1e-7 and did not converge on 5 of 100 draws. If the refinement stalls
     it raises ValueError. One decomposition per solve, eigh for an exactly
-    symmetric M and eig otherwise, shared with the Hurwitz gate: an M that
-    is not Hurwitz raises UnstableClosedLoopError from the spectrum that
-    gives the basis.
+    symmetric M and eig otherwise, and one gate per solve on the spectrum
+    that gives the basis: an M that is not Hurwitz, a zero mode whichever
+    sign it rounds to included, raises UnstableClosedLoopError
+    (system._check_hurwitz).
     """
     M = _as_matrix(M, name="M")
     if M.shape[0] != M.shape[1]:
@@ -246,11 +248,12 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
     Alternates the closed-loop Lyapunov solve (policy evaluation) with the
     masked gain update K <- (R^-1 B' P) o mask (policy improvement) until
     ||P_k - P_{k-1}||_F < tol. One decomposition per solve (eigh when the
-    closed loop is exactly symmetric, else eig), shared with the Hurwitz
-    gate; each iterate is checked on the solve that uses it, so a K0 or an
-    update that does not keep the loop Hurwitz aborts with its index, and
-    the returned gain is checked once after the loop. The partial result
-    of a ConvergenceError carries its last gain unchecked.
+    closed loop is exactly symmetric, else eig) and one gate per solve,
+    system._check_hurwitz on that spectrum; each iterate is checked on the
+    solve that uses it, so a K0 or an update that does not keep the loop
+    Hurwitz aborts with its index, and the returned gain is checked once
+    after the loop by the same rule. The partial result of a
+    ConvergenceError carries its last gain unchecked.
     """
     _check_positive("tol", tol)
     _check_at_least("max_iter", max_iter, 1)
@@ -300,10 +303,7 @@ def _bound_constant(Mv) -> float:
     """
     name = "A - B R^-1 B'"
     if np.array_equal(Mv, Mv.T):
-        eigs = np.linalg.eigvalsh(Mv)
-        sums = np.abs(eigs[:, None] + eigs[None, :])
-        _check_eigenvalue_sums(eigs, sums, name)
-        return float(np.min(sums))
+        return _check_eigenvalue_sums(np.linalg.eigvalsh(Mv), name)
     n = Mv.shape[0]
     solve, solve_t = _sylvester_solver(Mv, name), _sylvester_solver(Mv.T, name)
     q = np.random.default_rng(0).standard_normal((n, n))

@@ -205,25 +205,22 @@ class InputPolicy:
         return cls(gain=gain, probe=probe)
 
 
-def spectral_abscissa(M) -> float:
-    """Largest real part over the eigenvalues of a square matrix."""
-    M = _as_matrix(M, name="matrix")
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("spectral abscissa is defined for square matrices")
-    return float(np.max(np.linalg.eigvals(M).real))
-
-
-def is_hurwitz(M) -> bool:
-    """True when every eigenvalue satisfies Re(lambda) < 0."""
-    return spectral_abscissa(M) < 0.0
+# Eigenvalues that sum to within this, relative to max(1, max |lambda|),
+# make X -> M' X + X M singular; half of it is the margin of Hurwitz.
+_SPECTRAL_TOL = 1e-12
 
 
 def _check_hurwitz(eigs, what: str) -> None:
-    """Raise UnstableClosedLoopError, saying `what`, unless every eigenvalue
-    in eigs (the spectrum of a matrix that must be Hurwitz) has Re < 0."""
+    """Raise UnstableClosedLoopError, saying `what`, unless the spectrum eigs
+    of a matrix that must be Hurwitz has abscissa below -_SPECTRAL_TOL / 2 *
+    max(1, max |lambda|): the one stability rule. Twice |abscissa| is then
+    min |conj(lambda_i) + lambda_j|, so the Lyapunov operator is nonsingular,
+    and a zero mode fails whichever sign it rounds to."""
     sa = float(np.max(np.real(eigs)))
-    if sa >= 0.0:
-        raise UnstableClosedLoopError(f"{what} (spectral abscissa {sa:.6g})")
+    band = 0.5 * _SPECTRAL_TOL * max(1.0, float(np.max(np.abs(eigs))))
+    if sa >= -band:
+        near = f", within {band:.3g} of the imaginary axis" if sa < 0 else ""
+        raise UnstableClosedLoopError(f"{what} (spectral abscissa {sa:.6g}{near})")
 
 
 def _as_state(x0, n: int) -> np.ndarray:

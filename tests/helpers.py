@@ -48,12 +48,40 @@ REFERENCE_CLOSED_LOOP_EIGS_B = [-10.61, -3.58, -4.22, -5.70, -9.19, -7.91]
 # zero positions (0-indexed) of the two gain structures
 ZEROS_A = ((0, 0), (0, 1), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4))
 
+# A weighted 3-node consensus Laplacian whose zero mode rounds negative
+# (-5.2e-16 in eigvals, -2.6e-16 in eigh with numpy 2.4 on OpenBLAS), where
+# NETWORK_A's rounds to +2.1e-16: a stability test passes on both only if
+# the zero mode is rejected whatever its sign.
+TRIANGLE_A = np.array([
+    [-1.1, 1.0, 0.1],
+    [1.0, -2.0, 1.0],
+    [0.1, 1.0, -1.1],
+])
+
+
+def spectral_abscissa(M):
+    """Largest real part over np.linalg.eigvals(M): the oracle the tests
+    hold the library's stability rule against; it shares no code with it."""
+    return float(np.max(np.linalg.eigvals(M).real))
+
 
 def random_stable_matrix(rng, n, shift=0.5):
     """Random matrix shifted to be comfortably Hurwitz."""
     M = rng.standard_normal((n, n))
-    sa = float(np.max(np.linalg.eigvals(M).real))
-    return M - (sa + shift) * np.eye(n)
+    return M - (spectral_abscissa(M) + shift) * np.eye(n)
+
+
+def random_laplacian(rng, n):
+    """-(D - W) for a random connected weighted graph on n nodes: a spanning
+    path in random order plus each other edge with probability 1/2, weights
+    uniform in [0.1, 3]. Exactly symmetric, with one zero mode (consensus),
+    which the decompositions round to either sign."""
+    W = rng.uniform(0.1, 3.0, (n, n)) * (rng.random((n, n)) < 0.5)
+    order = rng.permutation(n)
+    W[order[:-1], order[1:]] = rng.uniform(0.1, 3.0, n - 1)
+    W = np.triu(W + W.T, 1)
+    W = W + W.T
+    return W - np.diag(W.sum(1))
 
 
 def kron_operator(M):

@@ -8,7 +8,7 @@ import pytest
 from structlqr.cli import main
 from structlqr.experiments import (ExplorationConfig, ScenarioSpec,
                                    SolverConfig, builtin_scenario,
-                                   save_scenario)
+                                   ring_scenario, save_scenario)
 from structlqr.structure import SparsityMask
 
 _COMMANDS = ("srl", "compare", "model-based", "bound", "simulate")
@@ -143,6 +143,39 @@ def test_non_stabilizing_initial_gain_exits_4(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "error: initial gain is not stabilizing (spectral abscissa "
         "95.1273)\n")
+
+
+@pytest.mark.parametrize("command", ["srl", "compare", "model-based",
+                                     "bound"])
+def test_zero_initial_gain_on_a_ring_exits_4(tmp_path, capsys, command):
+    # K0 = 0 leaves the ring's consensus mode at zero, which the solve's
+    # eigh rounds to about -1.5e-15: still not stabilizing. The exploration
+    # is long enough for the ring's 270 unknowns, so srl and compare reach
+    # the gate.
+    spec = ring_scenario(20)
+    spec = dataclasses.replace(
+        spec, initial_gain=np.zeros((20, 20)),
+        exploration=dataclasses.replace(spec.exploration, duration=5.4))
+    path = tmp_path / "ring20-k0.scn"
+    save_scenario(spec, path)
+    assert main([command, "--scenario", str(path)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "error: initial gain is not stabilizing (spectral abscissa ")
+
+
+def test_bound_on_a_singular_operator_exits_1(tmp_path, capsys):
+    # K0 = 3 I stabilizes A = diag(2, 0), but A - B R^-1 B' = diag(1, -1)
+    # has eigenvalues summing to zero, so the bound constant is undefined
+    spec = ScenarioSpec(
+        name="singular", A=np.diag([2.0, 0.0]), B=np.eye(2), Q=np.eye(2),
+        R=np.eye(2), mask=SparsityMask.all_ones(2, 2), x0=np.ones(2),
+        dt=5e-4, exploration=ExplorationConfig(), solver=SolverConfig(),
+        initial_gain=3.0 * np.eye(2))
+    path = tmp_path / "singular.scn"
+    save_scenario(spec, path)
+    assert main(["bound", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: two eigenvalues of A - B R^-1 B' sum to zero; ")
 
 
 @pytest.mark.parametrize("command", _COMMANDS)

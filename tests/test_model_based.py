@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,15 +6,16 @@ import pytest
 from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 
 from helpers import (NETWORK_A, REFERENCE_GAIN_A, REFERENCE_GAIN_UNSTRUCTURED,
-                     X0, ZEROS_A, kron_bound_constant_oracle,
+                     TRIANGLE_A, X0, ZEROS_A, kron_bound_constant_oracle,
                      kron_lyapunov_oracle, lyapunov_integral_oracle,
-                     random_stable_matrix)
+                     random_laplacian, random_stable_matrix,
+                     spectral_abscissa)
 from structlqr import (ConvergenceError, CostWeights, InputPolicy, LtiSystem,
                        SparsityMask, SrlConfig, UnstableClosedLoopError,
-                       evaluate_cost, evaluate_cost_analytic, is_hurwitz,
+                       evaluate_cost, evaluate_cost_analytic,
                        kleinman_structured, modified_are_residual, simulate,
                        solve_lyapunov, solve_unstructured_lqr,
-                       spectral_abscissa, suboptimality_bound)
+                       suboptimality_bound)
 from structlqr.experiments import (builtin_scenario,
                                    make_consensus_network, ring_scenario,
                                    run_model_based)
@@ -38,15 +40,28 @@ def masked_identity_gain(mask, scale=10.0):
     return scale * (np.eye(6) * mask.indicator)
 
 
-def count_spectra(monkeypatch):
-    """Count np.linalg.eig, eigh and eigvals calls from here on."""
-    calls = {"eig": 0, "eigh": 0, "eigvals": 0}
-    for name in calls:
-        def counting(*args, _fn=getattr(np.linalg, name), _name=name):
+def count_calls(monkeypatch, module, names):
+    """Count calls of each module.name from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def count_spectra(monkeypatch):
+    """Count np.linalg.eig, eigh and eigvals calls from here on."""
+    return count_calls(monkeypatch, np.linalg, ("eig", "eigh", "eigvals"))
+
+
+def count_gates(monkeypatch):
+    """Count the model-based module's calls of its two spectral gates."""
+    from structlqr import model_based
+
+    return count_calls(monkeypatch, model_based,
+                       ("_check_hurwitz", "_check_eigenvalue_sums"))
 
 
 class TestSolveLyapunov:
@@ -133,10 +148,12 @@ class TestSolveLyapunov:
         assert np.linalg.norm(P - P_quad, "fro") <= 1e-6
 
     def test_non_hurwitz_rejected(self, network):
-        # the zero mode reads 2.1e-16 in the eigh of the solve
-        with pytest.raises(UnstableClosedLoopError,
-                           match=r"^M is not Hurwitz \(spectral abscissa"):
-            solve_lyapunov(network.A, np.eye(6))
+        # the zero mode reads 2.1e-16 in the eigh of NETWORK_A and -2.6e-16
+        # in that of TRIANGLE_A: rejected whichever sign it rounds to
+        for A in (network.A, TRIANGLE_A):
+            with pytest.raises(UnstableClosedLoopError,
+                               match=r"^M is not Hurwitz \(spectral abscissa"):
+                solve_lyapunov(A, np.eye(len(A)))
 
     def test_one_eig_per_solve(self, network, weights, monkeypatch):
         calls = count_spectra(monkeypatch)
@@ -199,12 +216,26 @@ class TestSolveLyapunov:
             solve_lyapunov(M, np.eye(2))
 
     def test_symmetric_eigenvalues_summing_to_zero_rejected(self):
+        # an abscissa of -1e-13 is within 5e-13 of the axis: the one gate
+        # rejects it as not Hurwitz and says why
         rot = np.linalg.qr(np.array([[1.0, 2.0], [3.0, 4.0]]))[0]
         M = rot @ np.diag([-1e-13, -1.0]) @ rot.T
         M = 0.5 * (M + M.T)
-        with pytest.raises(ValueError, match="two eigenvalues of M sum to "
-                           "zero; X -> M' X \\+ X M is singular"):
+        with pytest.raises(UnstableClosedLoopError) as err:
             solve_lyapunov(M, np.eye(2))
+        # -1e-13 up to the rotation's rounding
+        assert re.fullmatch(r"M is not Hurwitz \(spectral abscissa "
+                            r"-(9\.9\d*e-14|1(\.0\d*)?e-13), within 5e-13 of "
+                            r"the imaginary axis\)", str(err.value))
+
+    @pytest.mark.parametrize("M", [
+        NETWORK_A - np.eye(6),  # symmetric: eigh
+        NETWORK_A - np.eye(6) - 0.1 * np.triu(np.ones((6, 6)), 1)])  # eig
+    def test_one_gate_per_solve(self, M, monkeypatch):
+        calls = count_gates(monkeypatch)
+        solve_lyapunov(M, np.eye(6))
+        assert calls == {"_check_hurwitz": 1,
+                         "_check_eigenvalue_sums": 0}
 
     def test_asymmetric_s_rejected(self):
         with pytest.raises(ValueError):
@@ -243,12 +274,12 @@ class TestKleinmanStructured:
         assert np.max(np.abs(res.K + res.L - phi)) <= 1e-8
         # every accepted iterate keeps the loop Hurwitz
         for rec in res.history:
-            assert is_hurwitz(network.A - network.B @ rec.K)
+            assert spectral_abscissa(network.A - network.B @ rec.K) < 0.0
 
     def test_weak_initial_gain_destabilizes_first_update(self, network, weights,
                                                          mask_a):
         K0 = masked_identity_gain(mask_a, scale=0.1)
-        assert is_hurwitz(network.A - network.B @ K0)
+        assert spectral_abscissa(network.A - network.B @ K0) < 0.0
         for max_iter in (2, 50):  # any budget that reaches iterate 1's solve
             with pytest.raises(UnstableClosedLoopError,
                                match=r"^iterate 1 destabilized the loop"):
@@ -264,7 +295,7 @@ class TestKleinmanStructured:
             kleinman_structured(network, weights, mask_a, K0, max_iter=1)
         partial = err.value.result
         assert partial.iterations == 1 and not partial.converged
-        assert not is_hurwitz(network.A - network.B @ partial.K)
+        assert spectral_abscissa(network.A - network.B @ partial.K) >= 0.0
 
     def test_nonstabilizing_initial_gain_rejected(self, network, weights, mask_a):
         K0 = np.zeros((6, 6))
@@ -483,12 +514,25 @@ class TestSuboptimalityBound:
         with pytest.raises(ValueError):
             suboptimality_bound(sys, w, np.ones(2), 1.0, 1.0)
 
-    def test_singular_operator_rejected(self):
-        # eigenvalues of A - B R^-1 B' are +1 and -1, summing to zero
-        sys = LtiSystem(A=np.diag([2.0, 0.0]), B=np.eye(2))
+    def test_singular_operator_rejected(self, monkeypatch):
+        # eigenvalues of A - B R^-1 B' are +1 and -1, summing to zero; it
+        # has no Hurwitz gate, so the sum check alone reads its spectrum
+        self.check_singular(np.diag([2.0, 0.0]), monkeypatch)  # closed form
+
+    def test_singular_non_symmetric_operator_rejected(self, monkeypatch):
+        # the same spectrum, not symmetric: the Lanczos branch's first solver
+        self.check_singular(np.array([[2.0, 5.0], [0.0, 0.0]]), monkeypatch)
+
+    @staticmethod
+    def check_singular(A, monkeypatch):
+        sys = LtiSystem(A=A, B=np.eye(2))
         w = CostWeights(Q=np.eye(2), R=np.eye(2))
-        with pytest.raises(ValueError):
+        calls = count_gates(monkeypatch)
+        with pytest.raises(ValueError, match=(
+                r"^two eigenvalues of A - B R\^-1 B' sum to zero; ")):
             suboptimality_bound(sys, w, np.ones(2), 1.0, 1.0)
+        assert calls == {"_check_hurwitz": 0,
+                         "_check_eigenvalue_sums": 1}
 
 
 @pytest.mark.parametrize("name, decompositions", [("ring40", 16),
@@ -515,3 +559,24 @@ def test_model_based_run_memory_stays_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_marginal_loops_are_unstable_whatever_the_rounding():
+    # a consensus Laplacian has one zero mode, which eig, eigh and eigvals
+    # round to either sign; every entry point that needs a Hurwitz loop
+    # rejects it as not Hurwitz, and no cost comes out finite
+    rng = np.random.default_rng(0)
+    signs = set()
+    for _ in range(40):
+        n = int(rng.integers(2, 12))
+        A = random_laplacian(rng, n)
+        signs.add(bool(np.max(np.linalg.eigvalsh(A)) < 0.0))
+        sys, eye, zero = LtiSystem(A=A, B=np.eye(n)), np.eye(n), np.zeros((n, n))
+        w = CostWeights(Q=eye, R=eye)
+        for run in (lambda: solve_lyapunov(A, eye),
+                    lambda: kleinman_structured(
+                        sys, w, SparsityMask.all_ones(n, n), zero),
+                    lambda: evaluate_cost(sys, w, zero, np.ones(n))):
+            with pytest.raises(UnstableClosedLoopError):
+                run()
+    assert signs == {False, True}  # both roundings were exercised

@@ -5,12 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (NETWORK_A, OPEN_LOOP_EIGS, X0, matrix_exponential_state,
-                     random_stable_matrix, rk4_reference)
+from helpers import (NETWORK_A, OPEN_LOOP_EIGS, TRIANGLE_A, X0,
+                     matrix_exponential_state, random_stable_matrix,
+                     rk4_reference, spectral_abscissa)
 from structlqr import (CostWeights, InputPolicy, LtiSystem, SimulationDiverged,
                        Trajectory, UnstableClosedLoopError,
-                       evaluate_cost, evaluate_cost_analytic, is_hurwitz,
-                       make_exploration, simulate, spectral_abscissa)
+                       evaluate_cost, evaluate_cost_analytic,
+                       make_exploration, simulate)
 
 
 @pytest.fixture
@@ -70,11 +71,39 @@ class TestTypes:
 
 class TestSpectralAbscissa:
     def test_negative_identity(self):
+        # the eigvals oracle and the library's stability rule agree
         assert spectral_abscissa(-np.eye(4)) == pytest.approx(-1.0)
+        sys = LtiSystem(A=-np.eye(4), B=np.eye(4))
+        w = CostWeights(Q=np.eye(4), R=np.eye(4))
+        J = evaluate_cost(sys, w, np.zeros((4, 4)), np.ones(4))
+        assert J == pytest.approx(2.0, rel=1e-6)
 
     def test_network_has_zero_mode(self, network):
-        assert abs(spectral_abscissa(network.A)) < 1e-8
-        assert not is_hurwitz(network.A)
+        # NETWORK_A's zero mode rounds positive, TRIANGLE_A's negative: the
+        # rule rejects both
+        for A in (network.A, TRIANGLE_A):
+            assert abs(spectral_abscissa(A)) < 1e-8
+            n = len(A)
+            sys = LtiSystem(A=A, B=np.eye(n))
+            w = CostWeights(Q=np.eye(n), R=np.eye(n))
+            with pytest.raises(UnstableClosedLoopError,
+                               match=r"^closed loop is not Hurwitz"):
+                evaluate_cost(sys, w, np.zeros((n, n)), np.ones(n))
+
+    def test_band_around_the_axis_is_half_the_spectral_tolerance(self):
+        # |lambda| < 1, so the band is 5e-13 wide: -6e-13 passes (the
+        # README's drift example), -4e-13 is named as within it
+        w = CostWeights(Q=np.eye(1), R=np.eye(1))
+        K, x0 = np.zeros((1, 1)), np.ones(1)
+        slow = LtiSystem(A=np.array([[-6e-13]]), B=np.eye(1))
+        assert evaluate_cost(slow, w, K, x0) == pytest.approx(9.007e11,
+                                                              rel=1e-3)
+        marginal = LtiSystem(A=np.array([[-4e-13]]), B=np.eye(1))
+        with pytest.raises(UnstableClosedLoopError) as err:
+            evaluate_cost(marginal, w, K, x0)
+        assert str(err.value) == (
+            "closed loop is not Hurwitz (spectral abscissa -4e-13, within "
+            "5e-13 of the imaginary axis)")
 
     def test_network_spectrum_matches_reference(self, network):
         eigs = np.sort(np.linalg.eigvals(network.A).real)
@@ -434,15 +463,29 @@ class TestCost:
         assert abs(Jq - Ja) <= 1.4e-4 * Ja
 
     def test_step_map_of_spectral_radius_one_diverges(self):
-        # 1 - 1e-20 rounds to 1: the sum grows without bound and must stop
-        # at the doubling cap with a finite time
+        # 1 - 1e-20 would round to 1 and the sum grow without bound; the
+        # stability rule stops the loop first, within 5e-13 of the axis
         sys = LtiSystem(A=np.array([[-1e-17]]), B=np.array([[1.0]]))
+        w = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
+        with pytest.raises(UnstableClosedLoopError) as err:
+            evaluate_cost(sys, w, np.array([[0.0]]), np.array([1.0]))
+        assert str(err.value) == (
+            "closed loop is not Hurwitz (spectral abscissa -1e-17, within "
+            "5e-13 of the imaginary axis)")
+
+    def test_doubling_cap_stops_an_unsettled_sum(self, monkeypatch):
+        # a slow loop that passes the gate but needs far more than 2^8 steps
+        # to settle: with the cap at 8 it stops at the time the 8th reaches
+        import structlqr.system
+
+        monkeypatch.setattr(structlqr.system, "_COST_DOUBLINGS", 8)
+        sys = LtiSystem(A=np.array([[-1e-6]]), B=np.array([[1.0]]))
         w = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
         start = time.perf_counter()
         with pytest.raises(SimulationDiverged) as err:
             evaluate_cost(sys, w, np.array([[0.0]]), np.array([1.0]))
         assert time.perf_counter() - start < 1.0
-        assert np.isfinite(err.value.time) and err.value.time > 1e15
+        assert err.value.time == pytest.approx(1e-3 * 2.0**8, rel=1e-12)
 
     @pytest.mark.parametrize("case", ["consensus-a", "non-normal"])
     def test_trapezoid_on_the_rk4_grid_oracle(self, case):
