@@ -14,7 +14,8 @@ from .learning import (_AMPLITUDE, _FREQ_RANGE, _NUM_SINUSOIDS, _RANK_TOL,
 from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
                           kleinman_structured, solve_unstructured_lqr,
                           suboptimality_bound)
-from .structure import SparsityMask, _check_on_mask, check_membership
+from .structure import (SparsityMask, _check_mask, _check_on_mask,
+                        check_membership)
 from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
                      Trajectory, _as_matrix, _check_at_least, _check_multiple,
                      _check_positive, _check_step_count, evaluate_cost,
@@ -152,9 +153,7 @@ class ScenarioSpec:
                         least=2)
         _check_multiple("exploration duration", ex.duration,
                         "exploration window", ex.window)
-        if not isinstance(self.mask, SparsityMask):
-            raise ScenarioError(
-                f"mask must be a SparsityMask, got {type(self.mask).__name__}")
+        _check_mask(self.mask)
         n, m = _as_matrix(self.B, name="B").shape
         for nm, M, shape in (("Q", self.Q, (n, n)), ("R", self.R, (m, m)),
                              ("A", self.A, (n, n)),

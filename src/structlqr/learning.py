@@ -13,7 +13,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .model_based import _MAX_ITER, _TOL, SynthesisResult, _policy_iteration
-from .structure import SparsityMask, _check_on_mask
+from .structure import SparsityMask, _check_mask, _check_on_mask
 from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory, _as_matrix,
                      _check_at_least, _check_multiple, _check_positive,
                      _check_weights, _freeze)
@@ -102,7 +102,7 @@ def hide_state_matrix(sys: LtiSystem) -> PlantHandle:
 
 
 def _num_unknowns(n: int, mask: SparsityMask) -> int:
-    """Regression unknowns: n(n+1)/2 entries of the symmetric P plus nnz."""
+    """The paper's unknown count n(n+1)/2 + nnz(mask); it sizes the data."""
     return n * (n + 1) // 2 + mask.nnz
 
 
@@ -179,6 +179,7 @@ class SrlConfig:
     def __post_init__(self):
         B = _as_matrix(self.B, name="B")
         n, m = B.shape
+        _check_mask(self.mask)
         if self.mask.shape != (m, n):
             raise ValueError(f"mask must be {m}x{n}")
         K0 = _as_matrix(self.initial_gain, rows=m, cols=n, name="initial_gain")
@@ -237,7 +238,7 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
 @dataclass(frozen=True)
 class RankReport:
     """Numerical rank of the distinct columns of [int_xx int_xu] (see
-    DataMatrices.singular_values) against the regression's unknown count
+    DataMatrices.singular_values) against the paper's unknown count
     n(n+1)/2 + nnz(mask). sigma_max and sigma_min are the largest and
     smallest of those columns' singular values."""
 
@@ -263,7 +264,10 @@ def check_rank(data: DataMatrices, mask: SparsityMask,
     """Rank diagnostic for the excitation content of collected data: the
     singular values above rank_tol * sigma_max, counted from the spectrum
     the data set computes once, however often it is checked. A mask that
-    is not m-by-n for the data's n states and m inputs is a ValueError."""
+    is not an m-by-n SparsityMask for the data's n states and m inputs, or
+    a rank_tol that is not finite and positive, is a ValueError."""
+    _check_mask(mask)
+    _check_positive("rank_tol", rank_tol)
     if mask.shape != (data.m, data.n):
         raise ValueError(f"mask shape {mask.shape} does not match the data's "
                          f"gain shape {(data.m, data.n)}")
@@ -275,43 +279,31 @@ def check_rank(data: DataMatrices, mask: SparsityMask,
                       sigma_min=float(sv[-1]) if sv.size else 0.0)
 
 
-def _gain_regressors(data: DataMatrices, K, R) -> np.ndarray:
-    """Per window, (int_xx K' + int_xu) R: the regressors of K_next'."""
-    return (data.int_xx @ K.T + data.int_xu) @ R
+def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
+    """Policy evaluation from data: the value matrix P of the gain.
 
-
-def solve_iteration(data: DataMatrices, gain, config: SrlConfig):
-    """One policy-evaluation/update least squares in the paper's unknowns.
-
-    Solves jointly for the n(n+1)/2 distinct entries of the symmetric value
-    matrix P and the nnz(mask) free entries of the next gain; returns
-    (P, K_next) with K_next exactly zero off the mask.
+    B is known, so along the record d(x'Px)/dt = -x'Qbar x + 2 (u + Kx)' B'Px
+    with Qbar = Q + K'RK, linear in P alone. Per window that is one least
+    squares row <delta_xx - 2 H B', P> = -<int_xx, Qbar>, H = int_xx K' +
+    int_xu, in the n(n+1)/2 distinct entries of the symmetric P. Data whose
+    (n, m) is not B's shape is a ValueError.
     """
-    n, m = data.n, data.m
+    n, m = config.B.shape
+    if (data.n, data.m) != (n, m):
+        raise ValueError(f"data (n, m) = {(data.n, data.m)} does not match "
+                         f"B's shape {(n, m)}")
     K = _as_matrix(gain, rows=m, cols=n, name="gain")
-    R = config.weights.R
-    Qbar = config.weights.Q + K.T @ R @ K
-    RinvBt = np.linalg.solve(R, config.B.T)
-
-    # G[:, c, r] multiplies entry (r, c) of R^-1 B' P. Off the mask that
-    # entry is known from P, sum_l RinvBt[r, l] P[l, c], so those columns
-    # are added to the coefficients of P (at [c, l]; P is symmetric) and
-    # only the nnz on-mask gain entries stay unknowns.
-    G = _gain_regressors(data, K, R)
-    r, c = np.nonzero(config.mask.indicator)
-    gain_cols = -2.0 * G[:, c, r]
-    G *= config.mask.complement.T  # in place: one (N, n, m) array fewer
-    coef = G @ (-2.0 * RinvBt)
+    Qbar = config.weights.Q + K.T @ config.weights.R @ K
+    coef = (data.int_xx @ K.T + data.int_xu) @ (-2.0 * config.B.T)
     coef += data.delta_xx
 
     # The regressors cannot separate P_ij from P_ji, so their coefficients
     # are merged and the unknown is the n(n+1)/2 distinct values of a
     # symmetric P, ordered (i, j) with i <= j, column by column.
     j, i = np.tril_indices(n)
-    P_cols = coef[:, j, i]
+    theta = coef[:, j, i]
     off = i != j
-    P_cols[:, off] += coef[:, i[off], j[off]]
-    theta = np.hstack([P_cols, gain_cols])
+    theta[:, off] += coef[:, i[off], j[off]]
     rhs = -np.tensordot(data.int_xx, Qbar.T)  # window integrals of x'Qbar x
 
     # equilibrate rows then columns; plain scaling, undone after the solve
@@ -328,17 +320,14 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig):
         raise RankDeficientError(
             f"regression matrix rank {rank} < {ncols} unknowns; "
             f"deficient subspace dimension {ncols - rank}")
-    sol = sol / col_scale
     P = np.zeros((n, n))
-    P[i, j] = P[j, i] = sol[:len(i)]
-    K_next = np.zeros((m, n))
-    K_next[r, c] = sol[len(i):]
-    return P, K_next
+    P[i, j] = P[j, i] = sol / col_scale
+    return P
 
 
 def srl_synthesize(data: DataMatrices, config: SrlConfig) -> SynthesisResult:
     """Data-driven structured synthesis from collected data: a rank gate,
-    then one solve_iteration least squares per iteration until ||dP|| < tol.
+    then policy iteration evaluating each gain by solve_iteration.
     """
     report = check_rank(data, config.mask, rank_tol=config.rank_tol)
     if not report.passed:

@@ -6,7 +6,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .structure import SparsityMask, off_pattern, on_pattern
+from .structure import SparsityMask, _check_mask, off_pattern, on_pattern
 from .system import (_SPECTRAL_TOL, CostWeights, LtiSystem, _as_matrix,
                      _as_state, _check_at_least, _check_hurwitz,
                      _check_positive, _check_weights)
@@ -36,8 +36,8 @@ class IterationRecord:
 class SynthesisResult:
     """Converged value matrix, structured gain and per-iteration history.
 
-    For model-based runs K + L equals R^-1 B' P to solver precision; for
-    data-driven runs the identity holds to regression accuracy.
+    On both routes K and L are the on- and off-pattern parts of R^-1 B' P,
+    so K + L = R^-1 B' P exactly; P carries the solve's or the data's error.
     """
 
     P: np.ndarray
@@ -212,18 +212,20 @@ def modified_are_residual(P, L, sys: LtiSystem, weights: CostWeights) -> float:
     return float(np.linalg.norm(res, "fro"))
 
 
-def _policy_iteration(step, K, RinvBt, mask: SparsityMask, tol: float,
+def _policy_iteration(evaluate, K, RinvBt, mask: SparsityMask, tol: float,
                       max_iter: int) -> SynthesisResult:
     """Policy iteration around one evaluation oracle.
 
-    step(k, K) evaluates the gain K in iteration k (0-based) and returns
-    the value matrix P and the next masked gain. The loop stops once
-    ||P_k - P_{k-1}||_F < tol; L is the off-pattern part of R^-1 B' P.
+    evaluate(k, K) returns the value matrix P of the gain K in iteration k
+    (0-based); the improvement is the masked update K <- (R^-1 B' P) o mask,
+    the same on both routes. The loop stops once ||P_k - P_{k-1}||_F < tol;
+    L is the off-pattern part of R^-1 B' P.
     """
     history: List[IterationRecord] = []
     P_prev: Optional[np.ndarray] = None
     for k in range(max_iter):
-        P, K = step(k, K)
+        P = evaluate(k, K)
+        K = on_pattern(RinvBt @ P, mask)
         delta = np.inf if P_prev is None else float(np.linalg.norm(P - P_prev, "fro"))
         history.append(IterationRecord(P=P, K=K, delta_P=delta))
         if P_prev is not None and delta < tol:
@@ -257,19 +259,19 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
     """
     _check_positive("tol", tol)
     _check_at_least("max_iter", max_iter, 1)
+    _check_mask(mask)
     if mask.shape != (sys.m, sys.n):
         raise ValueError(f"mask must be {sys.m}x{sys.n}")
     K = _as_matrix(initial_gain, rows=sys.m, cols=sys.n, name="initial_gain")
     _check_weights(weights, sys.n, sys.m)
     RinvBt = np.linalg.solve(weights.R, sys.B.T)
 
-    def step(k, K):
-        P = _lyapunov(sys.A - sys.B @ K, weights.Q + K.T @ weights.R @ K,
-                      "initial gain is not stabilizing" if k == 0
-                      else f"iterate {k} destabilized the loop")
-        return P, on_pattern(RinvBt @ P, mask)
+    def evaluate(k, K):
+        return _lyapunov(sys.A - sys.B @ K, weights.Q + K.T @ weights.R @ K,
+                         "initial gain is not stabilizing" if k == 0
+                         else f"iterate {k} destabilized the loop")
 
-    result = _policy_iteration(step, K, RinvBt, mask, tol, max_iter)
+    result = _policy_iteration(evaluate, K, RinvBt, mask, tol, max_iter)
     _check_hurwitz(np.linalg.eigvals(sys.A - sys.B @ result.K),
                    f"iterate {result.iterations} destabilized the loop")
     return result
