@@ -20,7 +20,7 @@ from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory, _as_matrix
 
 
 # Knob defaults, shared with the scenario configs.
-_RANK_TOL = 1e-12          # rank cutoff relative to the largest singular value
+_RANK_TOL = 1e-12          # sigma ratio cutoff; cond < 1/sqrt(rank_tol)
 _NUM_SINUSOIDS = 100       # probe sinusoids per input channel
 _FREQ_RANGE = (0.5, 50.0)  # probe frequencies, rad/s
 _AMPLITUDE = 1.0           # per-channel probe peak budget
@@ -130,9 +130,10 @@ class DataMatrices:
             raise ValueError(
                 "data blocks must be (N, n, n), (N, n, n) and (N, n, m), "
                 f"got {d.shape}, {xx.shape} and {xu.shape}")
-        object.__setattr__(self, "delta_xx", d)
-        object.__setattr__(self, "int_xx", xx)
-        object.__setattr__(self, "int_xu", xu)
+        for name, block in zip(("delta_xx", "int_xx", "int_xu"), (d, xx, xu)):
+            if not np.all(np.isfinite(block)):
+                raise ValueError(f"{name} has non-finite entries")
+            object.__setattr__(self, name, block)
 
     @property
     def num_windows(self) -> int:
@@ -174,7 +175,7 @@ class SrlConfig:
     substeps: int = 1
     tol: float = _TOL
     max_iter: int = _MAX_ITER
-    rank_tol: float = _RANK_TOL
+    rank_tol: float = _RANK_TOL  # see check_rank and solve_iteration
 
     def __post_init__(self):
         B = _as_matrix(self.B, name="B")
@@ -285,8 +286,9 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
     B is known, so along the record d(x'Px)/dt = -x'Qbar x + 2 (u + Kx)' B'Px
     with Qbar = Q + K'RK, linear in P alone. Per window that is one least
     squares row <delta_xx - 2 H B', P> = -<int_xx, Qbar>, H = int_xx K' +
-    int_xu, in the n(n+1)/2 distinct entries of the symmetric P. Data whose
-    (n, m) is not B's shape is a ValueError.
+    int_xu, in the n(n+1)/2 distinct entries of P, solved from the Gram matrix
+    G; an eigenvalue of G not above rank_tol * lambda_max (cond 1e6 at 1e-12)
+    is a RankDeficientError, data whose (n, m) is not B's shape a ValueError.
     """
     n, m = config.B.shape
     if (data.n, data.m) != (n, m):
@@ -294,34 +296,37 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
                          f"B's shape {(n, m)}")
     K = _as_matrix(gain, rows=m, cols=n, name="gain")
     Qbar = config.weights.Q + K.T @ config.weights.R @ K
-    coef = (data.int_xx @ K.T + data.int_xu) @ (-2.0 * config.B.T)
-    coef += data.delta_xx
+    coef = ((data.int_xx.reshape(-1, n) @ K.T + data.int_xu.reshape(-1, m))
+            @ (-2.0 * config.B.T)).reshape(-1, n * n)
+    coef += data.delta_xx.reshape(coef.shape)
 
     # The regressors cannot separate P_ij from P_ji, so their coefficients
     # are merged and the unknown is the n(n+1)/2 distinct values of a
     # symmetric P, ordered (i, j) with i <= j, column by column.
     j, i = np.tril_indices(n)
-    theta = coef[:, j, i]
-    off = i != j
-    theta[:, off] += coef[:, i[off], j[off]]
+    theta = np.take(coef, j * n + i, axis=1)
+    theta += np.take(coef, i * n + j, axis=1)
+    theta[:, i == j] *= 0.5
     rhs = -np.tensordot(data.int_xx, Qbar.T)  # window integrals of x'Qbar x
 
     # equilibrate rows then columns; plain scaling, undone after the solve
     row_scale = np.linalg.norm(theta, axis=1)
     row_scale[row_scale == 0.0] = 1.0
-    theta = theta / row_scale[:, None]
-    rhs = rhs / row_scale
+    theta /= row_scale[:, None]
+    rhs /= row_scale
     col_scale = np.linalg.norm(theta, axis=0)
     col_scale[col_scale == 0.0] = 1.0
-
-    sol, _, rank, _ = np.linalg.lstsq(theta / col_scale, rhs, rcond=None)
-    ncols = theta.shape[1]
-    if rank < ncols:
+    theta /= col_scale
+    # normal equations: their error grows as cond^2, hence the gate on G
+    G = theta.T @ theta
+    lam = np.linalg.eigvalsh(G)
+    rank, p = int(np.sum(lam > config.rank_tol * lam[-1])), len(lam)
+    if rank < p:  # cond from an SVD: past about 1e8, lam[0] is rounding
         raise RankDeficientError(
-            f"regression matrix rank {rank} < {ncols} unknowns; "
-            f"deficient subspace dimension {ncols - rank}")
+            f"regression matrix rank {rank} < {p} unknowns; deficient subspace "
+            f"dimension {p - rank}; condition number {np.linalg.cond(theta):.3g}")
     P = np.zeros((n, n))
-    P[i, j] = P[j, i] = sol / col_scale
+    P[i, j] = P[j, i] = np.linalg.solve(G, theta.T @ rhs) / col_scale
     return P
 
 

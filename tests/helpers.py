@@ -1,7 +1,7 @@
 """Shared reference data and independent oracles for the test suite."""
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, lstsq
 
 from structlqr import SimulationDiverged
 from structlqr.learning import DataMatrices
@@ -192,3 +192,33 @@ def assemble_data_reference(traj, window: float) -> DataMatrices:
         int_xx=cxx[idx[1:]] - cxx[idx[:-1]],
         int_xu=cxu[idx[1:]] - cxu[idx[:-1]],
     )
+
+
+def policy_evaluation_regression(data, gain, config):
+    """Row-equilibrated regression for the value matrix P of a gain, built
+    one window at a time from d(x'Px)/dt = -x'Qbar x + 2 (u + Kx)'B'Px with
+    Qbar = Q + K'RK. Over a window, with H the integral of x (u + Kx)',
+    <delta_xx - B H' - H B', P> = -<int_xx, Qbar>. Unknowns are P's entries
+    (i, j), i <= j, in row-major order. Returns (rows, rhs, (i, j))."""
+    K, B = np.asarray(gain, dtype=float), config.B
+    Qbar = config.weights.Q + K.T @ config.weights.R @ K
+    iu, ju = np.triu_indices(B.shape[0])
+    rows, rhs = [], []
+    for dxx, ixx, ixu in zip(data.delta_xx, data.int_xx, data.int_xu):
+        H = ixu + ixx @ K.T
+        C = dxx - B @ H.T - H @ B.T
+        row = np.where(iu == ju, 1.0, 2.0) * C[iu, ju]
+        norm = np.linalg.norm(row)
+        norm = norm if norm > 0 else 1.0
+        rows.append(row / norm)
+        rhs.append(-np.sum(ixx * Qbar) / norm)
+    return np.array(rows), np.array(rhs), (iu, ju)
+
+
+def solve_iteration_reference(data, gain, config):
+    """scipy.linalg.lstsq (SVD based) on policy_evaluation_regression: the
+    oracle for the Gram-matrix solve in ``solve_iteration``."""
+    rows, rhs, (i, j) = policy_evaluation_regression(data, gain, config)
+    P = np.zeros((config.B.shape[0],) * 2)
+    P[i, j] = P[j, i] = lstsq(rows, rhs)[0]
+    return P

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import NETWORK_A, X0, ZEROS_A, assemble_data_reference
+from helpers import (NETWORK_A, X0, ZEROS_A, assemble_data_reference,
+                     policy_evaluation_regression, solve_iteration_reference)
 from structlqr import (ConvergenceError, CostWeights, DataMatrices,
                        ExplorationSignal, InputPolicy, LtiSystem, PlantHandle,
                        RankDeficientError, SparsityMask, SrlConfig, check_rank,
@@ -15,7 +16,8 @@ from structlqr import (ConvergenceError, CostWeights, DataMatrices,
                        required_samples, solve_iteration, solve_lyapunov,
                        solve_unstructured_lqr, srl_synthesize)
 from structlqr.cli import main
-from structlqr.experiments import builtin_scenario, run_srl, save_scenario
+from structlqr.experiments import (builtin_scenario, ring_scenario, run_srl,
+                                   save_scenario)
 from structlqr.learning import assemble_data
 from structlqr.system import Trajectory, simulate
 
@@ -272,6 +274,18 @@ class TestAssembleData:
             with pytest.raises(ValueError, match="data blocks must be"):
                 DataMatrices(**{**good, name: bad})
 
+    @pytest.mark.parametrize("name", ["delta_xx", "int_xx", "int_xu"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_rejected(self, name, bad):
+        data = assemble_data(*_rectangular_record())
+        blocks = dict(delta_xx=data.delta_xx, int_xx=data.int_xx,
+                      int_xu=data.int_xu)
+        blocks[name] = blocks[name].copy()
+        blocks[name][3, 1, 0] = bad
+        with pytest.raises(ValueError,
+                           match=f"^{name} has non-finite entries$"):
+            DataMatrices(**blocks)
+
     def test_peak_memory_below_the_record(self):
         traj, window = _builtin_record("consensus-a")
         tracemalloc.start()
@@ -513,6 +527,60 @@ class TestSolveIteration:
         with pytest.raises(RankDeficientError):
             solve_iteration(data, config.initial_gain, config)
 
+    @pytest.mark.parametrize("spec", [builtin_scenario("consensus-a"),
+                                      builtin_scenario("consensus-b"),
+                                      ring_scenario(8)],
+                             ids=lambda spec: spec.name)
+    def test_matches_window_by_window_oracle(self, spec):
+        # the builtins explore with seed 7, the ring with seed 0; the ring's
+        # regressor has condition number 1.1e3
+        config, data = _spec_data(spec)
+        P = solve_iteration(data, config.initial_gain, config)
+        ref = solve_iteration_reference(data, config.initial_gain, config)
+        assert np.linalg.norm(P - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_ill_conditioned_record_is_rank_deficient(self):
+        # consensus-a seen through x1 <- x0 + 1e-4 x1: state 1 copies state
+        # 0 up to a relative 1e-4, and the regressor's condition number is
+        # about 1e9. An SVD least-squares solve finds full rank there and
+        # returns a P; the Gram gate, cond below 1e6, refuses it.
+        config, data = _spec_data(builtin_scenario("consensus-a"))
+        T = np.eye(6)
+        T[1, :2] = 1.0, 1e-4
+        copied = DataMatrices(delta_xx=T @ data.delta_xx @ T.T,
+                              int_xx=T @ data.int_xx @ T.T,
+                              int_xu=T @ data.int_xu)
+        config = dataclasses.replace(
+            config, mask=SparsityMask.all_ones(6, 6), B=T @ config.B,
+            initial_gain=config.initial_gain @ np.linalg.inv(T))
+        rows, _, _ = policy_evaluation_regression(copied, config.initial_gain,
+                                                  config)
+        cond = np.linalg.cond(rows / np.linalg.norm(rows, axis=0))
+        assert 1e6 < cond < 1e12
+        assert np.linalg.matrix_rank(rows) == 21
+        with pytest.raises(RankDeficientError, match=(
+                r"^regression matrix rank 20 < 21 unknowns; deficient "
+                r"subspace dimension 1; condition number 1\.\d+e\+09$")):
+            solve_iteration(copied, config.initial_gain, config)
+
+    def test_fewer_windows_than_unknowns_is_rank_deficient(self):
+        # 4 windows against the 6 entries of a 3x3 P
+        rng = np.random.default_rng(0)
+        xx = rng.standard_normal((2, 4, 3, 3))
+        xx += xx.transpose(0, 1, 3, 2)
+        data = DataMatrices(delta_xx=xx[0], int_xx=xx[1],
+                            int_xu=rng.standard_normal((4, 3, 1)))
+        mask = SparsityMask.all_ones(1, 3)
+        config = SrlConfig(mask=mask, weights=CostWeights(Q=np.eye(3),
+                                                          R=np.eye(1)),
+                           B=np.ones((3, 1)), initial_gain=np.zeros((1, 3)),
+                           window=0.02, num_windows=required_samples(3, mask),
+                           dt=0.01)
+        with pytest.raises(RankDeficientError, match=(
+                r"^regression matrix rank 4 < 6 unknowns; deficient "
+                r"subspace dimension 2; condition number ")):
+            solve_iteration(data, config.initial_gain, config)
+
 
 class TestSrlSynthesize:
     def test_all_ones_mask_recovers_classical_lqr(self, network):
@@ -654,7 +722,7 @@ class TestSrlSynthesize:
         # A joint regression in P and the gain entries, the paper's form,
         # returned errors up to 5.4e-3 on these draws at the scenario's own
         # tol; evaluating P alone gives at most 3.3e-5.
-        config, data = _weak_probe_data(sinusoids, seed)
+        config, data = _spec_data(_weak_probe_spec(sinusoids, seed))
         learned = srl_synthesize(data, config)
         err = (np.linalg.norm(learned.K - consensus_a_optimum)
                / np.linalg.norm(consensus_a_optimum))
@@ -677,8 +745,8 @@ def _weak_probe_spec(sinusoids, seed):
         spec.exploration, num_sinusoids=sinusoids, seed=seed))
 
 
-def _weak_probe_data(sinusoids, seed):
-    spec = _weak_probe_spec(sinusoids, seed)
+def _spec_data(spec):
+    """The config and window blocks of a data-driven run on spec."""
     config = spec.srl_config()
     policy = InputPolicy.feedback_with_probe(config.initial_gain, spec.probe())
     _, data = collect(hide_state_matrix(spec.system()), policy, spec.x0,
