@@ -17,9 +17,9 @@ from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
 from .structure import (SparsityMask, _check_mask, _check_on_mask,
                         check_membership)
 from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
-                     Trajectory, _as_matrix, _check_at_least, _check_multiple,
-                     _check_positive, _check_step_count, evaluate_cost,
-                     evaluate_cost_analytic, simulate)
+                     Trajectory, _as_matrix, _check_at_least, _check_fraction,
+                     _check_multiple, _check_positive, _check_step_count,
+                     evaluate_cost, evaluate_cost_analytic, simulate)
 
 
 class ScenarioError(ValueError):
@@ -122,7 +122,7 @@ class SolverConfig:
     def __post_init__(self):
         _check_positive("tol", self.tol)
         _check_at_least("max_iter", self.max_iter, 1)
-        _check_positive("solver rank-tol", self.rank_tol)
+        _check_fraction("solver rank-tol", self.rank_tol)
 
 
 @dataclass(frozen=True)

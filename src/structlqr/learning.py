@@ -15,8 +15,8 @@ import numpy as np
 from .model_based import _MAX_ITER, _TOL, SynthesisResult, _policy_iteration
 from .structure import SparsityMask, _check_mask, _check_on_mask
 from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory, _as_matrix,
-                     _check_at_least, _check_multiple, _check_positive,
-                     _check_weights, _freeze)
+                     _check_at_least, _check_fraction, _check_multiple,
+                     _check_positive, _check_weights, _freeze)
 
 
 # Knob defaults, shared with the scenario configs.
@@ -68,8 +68,10 @@ def make_exploration(seed: int, num_inputs: int,
     and phases; the per-sinusoid amplitude is amplitude / num_sinusoids so
     the per-channel peak stays within the amplitude budget.
     """
+    _check_at_least("seed", seed, 0)
     _check_at_least("num_inputs", num_inputs, 1)
     _check_at_least("num_sinusoids", num_sinusoids, 1)
+    _check_positive("amplitude", amplitude)
     lo, hi = freq_range
     if not (0 < lo <= hi < np.inf):
         raise ValueError(
@@ -191,14 +193,12 @@ class SrlConfig:
         _check_positive("dt", self.dt)
         _check_positive("window", self.window)
         _check_multiple("window", self.window, "dt", self.dt, least=2)
-        need = required_samples(n, self.mask)
-        if self.num_windows < need:
-            raise ValueError(
-                f"num_windows = {self.num_windows} below the required "
-                f"sample count {need}")
+        _check_at_least("num_windows", self.num_windows,
+                        required_samples(n, self.mask))
+        _check_at_least("substeps", self.substeps, 1)
         _check_positive("tol", self.tol)
         _check_at_least("max_iter", self.max_iter, 1)
-        _check_positive("rank_tol", self.rank_tol)
+        _check_fraction("rank_tol", self.rank_tol)
 
 
 def assemble_data(traj: Trajectory, window: float) -> DataMatrices:
@@ -266,9 +266,9 @@ def check_rank(data: DataMatrices, mask: SparsityMask,
     singular values above rank_tol * sigma_max, counted from the spectrum
     the data set computes once, however often it is checked. A mask that
     is not an m-by-n SparsityMask for the data's n states and m inputs, or
-    a rank_tol that is not finite and positive, is a ValueError."""
+    a rank_tol outside (0, 1), is a ValueError."""
     _check_mask(mask)
-    _check_positive("rank_tol", rank_tol)
+    _check_fraction("rank_tol", rank_tol)
     if mask.shape != (data.m, data.n):
         raise ValueError(f"mask shape {mask.shape} does not match the data's "
                          f"gain shape {(data.m, data.n)}")

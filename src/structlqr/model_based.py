@@ -294,37 +294,34 @@ def _bound_constant(Mv) -> float:
     Thm 4.4.5), so l = min |lambda_i + lambda_j| from eigvalsh(M). Every
     builtin, ring and benchmark scenario takes this path.
 
-    Otherwise l = 1 / sqrt(lambda_max((V V')^-1)), by Lanczos on the
-    symmetric operator V^-T V^-1, with full reorthogonalization and a fixed
-    random start, so reruns give the same bits. Each step is a solve with V
-    and one with V' (_sylvester_solver of M and of M'). It stops once the
-    top Ritz pair's residual is below _LANCZOS_TOL of its value, so an
-    eigenvalue lies that close to it (the largest one, which the random
-    start reaches first), or when the Krylov space is all of R^(n x n).
-    Either way, two eigenvalues of M that sum to zero raise ValueError.
+    Otherwise l = 1 / sqrt(lambda_max((V V')^-1)), by three-term Lanczos
+    on V^-T V^-1 from a fixed random start (reruns give the same bits),
+    each step a solve with V and one with V'. No basis is kept: without
+    reorthogonalization orthogonality is lost only as Ritz values converge,
+    and a Ritz value with a small residual beta |s| still lies that close
+    to an eigenvalue (Paige, Linear Algebra Appl. 34, 1980). It stops once
+    the top Ritz value's residual is below _LANCZOS_TOL of that value, or
+    after n^2 steps. Two eigenvalues of M that sum to zero raise ValueError.
     """
     name = "A - B R^-1 B'"
     if np.array_equal(Mv, Mv.T):
         return _check_eigenvalue_sums(np.linalg.eigvalsh(Mv), name)
-    n = Mv.shape[0]
     solve, solve_t = _sylvester_solver(Mv, name), _sylvester_solver(Mv.T, name)
-    q = np.random.default_rng(0).standard_normal((n, n))
-    basis = [q / np.linalg.norm(q)]
+    q = np.random.default_rng(0).standard_normal(Mv.shape)
+    q, q_prev, b = q / np.linalg.norm(q), 0.0, 0.0
     alpha, beta = [], []
     while True:
-        w = solve_t(solve(basis[-1]))
-        alpha.append(float(np.vdot(basis[-1], w)))
-        for _ in range(2):  # twice is enough to keep the basis orthonormal
-            for b in basis:
-                w -= np.vdot(b, w) * b
-        b_next = float(np.linalg.norm(w))
+        w = solve_t(solve(q)) - b * q_prev
+        alpha.append(float(np.vdot(q, w)))
+        w -= alpha[-1] * q
+        b = float(np.linalg.norm(w))
         ritz, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1)
                                     + np.diag(beta, -1))
-        if (b_next * abs(vecs[-1, -1]) <= _LANCZOS_TOL * ritz[-1]
-                or len(basis) == n * n):
+        if (b * abs(vecs[-1, -1]) <= _LANCZOS_TOL * ritz[-1]
+                or len(alpha) == Mv.size):
             return float(1.0 / np.sqrt(ritz[-1]))
-        beta.append(b_next)
-        basis.append(w / b_next)
+        beta.append(b)
+        q, q_prev = w / b, q
 
 
 @dataclass(frozen=True)
@@ -333,12 +330,10 @@ class BoundReport:
 
     g is the spectral norm of B R^-1 B', l the smallest singular value of
     the Lyapunov-type operator V = I (x) M' + M' (x) I with M = A - B R^-1 B',
-    and the bound is (l / 2g) * ||x0||^2. l is computed without forming the
-    n^2 x n^2 operator (_bound_constant): for a symmetric M in closed form
-    from the eigenvalues of M, one O(n^3) eigvalsh, and otherwise by
-    Lanczos, O(n^3) per step and O(n^2) memory per Lanczos vector. It
-    agrees with the full SVD of V to about 1e-13 relative, defective M
-    included (the tests require 1e-8, and 1e-12 for the closed form).
+    and the bound is (l / 2g) * ||x0||^2. _bound_constant computes l in
+    O(n^2) memory without forming the n^2 x n^2 operator; it agrees with
+    the full SVD of V to about 1e-13 relative, defective M included (the
+    tests require 1e-8, and 1e-12 for the closed form of a symmetric M).
     epsilon = ||L'RL|| / l is logged when a deviation matrix is supplied.
     """
 

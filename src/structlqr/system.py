@@ -38,8 +38,17 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_fraction(name: str, value) -> None:
+    """Reject a ratio cutoff outside (0, 1); no ratio to a maximum clears 1."""
+    _check_positive(name, value)
+    if value >= 1:
+        raise ValueError(f"{name} must be below 1, got {value!r}")
+
+
 def _check_at_least(name: str, value, low: int) -> None:
-    """Reject a count below its smallest meaningful value."""
+    """Reject a count that is not an integer or is below low."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value!r}")
 

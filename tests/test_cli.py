@@ -388,6 +388,8 @@ def test_non_finite_simulate_horizon_is_usage_error(tmp_path, capsys, horizon):
     ("solver tol", "-1.0", "must be finite and positive, got -1.0"),
     ("solver max-iter", "0", "must be at least 1, got 0"),
     ("solver rank-tol", "inf", "must be finite and positive, got inf"),
+    # no sigma / sigma_max ratio clears it, so srl would exit 2 blaming data
+    ("solver rank-tol", "2", "must be below 1, got 2.0"),
 ])
 def test_knob_error_names_its_key_and_line(tmp_path, capsys, key, value,
                                            message):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -381,6 +382,52 @@ def test_mask_that_is_not_a_sparsity_mask_is_error(call):
     with pytest.raises(ValueError,
                        match="^mask must be a SparsityMask, got ndarray$"):
         _NOT_A_MASK_CALLS[call](np.ones((6, 6)))
+
+
+_BAD_ARGUMENT_CALLS = {
+    "simulate substeps": (lambda: simulate(
+        LtiSystem(A=NETWORK_A, B=np.eye(6)), InputPolicy(), X0, 0.1,
+        substeps=2.5), "substeps must be an integer, got 2.5"),
+    "kleinman_structured max_iter": (lambda: kleinman_structured(
+        LtiSystem(A=NETWORK_A, B=np.eye(6)),
+        CostWeights(Q=np.eye(6), R=np.eye(6)), SparsityMask.all_ones(6, 6),
+        10.0 * np.eye(6), max_iter=2.5),
+        "max_iter must be an integer, got 2.5"),
+    "make_exploration num_sinusoids": (
+        lambda: make_exploration(0, 6, num_sinusoids=2.5),
+        "num_sinusoids must be an integer, got 2.5"),
+    "make_exploration seed fraction": (lambda: make_exploration(1.5, 6),
+                                       "seed must be an integer, got 1.5"),
+    "make_exploration seed negative": (lambda: make_exploration(-1, 6),
+                                       "seed must be at least 0, got -1"),
+    "make_exploration amplitude negative": (
+        lambda: make_exploration(0, 6, amplitude=-1.0),
+        "amplitude must be finite and positive, got -1.0"),
+    "make_exploration amplitude nan": (
+        lambda: make_exploration(0, 6, amplitude=float("nan")),
+        "amplitude must be finite and positive, got nan"),
+    "SrlConfig num_windows": (
+        lambda: network_config(SparsityMask.all_ones(6, 6), num_windows=200.5),
+        "num_windows must be an integer, got 200.5"),
+    "SrlConfig substeps": (
+        lambda: network_config(SparsityMask.all_ones(6, 6), substeps=0),
+        "substeps must be at least 1, got 0"),
+    "SrlConfig rank_tol": (
+        lambda: network_config(SparsityMask.all_ones(6, 6), rank_tol=2.0),
+        "rank_tol must be below 1, got 2.0"),
+    "check_rank rank_tol": (
+        lambda: check_rank(_zero_data(), SparsityMask.all_ones(6, 6),
+                           rank_tol=1.0),
+        "rank_tol must be below 1, got 1.0"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_BAD_ARGUMENT_CALLS))
+def test_bad_count_or_knob_names_its_field(call):
+    # each is rejected at the entry point, not by numpy or range deep inside
+    run, message = _BAD_ARGUMENT_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
 
 
 def _assert_spectrum_matches_full_block(data, mask, rank_tol=1e-12):

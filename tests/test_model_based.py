@@ -40,6 +40,15 @@ def masked_identity_gain(mask, scale=10.0):
     return scale * (np.eye(6) * mask.indicator)
 
 
+def directed_ring_m(n):
+    """A - B R^-1 B' of ring_scenario(n) with a skew ring coupling
+    (S - S') / 2 added to A, S the cyclic shift: not symmetric."""
+    spec = ring_scenario(n)
+    S = np.roll(np.eye(n), 1, axis=1)
+    G = spec.B @ np.linalg.solve(spec.R, spec.B.T)
+    return spec.A + 0.5 * (S - S.T) - G
+
+
 def count_calls(monkeypatch, module, names):
     """Count calls of each module.name from here on."""
     calls = dict.fromkeys(names, 0)
@@ -398,11 +407,14 @@ class TestSuboptimalityBound:
         assert rep.l == pytest.approx(
             kron_bound_constant_oracle(network.A - np.eye(6)), rel=1e-9)
 
-    @pytest.mark.parametrize("case", ["random", "mixed-spectrum", "defective"])
+    @pytest.mark.parametrize("case", ["random", "mixed-spectrum", "defective",
+                                      "directed-ring"])
     def test_l_matches_full_svd(self, case):
         rng = np.random.default_rng(4)
-        for k in range(10 if case == "random" else 4):
-            if case == "random":  # non-normal, complex spectrum
+        for k in range({"random": 10, "directed-ring": 1}.get(case, 4)):
+            if case == "directed-ring":  # a 144 x 144 dense oracle
+                M = directed_ring_m(12)
+            elif case == "random":  # non-normal, complex spectrum
                 n = int(rng.integers(2, 9))
                 M = random_stable_matrix(rng, n) + 3.0 * np.triu(
                     rng.standard_normal((n, n)), 1)
@@ -418,6 +430,20 @@ class TestSuboptimalityBound:
             rep = suboptimality_bound(sys, w, np.ones(M.shape[0]), 1.0, 1.0)
             assert rep.l == pytest.approx(kron_bound_constant_oracle(M),
                                           rel=1e-8)
+
+    def test_lanczos_holds_no_krylov_basis(self):
+        # the three-term recurrence keeps three n x n vectors; a stored
+        # Krylov basis would add n^2 doubles per step
+        from structlqr import model_based
+
+        M = directed_ring_m(80)
+        tracemalloc.start()
+        try:
+            model_based._bound_constant(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     @pytest.mark.parametrize("name", ["consensus-a", "consensus-b", "ring20"])
     def test_l_matches_full_svd_on_scenarios(self, name):

@@ -127,7 +127,9 @@ def _scenario_specs(draw):
             amplitude=draw(_POSITIVE), substeps=substeps),
         solver=SolverConfig(tol=draw(_POSITIVE),
                             max_iter=draw(st.integers(1, 10**6)),
-                            rank_tol=draw(_POSITIVE)),
+                            rank_tol=draw(st.floats(min_value=1e-300,
+                                                    max_value=1.0,
+                                                    exclude_max=True))),
         # K0 is zero off the mask
         initial_gain=mask * draw(arrays(np.float64, (m, n),
                                         elements=_FINITE)))
