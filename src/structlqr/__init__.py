@@ -5,18 +5,18 @@ counterpart that never reads the state matrix, plus scenario fixtures for
 a 6-agent diffusive network benchmark.
 """
 
-from .learning import (DataMatrices, ExplorationSignal, PlantHandle,
-                       RankDeficientError, RankReport, SrlConfig, check_rank,
-                       collect, hide_state_matrix, make_exploration,
-                       required_samples, solve_iteration, srl_synthesize)
+from .learning import (DataMatrices, PlantHandle, RankDeficientError,
+                       RankReport, SrlConfig, check_rank, collect,
+                       hide_state_matrix, make_exploration, required_samples,
+                       solve_iteration, srl_synthesize)
 from .model_based import (BoundReport, ConvergenceError, IterationRecord,
                           SynthesisResult, kleinman_structured,
                           modified_are_residual, solve_lyapunov,
                           solve_unstructured_lqr, suboptimality_bound)
 from .structure import SparsityMask, check_membership, off_pattern, on_pattern
-from .system import (CostWeights, InputPolicy, LtiSystem, SimulationDiverged,
-                     Trajectory, UnstableClosedLoopError, evaluate_cost,
-                     evaluate_cost_analytic, simulate)
+from .system import (CostWeights, ExplorationSignal, InputPolicy, LtiSystem,
+                     SimulationDiverged, Trajectory, UnstableClosedLoopError,
+                     evaluate_cost, evaluate_cost_analytic, simulate)
 
 __all__ = [
     "BoundReport", "ConvergenceError", "CostWeights", "DataMatrices",

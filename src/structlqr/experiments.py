@@ -19,7 +19,7 @@ from .structure import (SparsityMask, _check_mask, _check_on_mask,
 from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
                      Trajectory, _as_matrix, _check_at_least, _check_fraction,
                      _check_multiple, _check_positive, _check_step_count,
-                     evaluate_cost, evaluate_cost_analytic, simulate)
+                     _is_index, evaluate_cost, evaluate_cost_analytic, simulate)
 
 
 class ScenarioError(ValueError):
@@ -54,12 +54,12 @@ def make_consensus_network(num_agents: int,
     A = np.zeros((num_agents, num_agents))
     seen = set()
     for (i, j), alpha in couplings.items():
+        if not (_is_index(i, num_agents) and _is_index(j, num_agents)):
+            raise ValueError(f"agent pair ({i}, {j}) must be two integers "
+                             f"in [0, {num_agents})")
         if i == j:
             raise ValueError(f"self-loop on agent {i} is not allowed")
-        if not (0 <= i < num_agents and 0 <= j < num_agents):
-            raise ValueError(f"agent pair ({i}, {j}) out of range")
-        if alpha <= 0:
-            raise ValueError(f"coupling for ({i}, {j}) must be positive")
+        _check_positive(f"coupling for ({i}, {j})", alpha)
         key = (min(i, j), max(i, j))
         if key in seen:
             raise ValueError(f"duplicate coupling for pair {key}")
@@ -568,7 +568,7 @@ def _baselines(spec: ScenarioSpec, sys: LtiSystem, weights: CostWeights,
 
 
 def _closed_loop_trajectory(sys: LtiSystem, gain, x0):
-    return simulate(sys, InputPolicy.feedback(gain), x0, 6.0, dt=0.01,
+    return simulate(sys, InputPolicy(gain=gain), x0, 6.0, dt=0.01,
                     substeps=10)
 
 
@@ -609,7 +609,7 @@ def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> RunReport:
     mb, unstr = _baselines(spec, sys, weights, config.initial_gain)
     probe = spec.probe()
     plant = hide_state_matrix(sys)
-    policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
+    policy = InputPolicy(gain=config.initial_gain, probe=probe)
     traj, data = collect(plant, policy, spec.x0, config)
     rank_report = check_rank(data, spec.mask, rank_tol=config.rank_tol)
     learned = srl_synthesize(data, config)
@@ -641,7 +641,7 @@ def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> RunReport:
 def run_simulate(spec: ScenarioSpec, horizon: float = 5.0,
                  out_dir=None) -> Trajectory:
     """Zero-input simulation of the scenario system from its x0."""
-    traj = simulate(spec.system(), InputPolicy.zero(), spec.x0, horizon)
+    traj = simulate(spec.system(), InputPolicy(), spec.x0, horizon)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

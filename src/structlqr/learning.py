@@ -14,9 +14,9 @@ import numpy as np
 
 from .model_based import _MAX_ITER, _TOL, SynthesisResult, _policy_iteration
 from .structure import SparsityMask, _check_mask, _check_on_mask
-from .system import (CostWeights, InputPolicy, LtiSystem, Trajectory, _as_matrix,
-                     _check_at_least, _check_fraction, _check_multiple,
-                     _check_positive, _check_weights, _freeze)
+from .system import (CostWeights, ExplorationSignal, InputPolicy, LtiSystem,
+                     Trajectory, _as_matrix, _check_at_least, _check_fraction,
+                     _check_multiple, _check_positive, _check_weights, _freeze)
 
 
 # Knob defaults, shared with the scenario configs.
@@ -28,34 +28,6 @@ _AMPLITUDE = 1.0           # per-channel probe peak budget
 
 class RankDeficientError(RuntimeError):
     """Collected data cannot identify all regression unknowns."""
-
-
-@dataclass(frozen=True)
-class ExplorationSignal:
-    """Per-channel sum of sinusoids u0_j(t) = sum_i a_ji sin(w_ji t + p_ji)."""
-
-    frequencies: np.ndarray  # (m, num_sinusoids), rad/s
-    amplitudes: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        arrays = {name: _as_matrix(np.atleast_2d(getattr(self, name)), name=name)
-                  for name in ("frequencies", "amplitudes", "phases")}
-        if len({a.shape for a in arrays.values()}) != 1:
-            raise ValueError("frequencies, amplitudes, phases must share a shape")
-        if np.any(arrays["frequencies"] <= 0):
-            raise ValueError("frequencies must be positive")
-        for name, a in arrays.items():
-            object.__setattr__(self, name, _freeze(a))
-
-    def __call__(self, t: float) -> np.ndarray:
-        return (self.amplitudes
-                * np.sin(self.frequencies * t + self.phases)).sum(axis=1)
-
-    def sample(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        arg = self.frequencies[None, :, :] * times[:, None, None] + self.phases[None, :, :]
-        return np.einsum("mk,tmk->tm", self.amplitudes, np.sin(arg))
 
 
 def make_exploration(seed: int, num_inputs: int,

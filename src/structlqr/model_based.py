@@ -1,6 +1,7 @@
 """Model-based synthesis: Lyapunov solves, structured policy iteration,
 the unstructured baseline, and the suboptimality bound report."""
 
+import numbers
 from dataclasses import asdict, dataclass
 from typing import List, Optional
 
@@ -363,7 +364,7 @@ def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
     _check_weights(weights, sys.n, sys.m)
     for name, cost in (("cost_structured", cost_structured),
                        ("cost_unstructured", cost_unstructured)):
-        if not np.isfinite(cost):
+        if not (isinstance(cost, numbers.Real) and np.isfinite(cost)):
             raise ValueError(f"{name} must be finite, got {cost!r}")
     RinvBt = np.linalg.solve(weights.R, sys.B.T)
     G = sys.B @ RinvBt

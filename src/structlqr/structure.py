@@ -5,7 +5,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .system import _as_matrix, _freeze
+from .system import _as_matrix, _freeze, _is_index
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,10 @@ class SparsityMask:
         """Build a mask from 0-indexed (row, col) positions forced to zero."""
         ind = np.ones((num_inputs, num_states))
         for (i, j) in zeros:
-            if not (0 <= i < num_inputs and 0 <= j < num_states):
-                raise ValueError(f"zero position ({i}, {j}) out of range")
+            if not (_is_index(i, num_inputs) and _is_index(j, num_states)):
+                raise ValueError(
+                    f"zero position ({i}, {j}) must be two integers in "
+                    f"[0, {num_inputs}) x [0, {num_states})")
             ind[i, j] = 0.0
         return cls(ind)
 

@@ -1,7 +1,8 @@
 """Continuous-time LTI dynamics: simulation, stability checks, quadratic cost."""
 
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,6 +24,8 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {M.shape}")
+    if M.size == 0:
+        raise ValueError(f"{name} must not be empty, got shape {M.shape}")
     if rows is not None and M.shape[0] != rows:
         raise ValueError(f"{name} must have {rows} rows, got {M.shape[0]}")
     if cols is not None and M.shape[1] != cols:
@@ -33,8 +36,9 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
 
 
 def _check_positive(name: str, value) -> None:
-    """Reject a time step or span that is not finite and positive."""
-    if not (np.isfinite(value) and value > 0):
+    """Reject a time step or span that is not a finite positive number."""
+    if not (isinstance(value, numbers.Real) and np.isfinite(value)
+            and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
@@ -51,6 +55,11 @@ def _check_at_least(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value!r}")
+
+
+def _is_index(k, size: int) -> bool:
+    """Whether k is an integer in [0, size), so it may index an array."""
+    return isinstance(k, (int, np.integer)) and 0 <= k < size
 
 
 def _check_multiple(name: str, span, step_name: str, step, least: int = 1) -> int:
@@ -104,8 +113,6 @@ class LtiSystem:
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got {A.shape}")
         B = _as_matrix(self.B, rows=A.shape[0], name="B")
-        if A.shape[0] < 1 or B.shape[1] < 1:
-            raise ValueError("state and input dimensions must be at least 1")
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "B", _freeze(B))
 
@@ -162,13 +169,12 @@ class Trajectory:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
-        inputs = np.asarray(self.inputs, dtype=float)
-        for name, arr, ndim in (("times", times, 1), ("states", states, 2),
-                                ("inputs", inputs, 2)):
-            if arr.ndim != ndim:
-                raise ValueError(
-                    f"{name} must be {ndim}-D, got shape {arr.shape}")
+        if times.ndim != 1:
+            raise ValueError(f"times must be 1-D, got shape {times.shape}")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times has non-finite entries")
+        states = _as_matrix(self.states, name="states")
+        inputs = _as_matrix(self.inputs, name="inputs")
         if not (len(times) == len(states) == len(inputs)):
             raise ValueError("times, states, inputs must have equal length")
         if len(times) < 2:
@@ -189,28 +195,53 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
+class ExplorationSignal:
+    """Per-channel sum of sinusoids u0_j(t) = sum_i a_ji sin(w_ji t + p_ji)."""
+
+    frequencies: np.ndarray  # (m, num_sinusoids), rad/s
+    amplitudes: np.ndarray
+    phases: np.ndarray
+
+    def __post_init__(self):
+        arrays = {name: _as_matrix(np.atleast_2d(getattr(self, name)), name=name)
+                  for name in ("frequencies", "amplitudes", "phases")}
+        if len({a.shape for a in arrays.values()}) != 1:
+            raise ValueError("frequencies, amplitudes, phases must share a shape")
+        if np.any(arrays["frequencies"] <= 0):
+            raise ValueError("frequencies must be positive")
+        for name, a in arrays.items():
+            object.__setattr__(self, name, _freeze(a))
+
+    def __call__(self, t: float) -> np.ndarray:
+        return (self.amplitudes
+                * np.sin(self.frequencies * t + self.phases)).sum(axis=1)
+
+    def sample(self, times) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        arg = self.frequencies[None, :, :] * times[:, None, None] + self.phases[None, :, :]
+        return np.einsum("mk,tmk->tm", self.amplitudes, np.sin(arg))
+
+
+@dataclass(frozen=True)
 class InputPolicy:
     """Input law u(t, x) = -gain @ x + probe(t); either part may be absent,
     and with neither the input is zero."""
 
     gain: Optional[np.ndarray] = None
-    probe: Optional[Callable[[float], np.ndarray]] = None
+    probe: Optional[ExplorationSignal] = None
 
     def __post_init__(self):
         if self.gain is not None:
             object.__setattr__(self, "gain",
                                _as_matrix(self.gain, name="feedback gain"))
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def feedback(cls, gain):
-        return cls(gain=gain)
+        if not isinstance(self.probe, (ExplorationSignal, type(None))):
+            raise ValueError("probe must be an ExplorationSignal, got "
+                             f"{type(self.probe).__name__}")
 
     @classmethod
     def feedback_with_probe(cls, gain, probe):
+        """InputPolicy(gain=gain, probe=probe), kept for the benchmark
+        workloads that call it."""
         return cls(gain=gain, probe=probe)
 
 
@@ -242,17 +273,11 @@ def _as_state(x0, n: int) -> np.ndarray:
     return x0
 
 
-def _probe_samples(probe, times, m):
-    """probe(t) at each time, one call per sample; the first sample's shape
-    is checked before the others are drawn."""
-    first = np.asarray(probe(times[0]), dtype=float)
-    if first.shape != (m,):
-        raise ValueError(
-            f"probe samples must have shape {(m,)}, got {first.shape}")
-    out = np.empty((len(times), m))
-    out[0] = first
-    for i in range(1, len(times)):
-        out[i] = np.asarray(probe(times[i]), dtype=float)
+def _probe_samples(probe: ExplorationSignal, times) -> np.ndarray:
+    """probe(t) at each time, one call per sample."""
+    out = np.empty((len(times), len(probe.frequencies)))
+    for i, t in enumerate(times):
+        out[i] = probe(t)
     return out
 
 
@@ -327,6 +352,9 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
     x0 = _as_state(x0, sys.n)
     if policy.gain is not None and policy.gain.shape != (sys.m, sys.n):
         raise ValueError(f"feedback gain must be {sys.m}x{sys.n}")
+    if policy.probe is not None and len(policy.probe.frequencies) != sys.m:
+        raise ValueError(f"probe must have {sys.m} channels, got "
+                         f"{len(policy.probe.frequencies)}")
 
     n, nsteps = sys.n, _check_multiple("horizon", horizon, "dt", dt)
     h = dt / substeps
@@ -340,7 +368,7 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
         zero, B = np.zeros_like(sys.B), sys.B
         E1T, E2T, E3T = (_rk4_step(G, h, zero, *f).T for f in
                          ((B, zero, zero), (zero, B, zero), (zero, zero, B)))
-        u_start = _probe_samples(policy.probe, np.zeros(1), sys.m)
+        u_start = _probe_samples(policy.probe, np.zeros(1))
 
     states = np.empty((nsteps + 1, n))
     inputs = np.empty((nsteps + 1, sys.m))
@@ -359,9 +387,9 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
                 # the probe at the segment's stage times, a start carried over
                 k0, k1 = first * substeps, last * substeps
                 u_mid = _probe_samples(policy.probe,
-                                       h * np.arange(k0, k1) + 0.5 * h, sys.m)
+                                       h * np.arange(k0, k1) + 0.5 * h)
                 u_start = np.concatenate((u_start[-1:], _probe_samples(
-                    policy.probe, h * np.arange(k0 + 1, k1 + 1), sys.m)))
+                    policy.probe, h * np.arange(k0 + 1, k1 + 1))))
                 u0 = u_start[::substeps]
                 for j in range(substeps):
                     f = u_start[j:-1:substeps] @ E1T

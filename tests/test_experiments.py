@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -53,6 +54,18 @@ class TestConsensusNetwork:
             make_consensus_network(3, {(0, 4): 1.0})
         with pytest.raises(ValueError):
             make_consensus_network(3, {(0, 1): 1.0, (1, 0): 2.0})
+
+    @pytest.mark.parametrize("couplings, message", [
+        ({(0.5, 1): 1.0}, "agent pair (0.5, 1) must be two integers in [0, 3)"),
+        ({(0, 3): 1.0}, "agent pair (0, 3) must be two integers in [0, 3)"),
+        ({(0, 1): np.nan},
+         "coupling for (0, 1) must be finite and positive, got nan"),
+        ({(1, 2): np.inf},
+         "coupling for (1, 2) must be finite and positive, got inf")],
+        ids=["fractional", "out-of-range", "nan", "inf"])
+    def test_bad_coupling_names_its_pair(self, couplings, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_consensus_network(3, couplings)
 
 
 class TestBuiltinScenarios:

@@ -125,7 +125,7 @@ class TestPlantHandle:
 
     def test_simulation_matches_direct(self, network):
         plant = hide_state_matrix(network)
-        policy = InputPolicy.feedback(0.5 * np.eye(6))
+        policy = InputPolicy(gain=0.5 * np.eye(6))
         via_plant = plant.simulate(policy, X0, 0.5, dt=0.01, substeps=1)
         direct = simulate(network, policy, X0, 0.5, dt=0.01, substeps=1)
         assert np.array_equal(via_plant.states, direct.states)
@@ -139,7 +139,7 @@ class TestPlantHandle:
                             substeps=substeps)
 
         config = network_config(mask_a)
-        policy = InputPolicy.feedback(config.initial_gain)
+        policy = InputPolicy(gain=config.initial_gain)
         _, data = collect(PlantHandle(simulate=plant), policy, X0, config)
         _, direct = collect(hide_state_matrix(network), policy, X0, config)
         assert calls == [(config.num_windows * config.window, config.dt,
@@ -153,7 +153,7 @@ class TestCollect:
         sys = LtiSystem(A=np.zeros((6, 6)), B=np.eye(6))
         plant = hide_state_matrix(sys)
         config = network_config(mask_a)
-        traj, data = collect(plant, InputPolicy.zero(), X0, config)
+        traj, data = collect(plant, InputPolicy(), X0, config)
         assert data.num_windows == 140
         assert np.array_equal(data.delta_xx, np.zeros_like(data.delta_xx))
         expected = config.window * np.outer(X0, X0)
@@ -178,13 +178,13 @@ class TestCollect:
             assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-6
 
     def test_window_must_align_with_grid(self, network):
-        traj = simulate(network, InputPolicy.zero(), X0, 0.5, dt=0.01,
+        traj = simulate(network, InputPolicy(), X0, 0.5, dt=0.01,
                         substeps=1)
         with pytest.raises(ValueError):
             assemble_data(traj, window=0.015)
 
     def test_window_needs_at_least_two_steps(self, network):
-        traj = simulate(network, InputPolicy.zero(), X0, 0.5, dt=0.01,
+        traj = simulate(network, InputPolicy(), X0, 0.5, dt=0.01,
                         substeps=1)
         with pytest.raises(ValueError):
             assemble_data(traj, window=0.01)
@@ -302,13 +302,13 @@ class TestCheckRank:
     def test_zero_excitation_from_origin(self, network, mask_a):
         plant = hide_state_matrix(network)
         config = network_config(mask_a)
-        _, data = collect(plant, InputPolicy.zero(), np.zeros(6), config)
+        _, data = collect(plant, InputPolicy(), np.zeros(6), config)
         report = check_rank(data, mask_a)
         assert report.rank == 0
         assert not report.passed
 
     def test_single_window_insufficient(self, network, mask_a):
-        traj = simulate(network, InputPolicy.zero(), X0, 0.02, dt=0.01,
+        traj = simulate(network, InputPolicy(), X0, 0.02, dt=0.01,
                         substeps=1)
         data = assemble_data(traj, window=0.02)
         report = check_rank(data, mask_a)
@@ -388,6 +388,9 @@ _BAD_ARGUMENT_CALLS = {
     "simulate substeps": (lambda: simulate(
         LtiSystem(A=NETWORK_A, B=np.eye(6)), InputPolicy(), X0, 0.1,
         substeps=2.5), "substeps must be an integer, got 2.5"),
+    "simulate horizon string": (lambda: simulate(
+        LtiSystem(A=NETWORK_A, B=np.eye(6)), InputPolicy(), X0, "1"),
+        "horizon must be finite and positive, got '1'"),
     "kleinman_structured max_iter": (lambda: kleinman_structured(
         LtiSystem(A=NETWORK_A, B=np.eye(6)),
         CostWeights(Q=np.eye(6), R=np.eye(6)), SparsityMask.all_ones(6, 6),
@@ -570,7 +573,7 @@ class TestSolveIteration:
     def test_zero_state_data_is_rank_deficient(self, network, mask_a):
         plant = hide_state_matrix(network)
         config = network_config(mask_a)
-        _, data = collect(plant, InputPolicy.zero(), np.zeros(6), config)
+        _, data = collect(plant, InputPolicy(), np.zeros(6), config)
         with pytest.raises(RankDeficientError):
             solve_iteration(data, config.initial_gain, config)
 

@@ -501,7 +501,7 @@ class TestSuboptimalityBound:
         for run in (lambda: suboptimality_bound(network, weights, x0, 1.0, 1.0),
                     lambda: evaluate_cost_analytic(network, weights, K, x0),
                     lambda: evaluate_cost(network, weights, K, x0),
-                    lambda: simulate(network, InputPolicy.zero(), x0, 1.0)):
+                    lambda: simulate(network, InputPolicy(), x0, 1.0)):
             with pytest.raises(ValueError, match=message):
                 run()
 
@@ -529,7 +529,8 @@ class TestSuboptimalityBound:
 
     @pytest.mark.parametrize("costs, name", [
         ((float("nan"), 1.0), "cost_structured"),
-        ((1.0, float("inf")), "cost_unstructured")])
+        ((1.0, float("inf")), "cost_unstructured"),
+        (("a", 1.0), "cost_structured")])
     def test_non_finite_cost_rejected(self, network, weights, costs, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             suboptimality_bound(network, weights, X0, *costs)

@@ -55,7 +55,7 @@ def test_simulation_sample_count_contract(seed):
     dt = float(rng.uniform(0.005, 0.05))
     steps = int(rng.integers(1, 40))
     horizon = steps * dt
-    traj = simulate(sys, InputPolicy.zero(), rng.standard_normal(n),
+    traj = simulate(sys, InputPolicy(), rng.standard_normal(n),
                     horizon, dt=dt, substeps=2)
     assert len(traj.times) == steps + 1
 

@@ -31,6 +31,11 @@ class TestMask:
         with pytest.raises(ValueError):
             SparsityMask.from_zero_positions(2, 2, [(2, 0)])
 
+    def test_fractional_zero_position_names_it(self):
+        with pytest.raises(ValueError, match=r"^zero position \(0\.5, 1\) must "
+                           r"be two integers in \[0, 2\) x \[0, 2\)$"):
+            SparsityMask.from_zero_positions(2, 2, [(0.5, 1)])
+
 
 class TestOffPattern:
     def test_first_agent_row_pattern(self):

@@ -8,15 +8,28 @@ import pytest
 from helpers import (NETWORK_A, OPEN_LOOP_EIGS, TRIANGLE_A, X0,
                      matrix_exponential_state, random_stable_matrix,
                      rk4_reference, spectral_abscissa)
-from structlqr import (CostWeights, InputPolicy, LtiSystem, SimulationDiverged,
-                       Trajectory, UnstableClosedLoopError,
+from structlqr import (CostWeights, ExplorationSignal, InputPolicy, LtiSystem,
+                       SimulationDiverged, Trajectory, UnstableClosedLoopError,
                        evaluate_cost, evaluate_cost_analytic,
-                       make_exploration, simulate)
+                       make_exploration, simulate, solve_lyapunov)
 
 
 @pytest.fixture
 def network():
     return LtiSystem(A=NETWORK_A, B=np.eye(6))
+
+
+@pytest.fixture
+def probe_calls(monkeypatch):
+    """The times at which any ExplorationSignal is called, in call order."""
+    calls, call = [], ExplorationSignal.__call__
+
+    def spy(signal, t):
+        calls.append(t)
+        return call(signal, t)
+
+    monkeypatch.setattr(ExplorationSignal, "__call__", spy)
+    return calls
 
 
 class TestTypes:
@@ -68,6 +81,31 @@ class TestTypes:
         with pytest.raises(ValueError, match=message):
             Trajectory(**arrays)
 
+    @pytest.mark.parametrize("field, value", [
+        ("times", [0.0, 0.1, np.nan, 0.3, 0.4]),
+        ("states", np.full((5, 2), np.nan)),
+        ("inputs", [[0.0], [0.0], [np.inf], [0.0], [0.0]]),
+    ])
+    def test_trajectory_rejects_non_finite_entries(self, field, value):
+        # NaN fails every comparison, so the spacing check cannot see it
+        arrays = dict(times=0.1 * np.arange(5), states=np.zeros((5, 2)),
+                      inputs=np.zeros((5, 1)))
+        arrays[field] = value
+        with pytest.raises(ValueError,
+                           match=f"^{field} has non-finite entries$"):
+            Trajectory(**arrays)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: LtiSystem(A=np.zeros((0, 0)), B=np.zeros((0, 1))), "A"),
+        (lambda: LtiSystem(A=-np.eye(2), B=np.zeros((2, 0))), "B"),
+        (lambda: CostWeights(Q=np.zeros((0, 0)), R=np.zeros((0, 0))), "Q"),
+        (lambda: solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0))), "M"),
+    ], ids=["A", "B", "Q", "M"])
+    def test_empty_matrix_is_named(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must not be empty, "
+                           r"got shape \(\d, \d\)$"):
+            make()
+
 
 class TestSpectralAbscissa:
     def test_negative_identity(self):
@@ -113,12 +151,12 @@ class TestSpectralAbscissa:
 class TestSimulate:
     def test_zero_dynamics_constant_state(self):
         sys = LtiSystem(A=np.zeros((6, 6)), B=np.eye(6))
-        traj = simulate(sys, InputPolicy.zero(), X0, horizon=1.0, dt=0.01)
+        traj = simulate(sys, InputPolicy(), X0, horizon=1.0, dt=0.01)
         assert np.allclose(traj.states, X0, atol=0.0)
         assert traj.states.shape == (101, 6)
 
     def test_sample_count(self, network):
-        traj = simulate(network, InputPolicy.zero(), X0, horizon=1.4, dt=0.01)
+        traj = simulate(network, InputPolicy(), X0, horizon=1.4, dt=0.01)
         assert len(traj.times) == 141
 
     def test_rotation_against_closed_form(self):
@@ -126,7 +164,7 @@ class TestSimulate:
         sys = LtiSystem(A=A, B=np.zeros((2, 1)))
         x0 = np.array([1.0, 0.0])
         horizon = 2 * np.pi
-        traj = simulate(sys, InputPolicy.zero(), x0, horizon, dt=horizon / 628)
+        traj = simulate(sys, InputPolicy(), x0, horizon, dt=horizon / 628)
         assert traj.times[-1] == pytest.approx(horizon, abs=1e-12)
         assert np.linalg.norm(traj.states[-1] - x0) < 1e-6
         # closed-form solution at every recorded instant
@@ -142,14 +180,14 @@ class TestSimulate:
         exact = matrix_exponential_state(A, x0, horizon)
         errs = []
         for dt in (0.02, 0.01):
-            traj = simulate(sys, InputPolicy.zero(), x0, horizon, dt=dt,
+            traj = simulate(sys, InputPolicy(), x0, horizon, dt=dt,
                             substeps=1)
             errs.append(np.linalg.norm(traj.states[-1] - exact))
         ratio = errs[0] / errs[1]
         assert 8.0 <= ratio <= 32.0
 
     def test_network_converges_to_consensus(self, network):
-        traj = simulate(network, InputPolicy.zero(), X0, horizon=20.0, dt=0.01)
+        traj = simulate(network, InputPolicy(), X0, horizon=20.0, dt=0.01)
 
         def consensus_distance(x):
             return np.linalg.norm(x - np.mean(x))
@@ -171,11 +209,11 @@ class TestSimulate:
     def test_divergence_raises_with_time(self):
         sys = LtiSystem(A=np.array([[600.0]]), B=np.array([[1.0]]))
         with pytest.raises(SimulationDiverged) as err:
-            simulate(sys, InputPolicy.zero(), np.array([1.0]), horizon=2.0,
+            simulate(sys, InputPolicy(), np.array([1.0]), horizon=2.0,
                      dt=0.01)
         assert 0.0 < err.value.time <= 2.0
         with pytest.raises(SimulationDiverged) as ref:
-            rk4_reference(sys, InputPolicy.zero(), np.array([1.0]), 2.0,
+            rk4_reference(sys, InputPolicy(), np.array([1.0]), 2.0,
                           dt=0.01)
         assert err.value.time == ref.value.time
 
@@ -188,9 +226,9 @@ class TestSimulate:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SimulationDiverged) as err:
-                simulate(sys, InputPolicy.zero(), x0, horizon=2.0, dt=0.01)
+                simulate(sys, InputPolicy(), x0, horizon=2.0, dt=0.01)
         with pytest.raises(SimulationDiverged) as ref:
-            rk4_reference(sys, InputPolicy.zero(), x0, 2.0, dt=0.01)
+            rk4_reference(sys, InputPolicy(), x0, 2.0, dt=0.01)
         assert err.value.time == ref.value.time == pytest.approx(0.06)
 
     def test_unexcited_stiff_mode_is_not_divergence(self):
@@ -199,8 +237,8 @@ class TestSimulate:
         # 0 * inf = nan there and report divergence at 0.15 s
         sys = LtiSystem(A=np.diag([-1.0, 6000.0]), B=np.eye(2))
         x0 = np.array([1.0, 0.0])
-        traj = simulate(sys, InputPolicy.zero(), x0, horizon=40.0, dt=0.01)
-        states, _ = rk4_reference(sys, InputPolicy.zero(), x0, 40.0, dt=0.01)
+        traj = simulate(sys, InputPolicy(), x0, horizon=40.0, dt=0.01)
+        states, _ = rk4_reference(sys, InputPolicy(), x0, 40.0, dt=0.01)
         assert np.all(traj.states[:, 1] == 0.0)
         assert np.max(np.abs(traj.states - states)) <= 1e-12
 
@@ -211,7 +249,7 @@ class TestSimulate:
         from structlqr.experiments import ring_scenario
 
         spec = ring_scenario(40)
-        policy = InputPolicy.feedback(spec.initial_gain)
+        policy = InputPolicy(gain=spec.initial_gain)
         tracemalloc.start()
         try:
             traj = simulate(spec.system(), policy, spec.x0, 1000.0, dt=0.01,
@@ -274,8 +312,8 @@ class TestSimulate:
             kwargs = dict(dt=config.dt, substeps=1)
         else:
             sys = LtiSystem(A=NETWORK_A, B=np.eye(6))
-            policy = (InputPolicy.feedback(3.0 * np.eye(6))
-                      if case == "feedback-substeps" else InputPolicy.zero())
+            policy = (InputPolicy(gain=3.0 * np.eye(6))
+                      if case == "feedback-substeps" else InputPolicy())
             args, kwargs = (X0, 6.0), dict(dt=0.01, substeps=10)
         traj = simulate(sys, policy, *args, **kwargs)
         states, inputs = rk4_reference(sys, policy, *args, **kwargs)
@@ -284,7 +322,7 @@ class TestSimulate:
 
     def test_recorded_inputs_are_applied_inputs(self, network):
         K = 0.5 * np.eye(6)
-        traj = simulate(network, InputPolicy.feedback(K), X0, 0.2, dt=0.01)
+        traj = simulate(network, InputPolicy(gain=K), X0, 0.2, dt=0.01)
         assert np.allclose(traj.inputs, -traj.states @ K.T)
 
     @pytest.mark.parametrize("parts", ["zero", "probe", "gain", "both"])
@@ -302,52 +340,43 @@ class TestSimulate:
         assert np.array_equal(traj.inputs, want)
 
     @pytest.mark.parametrize("width", [1, 2])
-    def test_probe_of_another_width_is_error(self, network, width):
-        calls = []
+    def test_probe_of_another_width_is_error(self, network, width,
+                                             probe_calls):
+        policy = InputPolicy(probe=make_exploration(0, width))
+        with pytest.raises(ValueError, match="^probe must have 6 channels, "
+                           f"got {width}$"):
+            simulate(network, policy, X0, 0.05, dt=1e-3)
+        assert probe_calls == []  # rejected before any sample is drawn
 
-        def probe(t, signal=make_exploration(0, width)):
-            calls.append(t)
-            return signal(t)
+    def test_probe_must_be_an_exploration_signal(self):
+        signal = make_exploration(0, 6)
+        with pytest.raises(ValueError, match="^probe must be an "
+                           "ExplorationSignal, got function$"):
+            InputPolicy(probe=lambda t: signal(t))
 
-        with pytest.raises(ValueError, match=r"^probe samples must have shape "
-                           rf"\(6,\), got \({width},\)$"):
-            simulate(network, InputPolicy(probe=probe), X0, 0.05, dt=1e-3)
-        assert len(calls) == 1  # rejected on the first sample
+    def test_probe_is_sampled_once_per_stage_time(self, network, probe_calls):
+        simulate(network, InputPolicy(probe=make_exploration(0, 6)), X0, 0.05,
+                 dt=1e-2, substeps=2)
+        assert len(probe_calls) == (5 * 2 + 1) + 5 * 2  # 11 starts, 10 mids
 
-    def test_probe_is_sampled_once_per_stage_time(self, network):
-        calls = []
-
-        def probe(t, signal=make_exploration(0, 6)):
-            calls.append(t)
-            return signal(t)
-
-        simulate(network, InputPolicy(probe=probe), X0, 0.05, dt=1e-2,
-                 substeps=2)
-        assert len(calls) == (5 * 2 + 1) + 5 * 2  # 11 starts, 10 midpoints
-
-    def test_segments_sample_each_stage_time_once_in_order(self, network,
-                                                           monkeypatch):
+    def test_segments_sample_each_stage_time_once_in_order(
+            self, network, monkeypatch, probe_calls):
         # 60 state entries a segment: 10 recorded steps, so 35 steps take 4
         # segments; each draws its own starts and midpoints, and the
         # start it shares with the segment before is carried, not redrawn
         import structlqr.system
 
         monkeypatch.setattr(structlqr.system, "_SEGMENT_ENTRIES", 60)
-        calls = []
-
-        def probe(t, signal=make_exploration(0, 6)):
-            calls.append(t)
-            return signal(t)
-
-        policy = InputPolicy.feedback_with_probe(0.5 * np.eye(6), probe)
+        policy = InputPolicy(gain=0.5 * np.eye(6),
+                             probe=make_exploration(0, 6))
         traj = simulate(network, policy, X0, 0.35, dt=1e-2, substeps=3)
         h = 1e-2 / 3
         starts = (h * np.arange(35 * 3 + 1)).tolist()
         mids = (h * np.arange(35 * 3) + 0.5 * h).tolist()
-        assert len(calls) == 2 * 35 * 3 + 1
+        assert len(probe_calls) == 2 * 35 * 3 + 1
         for grid in (starts, mids):
             members = set(grid)
-            assert [t for t in calls if t in members] == grid
+            assert [t for t in probe_calls if t in members] == grid
         # the record of one segment, to rounding
         monkeypatch.undo()
         whole = simulate(network, policy, X0, 0.35, dt=1e-2, substeps=3)
@@ -355,30 +384,25 @@ class TestSimulate:
                           (traj.inputs, whole.inputs)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_divergence_stops_the_probe_at_its_segment(self, monkeypatch):
+    def test_divergence_stops_the_probe_at_its_segment(self, monkeypatch,
+                                                       probe_calls):
         # 10 steps a segment: the state passes 1e150 at 0.73 s, in the 8th
         # segment of 200, so the probe is drawn up to 0.8 s and no further
         import structlqr.system
 
         monkeypatch.setattr(structlqr.system, "_SEGMENT_ENTRIES", 10)
-        calls = []
-
-        def probe(t, signal=make_exploration(0, 1)):
-            calls.append(t)
-            return signal(t)
-
         sys = LtiSystem(A=np.array([[600.0]]), B=np.array([[1.0]]))
         with pytest.raises(SimulationDiverged) as err:
-            simulate(sys, InputPolicy(probe=probe), np.array([1.0]),
-                     horizon=20.0, dt=0.01, substeps=1)
+            simulate(sys, InputPolicy(probe=make_exploration(0, 1)),
+                     np.array([1.0]), horizon=20.0, dt=0.01, substeps=1)
         assert err.value.time == pytest.approx(0.73)
-        assert len(calls) == 2 * 80 + 1 < 2 * 2000 + 1
-        assert max(calls) == pytest.approx(0.8)
+        assert len(probe_calls) == 2 * 80 + 1 < 2 * 2000 + 1
+        assert max(probe_calls) == pytest.approx(0.8)
 
     def test_policy_converts_its_gain(self, network):
         K = [[0.5 * (i == j) for j in range(6)] for i in range(6)]
         traj = simulate(network, InputPolicy(gain=K), X0, 0.2, dt=0.01)
-        want = simulate(network, InputPolicy.feedback(np.array(K)), X0, 0.2,
+        want = simulate(network, InputPolicy(gain=np.array(K)), X0, 0.2,
                         dt=0.01)
         assert np.array_equal(traj.states, want.states)
         assert np.array_equal(traj.inputs, want.inputs)
@@ -386,7 +410,7 @@ class TestSimulate:
     def test_policy_rejects_a_non_finite_gain(self):
         K = np.eye(6)
         K[2, 3] = np.inf
-        for make in (lambda: InputPolicy(gain=K), lambda: InputPolicy.feedback(K),
+        for make in (lambda: InputPolicy(gain=K),
                      lambda: InputPolicy.feedback_with_probe(K, None)):
             with pytest.raises(ValueError,
                                match="^feedback gain has non-finite entries$"):
