@@ -10,8 +10,8 @@ import dataclasses
 import json
 import sys
 
-from .experiments import (ScenarioError, load_scenario, run_model_based,
-                          run_simulate, run_srl)
+from .experiments import (BUILTIN_SCENARIOS, ScenarioError, load_scenario,
+                          run_model_based, run_simulate, run_srl)
 from .learning import RankDeficientError
 from .model_based import ConvergenceError
 from .system import SimulationDiverged, UnstableClosedLoopError
@@ -38,8 +38,8 @@ def _build_parser() -> _Parser:
     def command(name, summary, seed=False, solver=True, out=True):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--scenario", required=True,
-                       help="builtin name (consensus-a, consensus-b, "
-                            "consensus-b-declared) or scenario file path")
+                       help=f"builtin name ({', '.join(BUILTIN_SCENARIOS)}) "
+                            "or scenario file path")
         if out:
             p.add_argument("--out", default=None,
                            help="directory for CSV/JSON output")

@@ -17,9 +17,10 @@ from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
 from .structure import (SparsityMask, _check_mask, _check_on_mask,
                         check_membership)
 from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
-                     Trajectory, _as_matrix, _check_at_least, _check_fraction,
-                     _check_multiple, _check_positive, _check_step_count,
-                     _is_index, evaluate_cost, evaluate_cost_analytic, simulate)
+                     Trajectory, _as_floats, _as_matrix, _as_pair,
+                     _check_at_least, _check_fraction, _check_multiple,
+                     _check_positive, _check_step_count, _is_index,
+                     evaluate_cost, evaluate_cost_analytic, simulate)
 
 
 class ScenarioError(ValueError):
@@ -51,15 +52,17 @@ def make_consensus_network(num_agents: int,
     couplings maps undirected agent pairs (0-indexed) to positive coupling
     strengths; the resulting state matrix has zero row sums and B = I.
     """
+    _check_at_least("num_agents", num_agents, 1)
     A = np.zeros((num_agents, num_agents))
     seen = set()
-    for (i, j), alpha in couplings.items():
+    for pair, alpha in couplings.items():
+        i, j, text = _as_pair(pair)
         if not (_is_index(i, num_agents) and _is_index(j, num_agents)):
-            raise ValueError(f"agent pair ({i}, {j}) must be two integers "
+            raise ValueError(f"agent pair {text} must be two integers "
                              f"in [0, {num_agents})")
         if i == j:
             raise ValueError(f"self-loop on agent {i} is not allowed")
-        _check_positive(f"coupling for ({i}, {j})", alpha)
+        _check_positive(f"coupling for {text}", alpha)
         key = (min(i, j), max(i, j))
         if key in seen:
             raise ValueError(f"duplicate coupling for pair {key}")
@@ -163,7 +166,7 @@ class ScenarioSpec:
             if M is not None and np.shape(M) != shape:
                 raise ScenarioError(f"{nm} must have shape {shape}")
         # entries after shapes, so a misshapen block is named by its shape
-        peak = float(np.max(np.abs(self.x0)))
+        peak = float(np.max(np.abs(_as_floats(self.x0, "x0"))))
         if not peak <= _DIVERGENCE_BOUND:
             raise ScenarioError(
                 f"x0 entries must be finite and at most "
@@ -221,24 +224,17 @@ _ZEROS_B_DECLARED = _ZEROS_A + ((3, 0), (3, 1), (4, 2), (4, 3), (5, 0), (5, 3))
 _ZEROS_B = _ZEROS_B_DECLARED + ((5, 5),)
 
 
-def _network_scenario(name: str, zeros) -> ScenarioSpec:
-    sys6 = make_consensus_network(6, _COUPLINGS_6)
-    mask = SparsityMask.from_zero_positions(6, 6, zeros)
-    K0 = 10.0 * (np.eye(6) * mask.indicator)  # 10 * (R^-1 B' o mask), B = R = I
+def _consensus_scenario(name: str, net: LtiSystem, mask: SparsityMask,
+                        x0: np.ndarray,
+                        exploration: ExplorationConfig) -> ScenarioSpec:
+    """The paper's network setup on a consensus network (B = I): R = I,
+    Q = 30 I, K0 = 10 (R^-1 B' o mask) = 10 (I o mask), dt = 5e-5."""
+    n = net.n
     return ScenarioSpec(
-        name=name,
-        A=sys6.A, B=sys6.B,
-        Q=30.0 * np.eye(6), R=np.eye(6),
-        mask=mask,
-        x0=np.array([0.3, 0.5, 0.4, 0.8, 0.9, 0.6]),
-        dt=5e-5,
-        exploration=ExplorationConfig(seed=7, duration=1.4, window=0.01,
-                                      num_sinusoids=100, freq_min=0.5,
-                                      freq_max=50.0, amplitude=100.0,
-                                      substeps=1),
-        solver=SolverConfig(tol=1e-3, max_iter=30, rank_tol=1e-12),
-        initial_gain=K0,
-    )
+        name=name, A=net.A, B=net.B, Q=30.0 * np.eye(n), R=np.eye(n),
+        mask=mask, x0=x0, dt=5e-5, exploration=exploration,
+        solver=SolverConfig(tol=1e-3, max_iter=30),
+        initial_gain=10.0 * (np.eye(n) * mask.indicator))
 
 
 # Each builtin scenario and its gain structure's zero positions.
@@ -251,16 +247,22 @@ def builtin_scenario(name: str) -> ScenarioSpec:
     if name not in _BUILTIN_ZEROS:
         raise ScenarioError(f"unknown builtin scenario '{name}'; "
                             f"available: {', '.join(sorted(_BUILTIN_ZEROS))}")
-    return _network_scenario(name, _BUILTIN_ZEROS[name])
+    return _consensus_scenario(
+        name, make_consensus_network(6, _COUPLINGS_6),
+        SparsityMask.from_zero_positions(6, 6, _BUILTIN_ZEROS[name]),
+        np.array([0.3, 0.5, 0.4, 0.8, 0.9, 0.6]),
+        ExplorationConfig(seed=7, duration=1.4, window=0.01,
+                          num_sinusoids=100, freq_min=0.5, freq_max=50.0,
+                          amplitude=100.0, substeps=1))
 
 
 def ring_scenario(n: int) -> ScenarioSpec:
     """Consensus ring of n agents, for runs that scale n.
 
     Couplings are drawn uniformly from [1, 3] and x0 from [0.2, 1] with a
-    fixed seed, so each n gives one scenario; B = R = I, Q = 30 I, each
-    agent's gain row is free on itself and its two ring neighbours, and
-    K0 = 10 I, as in the 6-agent builtins.
+    fixed seed, so each n gives one scenario; each agent's gain row is free
+    on itself and its two ring neighbours, and the rest is the 6-agent
+    builtins' setup.
     """
     _check_at_least("ring size", n, 3)
     rng = np.random.default_rng(0)
@@ -268,12 +270,9 @@ def ring_scenario(n: int) -> ScenarioSpec:
         n, {(i, (i + 1) % n): float(rng.uniform(1.0, 3.0)) for i in range(n)})
     hops = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     mask = SparsityMask((np.minimum(hops, n - hops) <= 1).astype(float))
-    return ScenarioSpec(
-        name=f"ring{n}", A=net.A, B=net.B, Q=30.0 * np.eye(n), R=np.eye(n),
-        mask=mask, x0=rng.uniform(0.2, 1.0, size=n), dt=5e-5,
-        exploration=ExplorationConfig(),
-        solver=SolverConfig(tol=1e-3, max_iter=30),
-        initial_gain=10.0 * np.eye(n))
+    return _consensus_scenario(f"ring{n}", net, mask,
+                               rng.uniform(0.2, 1.0, size=n),
+                               ExplorationConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ import numpy as np
 from .model_based import _MAX_ITER, _TOL, SynthesisResult, _policy_iteration
 from .structure import SparsityMask, _check_mask, _check_on_mask
 from .system import (CostWeights, ExplorationSignal, InputPolicy, LtiSystem,
-                     Trajectory, _as_matrix, _check_at_least, _check_fraction,
-                     _check_multiple, _check_positive, _check_weights, _freeze)
+                     Trajectory, _as_floats, _as_matrix, _as_pair,
+                     _check_at_least, _check_fraction, _check_multiple,
+                     _check_positive, _check_weights, _freeze, _is_real)
 
 
 # Knob defaults, shared with the scenario configs.
@@ -44,8 +45,8 @@ def make_exploration(seed: int, num_inputs: int,
     _check_at_least("num_inputs", num_inputs, 1)
     _check_at_least("num_sinusoids", num_sinusoids, 1)
     _check_positive("amplitude", amplitude)
-    lo, hi = freq_range
-    if not (0 < lo <= hi < np.inf):
+    lo, hi, _ = _as_pair(freq_range)
+    if not (_is_real(lo) and _is_real(hi) and 0 < lo <= hi < np.inf):
         raise ValueError(
             f"freq_range must satisfy 0 < lo <= hi < inf, got {freq_range!r}")
     rng = np.random.default_rng(seed)
@@ -97,8 +98,8 @@ class DataMatrices:
     int_xu: np.ndarray
 
     def __post_init__(self):
-        d, xx, xu = (_freeze(np.asarray(b, float))
-                     for b in (self.delta_xx, self.int_xx, self.int_xu))
+        d, xx, xu = (_freeze(_as_floats(getattr(self, name), name))
+                     for name in ("delta_xx", "int_xx", "int_xu"))
         if not (xu.ndim == 3
                 and d.shape == xx.shape == (len(xu), xu.shape[1], xu.shape[1])):
             raise ValueError(

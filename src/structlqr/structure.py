@@ -5,7 +5,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .system import _as_matrix, _freeze, _is_index
+from .system import (_as_floats, _as_matrix, _as_pair, _check_at_least,
+                     _freeze, _is_index)
 
 
 @dataclass(frozen=True)
@@ -38,17 +39,20 @@ class SparsityMask:
 
     @classmethod
     def all_ones(cls, num_inputs: int, num_states: int) -> "SparsityMask":
-        return cls(np.ones((num_inputs, num_states)))
+        return cls.from_zero_positions(num_inputs, num_states, ())
 
     @classmethod
     def from_zero_positions(cls, num_inputs: int, num_states: int,
                             zeros: Sequence[Tuple[int, int]]) -> "SparsityMask":
         """Build a mask from 0-indexed (row, col) positions forced to zero."""
+        _check_at_least("num_inputs", num_inputs, 1)
+        _check_at_least("num_states", num_states, 1)
         ind = np.ones((num_inputs, num_states))
-        for (i, j) in zeros:
+        for pos in zeros:
+            i, j, text = _as_pair(pos)
             if not (_is_index(i, num_inputs) and _is_index(j, num_states)):
                 raise ValueError(
-                    f"zero position ({i}, {j}) must be two integers in "
+                    f"zero position {text} must be two integers in "
                     f"[0, {num_inputs}) x [0, {num_states})")
             ind[i, j] = 0.0
         return cls(ind)
@@ -64,7 +68,7 @@ def _check_mask(mask) -> None:
 def off_pattern(gain, mask: SparsityMask) -> np.ndarray:
     """Component of the gain outside the allowed pattern (Hadamard with the
     mask complement); this is the structure-violating part and a projection."""
-    gain = np.asarray(gain, dtype=float)
+    gain = _as_floats(gain, "gain")
     if gain.shape != mask.shape:
         raise ValueError(f"gain shape {gain.shape} != mask shape {mask.shape}")
     return gain * mask.complement
@@ -72,7 +76,7 @@ def off_pattern(gain, mask: SparsityMask) -> np.ndarray:
 
 def on_pattern(gain, mask: SparsityMask) -> np.ndarray:
     """Component of the gain on the allowed pattern (Hadamard with the mask)."""
-    gain = np.asarray(gain, dtype=float)
+    gain = _as_floats(gain, "gain")
     if gain.shape != mask.shape:
         raise ValueError(f"gain shape {gain.shape} != mask shape {mask.shape}")
     return gain * mask.indicator

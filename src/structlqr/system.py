@@ -20,8 +20,16 @@ class UnstableClosedLoopError(ValueError):
     equation's M, or the loop of an initial gain or a policy iterate."""
 
 
+def _as_floats(value, name: str) -> np.ndarray:
+    """value as a float array; one numpy cannot convert is named."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of real numbers") from None
+
+
 def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
-    M = np.asarray(M, dtype=float)
+    M = _as_floats(M, name)
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {M.shape}")
     if M.size == 0:
@@ -35,10 +43,14 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
     return M
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_positive(name: str, value) -> None:
     """Reject a time step or span that is not a finite positive number."""
-    if not (isinstance(value, numbers.Real) and np.isfinite(value)
-            and value > 0):
+    if not (_is_real(value) and np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
@@ -50,16 +62,31 @@ def _check_fraction(name: str, value) -> None:
 
 
 def _check_at_least(name: str, value, low: int) -> None:
-    """Reject a count that is not an integer or is below low."""
-    if not isinstance(value, (int, np.integer)):
+    """Reject a count that is not an integer (a bool is not) or is below low."""
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value!r}")
 
 
+def _is_integer(k) -> bool:
+    """Whether k is a Python or numpy integer other than a bool."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
 def _is_index(k, size: int) -> bool:
     """Whether k is an integer in [0, size), so it may index an array."""
-    return isinstance(k, (int, np.integer)) and 0 <= k < size
+    return _is_integer(k) and 0 <= k < size
+
+
+def _as_pair(value):
+    """value as (a, b, text): its two entries and "(a, b)", or, for anything
+    that is not a pair, (None, None, repr(value)); callers check a and b."""
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        return None, None, repr(value)
+    return a, b, f"({a}, {b})"
 
 
 def _check_multiple(name: str, span, step_name: str, step, least: int = 1) -> int:
@@ -168,7 +195,7 @@ class Trajectory:
     inputs: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = _as_floats(self.times, "times")
         if times.ndim != 1:
             raise ValueError(f"times must be 1-D, got shape {times.shape}")
         if not np.all(np.isfinite(times)):
@@ -265,7 +292,7 @@ def _check_hurwitz(eigs, what: str) -> None:
 
 def _as_state(x0, n: int) -> np.ndarray:
     """x0 as a float vector of shape (n,) with finite entries."""
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _as_floats(x0, "x0")
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):

@@ -58,11 +58,14 @@ class TestConsensusNetwork:
     @pytest.mark.parametrize("couplings, message", [
         ({(0.5, 1): 1.0}, "agent pair (0.5, 1) must be two integers in [0, 3)"),
         ({(0, 3): 1.0}, "agent pair (0, 3) must be two integers in [0, 3)"),
+        ({(True, 2): 1.0},
+         "agent pair (True, 2) must be two integers in [0, 3)"),
+        ({(0,): 1.0}, "agent pair (0,) must be two integers in [0, 3)"),
         ({(0, 1): np.nan},
          "coupling for (0, 1) must be finite and positive, got nan"),
         ({(1, 2): np.inf},
          "coupling for (1, 2) must be finite and positive, got inf")],
-        ids=["fractional", "out-of-range", "nan", "inf"])
+        ids=["fractional", "out-of-range", "bool", "short", "nan", "inf"])
     def test_bad_coupling_names_its_pair(self, couplings, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_consensus_network(3, couplings)
@@ -224,6 +227,7 @@ class TestScenarioSerialization:
         ("solver", dict(tol=0.0), "tol must be finite and positive"),
         ("mask", np.ones((6, 6)), "^mask must be a SparsityMask, got ndarray$"),
         ("initial_gain", None, "^initial_gain is required"),
+        ("x0", ["a"] * 6, "^x0 must be an array of real numbers$"),
     ])
     def test_code_built_spec_raises_scenario_error(self, field, value,
                                                     message):

@@ -17,10 +17,10 @@ from structlqr import (ConvergenceError, CostWeights, DataMatrices,
                        required_samples, solve_iteration, solve_lyapunov,
                        solve_unstructured_lqr, srl_synthesize)
 from structlqr.cli import main
-from structlqr.experiments import (builtin_scenario, ring_scenario, run_srl,
-                                   save_scenario)
+from structlqr.experiments import (builtin_scenario, make_consensus_network,
+                                   ring_scenario, run_srl, save_scenario)
 from structlqr.learning import assemble_data
-from structlqr.system import Trajectory, simulate
+from structlqr.system import Trajectory, evaluate_cost, simulate
 
 
 @pytest.fixture
@@ -90,6 +90,12 @@ class TestExplorationSignal:
         (2, (0.0, 5.0), "freq_range must satisfy"),
         (2, (5.0, 0.5), "freq_range must satisfy"),
         (2, (np.nan, 5.0), "freq_range must satisfy"),
+        (2, "ab", "freq_range must satisfy 0 < lo <= hi < inf, got 'ab'"),
+        (2, (1.0,), r"freq_range must satisfy 0 < lo <= hi < inf, "
+         r"got \(1.0,\)$"),
+        (2, (1.0, "x"), r"freq_range must satisfy 0 < lo <= hi < inf, "
+         r"got \(1.0, 'x'\)$"),
+        (2, (True, 2.0), "freq_range must satisfy"),
     ])
     def test_bad_draw_rejected(self, num_inputs, freq_range, message):
         with pytest.raises(ValueError, match=message):
@@ -391,6 +397,48 @@ _BAD_ARGUMENT_CALLS = {
     "simulate horizon string": (lambda: simulate(
         LtiSystem(A=NETWORK_A, B=np.eye(6)), InputPolicy(), X0, "1"),
         "horizon must be finite and positive, got '1'"),
+    "simulate dt bool": (lambda: simulate(
+        LtiSystem(A=NETWORK_A, B=np.eye(6)), InputPolicy(), X0, 1.0,
+        dt=True), "dt must be finite and positive, got True"),
+    "simulate substeps bool": (lambda: simulate(
+        LtiSystem(A=NETWORK_A, B=np.eye(6)), InputPolicy(), X0, 0.1,
+        substeps=True), "substeps must be an integer, got True"),
+    "simulate x0 string": (lambda: simulate(
+        LtiSystem(A=NETWORK_A, B=np.eye(6)), InputPolicy(), "a", 0.1),
+        "x0 must be an array of real numbers"),
+    "evaluate_cost x0 string": (lambda: evaluate_cost(
+        LtiSystem(A=NETWORK_A, B=np.eye(6)),
+        CostWeights(Q=np.eye(6), R=np.eye(6)), np.zeros((6, 6)), x0="ab"),
+        "x0 must be an array of real numbers"),
+    "CostWeights Q string": (lambda: CostWeights(Q=[["a"]], R=[[1.0]]),
+                             "Q must be an array of real numbers"),
+    "Trajectory times string": (lambda: Trajectory(
+        times=["a", "b"], states=np.zeros((2, 1)), inputs=np.zeros((2, 1))),
+        "times must be an array of real numbers"),
+    "DataMatrices int_xx string": (lambda: DataMatrices(
+        delta_xx=np.zeros((1, 1, 1)), int_xx=[[["a"]]],
+        int_xu=np.zeros((1, 1, 1))), "int_xx must be an array of real numbers"),
+    "off_pattern gain string": (
+        lambda: off_pattern([["a"]], SparsityMask.all_ones(1, 1)),
+        "gain must be an array of real numbers"),
+    "on_pattern gain string": (
+        lambda: on_pattern([["a"]], SparsityMask.all_ones(1, 1)),
+        "gain must be an array of real numbers"),
+    "make_consensus_network size string": (
+        lambda: make_consensus_network("3", {(0, 1): 1.0}),
+        "num_agents must be an integer, got '3'"),
+    "make_consensus_network size float": (
+        lambda: make_consensus_network(3.0, {(0, 1): 1.0}),
+        "num_agents must be an integer, got 3.0"),
+    "SparsityMask.all_ones size fraction": (
+        lambda: SparsityMask.all_ones(2.5, 2),
+        "num_inputs must be an integer, got 2.5"),
+    "SparsityMask.from_zero_positions size fraction": (
+        lambda: SparsityMask.from_zero_positions(2.5, 2, []),
+        "num_inputs must be an integer, got 2.5"),
+    "SparsityMask.from_zero_positions short pair": (
+        lambda: SparsityMask.from_zero_positions(2, 2, [(0,)]),
+        "zero position (0,) must be two integers in [0, 2) x [0, 2)"),
     "kleinman_structured max_iter": (lambda: kleinman_structured(
         LtiSystem(A=NETWORK_A, B=np.eye(6)),
         CostWeights(Q=np.eye(6), R=np.eye(6)), SparsityMask.all_ones(6, 6),
