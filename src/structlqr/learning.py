@@ -82,7 +82,8 @@ def _num_unknowns(n: int, mask: SparsityMask) -> int:
 
 
 def required_samples(n: int, mask: SparsityMask) -> int:
-    """Data windows needed: twice the unknown count n(n+1)/2 + nnz."""
+    """Data windows to record: twice the paper's unknown count n(n+1)/2 +
+    nnz. It only sizes the data; the rank gate counts n(n+1)/2."""
     return 2 * _num_unknowns(n, mask)
 
 
@@ -124,16 +125,16 @@ class DataMatrices:
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        """Singular values, descending and read-only, of the distinct
-        columns of [int_xx int_xu]: the n(n+1)/2 entries of the symmetric
-        int_xx with i <= j beside the n*m of int_xu. An off-diagonal column
-        c stands for the pair c, c of the full block, so it is scaled by
-        sqrt(2) (same c c' sum); the nonzero singular values are those of
-        the full block. Computed on first use, once per data set."""
+        """Singular values, descending and read-only, of the n(n+1)/2
+        distinct columns of int_xx, entries i <= j. An off-diagonal column
+        c stands for the pair c, c of the (N, n*n) block, so it is scaled
+        by sqrt(2) and the nonzero singular values are the full block's.
+        int_xu is left out: the P-only regression of solve_iteration has
+        these columns' rank at any stabilizing gain. Computed on first
+        use, once per data set."""
         i, j = np.triu_indices(self.n)
         xx = self.int_xx[:, i, j] * np.where(i == j, 1.0, np.sqrt(2.0))
-        block = np.hstack([xx, self.int_xu.reshape(self.num_windows, -1)])
-        return _freeze(np.linalg.svd(block, compute_uv=False))
+        return _freeze(np.linalg.svd(xx, compute_uv=False))
 
 
 @dataclass(frozen=True)
@@ -211,10 +212,10 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
 
 @dataclass(frozen=True)
 class RankReport:
-    """Numerical rank of the distinct columns of [int_xx int_xu] (see
-    DataMatrices.singular_values) against the paper's unknown count
-    n(n+1)/2 + nnz(mask). sigma_max and sigma_min are the largest and
-    smallest of those columns' singular values."""
+    """Numerical rank of the distinct int_xx columns (see
+    DataMatrices.singular_values) against n(n+1)/2, the count of unknowns
+    solve_iteration solves for. sigma_max and sigma_min are the largest
+    and smallest of those columns' singular values."""
 
     rank: int
     required: int
@@ -236,10 +237,11 @@ class RankReport:
 def check_rank(data: DataMatrices, mask: SparsityMask,
                rank_tol: float = _RANK_TOL) -> RankReport:
     """Rank diagnostic for the excitation content of collected data: the
-    singular values above rank_tol * sigma_max, counted from the spectrum
-    the data set computes once, however often it is checked. A mask that
-    is not an m-by-n SparsityMask for the data's n states and m inputs, or
-    a rank_tol outside (0, 1), is a ValueError."""
+    singular values of the int_xx columns above rank_tol * sigma_max,
+    counted from the spectrum the data set computes once, however often it
+    is checked, against n(n+1)/2. The mask is only checked: one that is
+    not an m-by-n SparsityMask for the data's n states and m inputs, or a
+    rank_tol outside (0, 1), is a ValueError."""
     _check_mask(mask)
     _check_fraction("rank_tol", rank_tol)
     if mask.shape != (data.m, data.n):
@@ -248,7 +250,7 @@ def check_rank(data: DataMatrices, mask: SparsityMask,
     sv = data.singular_values
     smax = float(sv[0]) if sv.size else 0.0
     rank = int(np.sum(sv > rank_tol * smax)) if smax > 0 else 0
-    return RankReport(rank=rank, required=_num_unknowns(data.n, mask),
+    return RankReport(rank=rank, required=data.n * (data.n + 1) // 2,
                       sigma_max=smax,
                       sigma_min=float(sv[-1]) if sv.size else 0.0)
 
@@ -311,7 +313,7 @@ def srl_synthesize(data: DataMatrices, config: SrlConfig) -> SynthesisResult:
     if not report.passed:
         raise RankDeficientError(
             f"data rank {report.rank} below the required count "
-            f"{report.required} = n(n+1)/2 + nnz; gather more or richer data")
+            f"{report.required} = n(n+1)/2; gather more or richer data")
 
     RinvBt = np.linalg.solve(config.weights.R, config.B.T)
     return _policy_iteration(lambda k, K: solve_iteration(data, K, config),

@@ -244,7 +244,7 @@ class ExplorationSignal:
                 * np.sin(self.frequencies * t + self.phases)).sum(axis=1)
 
     def sample(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
+        times = _as_floats(times, "times")
         arg = self.frequencies[None, :, :] * times[:, None, None] + self.phases[None, :, :]
         return np.einsum("mk,tmk->tm", self.amplitudes, np.sin(arg))
 
