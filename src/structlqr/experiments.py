@@ -8,19 +8,20 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .learning import (_AMPLITUDE, _FREQ_RANGE, _NUM_SINUSOIDS, _RANK_TOL,
-                       SrlConfig, check_rank, collect, hide_state_matrix,
-                       make_exploration, required_samples, srl_synthesize)
+from .learning import (_AMPLITUDE, _FREQ_RANGE, _MAX_SINUSOIDS, _NUM_SINUSOIDS,
+                       _RANK_TOL, SrlConfig, check_rank, collect,
+                       hide_state_matrix, make_exploration, required_samples,
+                       srl_synthesize)
 from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
                           kleinman_structured, solve_unstructured_lqr,
                           suboptimality_bound)
-from .structure import (SparsityMask, _check_mask, _check_on_mask,
-                        check_membership)
+from .structure import SparsityMask, _check_on_mask, check_membership
 from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
                      Trajectory, _as_floats, _as_matrix, _as_pair,
-                     _check_at_least, _check_fraction, _check_multiple,
-                     _check_positive, _check_step_count, _is_index,
-                     evaluate_cost, evaluate_cost_analytic, simulate)
+                     _check_at_least, _check_fraction, _check_instance,
+                     _check_multiple, _check_positive, _check_step_count,
+                     _is_index, evaluate_cost, evaluate_cost_analytic,
+                     simulate)
 
 
 class ScenarioError(ValueError):
@@ -78,12 +79,6 @@ def make_consensus_network(num_agents: int,
 # scenario spec
 
 
-# The probe stores and evaluates every sinusoid at each RK4 stage time, so
-# the count sizes memory and time (100000000 grew a consensus-a run to
-# 7.8 GB); 10000 per channel is 100x the default.
-_MAX_SINUSOIDS = 10000
-
-
 @dataclass(frozen=True)
 class ExplorationConfig:
     seed: int = 0
@@ -98,11 +93,8 @@ class ExplorationConfig:
     @_scenario_check
     def __post_init__(self):
         _check_at_least("exploration seed", self.seed, 0)
-        _check_at_least("exploration sinusoids", self.num_sinusoids, 1)
-        if self.num_sinusoids > _MAX_SINUSOIDS:
-            raise ValueError(
-                f"exploration sinusoids must be at most {_MAX_SINUSOIDS}, "
-                f"got {self.num_sinusoids!r}")
+        _check_at_least("exploration sinusoids", self.num_sinusoids, 1,
+                        _MAX_SINUSOIDS)
         _check_at_least("exploration substeps", self.substeps, 1)
         _check_positive("exploration duration", self.duration)
         _check_positive("exploration window", self.window)
@@ -156,7 +148,7 @@ class ScenarioSpec:
                         least=2)
         _check_multiple("exploration duration", ex.duration,
                         "exploration window", ex.window)
-        _check_mask(self.mask)
+        _check_instance("mask", self.mask, SparsityMask)
         n, m = _as_matrix(self.B, name="B").shape
         for nm, M, shape in (("Q", self.Q, (n, n)), ("R", self.R, (m, m)),
                              ("A", self.A, (n, n)),

@@ -7,24 +7,30 @@ integrals of the recorded states and inputs.
 """
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
 
 from .model_based import _MAX_ITER, _TOL, SynthesisResult, _policy_iteration
-from .structure import SparsityMask, _check_mask, _check_on_mask
+from .structure import SparsityMask, _check_on_mask
 from .system import (CostWeights, ExplorationSignal, InputPolicy, LtiSystem,
                      Trajectory, _as_floats, _as_matrix, _as_pair,
-                     _check_at_least, _check_fraction, _check_multiple,
-                     _check_positive, _check_weights, _freeze, _is_real)
+                     _check_at_least, _check_fraction, _check_instance,
+                     _check_multiple, _check_positive, _check_weights, _freeze,
+                     _is_real)
 
 
 # Knob defaults, shared with the scenario configs.
-_RANK_TOL = 1e-12          # sigma ratio cutoff; cond < 1/sqrt(rank_tol)
+_RANK_TOL = 1e-12          # Gram eigenvalue ratio cutoff, so cond < 1e6
 _NUM_SINUSOIDS = 100       # probe sinusoids per input channel
 _FREQ_RANGE = (0.5, 50.0)  # probe frequencies, rad/s
 _AMPLITUDE = 1.0           # per-channel probe peak budget
+
+
+# The probe stores and evaluates every sinusoid at each RK4 stage time, so
+# the count sizes memory and time (100000000 grew a consensus-a run to
+# 7.8 GB); 10000 per channel is 100x the default.
+_MAX_SINUSOIDS = 10000
 
 
 class RankDeficientError(RuntimeError):
@@ -43,7 +49,7 @@ def make_exploration(seed: int, num_inputs: int,
     """
     _check_at_least("seed", seed, 0)
     _check_at_least("num_inputs", num_inputs, 1)
-    _check_at_least("num_sinusoids", num_sinusoids, 1)
+    _check_at_least("num_sinusoids", num_sinusoids, 1, _MAX_SINUSOIDS)
     _check_positive("amplitude", amplitude)
     lo, hi, _ = _as_pair(freq_range)
     if not (_is_real(lo) and _is_real(hi) and 0 < lo <= hi < np.inf):
@@ -76,15 +82,14 @@ def hide_state_matrix(sys: LtiSystem) -> PlantHandle:
     return PlantHandle(simulate=simulate)
 
 
-def _num_unknowns(n: int, mask: SparsityMask) -> int:
-    """The paper's unknown count n(n+1)/2 + nnz(mask); it sizes the data."""
-    return n * (n + 1) // 2 + mask.nnz
-
-
 def required_samples(n: int, mask: SparsityMask) -> int:
     """Data windows to record: twice the paper's unknown count n(n+1)/2 +
     nnz. It only sizes the data; the rank gate counts n(n+1)/2."""
-    return 2 * _num_unknowns(n, mask)
+    _check_at_least("n", n, 1)
+    _check_instance("mask", mask, SparsityMask)
+    if mask.shape[1] != n:
+        raise ValueError(f"mask must have n = {n} columns, got {mask.shape[1]}")
+    return 2 * (n * (n + 1) // 2 + mask.nnz)
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,7 @@ class DataMatrices:
             raise ValueError(
                 "data blocks must be (N, n, n), (N, n, n) and (N, n, m), "
                 f"got {d.shape}, {xx.shape} and {xu.shape}")
+        _check_at_least("windows of delta_xx, int_xx and int_xu", len(xu), 1)
         for name, block in zip(("delta_xx", "int_xx", "int_xu"), (d, xx, xu)):
             if not np.all(np.isfinite(block)):
                 raise ValueError(f"{name} has non-finite entries")
@@ -122,19 +128,6 @@ class DataMatrices:
     @property
     def m(self) -> int:
         return self.int_xu.shape[2]
-
-    @cached_property
-    def singular_values(self) -> np.ndarray:
-        """Singular values, descending and read-only, of the n(n+1)/2
-        distinct columns of int_xx, entries i <= j. An off-diagonal column
-        c stands for the pair c, c of the (N, n*n) block, so it is scaled
-        by sqrt(2) and the nonzero singular values are the full block's.
-        int_xu is left out: the P-only regression of solve_iteration has
-        these columns' rank at any stabilizing gain. Computed on first
-        use, once per data set."""
-        i, j = np.triu_indices(self.n)
-        xx = self.int_xx[:, i, j] * np.where(i == j, 1.0, np.sqrt(2.0))
-        return _freeze(np.linalg.svd(xx, compute_uv=False))
 
 
 @dataclass(frozen=True)
@@ -156,7 +149,7 @@ class SrlConfig:
     def __post_init__(self):
         B = _as_matrix(self.B, name="B")
         n, m = B.shape
-        _check_mask(self.mask)
+        need = required_samples(n, self.mask)  # checks the mask's type
         if self.mask.shape != (m, n):
             raise ValueError(f"mask must be {m}x{n}")
         K0 = _as_matrix(self.initial_gain, rows=m, cols=n, name="initial_gain")
@@ -167,8 +160,7 @@ class SrlConfig:
         _check_positive("dt", self.dt)
         _check_positive("window", self.window)
         _check_multiple("window", self.window, "dt", self.dt, least=2)
-        _check_at_least("num_windows", self.num_windows,
-                        required_samples(n, self.mask))
+        _check_at_least("num_windows", self.num_windows, need)
         _check_at_least("substeps", self.substeps, 1)
         _check_positive("tol", self.tol)
         _check_at_least("max_iter", self.max_iter, 1)
@@ -210,12 +202,21 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
     return traj, assemble_data(traj, config.window)
 
 
+def _gram_rank(theta: np.ndarray,
+               rank_tol: float) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The one rank rule: G = theta' theta, its eigenvalues ascending, and
+    the count above rank_tol * lambda_max (full: cond < 1/sqrt(rank_tol))."""
+    G = theta.T @ theta
+    lam = np.linalg.eigvalsh(G)
+    return G, lam, int(np.sum(lam > rank_tol * lam[-1]))
+
+
 @dataclass(frozen=True)
 class RankReport:
-    """Numerical rank of the distinct int_xx columns (see
-    DataMatrices.singular_values) against n(n+1)/2, the count of unknowns
-    solve_iteration solves for. sigma_max and sigma_min are the largest
-    and smallest of those columns' singular values."""
+    """Rank of the distinct int_xx columns (see check_rank) against
+    n(n+1)/2, the count of unknowns solve_iteration solves for. sigma_max
+    and sigma_min are those columns' extreme singular values, as square
+    roots of Gram eigenvalues: rounding below about 1e-8 sigma_max."""
 
     rank: int
     required: int
@@ -236,23 +237,23 @@ class RankReport:
 
 def check_rank(data: DataMatrices, mask: SparsityMask,
                rank_tol: float = _RANK_TOL) -> RankReport:
-    """Rank diagnostic for the excitation content of collected data: the
-    singular values of the int_xx columns above rank_tol * sigma_max,
-    counted from the spectrum the data set computes once, however often it
-    is checked, against n(n+1)/2. The mask is only checked: one that is
-    not an m-by-n SparsityMask for the data's n states and m inputs, or a
-    rank_tol outside (0, 1), is a ValueError."""
-    _check_mask(mask)
+    """Rank gate on the excitation of collected data: the n(n+1)/2 distinct
+    int_xx columns (i <= j; an off-diagonal one stands for two equal
+    columns, hence sqrt(2)) by _gram_rank, the rule of every regression;
+    the P-only regressor has their rank at any stabilizing gain. Data that
+    are not DataMatrices, a mask that is not an m-by-n SparsityMask for
+    the data, or a rank_tol outside (0, 1), is a ValueError."""
+    _check_instance("data", data, DataMatrices)
+    _check_instance("mask", mask, SparsityMask)
     _check_fraction("rank_tol", rank_tol)
     if mask.shape != (data.m, data.n):
         raise ValueError(f"mask shape {mask.shape} does not match the data's "
                          f"gain shape {(data.m, data.n)}")
-    sv = data.singular_values
-    smax = float(sv[0]) if sv.size else 0.0
-    rank = int(np.sum(sv > rank_tol * smax)) if smax > 0 else 0
-    return RankReport(rank=rank, required=data.n * (data.n + 1) // 2,
-                      sigma_max=smax,
-                      sigma_min=float(sv[-1]) if sv.size else 0.0)
+    i, j = np.triu_indices(data.n)
+    xx = data.int_xx[:, i, j] * np.where(i == j, 1.0, np.sqrt(2.0))
+    _, lam, rank = _gram_rank(xx, rank_tol)
+    smin, smax = np.sqrt(np.clip(lam[[0, -1]], 0.0, None)).tolist()
+    return RankReport(rank, len(lam), sigma_max=smax, sigma_min=smin)
 
 
 def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
@@ -262,9 +263,12 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
     with Qbar = Q + K'RK, linear in P alone. Per window that is one least
     squares row <delta_xx - 2 H B', P> = -<int_xx, Qbar>, H = int_xx K' +
     int_xu, in the n(n+1)/2 distinct entries of P, solved from the Gram matrix
-    G; an eigenvalue of G not above rank_tol * lambda_max (cond 1e6 at 1e-12)
-    is a RankDeficientError, data whose (n, m) is not B's shape a ValueError.
+    G, gated by _gram_rank as in check_rank (cond 1e6 at 1e-12): a failure
+    is a RankDeficientError; data or config of the wrong type, or data
+    whose (n, m) is not B's shape, a ValueError.
     """
+    _check_instance("data", data, DataMatrices)
+    _check_instance("config", config, SrlConfig)
     n, m = config.B.shape
     if (data.n, data.m) != (n, m):
         raise ValueError(f"data (n, m) = {(data.n, data.m)} does not match "
@@ -293,9 +297,8 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
     col_scale[col_scale == 0.0] = 1.0
     theta /= col_scale
     # normal equations: their error grows as cond^2, hence the gate on G
-    G = theta.T @ theta
-    lam = np.linalg.eigvalsh(G)
-    rank, p = int(np.sum(lam > config.rank_tol * lam[-1])), len(lam)
+    G, lam, rank = _gram_rank(theta, config.rank_tol)
+    p = len(lam)
     if rank < p:  # cond from an SVD: past about 1e8, lam[0] is rounding
         raise RankDeficientError(
             f"regression matrix rank {rank} < {p} unknowns; deficient subspace "
@@ -306,9 +309,10 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
 
 
 def srl_synthesize(data: DataMatrices, config: SrlConfig) -> SynthesisResult:
-    """Data-driven structured synthesis from collected data: a rank gate,
+    """Data-driven structured synthesis from collected data: check_rank,
     then policy iteration evaluating each gain by solve_iteration.
     """
+    _check_instance("config", config, SrlConfig)
     report = check_rank(data, config.mask, rank_tol=config.rank_tol)
     if not report.passed:
         raise RankDeficientError(

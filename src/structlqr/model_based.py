@@ -7,10 +7,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .structure import SparsityMask, _check_mask, off_pattern, on_pattern
+from .structure import SparsityMask, off_pattern, on_pattern
 from .system import (_SPECTRAL_TOL, CostWeights, LtiSystem, _as_matrix,
                      _as_state, _check_at_least, _check_hurwitz,
-                     _check_positive, _check_weights)
+                     _check_instance, _check_positive, _check_weights)
 
 
 _TOL, _MAX_ITER = 1e-6, 50  # default stopping rule of every policy iteration
@@ -260,7 +260,7 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
     """
     _check_positive("tol", tol)
     _check_at_least("max_iter", max_iter, 1)
-    _check_mask(mask)
+    _check_instance("mask", mask, SparsityMask)
     if mask.shape != (sys.m, sys.n):
         raise ValueError(f"mask must be {sys.m}x{sys.n}")
     K = _as_matrix(initial_gain, rows=sys.m, cols=sys.n, name="initial_gain")

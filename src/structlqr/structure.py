@@ -58,13 +58,6 @@ class SparsityMask:
         return cls(ind)
 
 
-def _check_mask(mask) -> None:
-    """Reject a mask that is not a SparsityMask, naming the field."""
-    if not isinstance(mask, SparsityMask):
-        raise ValueError(
-            f"mask must be a SparsityMask, got {type(mask).__name__}")
-
-
 def off_pattern(gain, mask: SparsityMask) -> np.ndarray:
     """Component of the gain outside the allowed pattern (Hadamard with the
     mask complement); this is the structure-violating part and a projection."""

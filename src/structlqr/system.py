@@ -61,12 +61,23 @@ def _check_fraction(name: str, value) -> None:
         raise ValueError(f"{name} must be below 1, got {value!r}")
 
 
-def _check_at_least(name: str, value, low: int) -> None:
-    """Reject a count that is not an integer (a bool is not) or is below low."""
+def _check_at_least(name: str, value, low: int, high=np.inf) -> None:
+    """Reject a count that is not an integer (a bool is not) or lies
+    outside [low, high]."""
     if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value!r}")
+    if value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value!r}")
+
+
+def _check_instance(name: str, value, cls: type) -> None:
+    """Reject an argument that is not a cls, naming the field."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, "
+                         f"got {type(value).__name__}")
 
 
 def _is_integer(k) -> bool:
@@ -261,9 +272,8 @@ class InputPolicy:
         if self.gain is not None:
             object.__setattr__(self, "gain",
                                _as_matrix(self.gain, name="feedback gain"))
-        if not isinstance(self.probe, (ExplorationSignal, type(None))):
-            raise ValueError("probe must be an ExplorationSignal, got "
-                             f"{type(self.probe).__name__}")
+        if self.probe is not None:
+            _check_instance("probe", self.probe, ExplorationSignal)
 
     @classmethod
     def feedback_with_probe(cls, gain, probe):

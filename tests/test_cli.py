@@ -75,7 +75,8 @@ def test_bad_solver_override_is_usage_error(capsys, flag, value, knob):
 
 
 def test_rank_failure_exit_code(tmp_path, capsys):
-    # a single probe frequency excites rank 19 of the 21 int_xx columns
+    # a single probe frequency excites rank 12 of the 21 int_xx columns
+    # (the regression gate at K0 counts 13)
     spec = builtin_scenario("consensus-a")
     tone = dataclasses.replace(
         spec, exploration=dataclasses.replace(spec.exploration, freq_min=5.0,
@@ -83,7 +84,7 @@ def test_rank_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "tone.scn"
     save_scenario(tone, path)
     assert main(["srl", "--scenario", str(path)]) == 2
-    assert ("error: data rank 19 below the required count 21"
+    assert ("error: data rank 12 below the required count 21"
             in capsys.readouterr().err)
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (NETWORK_A, X0, ZEROS_A, assemble_data_reference,
@@ -448,6 +448,9 @@ _BAD_ARGUMENT_CALLS = {
     "make_exploration num_sinusoids": (
         lambda: make_exploration(0, 6, num_sinusoids=2.5),
         "num_sinusoids must be an integer, got 2.5"),
+    "make_exploration num_sinusoids above the cap": (
+        lambda: make_exploration(0, 6, num_sinusoids=10001),
+        "num_sinusoids must be at most 10000, got 10001"),
     "make_exploration seed fraction": (lambda: make_exploration(1.5, 6),
                                        "seed must be an integer, got 1.5"),
     "make_exploration seed negative": (lambda: make_exploration(-1, 6),
@@ -471,6 +474,36 @@ _BAD_ARGUMENT_CALLS = {
         lambda: check_rank(_zero_data(), SparsityMask.all_ones(6, 6),
                            rank_tol=1.0),
         "rank_tol must be below 1, got 1.0"),
+    "check_rank data string": (
+        lambda: check_rank("d", SparsityMask.all_ones(6, 6)),
+        "data must be a DataMatrices, got str"),
+    "solve_iteration data string": (
+        lambda: solve_iteration("d", np.zeros((6, 6)),
+                                network_config(SparsityMask.all_ones(6, 6))),
+        "data must be a DataMatrices, got str"),
+    "solve_iteration config string": (
+        lambda: solve_iteration(_zero_data(), np.zeros((6, 6)), "c"),
+        "config must be a SrlConfig, got str"),
+    "srl_synthesize data string": (
+        lambda: srl_synthesize("d",
+                               network_config(SparsityMask.all_ones(6, 6))),
+        "data must be a DataMatrices, got str"),
+    "srl_synthesize config string": (
+        lambda: srl_synthesize(_zero_data(), "c"),
+        "config must be a SrlConfig, got str"),
+    "required_samples n string": (
+        lambda: required_samples("6", SparsityMask.all_ones(6, 6)),
+        "n must be an integer, got '6'"),
+    "required_samples mask string": (
+        lambda: required_samples(6, "m"),
+        "mask must be a SparsityMask, got str"),
+    "required_samples mask columns": (
+        lambda: required_samples(5, SparsityMask.all_ones(6, 6)),
+        "mask must have n = 5 columns, got 6"),
+    "DataMatrices zero windows": (lambda: DataMatrices(
+        delta_xx=np.zeros((0, 6, 6)), int_xx=np.zeros((0, 6, 6)),
+        int_xu=np.zeros((0, 6, 6))),
+        "windows of delta_xx, int_xx and int_xu must be at least 1, got 0"),
 }
 
 
@@ -482,18 +515,26 @@ def test_bad_count_or_knob_names_its_field(call):
         run()
 
 
-def _assert_spectrum_matches_full_block(data, mask, rank_tol=1e-12):
-    """Oracle: the SVD of the whole int_xx block as (N, n*n), repeated
-    off-diagonal columns included."""
+def _full_block_spectrum(data):
+    """Oracle: the singular values of the whole int_xx block as (N, n*n),
+    repeated off-diagonal columns included."""
     block = data.int_xx.reshape(data.num_windows, -1)
-    sv_full = np.linalg.svd(block, compute_uv=False)
+    return np.linalg.svd(block, compute_uv=False)
+
+
+def _assert_spectrum_matches_full_block(data, mask, rank_tol=1e-12):
+    """check_rank's Gram rule counts the singular values above
+    sqrt(rank_tol) * sigma_max, and its sigma^2 are the oracle's to
+    1e-12 sigma_max^2; sigma_min is the n(n+1)/2-th, 0 past the windows."""
+    sv_full = _full_block_spectrum(data)
     report = check_rank(data, mask, rank_tol=rank_tol)
-    assert report.rank == int(np.sum(sv_full > rank_tol * sv_full[0]))
-    sv = data.singular_values
+    assert report.rank == int(np.sum(sv_full > np.sqrt(rank_tol) * sv_full[0]))
     distinct = data.n * (data.n + 1) // 2
-    assert len(sv) == min(data.num_windows, distinct)
-    np.testing.assert_allclose(sv, sv_full[:len(sv)], rtol=0,
-                               atol=1e-12 * sv_full[0])
+    assert report.required == distinct
+    sv_min = sv_full[distinct - 1] if data.num_windows >= distinct else 0.0
+    np.testing.assert_allclose(report.sigma_max, sv_full[0], rtol=1e-12)
+    np.testing.assert_allclose(report.sigma_min ** 2, sv_min ** 2, rtol=0,
+                               atol=1e-12 * sv_full[0] ** 2)
 
 
 class TestRankSpectrum:
@@ -522,10 +563,14 @@ class TestRankSpectrum:
                            rng.standard_normal((rank, n, m)))
         data = DataMatrices(delta_xx=np.zeros_like(int_xx), int_xx=int_xx,
                             int_xu=int_xu)
+        # no singular value within 10x of the cutoff, where rounding of the
+        # Gram eigenvalues may tip the count either way
+        sv_full = _full_block_spectrum(data)
+        cut = 1e-6 * sv_full[0]  # sqrt(rank_tol) * sigma_max
+        assume(not np.any((sv_full > 0.1 * cut) & (sv_full < 10.0 * cut)))
         _assert_spectrum_matches_full_block(data, SparsityMask.all_ones(m, n))
 
-    def test_computed_once_per_data_set(self, consensus_a, mask_a,
-                                        monkeypatch):
+    def test_passing_run_takes_no_svd(self, monkeypatch):
         svd = np.linalg.svd
         calls = []
 
@@ -534,18 +579,23 @@ class TestRankSpectrum:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        run_srl(builtin_scenario("consensus-a"))
-        # run_srl and srl_synthesize both check_rank; only int_xx's
-        # n(n+1)/2 distinct columns enter the SVD
-        assert calls == [(140, 21)]
+        report = run_srl(builtin_scenario("consensus-a"))
+        # run_srl and srl_synthesize both check_rank, by Gram eigenvalues
+        assert report.rank["passed"]
+        assert calls == []
 
-        calls.clear()
-        data = dataclasses.replace(consensus_a)  # fresh, nothing cached yet
-        report = check_rank(data, mask_a)
-        assert check_rank(data, mask_a) == report
-        assert len(calls) == 1
-        with pytest.raises(ValueError, match="read-only"):
-            data.singular_values[0] = 0.0
+    @pytest.mark.parametrize("record", ["passing", "one-tone", "copied-state"])
+    def test_check_rank_agrees_with_the_regression_gate(self, record):
+        # one rule: the data pass check_rank exactly when the regression at
+        # K0 passes its gate (the one-tone record counts 12 and 13 of 21)
+        config, data = _RANK_RECORDS[record]()
+        passed = check_rank(data, config.mask, rank_tol=config.rank_tol).passed
+        try:
+            solve_iteration(data, config.initial_gain, config)
+        except RankDeficientError:
+            assert not passed
+        else:
+            assert passed
 
 
 class TestSolveIteration:
@@ -643,16 +693,9 @@ class TestSolveIteration:
         # consensus-a seen through x1 <- x0 + 1e-4 x1: state 1 copies state
         # 0 up to a relative 1e-4, and the regressor's condition number is
         # about 1e9. An SVD least-squares solve finds full rank there and
-        # returns a P; the Gram gate, cond below 1e6, refuses it.
-        config, data = _spec_data(builtin_scenario("consensus-a"))
-        T = np.eye(6)
-        T[1, :2] = 1.0, 1e-4
-        copied = DataMatrices(delta_xx=T @ data.delta_xx @ T.T,
-                              int_xx=T @ data.int_xx @ T.T,
-                              int_xu=T @ data.int_xu)
-        config = dataclasses.replace(
-            config, mask=SparsityMask.all_ones(6, 6), B=T @ config.B,
-            initial_gain=config.initial_gain @ np.linalg.inv(T))
+        # returns a P; the Gram gate, cond below 1e6, refuses it, and by
+        # the same rule check_rank stops srl_synthesize before it regresses.
+        config, copied = _copied_state_record()
         rows, _, _ = policy_evaluation_regression(copied, config.initial_gain,
                                                   config)
         cond = np.linalg.cond(rows / np.linalg.norm(rows, axis=0))
@@ -662,6 +705,9 @@ class TestSolveIteration:
                 r"^regression matrix rank 20 < 21 unknowns; deficient "
                 r"subspace dimension 1; condition number 1\.\d+e\+09$")):
             solve_iteration(copied, config.initial_gain, config)
+        with pytest.raises(RankDeficientError, match=(
+                r"^data rank 20 below the required count 21 ")):
+            srl_synthesize(copied, config)
 
     def test_fewer_windows_than_unknowns_is_rank_deficient(self):
         # 4 windows against the 6 entries of a 3x3 P
@@ -772,7 +818,7 @@ class TestSrlSynthesize:
         assert np.linalg.norm(gains[0] - gains[1], "fro") <= 2e-3
 
     def test_insufficient_span_fails_rank_gate(self, network, mask_a):
-        # one probe frequency per channel spans rank 19 of the 21 int_xx
+        # one probe frequency per channel spans rank 12 of the 21 int_xx
         # columns
         config = network_config(mask_a)
         probe = make_exploration(7, 6, freq_range=(5.0, 5.0), amplitude=100.0)
@@ -848,3 +894,31 @@ def _spec_data(spec):
     _, data = collect(hide_state_matrix(spec.system()), policy, spec.x0,
                       config)
     return config, data
+
+
+def _one_tone_spec():
+    """consensus-a probed at the single frequency 5 rad/s."""
+    spec = builtin_scenario("consensus-a")
+    return dataclasses.replace(spec, exploration=dataclasses.replace(
+        spec.exploration, freq_min=5.0, freq_max=5.0))
+
+
+def _copied_state_record():
+    """consensus-a's record and config seen through x1 <- x0 + 1e-4 x1."""
+    config, data = _spec_data(builtin_scenario("consensus-a"))
+    T = np.eye(6)
+    T[1, :2] = 1.0, 1e-4
+    copied = DataMatrices(delta_xx=T @ data.delta_xx @ T.T,
+                          int_xx=T @ data.int_xx @ T.T,
+                          int_xu=T @ data.int_xu)
+    config = dataclasses.replace(
+        config, mask=SparsityMask.all_ones(6, 6), B=T @ config.B,
+        initial_gain=config.initial_gain @ np.linalg.inv(T))
+    return config, copied
+
+
+_RANK_RECORDS = {
+    "passing": lambda: _spec_data(builtin_scenario("consensus-a")),
+    "one-tone": lambda: _spec_data(_one_tone_spec()),
+    "copied-state": _copied_state_record,
+}
