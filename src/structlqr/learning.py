@@ -20,17 +20,12 @@ from .system import (CostWeights, ExplorationSignal, InputPolicy, LtiSystem,
                      _is_real)
 
 
-# Knob defaults, shared with the scenario configs.
-_RANK_TOL = 1e-12          # Gram eigenvalue ratio cutoff, so cond < 1e6
+# Knob defaults and caps, shared with the scenario configs.
+_RANK_TOL = 1e-12          # unit-column Gram eigenvalue cutoff: cond < 1e6
 _NUM_SINUSOIDS = 100       # probe sinusoids per input channel
+_MAX_SINUSOIDS = 10000     # their cap: 1e8 grew a consensus-a run to 7.8 GB
 _FREQ_RANGE = (0.5, 50.0)  # probe frequencies, rad/s
 _AMPLITUDE = 1.0           # per-channel probe peak budget
-
-
-# The probe stores and evaluates every sinusoid at each RK4 stage time, so
-# the count sizes memory and time (100000000 grew a consensus-a run to
-# 7.8 GB); 10000 per channel is 100x the default.
-_MAX_SINUSOIDS = 10000
 
 
 class RankDeficientError(RuntimeError):
@@ -149,7 +144,7 @@ class SrlConfig:
     def __post_init__(self):
         B = _as_matrix(self.B, name="B")
         n, m = B.shape
-        need = required_samples(n, self.mask)  # checks the mask's type
+        _check_instance("mask", self.mask, SparsityMask)
         if self.mask.shape != (m, n):
             raise ValueError(f"mask must be {m}x{n}")
         K0 = _as_matrix(self.initial_gain, rows=m, cols=n, name="initial_gain")
@@ -160,7 +155,8 @@ class SrlConfig:
         _check_positive("dt", self.dt)
         _check_positive("window", self.window)
         _check_multiple("window", self.window, "dt", self.dt, least=2)
-        _check_at_least("num_windows", self.num_windows, need)
+        _check_at_least("num_windows", self.num_windows,
+                        required_samples(n, self.mask))
         _check_at_least("substeps", self.substeps, 1)
         _check_positive("tol", self.tol)
         _check_at_least("max_iter", self.max_iter, 1)
@@ -202,21 +198,26 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
     return traj, assemble_data(traj, config.window)
 
 
-def _gram_rank(theta: np.ndarray,
-               rank_tol: float) -> Tuple[np.ndarray, np.ndarray, int]:
-    """The one rank rule: G = theta' theta, its eigenvalues ascending, and
-    the count above rank_tol * lambda_max (full: cond < 1/sqrt(rank_tol))."""
+def _gram_rank(theta: np.ndarray, rank_tol: float):
+    """The one rank rule, blind to column scale: theta's columns scaled to
+    unit norm in place (zero ones kept), G = theta' theta, its eigenvalues
+    ascending, the count above rank_tol * lambda_max (full: cond <
+    1/sqrt(rank_tol)) and the column norms that undo the scaling."""
+    norms = np.linalg.norm(theta, axis=0)
+    norms[norms == 0.0] = 1.0
+    theta /= norms
     G = theta.T @ theta
     lam = np.linalg.eigvalsh(G)
-    return G, lam, int(np.sum(lam > rank_tol * lam[-1]))
+    return G, lam, int(np.sum(lam > rank_tol * lam[-1])), norms
 
 
 @dataclass(frozen=True)
 class RankReport:
     """Rank of the distinct int_xx columns (see check_rank) against
-    n(n+1)/2, the count of unknowns solve_iteration solves for. sigma_max
-    and sigma_min are those columns' extreme singular values, as square
-    roots of Gram eigenvalues: rounding below about 1e-8 sigma_max."""
+    n(n+1)/2, the unknowns of solve_iteration. sigma_max and sigma_min are
+    the columns' unscaled extreme singular values, from Gram eigenvalues:
+    sigma_min is good to about 1% at 1e-6 sigma_max, and rounding noise,
+    not 0, below about 1e-7 sigma_max."""
 
     rank: int
     required: int
@@ -239,10 +240,11 @@ def check_rank(data: DataMatrices, mask: SparsityMask,
                rank_tol: float = _RANK_TOL) -> RankReport:
     """Rank gate on the excitation of collected data: the n(n+1)/2 distinct
     int_xx columns (i <= j; an off-diagonal one stands for two equal
-    columns, hence sqrt(2)) by _gram_rank, the rule of every regression;
-    the P-only regressor has their rank at any stabilizing gain. Data that
-    are not DataMatrices, a mask that is not an m-by-n SparsityMask for
-    the data, or a rank_tol outside (0, 1), is a ValueError."""
+    columns, hence sqrt(2)) by _gram_rank, the rule of every regression,
+    blind to a state's units; the P-only regressor has their rank at any
+    stabilizing gain. Data that are not DataMatrices, a mask that is not
+    an m-by-n SparsityMask for them, or a rank_tol outside (0, 1), is a
+    ValueError."""
     _check_instance("data", data, DataMatrices)
     _check_instance("mask", mask, SparsityMask)
     _check_fraction("rank_tol", rank_tol)
@@ -251,9 +253,11 @@ def check_rank(data: DataMatrices, mask: SparsityMask,
                          f"gain shape {(data.m, data.n)}")
     i, j = np.triu_indices(data.n)
     xx = data.int_xx[:, i, j] * np.where(i == j, 1.0, np.sqrt(2.0))
-    _, lam, rank = _gram_rank(xx, rank_tol)
-    smin, smax = np.sqrt(np.clip(lam[[0, -1]], 0.0, None)).tolist()
-    return RankReport(rank, len(lam), sigma_max=smax, sigma_min=smin)
+    G, _, rank, norms = _gram_rank(xx, rank_tol)
+    top = norms.max()  # sigma of the unscaled columns: G scaled back
+    lam = np.linalg.eigvalsh(G * np.outer(norms / top, norms / top))[[0, -1]]
+    smin, smax = (top * np.sqrt(np.clip(lam, 0.0, None))).tolist()
+    return RankReport(rank, len(G), sigma_max=smax, sigma_min=smin)
 
 
 def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
@@ -263,9 +267,9 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
     with Qbar = Q + K'RK, linear in P alone. Per window that is one least
     squares row <delta_xx - 2 H B', P> = -<int_xx, Qbar>, H = int_xx K' +
     int_xu, in the n(n+1)/2 distinct entries of P, solved from the Gram matrix
-    G, gated by _gram_rank as in check_rank (cond 1e6 at 1e-12): a failure
-    is a RankDeficientError; data or config of the wrong type, or data
-    whose (n, m) is not B's shape, a ValueError.
+    G, gated by _gram_rank as in check_rank (cond of the unit-norm columns
+    below 1e6 at 1e-12): a failure is a RankDeficientError; data or config
+    of the wrong type, or data whose (n, m) is not B's shape, a ValueError.
     """
     _check_instance("data", data, DataMatrices)
     _check_instance("config", config, SrlConfig)
@@ -288,23 +292,20 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
     theta[:, i == j] *= 0.5
     rhs = -np.tensordot(data.int_xx, Qbar.T)  # window integrals of x'Qbar x
 
-    # equilibrate rows then columns; plain scaling, undone after the solve
+    # equilibrate rows, then _gram_rank columns; scaling undone after solve
     row_scale = np.linalg.norm(theta, axis=1)
     row_scale[row_scale == 0.0] = 1.0
     theta /= row_scale[:, None]
     rhs /= row_scale
-    col_scale = np.linalg.norm(theta, axis=0)
-    col_scale[col_scale == 0.0] = 1.0
-    theta /= col_scale
     # normal equations: their error grows as cond^2, hence the gate on G
-    G, lam, rank = _gram_rank(theta, config.rank_tol)
+    G, lam, rank, norms = _gram_rank(theta, config.rank_tol)
     p = len(lam)
     if rank < p:  # cond from an SVD: past about 1e8, lam[0] is rounding
         raise RankDeficientError(
             f"regression matrix rank {rank} < {p} unknowns; deficient subspace "
             f"dimension {p - rank}; condition number {np.linalg.cond(theta):.3g}")
     P = np.zeros((n, n))
-    P[i, j] = P[j, i] = np.linalg.solve(G, theta.T @ rhs) / col_scale
+    P[i, j] = P[j, i] = np.linalg.solve(G, theta.T @ rhs) / norms
     return P
 
 

@@ -62,8 +62,7 @@ def _check_fraction(name: str, value) -> None:
 
 
 def _check_at_least(name: str, value, low: int, high=np.inf) -> None:
-    """Reject a count that is not an integer (a bool is not) or lies
-    outside [low, high]."""
+    """Reject a non-integer count (a bool is not one) outside [low, high]."""
     if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:

@@ -205,6 +205,10 @@ class TestCollect:
                             ("max_iter", 0), ("rank_tol", float("nan"))):
             with pytest.raises(ValueError, match=knob):
                 network_config(mask_a, **{knob: value})
+        # a mask of the wrong width is named by its shape, as any other
+        with pytest.raises(ValueError, match="^mask must be 6x6$"):
+            dataclasses.replace(network_config(mask_a),
+                                mask=SparsityMask.all_ones(6, 5))
 
     def test_initial_gain_off_the_mask_is_rejected(self, mask_a):
         # (0, 0) and (0, 1) are off mask A; the larger entry is named
@@ -522,13 +526,24 @@ def _full_block_spectrum(data):
     return np.linalg.svd(block, compute_uv=False)
 
 
+def _unit_column_spectrum(data):
+    """Oracle: the singular values of the n(n+1)/2 distinct int_xx columns,
+    each scaled to unit norm."""
+    columns = np.stack([data.int_xx[:, i, j] for i in range(data.n)
+                        for j in range(i, data.n)], axis=1)
+    return np.linalg.svd(columns / np.linalg.norm(columns, axis=0),
+                         compute_uv=False)
+
+
 def _assert_spectrum_matches_full_block(data, mask, rank_tol=1e-12):
-    """check_rank's Gram rule counts the singular values above
-    sqrt(rank_tol) * sigma_max, and its sigma^2 are the oracle's to
-    1e-12 sigma_max^2; sigma_min is the n(n+1)/2-th, 0 past the windows."""
+    """check_rank's Gram rule counts the singular values of the unit-norm
+    distinct columns above sqrt(rank_tol) times their largest, and its
+    sigma^2 are the full block's to 1e-12 sigma_max^2; sigma_min is the
+    n(n+1)/2-th, 0 past the windows."""
+    sv_unit = _unit_column_spectrum(data)
     sv_full = _full_block_spectrum(data)
     report = check_rank(data, mask, rank_tol=rank_tol)
-    assert report.rank == int(np.sum(sv_full > np.sqrt(rank_tol) * sv_full[0]))
+    assert report.rank == int(np.sum(sv_unit > np.sqrt(rank_tol) * sv_unit[0]))
     distinct = data.n * (data.n + 1) // 2
     assert report.required == distinct
     sv_min = sv_full[distinct - 1] if data.num_windows >= distinct else 0.0
@@ -565,9 +580,9 @@ class TestRankSpectrum:
                             int_xu=int_xu)
         # no singular value within 10x of the cutoff, where rounding of the
         # Gram eigenvalues may tip the count either way
-        sv_full = _full_block_spectrum(data)
-        cut = 1e-6 * sv_full[0]  # sqrt(rank_tol) * sigma_max
-        assume(not np.any((sv_full > 0.1 * cut) & (sv_full < 10.0 * cut)))
+        sv_unit = _unit_column_spectrum(data)
+        cut = 1e-6 * sv_unit[0]  # sqrt(rank_tol) * the largest
+        assume(not np.any((sv_unit > 0.1 * cut) & (sv_unit < 10.0 * cut)))
         _assert_spectrum_matches_full_block(data, SparsityMask.all_ones(m, n))
 
     def test_passing_run_takes_no_svd(self, monkeypatch):
@@ -584,7 +599,8 @@ class TestRankSpectrum:
         assert report.rank["passed"]
         assert calls == []
 
-    @pytest.mark.parametrize("record", ["passing", "one-tone", "copied-state"])
+    @pytest.mark.parametrize("record", ["passing", "one-tone", "copied-state",
+                                        "scaled-state"])
     def test_check_rank_agrees_with_the_regression_gate(self, record):
         # one rule: the data pass check_rank exactly when the regression at
         # K0 passes its gate (the one-tone record counts 12 and 13 of 21)
@@ -828,6 +844,22 @@ class TestSrlSynthesize:
         with pytest.raises(RankDeficientError):
             srl_synthesize(data, config)
 
+    def test_state_in_other_units_lands_on_the_optimum(self):
+        # a state 1000x smaller scales its int_xx columns by up to 1e-6,
+        # which every rank count must ignore: the gain of the record is
+        # the model-based one of the plant in those units
+        config, data = _scaled_state_record()
+        assert check_rank(data, config.mask, rank_tol=config.rank_tol).passed
+        learned = srl_synthesize(data, config)
+        net, T = builtin_scenario("consensus-a").system(), _SCALED_STATE
+        net = dataclasses.replace(net, A=T @ net.A @ np.linalg.inv(T),
+                                  B=T @ net.B)
+        model = kleinman_structured(net, config.weights, config.mask,
+                                    config.initial_gain, tol=1e-8)
+        assert learned.converged
+        assert (np.linalg.norm(learned.K - model.K)
+                <= 1e-4 * np.linalg.norm(model.K))
+
     @pytest.mark.parametrize("seed", [7, 9, 34])
     @pytest.mark.parametrize("span", [1.0, 1.4])
     def test_gate_fails_or_gain_matches_model_based(self, seed, span):
@@ -903,22 +935,38 @@ def _one_tone_spec():
         spec.exploration, freq_min=5.0, freq_max=5.0))
 
 
-def _copied_state_record():
-    """consensus-a's record and config seen through x1 <- x0 + 1e-4 x1."""
+def _transformed_record(T, mask):
+    """consensus-a's record and config seen through the state change
+    x <- T x, with mask as the config's mask."""
     config, data = _spec_data(builtin_scenario("consensus-a"))
+    seen = DataMatrices(delta_xx=T @ data.delta_xx @ T.T,
+                        int_xx=T @ data.int_xx @ T.T, int_xu=T @ data.int_xu)
+    config = dataclasses.replace(
+        config, mask=mask, B=T @ config.B,
+        initial_gain=config.initial_gain @ np.linalg.inv(T))
+    return config, seen
+
+
+def _copied_state_record():
+    """consensus-a seen through x1 <- x0 + 1e-4 x1."""
     T = np.eye(6)
     T[1, :2] = 1.0, 1e-4
-    copied = DataMatrices(delta_xx=T @ data.delta_xx @ T.T,
-                          int_xx=T @ data.int_xx @ T.T,
-                          int_xu=T @ data.int_xu)
-    config = dataclasses.replace(
-        config, mask=SparsityMask.all_ones(6, 6), B=T @ config.B,
-        initial_gain=config.initial_gain @ np.linalg.inv(T))
-    return config, copied
+    return _transformed_record(T, SparsityMask.all_ones(6, 6))
+
+
+# state 1 in units 1000x larger; the diagonal change keeps mask A
+_SCALED_STATE = np.diag([1.0, 1e-3, 1.0, 1.0, 1.0, 1.0])
+
+
+def _scaled_state_record():
+    """consensus-a seen through x1 <- 1e-3 x1."""
+    return _transformed_record(
+        _SCALED_STATE, builtin_scenario("consensus-a").mask)
 
 
 _RANK_RECORDS = {
     "passing": lambda: _spec_data(builtin_scenario("consensus-a")),
     "one-tone": lambda: _spec_data(_one_tone_spec()),
     "copied-state": _copied_state_record,
+    "scaled-state": _scaled_state_record,
 }
