@@ -115,8 +115,8 @@ class SolverConfig:
 
     @_scenario_check
     def __post_init__(self):
-        _check_positive("tol", self.tol)
-        _check_at_least("max_iter", self.max_iter, 1)
+        _check_positive("solver tol", self.tol)
+        _check_at_least("solver max-iter", self.max_iter, 1)
         _check_fraction("solver rank-tol", self.rank_tol)
 
 

@@ -199,30 +199,30 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
 
 
 def _gram_rank(theta: np.ndarray, rank_tol: float):
-    """The one rank rule, blind to column scale: theta's columns scaled to
-    unit norm in place (zero ones kept), G = theta' theta, its eigenvalues
-    ascending, the count above rank_tol * lambda_max (full: cond <
-    1/sqrt(rank_tol)) and the column norms that undo the scaling."""
+    """The one rank rule, blind to column scale: G, the Gram matrix of
+    theta's columns scaled to unit norm (zero ones kept; theta is not
+    changed), the norms that undo the scaling, and G's RankReport."""
     norms = np.linalg.norm(theta, axis=0)
     norms[norms == 0.0] = 1.0
-    theta /= norms
-    G = theta.T @ theta
+    unit = theta / norms
+    G = unit.T @ unit
     lam = np.linalg.eigvalsh(G)
-    return G, lam, int(np.sum(lam > rank_tol * lam[-1])), norms
+    condition = np.sqrt(lam[-1] / lam[0]) if lam[0] > 0.0 else np.inf
+    rank = int(np.sum(lam > rank_tol * lam[-1]))
+    return G, norms, RankReport(rank, len(lam), float(condition))
 
 
 @dataclass(frozen=True)
 class RankReport:
-    """Rank of the distinct int_xx columns (see check_rank) against
-    n(n+1)/2, the unknowns of solve_iteration. sigma_max and sigma_min are
-    the columns' unscaled extreme singular values, from Gram eigenvalues:
-    sigma_min is good to about 1% at 1e-6 sigma_max, and rounding noise,
-    not 0, below about 1e-7 sigma_max."""
+    """Rank of a regressor's unit-norm columns, the eigenvalues of their
+    Gram matrix above rank_tol * lambda_max, against the count required
+    (the columns), and their condition number sqrt(lambda_max /
+    lambda_min), inf when lambda_min <= 0: the number rank_tol bounds
+    (full rank: below 1/sqrt(rank_tol)), resolved up to about 1e8."""
 
     rank: int
     required: int
-    sigma_max: float
-    sigma_min: float
+    condition: float
 
     @property
     def passed(self) -> bool:
@@ -238,9 +238,8 @@ class RankReport:
 
 def check_rank(data: DataMatrices, mask: SparsityMask,
                rank_tol: float = _RANK_TOL) -> RankReport:
-    """Rank gate on the excitation of collected data: the n(n+1)/2 distinct
-    int_xx columns (i <= j; an off-diagonal one stands for two equal
-    columns, hence sqrt(2)) by _gram_rank, the rule of every regression,
+    """Rank gate on the excitation of collected data: _gram_rank, the rule
+    of every regression, on the n(n+1)/2 distinct int_xx columns (i <= j),
     blind to a state's units; the P-only regressor has their rank at any
     stabilizing gain. Data that are not DataMatrices, a mask that is not
     an m-by-n SparsityMask for them, or a rank_tol outside (0, 1), is a
@@ -252,12 +251,7 @@ def check_rank(data: DataMatrices, mask: SparsityMask,
         raise ValueError(f"mask shape {mask.shape} does not match the data's "
                          f"gain shape {(data.m, data.n)}")
     i, j = np.triu_indices(data.n)
-    xx = data.int_xx[:, i, j] * np.where(i == j, 1.0, np.sqrt(2.0))
-    G, _, rank, norms = _gram_rank(xx, rank_tol)
-    top = norms.max()  # sigma of the unscaled columns: G scaled back
-    lam = np.linalg.eigvalsh(G * np.outer(norms / top, norms / top))[[0, -1]]
-    smin, smax = (top * np.sqrt(np.clip(lam, 0.0, None))).tolist()
-    return RankReport(rank, len(G), sigma_max=smax, sigma_min=smin)
+    return _gram_rank(data.int_xx[:, i, j], rank_tol)[2]
 
 
 def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
@@ -268,8 +262,9 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
     squares row <delta_xx - 2 H B', P> = -<int_xx, Qbar>, H = int_xx K' +
     int_xu, in the n(n+1)/2 distinct entries of P, solved from the Gram matrix
     G, gated by _gram_rank as in check_rank (cond of the unit-norm columns
-    below 1e6 at 1e-12): a failure is a RankDeficientError; data or config
-    of the wrong type, or data whose (n, m) is not B's shape, a ValueError.
+    below 1/sqrt(rank_tol), 1e6 at 1e-12): a failure is a
+    RankDeficientError naming that bound; data or config of the wrong type,
+    or data whose (n, m) is not B's shape, a ValueError.
     """
     _check_instance("data", data, DataMatrices)
     _check_instance("config", config, SrlConfig)
@@ -298,14 +293,15 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
     theta /= row_scale[:, None]
     rhs /= row_scale
     # normal equations: their error grows as cond^2, hence the gate on G
-    G, lam, rank, norms = _gram_rank(theta, config.rank_tol)
-    p = len(lam)
-    if rank < p:  # cond from an SVD: past about 1e8, lam[0] is rounding
+    G, norms, report = _gram_rank(theta, config.rank_tol)
+    if not report.passed:
         raise RankDeficientError(
-            f"regression matrix rank {rank} < {p} unknowns; deficient subspace "
-            f"dimension {p - rank}; condition number {np.linalg.cond(theta):.3g}")
+            f"regression matrix rank {report.rank} < {report.required} "
+            f"unknowns; deficient subspace dimension "
+            f"{report.required - report.rank}; "
+            f"condition number above {1.0 / np.sqrt(config.rank_tol):.3g}")
     P = np.zeros((n, n))
-    P[i, j] = P[j, i] = np.linalg.solve(G, theta.T @ rhs) / norms
+    P[i, j] = P[j, i] = np.linalg.solve(G, (theta / norms).T @ rhs) / norms
     return P
 
 

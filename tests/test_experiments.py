@@ -159,9 +159,10 @@ class TestScenarioSerialization:
             parse_scenario("\n".join(lines))
 
     def test_solver_knobs_validated(self):
-        for knob, value in (("tol", float("nan")), ("max_iter", 0)):
-            with pytest.raises(ValueError, match=knob):
-                SolverConfig(**{knob: value})
+        for field, knob, value in (("tol", "solver tol", float("nan")),
+                                   ("max_iter", "solver max-iter", 0)):
+            with pytest.raises(ValueError, match=f"^{knob} must be"):
+                SolverConfig(**{field: value})
         text = save_scenario(builtin_scenario("consensus-a"))
         lineno = text.splitlines().index("solver max-iter 30") + 1
         with pytest.raises(ScenarioError, match=f"^line {lineno}: solver "

@@ -519,37 +519,30 @@ def test_bad_count_or_knob_names_its_field(call):
         run()
 
 
-def _full_block_spectrum(data):
-    """Oracle: the singular values of the whole int_xx block as (N, n*n),
-    repeated off-diagonal columns included."""
-    block = data.int_xx.reshape(data.num_windows, -1)
-    return np.linalg.svd(block, compute_uv=False)
-
-
-def _unit_column_spectrum(data):
-    """Oracle: the singular values of the n(n+1)/2 distinct int_xx columns,
-    each scaled to unit norm."""
+def _unit_columns(data):
+    """Oracle input: the n(n+1)/2 distinct int_xx columns, each scaled to
+    unit norm."""
     columns = np.stack([data.int_xx[:, i, j] for i in range(data.n)
                         for j in range(i, data.n)], axis=1)
-    return np.linalg.svd(columns / np.linalg.norm(columns, axis=0),
-                         compute_uv=False)
+    return columns / np.linalg.norm(columns, axis=0)
 
 
-def _assert_spectrum_matches_full_block(data, mask, rank_tol=1e-12):
+def _assert_report_matches_unit_column_svd(data, mask, rank_tol=1e-12):
     """check_rank's Gram rule counts the singular values of the unit-norm
-    distinct columns above sqrt(rank_tol) times their largest, and its
-    sigma^2 are the full block's to 1e-12 sigma_max^2; sigma_min is the
-    n(n+1)/2-th, 0 past the windows."""
-    sv_unit = _unit_column_spectrum(data)
-    sv_full = _full_block_spectrum(data)
+    distinct columns above sqrt(rank_tol) times their largest; its
+    condition is their np.linalg.cond when the data pass, and at least
+    1/sqrt(rank_tol) when they fail."""
+    columns = _unit_columns(data)
+    sv_unit = np.linalg.svd(columns, compute_uv=False)
     report = check_rank(data, mask, rank_tol=rank_tol)
     assert report.rank == int(np.sum(sv_unit > np.sqrt(rank_tol) * sv_unit[0]))
-    distinct = data.n * (data.n + 1) // 2
-    assert report.required == distinct
-    sv_min = sv_full[distinct - 1] if data.num_windows >= distinct else 0.0
-    np.testing.assert_allclose(report.sigma_max, sv_full[0], rtol=1e-12)
-    np.testing.assert_allclose(report.sigma_min ** 2, sv_min ** 2, rtol=0,
-                               atol=1e-12 * sv_full[0] ** 2)
+    assert report.required == data.n * (data.n + 1) // 2
+    if report.passed:
+        np.testing.assert_allclose(report.condition, np.linalg.cond(columns),
+                                   rtol=1e-6)
+    else:
+        assert report.condition >= 1.0 / np.sqrt(rank_tol)
+    return report
 
 
 class TestRankSpectrum:
@@ -558,15 +551,22 @@ class TestRankSpectrum:
         traj, window = _builtin_record("consensus-a")
         return assemble_data(traj, window)
 
-    def test_matches_full_block_on_exploration_data(self, consensus_a, mask_a):
-        _assert_spectrum_matches_full_block(consensus_a, mask_a)
+    def test_matches_unit_column_svd_on_exploration_data(self, consensus_a,
+                                                        mask_a):
+        # and seen through x1 <- 1e-3 x1, which scales each int_xx column by
+        # a constant: the unit-norm columns, so the condition, stay the same
+        config, scaled = _scaled_state_record()
+        report = _assert_report_matches_unit_column_svd(consensus_a, mask_a)
+        other = _assert_report_matches_unit_column_svd(scaled, config.mask)
+        assert report.condition == pytest.approx(45.9, abs=0.05)
+        assert other.condition == pytest.approx(report.condition, rel=1e-6)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 5),
            m=st.integers(1, 4), windows=st.integers(1, 40),
            rank=st.integers(1, 40))
-    def test_matches_full_block_on_random_data(self, seed, n, m, windows,
-                                               rank):
+    def test_matches_unit_column_svd_on_random_data(self, seed, n, m,
+                                                    windows, rank):
         # every window mixes the same `rank` symmetric samples, so the
         # block's rank is often below its column count
         rng = np.random.default_rng(seed)
@@ -580,23 +580,30 @@ class TestRankSpectrum:
                             int_xu=int_xu)
         # no singular value within 10x of the cutoff, where rounding of the
         # Gram eigenvalues may tip the count either way
-        sv_unit = _unit_column_spectrum(data)
+        sv_unit = np.linalg.svd(_unit_columns(data), compute_uv=False)
         cut = 1e-6 * sv_unit[0]  # sqrt(rank_tol) * the largest
         assume(not np.any((sv_unit > 0.1 * cut) & (sv_unit < 10.0 * cut)))
-        _assert_spectrum_matches_full_block(data, SparsityMask.all_ones(m, n))
+        _assert_report_matches_unit_column_svd(data,
+                                               SparsityMask.all_ones(m, n))
 
     def test_passing_run_takes_no_svd(self, monkeypatch):
-        svd = np.linalg.svd
+        # nor does a failing one, at check_rank or at the regression gate;
+        # cond is spied on too, as it calls numpy's internal svd
         calls = []
-
-        def counting_svd(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for name in ("svd", "cond"):
+            def spy(*args, _name=name, _real=getattr(np.linalg, name),
+                    **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
         report = run_srl(builtin_scenario("consensus-a"))
         # run_srl and srl_synthesize both check_rank, by Gram eigenvalues
         assert report.rank["passed"]
+        with pytest.raises(RankDeficientError, match="^data rank 12 below "):
+            run_srl(_one_tone_spec())
+        config, data = _spec_data(_one_tone_spec())
+        with pytest.raises(RankDeficientError, match="^regression matrix "):
+            solve_iteration(data, config.initial_gain, config)
         assert calls == []
 
     @pytest.mark.parametrize("record", ["passing", "one-tone", "copied-state",
@@ -719,7 +726,7 @@ class TestSolveIteration:
         assert np.linalg.matrix_rank(rows) == 21
         with pytest.raises(RankDeficientError, match=(
                 r"^regression matrix rank 20 < 21 unknowns; deficient "
-                r"subspace dimension 1; condition number 1\.\d+e\+09$")):
+                r"subspace dimension 1; condition number above 1e\+06$")):
             solve_iteration(copied, config.initial_gain, config)
         with pytest.raises(RankDeficientError, match=(
                 r"^data rank 20 below the required count 21 ")):
