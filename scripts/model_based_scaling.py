@@ -38,8 +38,9 @@ def main():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        print(f"{n:>5} {report.iterations:>10} {wall:>8.3f} {peak / 1e6:>8.2f} "
-              f"{report.bound['l']:>10.6g} {8 * n ** 4 / 1e6:>12.1f}")
+        print(f"{n:>5} {report['iterations']:>10} {wall:>8.3f} "
+              f"{peak / 1e6:>8.2f} {report['bound']['l']:>10.6g} "
+              f"{8 * n ** 4 / 1e6:>12.1f}")
 
 
 if __name__ == "__main__":

@@ -41,21 +41,23 @@ def main():
         report = run_srl(spec, out_dir=out_dir, method="compare")
 
         print("=" * 72)
-        print(f"scenario {name}: converged={report.converged} "
-              f"iterations={report.iterations}")
-        print_matrix("learned structured gain", report.K)
-        print(f"objective (learned structured):   {report.cost_analytic:.4f}")
+        comparison = report["comparison"]
+        print(f"scenario {name}: converged={report['converged']} "
+              f"iterations={report['iterations']}")
+        print_matrix("learned structured gain", report["gain"])
+        print(f"objective (learned structured):   "
+              f"{report['cost_analytic']:.4f}")
         print(f"objective (unstructured optimum): "
-              f"{report.comparison['cost_unstructured']:.4f}")
+              f"{comparison['cost_unstructured']:.4f}")
         print(f"gain distance to model-based:     "
-              f"{report.comparison['gain_distance_to_model_based']:.2e}")
-        eigs = [e[0] for e in report.closed_loop_eigenvalues]
+              f"{comparison['gain_distance_to_model_based']:.2e}")
+        eigs = [e[0] for e in report["closed_loop_eigenvalues"]]
         print("closed-loop eigenvalues: "
               + ", ".join(f"{e:.2f}" for e in sorted(eigs)))
-        b = report.bound
+        b = report["bound"]
         print(f"suboptimality bound: gap {b['gap']:.4f} <= bound "
               f"{b['bound']:.4f} (ratio {b['gap_over_bound']:.3f})")
-        print(f"exploration peak |x|: {report.exploration_peak_state:.3f}")
+        print(f"exploration peak |x|: {report['exploration_peak_state']:.3f}")
         if out_dir:
             print(f"artifacts written to {out_dir}")
 

@@ -7,11 +7,11 @@ Hurwitz and is not (a non-stabilizing initial gain included).
 
 import argparse
 import dataclasses
-import json
 import sys
 
-from .experiments import (BUILTIN_SCENARIOS, ScenarioError, load_scenario,
-                          run_model_based, run_simulate, run_srl)
+from .experiments import (BUILTIN_SCENARIOS, ScenarioError, _report_text,
+                          load_scenario, run_model_based, run_simulate,
+                          run_srl)
 from .learning import RankDeficientError
 from .model_based import ConvergenceError
 from .system import SimulationDiverged, UnstableClosedLoopError
@@ -82,13 +82,13 @@ def main(argv=None) -> int:
             out = {"scenario": spec.name, "samples": len(traj.times),
                    "final_state": traj.states[-1].tolist()}
         elif args.command == "model-based":
-            out = run_model_based(spec, out_dir=args.out).to_dict()
+            out = run_model_based(spec, out_dir=args.out)
         elif args.command == "bound":
-            out = {"scenario": spec.name, "bound": run_model_based(spec).bound}
+            out = {"scenario": spec.name,
+                   "bound": run_model_based(spec)["bound"]}
         else:  # srl, compare
-            out = run_srl(spec, out_dir=args.out,
-                          method=args.command).to_dict()
-        print(json.dumps(out, indent=2, sort_keys=True))
+            out = run_srl(spec, out_dir=args.out, method=args.command)
+        print(_report_text(out))
         return EXIT_OK
 
     except RankDeficientError as exc:

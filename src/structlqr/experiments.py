@@ -2,7 +2,7 @@
 
 import functools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -16,12 +16,12 @@ from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
                           kleinman_structured, solve_unstructured_lqr,
                           suboptimality_bound)
 from .structure import SparsityMask, _check_on_mask, check_membership
-from .system import (_DIVERGENCE_BOUND, CostWeights, InputPolicy, LtiSystem,
-                     Trajectory, _as_floats, _as_matrix, _as_pair,
-                     _check_at_least, _check_fraction, _check_instance,
-                     _check_multiple, _check_positive, _check_step_count,
-                     _is_index, evaluate_cost, evaluate_cost_analytic,
-                     simulate)
+from .system import (_COST_H_LAMBDA, _DIVERGENCE_BOUND, _MAX_STEPS,
+                     CostWeights, InputPolicy, LtiSystem, Trajectory,
+                     _as_floats, _as_matrix, _as_pair, _check_at_least,
+                     _check_fraction, _check_instance, _check_multiple,
+                     _check_positive, _check_step_count, _is_index,
+                     evaluate_cost, evaluate_cost_analytic, simulate)
 
 
 class ScenarioError(ValueError):
@@ -136,6 +136,8 @@ class ScenarioSpec:
 
     @_scenario_check
     def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name.split() == [self.name]):
+            raise ScenarioError(f"name must be one word, got {self.name!r}")
         if self.initial_gain is None:
             raise ScenarioError("initial_gain is required: the policy "
                                 "iterations start from a stabilizing K0")
@@ -461,28 +463,9 @@ def _complex_list(values):
     return [[float(v.real), float(v.imag)] for v in np.sort_complex(values)]
 
 
-@dataclass
-class RunReport:
-    scenario: str
-    method: str
-    converged: bool
-    iterations: int
-    K: np.ndarray
-    P: np.ndarray
-    cost_quadrature: float
-    cost_analytic: float
-    closed_loop_eigenvalues: list
-    structure_violation_max: float
-    bound: Optional[dict] = None
-    comparison: dict = field(default_factory=dict)
-    rank: Optional[dict] = None
-    exploration_peak_state: Optional[float] = None
-
-    def to_dict(self):
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["gain"] = out.pop("K").tolist()
-        out["value_matrix"] = out.pop("P").tolist()
-        return out
+def _report_text(obj) -> str:
+    """The JSON of report.json and of every subcommand's stdout."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
 
 
 def write_trajectory_csv(path, times, states, inputs):
@@ -511,8 +494,8 @@ def write_gains_csv(path, gains: Dict[str, np.ndarray]):
     Path(path).write_text("\n".join(rows) + "\n")
 
 
-def write_report_json(path, report: RunReport):
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+def write_report_json(path, report: dict):
+    Path(path).write_text(_report_text(report) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -521,30 +504,31 @@ def write_report_json(path, report: RunReport):
 
 def _report(spec: ScenarioSpec, sys: LtiSystem, weights: CostWeights,
             method: str, result: SynthesisResult,
-            unstructured: SynthesisResult, **fields) -> RunReport:
-    """Report fields every runner shares: costs, closed-loop spectrum,
-    structure check, and the bound against the unstructured optimum."""
+            unstructured: SynthesisResult, **fields) -> dict:
+    """The report.json dict (gain and value_matrix as arrays): costs,
+    closed-loop spectrum, structure check, bound, then fields."""
     analytic = evaluate_cost_analytic(sys, weights, result.K, spec.x0)
     quad = evaluate_cost(sys, weights, result.K, spec.x0)
     unstr_cost = evaluate_cost_analytic(sys, weights, unstructured.K, spec.x0)
     bound = suboptimality_bound(sys, weights, spec.x0, analytic, unstr_cost,
                                 deviation=result.L)
-    return RunReport(
-        scenario=spec.name, method=method,
-        converged=result.converged, iterations=result.iterations,
-        K=result.K, P=result.P,
-        cost_quadrature=quad, cost_analytic=analytic,
-        closed_loop_eigenvalues=_complex_list(
+    return {
+        "scenario": spec.name, "method": method,
+        "converged": result.converged, "iterations": result.iterations,
+        "gain": result.K, "value_matrix": result.P,
+        "cost_quadrature": quad, "cost_analytic": analytic,
+        "closed_loop_eigenvalues": _complex_list(
             np.linalg.eigvals(sys.A - sys.B @ result.K)),
-        structure_violation_max=check_membership(result.K, spec.mask),
-        bound=bound.to_dict(),
-        comparison={
+        "structure_violation_max": check_membership(result.K, spec.mask),
+        "bound": bound.to_dict(),
+        "comparison": {
             "cost_unstructured": unstr_cost,
             "gain_distance_to_unstructured":
                 float(np.linalg.norm(result.K - unstructured.K, "fro")),
         },
+        "rank": None, "exploration_peak_state": None,
         **fields,
-    )
+    }
 
 
 def _baselines(spec: ScenarioSpec, sys: LtiSystem, weights: CostWeights,
@@ -558,12 +542,20 @@ def _baselines(spec: ScenarioSpec, sys: LtiSystem, weights: CostWeights,
     return mb, unstr
 
 
-def _closed_loop_trajectory(sys: LtiSystem, gain, x0):
-    return simulate(sys, InputPolicy(gain=gain), x0, 6.0, dt=0.01,
-                    substeps=10)
+def _trajectory(sys: LtiSystem, gain, x0, horizon: float) -> Trajectory:
+    """A run's feedback-only (gain None: open-loop) trajectory on the 10 ms
+    grid, in at least 10 RK4 substeps with h |lambda| <= _COST_H_LAMBDA
+    over its matrix's spectrum (max|lambda| <= 13.0, so 10, on every shipped
+    scenario). simulate's step cap rejects a 6 s loop faster than about
+    3.3e4 per s, and an overflowed spectrum, with ValueError (exit 1)."""
+    G = sys.A if gain is None else sys.A - sys.B @ gain
+    need = np.max(np.abs(np.linalg.eigvals(G))) * 0.01 / _COST_H_LAMBDA
+    substeps = max(10, int(np.ceil(np.fmin(need, _MAX_STEPS))))
+    return simulate(sys, InputPolicy(gain=gain), x0, horizon, dt=0.01,
+                    substeps=substeps)
 
 
-def _emit(out_dir, report: RunReport, result: SynthesisResult,
+def _emit(out_dir, report: dict, result: SynthesisResult,
           traj_parts, gains: Dict[str, np.ndarray]):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -576,23 +568,24 @@ def _emit(out_dir, report: RunReport, result: SynthesisResult,
     write_report_json(out / "report.json", report)
 
 
-def run_model_based(spec: ScenarioSpec, out_dir=None) -> RunReport:
-    """Structured policy iteration on the scenario, with reports and CSVs."""
+def run_model_based(spec: ScenarioSpec, out_dir=None) -> dict:
+    """Structured policy iteration on the scenario; returns the report
+    dict that report.json holds, written with the CSVs to out_dir."""
     sys, weights = spec.system(), spec.weights()
     mb, unstr = _baselines(spec, sys, weights, spec.initial_gain)
     report = _report(spec, sys, weights, "model-based", mb, unstr)
     if out_dir is not None:
-        traj = _closed_loop_trajectory(sys, mb.K, spec.x0)
+        traj = _trajectory(sys, mb.K, spec.x0, 6.0)
         _emit(out_dir, report, mb,
               [(traj.times, traj.states, traj.inputs)],
               {"structured": mb.K, "unstructured": unstr.K})
     return report
 
 
-def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> RunReport:
+def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> dict:
     """Exploration, data-driven synthesis, then closed-loop implementation,
-    compared with the model-based and unstructured solutions. The probe
-    comes from spec.exploration, seed included."""
+    compared with the model-based and unstructured solutions, reported as
+    by run_model_based. The probe comes from spec.exploration, seed included."""
     config = spec.srl_config()
     sys, weights = spec.system(), config.weights
     # first, so a K0 that does not stabilize the loop is named as such
@@ -607,7 +600,7 @@ def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> RunReport:
     report = _report(spec, sys, weights, method, learned, unstr,
                      rank=rank_report.to_dict(),
                      exploration_peak_state=float(np.max(np.abs(traj.states))))
-    report.comparison.update({
+    report["comparison"].update({
         "cost_model_based": evaluate_cost_analytic(sys, weights, mb.K,
                                                    spec.x0),
         "gain_distance_to_model_based":
@@ -621,7 +614,7 @@ def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> RunReport:
         t_ex = traj.times[::stride]
         x_ex = traj.states[::stride]
         u_ex = traj.inputs[::stride]
-        impl = _closed_loop_trajectory(sys, learned.K, traj.states[-1])
+        impl = _trajectory(sys, learned.K, traj.states[-1], 6.0)
         _emit(out_dir, report, learned,
               [(t_ex, x_ex, u_ex),
                (impl.times[1:] + traj.times[-1], impl.states[1:], impl.inputs[1:])],
@@ -632,7 +625,7 @@ def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> RunReport:
 def run_simulate(spec: ScenarioSpec, horizon: float = 5.0,
                  out_dir=None) -> Trajectory:
     """Zero-input simulation of the scenario system from its x0."""
-    traj = simulate(spec.system(), InputPolicy(), spec.x0, horizon)
+    traj = _trajectory(spec.system(), None, spec.x0, horizon)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -43,7 +43,12 @@ def test_model_based_converges(capsys):
 def test_bound_subcommand(capsys):
     assert main(["bound", "--scenario", "consensus-a"]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"scenario", "bound"}
+    assert out["scenario"] == "consensus-a"
     assert out["bound"]["within_bound"] is True
+    # the model-based run's bound, unchanged
+    assert main(["model-based", "--scenario", "consensus-a"]) == 0
+    assert out["bound"] == json.loads(capsys.readouterr().out)["bound"]
 
 
 def test_bound_takes_no_out_directory(tmp_path, capsys):
@@ -110,22 +115,59 @@ def test_divergence_exit_code(tmp_path, capsys):
     assert "error: initial gain is not stabilizing" in capsys.readouterr().err
 
 
+def _one_state_spec(a, q, dt):
+    return ScenarioSpec(
+        name="fast", A=np.array([[a]]), B=np.array([[1.0]]),
+        Q=np.array([[q]]), R=np.array([[1.0]]),
+        mask=SparsityMask.all_ones(1, 1), x0=np.array([1.0]), dt=dt,
+        exploration=ExplorationConfig(seed=1, duration=1.4, window=0.01),
+        solver=SolverConfig(), initial_gain=np.array([[0.0]]))
+
+
+def _assert_finite_trajectory(out_dir):
+    table = np.loadtxt(out_dir / "trajectory.csv", delimiter=",", skiprows=1)
+    assert table.size and np.all(np.isfinite(table))
+
+
 @pytest.mark.parametrize("q", [1e6, 1e7])
 def test_fast_closed_loop_cost_exits_0(tmp_path, capsys, q):
     # the synthesized loop's pole sits near -sqrt(q), -1000 and -3162 per
     # s, too fast for the 1 ms cost grid: the quadrature takes a finer step
-    spec = ScenarioSpec(
-        name="fast", A=np.array([[-1.0]]), B=np.array([[1.0]]),
-        Q=np.array([[q]]), R=np.array([[1.0]]),
-        mask=SparsityMask.all_ones(1, 1), x0=np.array([1.0]), dt=5e-4,
-        exploration=ExplorationConfig(seed=1, duration=1.4, window=0.01),
-        solver=SolverConfig(), initial_gain=np.array([[0.0]]))
     path = tmp_path / "fast.scn"
-    save_scenario(spec, path)
+    save_scenario(_one_state_spec(-1.0, q, 5e-4), path)
     assert main(["model-based", "--scenario", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     quad, exact = report["cost_quadrature"], report["cost_analytic"]
     assert abs(quad - exact) <= 1.4e-4 * exact
+    # and too fast for 10 RK4 substeps of the written 10 ms trajectory grid
+    for command in ("model-based", "compare"):
+        out = tmp_path / command
+        assert main([command, "--scenario", str(path),
+                     "--out", str(out)]) == 0, capsys.readouterr().err
+        _assert_finite_trajectory(out)
+
+
+def test_stiff_open_loop_simulate_exits_0(tmp_path, capsys):
+    # an open-loop pole at -3000 per s: 1 ms RK4 substeps would diverge
+    # (h |lambda| > 2.78), so simulate takes finer ones
+    path = tmp_path / "stiff.scn"
+    save_scenario(_one_state_spec(-3000.0, 1.0, 5e-5), path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path),
+                 "--out", str(out)]) == 0, capsys.readouterr().err
+    _assert_finite_trajectory(out)
+
+
+@pytest.mark.parametrize("a, substeps", [(-1e5, 50000), (-1e308, 10**7)])
+def test_simulate_beyond_the_step_cap_exits_1(tmp_path, capsys, a, substeps):
+    # the substeps a 10 ms record of the pole needs, at most 10^7, are
+    # more than simulate's step cap allows over the 5 s horizon
+    path = tmp_path / "stiff.scn"
+    save_scenario(_one_state_spec(a, 1.0, 5e-5), path)
+    assert main(["simulate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: horizon must be at most {1e5 / substeps:g} s at dt 0.01 "
+        f"with {substeps} substeps, got 5.0\n")
 
 
 def test_simulate_horizon_off_the_grid_exits_1(capsys):
@@ -208,13 +250,26 @@ def test_initial_gain_off_the_mask_exits_1(tmp_path, capsys, command):
         "-7.5 at (0, 0)\n")
 
 
-def test_compare_writes_full_report(tmp_path, capsys):
-    assert main(["compare", "--scenario", "consensus-a",
+@pytest.mark.parametrize("command", ["model-based", "srl", "compare"])
+def test_compare_writes_full_report(tmp_path, capsys, command):
+    assert main([command, "--scenario", "consensus-a",
                  "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["method"] == "compare"
-    assert report["comparison"]["gain_distance_to_model_based"] <= 1e-3
+    text = (tmp_path / "report.json").read_text()
+    assert capsys.readouterr().out == text  # one report, in both places
+    report = json.loads(text)
+    assert set(report) == {
+        "scenario", "method", "converged", "iterations", "gain",
+        "value_matrix", "cost_quadrature", "cost_analytic",
+        "closed_loop_eigenvalues", "structure_violation_max", "bound",
+        "comparison", "rank", "exploration_peak_state"}
+    assert report["method"] == command
     assert report["bound"]["within_bound"] is True
+    if command == "model-based":
+        assert report["rank"] is None
+        assert report["exploration_peak_state"] is None
+    else:
+        assert report["rank"]["passed"] is True
+        assert report["comparison"]["gain_distance_to_model_based"] <= 1e-3
 
 
 @pytest.mark.parametrize("command, key, value", [

@@ -229,6 +229,11 @@ class TestScenarioSerialization:
         ("mask", np.ones((6, 6)), "^mask must be a SparsityMask, got ndarray$"),
         ("initial_gain", None, "^initial_gain is required"),
         ("x0", ["a"] * 6, "^x0 must be an array of real numbers$"),
+        # a name a saved file's scenario line could not hold
+        ("name", "two words", "^name must be one word, got 'two words'$"),
+        ("name", "", "^name must be one word, got ''$"),
+        ("name", "a\tb", r"^name must be one word, got 'a\\tb'$"),
+        ("name", 5, "^name must be one word, got 5$"),
     ])
     def test_code_built_spec_raises_scenario_error(self, field, value,
                                                     message):
@@ -329,13 +334,13 @@ class TestRunners:
     def test_model_based_run_and_outputs(self, tmp_path):
         spec = builtin_scenario("consensus-a")
         report = run_model_based(spec, out_dir=tmp_path)
-        assert report.converged
-        assert report.structure_violation_max == 0.0
-        assert report.bound["within_bound"]
-        assert abs(report.cost_analytic - 12.4705) < 0.05
-        assert abs(report.cost_quadrature - 12.4705) < 0.05
-        assert report.cost_quadrature == pytest.approx(report.cost_analytic,
-                                                       rel=1e-3)
+        assert report["converged"]
+        assert report["structure_violation_max"] == 0.0
+        assert report["bound"]["within_bound"]
+        assert abs(report["cost_analytic"] - 12.4705) < 0.05
+        assert abs(report["cost_quadrature"] - 12.4705) < 0.05
+        assert report["cost_quadrature"] == pytest.approx(
+            report["cost_analytic"], rel=1e-3)
         for name in ("trajectory.csv", "convergence.csv", "gains.csv",
                      "report.json"):
             assert (tmp_path / name).exists()
@@ -349,22 +354,22 @@ class TestRunners:
     def test_srl_run_report(self, tmp_path):
         spec = builtin_scenario("consensus-a")
         report = run_srl(spec, out_dir=tmp_path)
-        assert report.converged and report.iterations <= 10
-        assert report.rank["passed"]
-        assert report.comparison["gain_distance_to_model_based"] <= 1e-3
-        assert report.structure_violation_max == 0.0
-        assert report.exploration_peak_state is not None
+        assert report["converged"] and report["iterations"] <= 10
+        assert report["rank"]["passed"]
+        assert report["comparison"]["gain_distance_to_model_based"] <= 1e-3
+        assert report["structure_violation_max"] == 0.0
+        assert report["exploration_peak_state"] is not None
         gains = (tmp_path / "gains.csv").read_text()
         assert "learned," in gains and "model_based," in gains \
             and "unstructured," in gains
 
     def test_srl_seed_override_changes_probe(self):
         spec = builtin_scenario("consensus-a")
-        r1, r2 = (run_srl(replace(spec, exploration=replace(spec.exploration,
-                                                            seed=seed)))
+        K1, K2 = (run_srl(replace(spec, exploration=replace(spec.exploration,
+                                                            seed=seed)))["gain"]
                   for seed in (7, 11))
-        assert not np.array_equal(r1.K, r2.K)
-        assert np.linalg.norm(r1.K - r2.K, "fro") <= 2e-3
+        assert not np.array_equal(K1, K2)
+        assert np.linalg.norm(K1 - K2, "fro") <= 2e-3
 
     def test_simulate_runner(self, tmp_path):
         spec = builtin_scenario("consensus-a")

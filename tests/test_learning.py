@@ -598,7 +598,7 @@ class TestRankSpectrum:
             monkeypatch.setattr(np.linalg, name, spy)
         report = run_srl(builtin_scenario("consensus-a"))
         # run_srl and srl_synthesize both check_rank, by Gram eigenvalues
-        assert report.rank["passed"]
+        assert report["rank"]["passed"]
         with pytest.raises(RankDeficientError, match="^data rank 12 below "):
             run_srl(_one_tone_spec())
         config, data = _spec_data(_one_tone_spec())
