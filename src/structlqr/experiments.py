@@ -2,7 +2,7 @@
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -20,7 +20,7 @@ from .system import (_COST_H_LAMBDA, _DIVERGENCE_BOUND, _MAX_STEPS,
                      CostWeights, InputPolicy, LtiSystem, Trajectory,
                      _as_floats, _as_matrix, _as_pair, _check_at_least,
                      _check_fraction, _check_instance, _check_multiple,
-                     _check_positive, _check_step_count, _is_index,
+                     _check_positive, _check_step_count, _freeze, _is_index,
                      evaluate_cost, evaluate_cost_analytic, simulate)
 
 
@@ -159,16 +159,19 @@ class ScenarioSpec:
                              ("initial_gain", self.initial_gain, (m, n))):
             if M is not None and np.shape(M) != shape:
                 raise ScenarioError(f"{nm} must have shape {shape}")
-        # entries after shapes, so a misshapen block is named by its shape
-        peak = float(np.max(np.abs(_as_floats(self.x0, "x0"))))
+        # entries after shapes, so a misshapen block is named by its shape;
+        # each array is kept as the read-only floats checked, as in LtiSystem
+        object.__setattr__(self, "x0", _freeze(_as_floats(self.x0, "x0")))
+        peak = float(np.max(np.abs(self.x0)))
         if not peak <= _DIVERGENCE_BOUND:
             raise ScenarioError(
                 f"x0 entries must be finite and at most "
                 f"{_DIVERGENCE_BOUND:g} in magnitude, got {peak!r}")
         CostWeights(Q=self.Q, R=self.R)
-        for name, M in (("A", self.A), ("initial_gain", self.initial_gain)):
-            if M is not None:
-                _as_matrix(M, name=name)
+        for name in ("B", "Q", "R", "A", "initial_gain"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _freeze(
+                    _as_matrix(getattr(self, name), name=name)))
         _check_on_mask("initial_gain", self.initial_gain, self.mask)
 
     def system(self) -> LtiSystem:
@@ -287,16 +290,17 @@ def _rows(table: np.ndarray, sep: str):
 _HEADERS = {"matrix": ("name", "rows", "cols"), "mask": ("rows", "cols"),
             "vector": ("name", "length")}
 
-# Every block a scenario file may hold, in file order: the ScenarioSpec
-# field it fills and whether the file must have it.
-_BLOCKS = {"matrix A": ("A", False), "matrix B": ("B", True),
-           "matrix Q": ("Q", True), "matrix R": ("R", True),
-           "mask": ("mask", True), "vector x0": ("x0", True),
-           "matrix K0": ("initial_gain", True)}
+# Every block a scenario file may hold, in file order, and the
+# ScenarioSpec field it fills.
+_BLOCKS = {"matrix A": "A", "matrix B": "B", "matrix Q": "Q", "matrix R": "R",
+           "mask": "mask", "vector x0": "x0", "matrix K0": "initial_gain"}
 
-# Every knob line, in file order: the config field it sets and its cast.
-# The defaults live on ExplorationConfig and SolverConfig alone.
-_KNOBS = {
+# Every one-value line, in file order: the field it fills and its cast. A
+# one-word key fills a ScenarioSpec field, a two-word key one of the config
+# its first word names; the defaults live on the config classes alone.
+_SCALARS = {
+    "scenario": ("name", str),
+    "dt": ("dt", float),
     "exploration seed": ("seed", int),
     "exploration duration": ("duration", float),
     "exploration window": ("window", float),
@@ -310,25 +314,32 @@ _KNOBS = {
     "solver rank-tol": ("rank_tol", float),
 }
 
-# Every scenario key and the ScenarioSpec or config field it fills.
-_FIELDS = {"dt": "dt",
-           **{key: entry[0] for key, entry in {**_BLOCKS, **_KNOBS}.items()}}
+# Every scenario key and the field it fills.
+_FIELDS = {**{key: attr for key, (attr, _) in _SCALARS.items()}, **_BLOCKS}
+
+# The ScenarioSpec fields without a default, whose lines every file needs
+# (exploration and solver are built from the knobs, which all have one).
+_REQUIRED = {f.name for f in fields(ScenarioSpec) if f.default is MISSING}
 
 
 def save_scenario(spec: ScenarioSpec, path=None) -> str:
-    """Serialize a scenario to the block text format; returns the text."""
-    parts = [f"scenario {spec.name}", f"dt {_fmt(spec.dt)}", ""]
-    for label, (attr, _) in _BLOCKS.items():
+    """Serialize a scenario to the format parse_scenario reads; returns the
+    text: the one-word lines, the blocks, then the knobs, by their tables."""
+    def line(key):
+        attr, cast = _SCALARS[key]
+        config = key.rpartition(" ")[0]
+        value = getattr(getattr(spec, config) if config else spec, attr)
+        return f"{key} {_fmt(value) if cast is float else value}"
+
+    parts = [line(key) for key in _SCALARS if " " not in key] + [""]
+    for label, attr in _BLOCKS.items():
         value = getattr(spec, attr)
         if value is None:
             continue
-        value = (value.indicator.astype(int) if label == "mask"
-                 else np.asarray(value, float))
+        value = value.indicator.astype(int) if label == "mask" else value
         parts += [" ".join([label, *map(str, value.shape)]),
                   *_rows(np.atleast_2d(value), " "), ""]
-    for key, (attr, cast) in _KNOBS.items():
-        value = getattr(getattr(spec, key.split()[0]), attr)
-        parts.append(f"{key} {_fmt(value) if cast is float else value}")
+    parts += [line(key) for key in _SCALARS if " " in key]
     text = "\n".join(parts) + "\n"
     if path is not None:
         Path(path).write_text(text)
@@ -350,16 +361,17 @@ def _parse_size(token: str, lineno: int, what: str) -> int:
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
-    """Parse the block text scenario format; errors carry line numbers.
-    Keys and blocks outside _BLOCKS and _KNOBS, or given twice, are errors."""
+    """Parse the block text scenario format; errors carry line numbers. A
+    line is a block header or a _SCALARS key (all tokens but the last) and
+    its value. Other lines, repeats and missing required lines are errors."""
     raw = text.splitlines()
     # (line number, tokens) of each line that is not blank or a comment,
     # drawn lazily by the main loop and by read_block alike
     lines = ((ln, toks) for ln, toks in enumerate(map(str.split, raw), 1)
              if toks and not toks[0].startswith("#"))
     seen: Dict[str, int] = {}  # key or block label -> line it appeared on
-    blocks: Dict[str, np.ndarray] = {}
-    configs: Dict[str, dict] = {"exploration": {}, "solver": {}}
+    # the fields read, ScenarioSpec's under "" and each config's by name
+    values: Dict[str, dict] = {"": {}, "exploration": {}, "solver": {}}
 
     def claim(label, lineno):
         if label in seen:
@@ -383,12 +395,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
     for ln, toks in lines:
         kw = toks[0]
-        if kw == "scenario":
-            if len(toks) != 2:
-                raise ScenarioError(f"line {ln}: scenario needs a name")
-            claim(kw, ln)
-            name = toks[1]
-        elif kw in _HEADERS:
+        if kw in _HEADERS:
             words = _HEADERS[kw]
             if len(toks) != 1 + len(words):
                 raise ScenarioError(f"line {ln}: {kw} needs {' '.join(words)}")
@@ -399,36 +406,27 @@ def parse_scenario(text: str) -> ScenarioSpec:
             claim(label, ln)
             sizes = [_parse_size(t, ln, w)
                      for t, w in zip(toks[1 + named:], words[named:])]
-            blocks[_BLOCKS[label][0]] = read_block(sizes, label)
-        elif kw == "dt":
-            if len(toks) != 2:
-                raise ScenarioError(f"line {ln}: dt needs one value")
-            claim(kw, ln)
-            dt = _parse_value(toks[1], ln, kw)
-        elif kw in configs:
-            if len(toks) != 3:
-                raise ScenarioError(f"line {ln}: {kw} needs key and value")
-            key = f"{kw} {toks[1]}"
-            if key not in _KNOBS:
-                raise ScenarioError(f"line {ln}: unknown {kw} key '{toks[1]}'")
-            claim(key, ln)
-            attr, cast = _KNOBS[key]
-            configs[kw][attr] = _parse_value(toks[2], ln, f"{kw}.{toks[1]}", cast)
+            values[""][_BLOCKS[label]] = read_block(sizes, label)
         else:
-            raise ScenarioError(f"line {ln}: unknown keyword '{kw}'")
+            key, line = " ".join(toks[:-1]), " ".join(toks)
+            if line in _SCALARS:
+                raise ScenarioError(f"line {ln}: {line} needs one value")
+            if key not in _SCALARS:
+                raise ScenarioError(f"line {ln}: unknown key '{key or line}'")
+            claim(key, ln)
+            attr, cast = _SCALARS[key]
+            values[key.rpartition(" ")[0]][attr] = _parse_value(
+                toks[-1], ln, key, cast)
 
-    if "scenario" not in seen:
-        raise ScenarioError("missing 'scenario <name>' line")
-    for label, (attr, required) in _BLOCKS.items():
-        if required and attr not in blocks:
-            raise ScenarioError(f"missing {label}" + " block" * (label == "mask"))
-    if "dt" not in seen:
-        raise ScenarioError("missing dt")
+    for key, attr in _FIELDS.items():
+        if attr in _REQUIRED and key not in seen:
+            raise ScenarioError(f"missing {key}" + " block" * (key == "mask"))
+    spec = values[""]
     try:
-        blocks["mask"] = SparsityMask(blocks["mask"])
-        return ScenarioSpec(name=name, dt=dt,
-                            exploration=ExplorationConfig(**configs["exploration"]),
-                            solver=SolverConfig(**configs["solver"]), **blocks)
+        spec["mask"] = SparsityMask(spec["mask"])
+        return ScenarioSpec(
+            exploration=ExplorationConfig(**values["exploration"]),
+            solver=SolverConfig(**values["solver"]), **spec)
     except ValueError as exc:
         raise _keyed(str(exc), seen) from exc
 

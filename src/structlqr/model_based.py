@@ -336,6 +336,8 @@ class BoundReport:
     the full SVD of V to about 1e-13 relative, defective M included (the
     tests require 1e-8, and 1e-12 for the closed form of a symmetric M).
     epsilon = ||L'RL|| / l is logged when a deviation matrix is supplied.
+    Both norms are of symmetric PSD matrices, so each is the largest
+    eigenvalue from eigvalsh; no SVD is taken.
     """
 
     g: float
@@ -368,7 +370,7 @@ def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
             raise ValueError(f"{name} must be finite, got {cost!r}")
     RinvBt = np.linalg.solve(weights.R, sys.B.T)
     G = sys.B @ RinvBt
-    g = float(np.linalg.norm(G, 2))
+    g = float(np.linalg.eigvalsh(G)[-1])
     if g == 0.0:
         raise ValueError("B is zero; the bound is undefined (g = 0)")
 
@@ -380,6 +382,6 @@ def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
     eps = None
     if deviation is not None:
         L = _as_matrix(deviation, rows=sys.m, cols=sys.n, name="deviation")
-        eps = float(np.linalg.norm(L.T @ weights.R @ L, 2)) / l
+        eps = float(np.linalg.eigvalsh(L.T @ weights.R @ L)[-1]) / l
     return BoundReport(g=g, l=l, bound=bound, gap=gap,
                        within_bound=bool(gap <= bound), epsilon=eps)

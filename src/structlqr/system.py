@@ -337,6 +337,12 @@ _DIVERGENCE_BOUND = 1e150
 # however long the horizon; its Python steps number about 2 sqrt(rows).
 _SEGMENT_ENTRIES = 2**16
 
+# The most h |lambda| simulate lets a stable loop's step take. RK4's
+# |R(h lambda)| is at most 0.873 on the half circle |h lambda| = 2.5,
+# Re <= 0, and at most 1 on the imaginary axis up to 2 sqrt 2, so every
+# damped mode inside that half-disk decays; a faster one may grow.
+_RK4_H_LAMBDA = 2.5
+
 
 def _power_table(Phi, count: int) -> np.ndarray:
     """[Phi^1' ... Phi^b'] side by side, shape (n, b n), with b <= count the
@@ -378,6 +384,9 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
         substeps: internal RK4 steps per recorded sample.
 
     Raises:
+        ValueError: for a loop whose eigenvalues all have negative real
+            part and whose step h makes h max|lambda| > _RK4_H_LAMBDA,
+            naming the least substeps that keep it stable.
         SimulationDiverged: at the first recorded sample that is non-finite
             or exceeds _DIVERGENCE_BOUND in magnitude.
     """
@@ -395,6 +404,14 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
     n, nsteps = sys.n, _check_multiple("horizon", horizon, "dt", dt)
     h = dt / substeps
     G = sys.A if policy.gain is None else sys.A - sys.B @ policy.gain
+    eigs = np.linalg.eigvals(G)
+    fastest = float(np.max(np.abs(eigs)))
+    need = dt * fastest / _RK4_H_LAMBDA
+    if np.all(eigs.real < 0) and substeps < need:
+        raise ValueError(
+            f"substeps must be at least {int(np.ceil(need))} at dt {dt:g}, "
+            f"got {substeps}: RK4 would diverge on this stable loop, "
+            f"max |lambda| {fastest:g}")
     Phi = _rk4_step(G, h, np.eye(n), 0.0, 0.0, 0.0)
     width = n if policy.probe is None else max(n, substeps * sys.m)
     rows = min(nsteps, max(1, _SEGMENT_ENTRIES // width))

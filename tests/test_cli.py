@@ -170,6 +170,26 @@ def test_simulate_beyond_the_step_cap_exits_1(tmp_path, capsys, a, substeps):
         f"with {substeps} substeps, got 5.0\n")
 
 
+def test_stiff_stable_exploration_names_its_substeps(tmp_path, capsys):
+    # a pole at -1e5 per s, explored at dt 5e-05: RK4 at h |lambda| = 5
+    # would blow up on a plant that decays, which is a step error (exit 1),
+    # not a diverging state (exit 3); the count it names runs
+    spec = _one_state_spec(-1e5, 1.0, 5e-5)
+
+    def compare(substeps):
+        path = tmp_path / f"stiff{substeps}.scn"
+        save_scenario(dataclasses.replace(spec, exploration=dataclasses.replace(
+            spec.exploration, substeps=substeps)), path)
+        return main(["compare", "--scenario", str(path)])
+
+    assert compare(1) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: substeps must be at least 2 at dt 5e-05, got 1: ")
+    assert compare(2) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["comparison"]["gain_distance_to_model_based"] < 1e-6
+
+
 def test_simulate_horizon_off_the_grid_exits_1(capsys):
     assert main(["simulate", "--scenario", "consensus-a",
                  "--horizon", "0.015"]) == 1
@@ -336,9 +356,9 @@ def test_option_not_read_by_subcommand_is_rejected(capsys, argv):
 
 @pytest.mark.parametrize("old, new, offset, message", [
     ("exploration window 0.01", "exploration windw 0.02", 0,
-     "unknown exploration key 'windw'"),
+     "unknown key 'exploration windw'"),
     ("solver tol 0.001", "solver tolerance 5", 0,
-     "unknown solver key 'tolerance'"),
+     "unknown key 'solver tolerance'"),
     ("matrix K0 6 6", "matrix K 6 6", 0, "unknown matrix 'K'"),
     ("vector x0 6", "vector y0 6", 0, "unknown vector 'y0'"),
     ("dt 5e-05", "dt 5e-05\ndt 0.0001", 1, "dt repeats line 2"),

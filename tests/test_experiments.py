@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from helpers import NETWORK_A, X0
-from structlqr.experiments import (ScenarioError, ScenarioSpec, SolverConfig,
-                                   builtin_scenario, load_scenario,
-                                   make_consensus_network, parse_scenario,
-                                   ring_scenario, run_model_based,
-                                   run_simulate, run_srl, save_scenario,
-                                   write_gains_csv, write_trajectory_csv)
+from structlqr.experiments import (_SCALARS, ScenarioError, ScenarioSpec,
+                                   SolverConfig, builtin_scenario,
+                                   load_scenario, make_consensus_network,
+                                   parse_scenario, ring_scenario,
+                                   run_model_based, run_simulate, run_srl,
+                                   save_scenario, write_gains_csv,
+                                   write_trajectory_csv)
 from structlqr.structure import SparsityMask
 
 
@@ -93,6 +94,17 @@ class TestBuiltinScenarios:
             builtin_scenario("consensus-z")
 
 
+# A valid value other than consensus-a's for each one-value key, written
+# as save_scenario writes it.
+_SCALAR_VALUES = {
+    "scenario": "renamed", "dt": "0.0001", "exploration seed": "3",
+    "exploration duration": "2.0", "exploration window": "0.02",
+    "exploration sinusoids": "7", "exploration freq-min": "0.25",
+    "exploration freq-max": "60.0", "exploration amplitude": "2.5",
+    "exploration substeps": "3", "solver tol": "1e-06",
+    "solver max-iter": "12", "solver rank-tol": "1e-10"}
+
+
 class TestScenarioSerialization:
     @pytest.mark.parametrize("name", ["consensus-a", "consensus-b",
                                       "consensus-b-declared"])
@@ -134,13 +146,28 @@ class TestScenarioSerialization:
 
     @pytest.mark.parametrize("line, message", [
         ("dt", "line 13: dt needs one value"),
-        ("exploration seed 1.5", "line 13: bad exploration.seed value '1.5'"),
+        ("exploration seed 1.5", "line 13: bad exploration seed value '1.5'"),
     ])
     def test_bad_scalar_line_carries_line_number(self, line, message):
         text = ("scenario t\ndt 0.01\nmatrix B 1 1\n1\nmatrix Q 1 1\n1\n"
                 "matrix R 1 1\n1\nmask 1 1\n1\nvector x0 1\n1\n" + line + "\n")
         with pytest.raises(ScenarioError, match=message):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("key", _SCALARS)
+    def test_one_value_line_round_trips_and_names_its_key(self, key):
+        lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
+        idx = next(i for i, line in enumerate(lines)
+                   if line.rpartition(" ")[0] == key)
+        lines[idx] = f"{key} {_SCALAR_VALUES[key]}"
+        text = "\n".join(lines) + "\n"
+        assert save_scenario(parse_scenario(text)) == text
+        for line, message in ((key, f"{key} needs one value"),
+                              (f"{key[:-1]} 1", f"unknown key '{key[:-1]}'")):
+            lines[idx] = line
+            with pytest.raises(ScenarioError, match=re.escape(
+                    f"line {idx + 1}: {message}") + "$"):
+                parse_scenario("\n".join(lines))
 
     @pytest.mark.parametrize("header, bad, message", [
         ("matrix B 6 6", "matrix B 6.7 6", "bad rows value '6.7'"),
@@ -370,6 +397,15 @@ class TestRunners:
                   for seed in (7, 11))
         assert not np.array_equal(K1, K2)
         assert np.linalg.norm(K1 - K2, "fro") <= 2e-3
+
+    def test_list_built_spec_runs_as_the_array_built_one(self):
+        spec = builtin_scenario("consensus-a")
+        listed = replace(spec, **{name: getattr(spec, name).tolist() for name
+                                  in ("A", "B", "Q", "R", "x0", "initial_gain")})
+        assert run_srl(listed)["gain"].tobytes() == \
+            run_srl(spec)["gain"].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            spec.initial_gain[0, 0] = 1.0
 
     def test_simulate_runner(self, tmp_path):
         spec = builtin_scenario("consensus-a")

@@ -17,7 +17,7 @@ from structlqr import (ConvergenceError, CostWeights, DataMatrices,
                        required_samples, solve_iteration, solve_lyapunov,
                        solve_unstructured_lqr, srl_synthesize)
 from structlqr.experiments import (builtin_scenario, make_consensus_network,
-                                   ring_scenario, run_srl)
+                                   ring_scenario, run_model_based, run_srl)
 from structlqr.learning import assemble_data
 from structlqr.system import Trajectory, evaluate_cost, simulate
 
@@ -587,15 +587,19 @@ class TestRankSpectrum:
                                                SparsityMask.all_ones(m, n))
 
     def test_passing_run_takes_no_svd(self, monkeypatch):
-        # nor does a failing one, at check_rank or at the regression gate;
-        # cond is spied on too, as it calls numpy's internal svd
+        # nor does a model-based one, nor a failing one, at check_rank or at
+        # the regression gate; numpy's own svd is spied on too, which cond
+        # and norm(., 2) call (numpy.linalg._linalg, or .linalg on 1.x)
         calls = []
-        for name in ("svd", "cond"):
-            def spy(*args, _name=name, _real=getattr(np.linalg, name),
+        internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+        for module, name in ((np.linalg, "svd"), (np.linalg, "cond"),
+                             (internal, "svd")):
+            def spy(*args, _name=name, _real=getattr(module, name),
                     **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, spy)
+            monkeypatch.setattr(module, name, spy)
+        assert run_model_based(builtin_scenario("consensus-a"))["converged"]
         report = run_srl(builtin_scenario("consensus-a"))
         # run_srl and srl_synthesize both check_rank, by Gram eigenvalues
         assert report["rank"]["passed"]
