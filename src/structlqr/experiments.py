@@ -88,7 +88,7 @@ class ExplorationConfig:
     freq_min: float = _FREQ_RANGE[0]
     freq_max: float = _FREQ_RANGE[1]
     amplitude: float = _AMPLITUDE
-    substeps: int = 1
+    substeps: int = 1  # least RK4 steps per dt; simulate may take more
 
     @_scenario_check
     def __post_init__(self):

@@ -136,7 +136,7 @@ class SrlConfig:
     window: float       # data-sample spacing T, seconds
     num_windows: int
     dt: float           # trajectory recording / quadrature step
-    substeps: int = 1
+    substeps: int = 1   # least RK4 steps per dt; simulate may take more
     tol: float = _TOL
     max_iter: int = _MAX_ITER
     rank_tol: float = _RANK_TOL  # see check_rank and solve_iteration

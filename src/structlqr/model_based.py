@@ -1,7 +1,6 @@
 """Model-based synthesis: Lyapunov solves, structured policy iteration,
 the unstructured baseline, and the suboptimality bound report."""
 
-import numbers
 from dataclasses import asdict, dataclass
 from typing import List, Optional
 
@@ -10,7 +9,8 @@ import numpy as np
 from .structure import SparsityMask, off_pattern, on_pattern
 from .system import (_SPECTRAL_TOL, CostWeights, LtiSystem, _as_matrix,
                      _as_state, _check_at_least, _check_hurwitz,
-                     _check_instance, _check_positive, _check_weights)
+                     _check_instance, _check_positive, _check_weights,
+                     _is_real)
 
 
 _TOL, _MAX_ITER = 1e-6, 50  # default stopping rule of every policy iteration
@@ -366,7 +366,7 @@ def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
     _check_weights(weights, sys.n, sys.m)
     for name, cost in (("cost_structured", cost_structured),
                        ("cost_unstructured", cost_unstructured)):
-        if not (isinstance(cost, numbers.Real) and np.isfinite(cost)):
+        if not (_is_real(cost) and np.isfinite(cost)):
             raise ValueError(f"{name} must be finite, got {cost!r}")
     RinvBt = np.linalg.solve(weights.R, sys.B.T)
     G = sys.B @ RinvBt

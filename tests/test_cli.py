@@ -170,22 +170,14 @@ def test_simulate_beyond_the_step_cap_exits_1(tmp_path, capsys, a, substeps):
         f"with {substeps} substeps, got 5.0\n")
 
 
-def test_stiff_stable_exploration_names_its_substeps(tmp_path, capsys):
-    # a pole at -1e5 per s, explored at dt 5e-05: RK4 at h |lambda| = 5
-    # would blow up on a plant that decays, which is a step error (exit 1),
-    # not a diverging state (exit 3); the count it names runs
-    spec = _one_state_spec(-1e5, 1.0, 5e-5)
-
-    def compare(substeps):
-        path = tmp_path / f"stiff{substeps}.scn"
-        save_scenario(dataclasses.replace(spec, exploration=dataclasses.replace(
-            spec.exploration, substeps=substeps)), path)
-        return main(["compare", "--scenario", str(path)])
-
-    assert compare(1) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: substeps must be at least 2 at dt 5e-05, got 1: ")
-    assert compare(2) == 0
+def test_stiff_stable_exploration_runs_at_one_substep(tmp_path, capsys):
+    # a pole at -1e5 per s, explored at dt 5e-05 and the default one
+    # substep: RK4 at h |lambda| = 5 would blow up on a plant that decays,
+    # so simulate takes the 2 substeps that ||A||_inf asks for
+    path = tmp_path / "stiff.scn"
+    save_scenario(_one_state_spec(-1e5, 1.0, 5e-5), path)
+    assert main(["compare", "--scenario", str(path)]) == 0, \
+        capsys.readouterr().err
     report = json.loads(capsys.readouterr().out)
     assert report["comparison"]["gain_distance_to_model_based"] < 1e-6
 

@@ -407,6 +407,36 @@ class TestRunners:
         with pytest.raises(ValueError, match="read-only"):
             spec.initial_gain[0, 0] = 1.0
 
+    def test_simulate_takes_no_spectrum(self, monkeypatch, tmp_path):
+        # simulate sizes its RK4 step from ||G||_inf, so the one spectrum a
+        # written trajectory takes is _trajectory's, for its 10 ms accuracy
+        import structlqr.experiments as experiments
+        from structlqr import InputPolicy, make_exploration, simulate
+
+        spec = builtin_scenario("consensus-a")
+        plant, policy = spec.system(), InputPolicy(
+            gain=spec.initial_gain, probe=make_exploration(0, 6))
+        calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            def spy(*args, _name=name, _real=getattr(np.linalg, name),
+                    **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        simulate(plant, policy, spec.x0, 0.1, dt=spec.dt)
+        assert calls == []
+
+        written, trajectory = [], experiments._trajectory
+
+        def counted(*args):
+            before = len(calls)
+            traj = trajectory(*args)
+            written.append(calls[before:])
+            return traj
+        monkeypatch.setattr(experiments, "_trajectory", counted)
+        run_model_based(spec, out_dir=tmp_path)
+        assert written == [["eigvals"]]
+
     def test_simulate_runner(self, tmp_path):
         spec = builtin_scenario("consensus-a")
         traj = run_simulate(spec, horizon=1.0, out_dir=tmp_path)

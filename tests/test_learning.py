@@ -408,6 +408,11 @@ _BAD_ARGUMENT_CALLS = {
     "simulate x0 string": (lambda: simulate(
         LtiSystem(A=NETWORK_A, B=np.eye(6)), InputPolicy(), "a", 0.1),
         "x0 must be an array of real numbers"),
+    "simulate sys string": (lambda: simulate("a", InputPolicy(), X0, 0.1),
+                            "sys must be a LtiSystem, got str"),
+    "simulate policy string": (lambda: simulate(
+        LtiSystem(A=NETWORK_A, B=np.eye(6)), "a", X0, 0.1),
+        "policy must be an InputPolicy, got str"),
     "evaluate_cost x0 string": (lambda: evaluate_cost(
         LtiSystem(A=NETWORK_A, B=np.eye(6)),
         CostWeights(Q=np.eye(6), R=np.eye(6)), np.zeros((6, 6)), x0="ab"),

@@ -530,7 +530,8 @@ class TestSuboptimalityBound:
     @pytest.mark.parametrize("costs, name", [
         ((float("nan"), 1.0), "cost_structured"),
         ((1.0, float("inf")), "cost_unstructured"),
-        (("a", 1.0), "cost_structured")])
+        (("a", 1.0), "cost_structured"),
+        ((1.0, True), "cost_unstructured")])
     def test_non_finite_cost_rejected(self, network, weights, costs, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             suboptimality_bound(network, weights, X0, *costs)

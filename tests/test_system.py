@@ -218,8 +218,9 @@ class TestSimulate:
         assert err.value.time == ref.value.time
 
     def test_divergence_overflowing_later_in_the_block(self):
-        # the state passes 1e150 at the 6th sample, then reaches inf and nan
-        # within the same block of steps: no overflow warning may leak
+        # ||A||_inf = 12000 raises the 10 substeps to 48; the state passes
+        # 1e150 at the 5th sample, then reaches inf and nan within the same
+        # segment of steps: no overflow warning may leak
         sys = LtiSystem(A=6000.0 * np.array([[1.0, 1.0], [1.0, -1.0]]),
                         B=np.eye(2))
         x0 = np.array([1.0, 0.0])
@@ -228,17 +229,18 @@ class TestSimulate:
             with pytest.raises(SimulationDiverged) as err:
                 simulate(sys, InputPolicy(), x0, horizon=2.0, dt=0.01)
         with pytest.raises(SimulationDiverged) as ref:
-            rk4_reference(sys, InputPolicy(), x0, 2.0, dt=0.01)
-        assert err.value.time == ref.value.time == pytest.approx(0.06)
+            rk4_reference(sys, InputPolicy(), x0, 2.0, dt=0.01, substeps=48)
+        assert err.value.time == ref.value.time == pytest.approx(0.05)
 
     def test_unexcited_stiff_mode_is_not_divergence(self):
-        # the 6000/s mode grows by 4e20 per recorded step and is never
-        # excited: a blocked scan whose power table overflowed would read
-        # 0 * inf = nan there and report divergence at 0.15 s
+        # the 6000/s mode grows by 7e24 per recorded step of 24 substeps
+        # and is never excited: a blocked scan whose power table overflowed
+        # would read 0 * inf = nan there and report divergence
         sys = LtiSystem(A=np.diag([-1.0, 6000.0]), B=np.eye(2))
         x0 = np.array([1.0, 0.0])
         traj = simulate(sys, InputPolicy(), x0, horizon=40.0, dt=0.01)
-        states, _ = rk4_reference(sys, InputPolicy(), x0, 40.0, dt=0.01)
+        states, _ = rk4_reference(sys, InputPolicy(), x0, 40.0, dt=0.01,
+                                  substeps=24)
         assert np.all(traj.states[:, 1] == 0.0)
         assert np.max(np.abs(traj.states - states)) <= 1e-12
 
@@ -386,18 +388,25 @@ class TestSimulate:
 
     def test_divergence_stops_the_probe_at_its_segment(self, monkeypatch,
                                                        probe_calls):
-        # 10 steps a segment: the state passes 1e150 at 0.73 s, in the 8th
-        # segment of 200, so the probe is drawn up to 0.8 s and no further
+        # |A| = 600 raises the one substep to 3, so 7 steps a segment: the
+        # state passes 1e150 at 0.6 s, in the 9th segment of 286, so the
+        # probe is drawn up to 0.63 s and no further
         import structlqr.system
 
-        monkeypatch.setattr(structlqr.system, "_SEGMENT_ENTRIES", 10)
+        monkeypatch.setattr(structlqr.system, "_SEGMENT_ENTRIES", 21)
         sys = LtiSystem(A=np.array([[600.0]]), B=np.array([[1.0]]))
+        policy = InputPolicy(probe=make_exploration(0, 1))
         with pytest.raises(SimulationDiverged) as err:
-            simulate(sys, InputPolicy(probe=make_exploration(0, 1)),
-                     np.array([1.0]), horizon=20.0, dt=0.01, substeps=1)
-        assert err.value.time == pytest.approx(0.73)
-        assert len(probe_calls) == 2 * 80 + 1 < 2 * 2000 + 1
-        assert max(probe_calls) == pytest.approx(0.8)
+            simulate(sys, policy, np.array([1.0]), horizon=20.0, dt=0.01,
+                     substeps=1)
+        assert err.value.time == pytest.approx(0.6)
+        assert len(probe_calls) == 2 * 63 * 3 + 1 < 2 * 2000 * 3 + 1
+        assert max(probe_calls) == pytest.approx(0.63)
+        monkeypatch.undo()
+        with pytest.raises(SimulationDiverged) as ref:
+            rk4_reference(sys, policy, np.array([1.0]), 20.0, dt=0.01,
+                          substeps=3)
+        assert ref.value.time == err.value.time
 
     def test_policy_converts_its_gain(self, network):
         K = [[0.5 * (i == j) for j in range(6)] for i in range(6)]
