@@ -20,7 +20,7 @@ from .system import (_COST_H_LAMBDA, _DIVERGENCE_BOUND, _MAX_STEPS,
                      CostWeights, InputPolicy, LtiSystem, Trajectory,
                      _as_floats, _as_matrix, _as_pair, _check_at_least,
                      _check_fraction, _check_instance, _check_multiple,
-                     _check_positive, _check_step_count, _freeze, _is_index,
+                     _check_positive, _freeze, _is_index, _rk4_substeps,
                      evaluate_cost, evaluate_cost_analytic, simulate)
 
 
@@ -142,10 +142,8 @@ class ScenarioSpec:
             raise ScenarioError("initial_gain is required: the policy "
                                 "iterations start from a stabilizing K0")
         _check_positive("dt", self.dt)
-        # the exploration grid, here so that every subcommand reads a file alike
+        # the grid multiples, here so that every subcommand reads a file alike
         ex = self.exploration
-        _check_step_count("exploration duration", ex.duration, self.dt,
-                          ex.substeps)
         _check_multiple("exploration window", ex.window, "dt", self.dt,
                         least=2)
         _check_multiple("exploration duration", ex.duration,
@@ -185,7 +183,10 @@ class ScenarioSpec:
         return CostWeights(Q=self.Q, R=self.R)
 
     def srl_config(self) -> SrlConfig:
-        ex = self.exploration
+        # only the runs that explore check its length, at the plant's step
+        ex, sys = self.exploration, self.system()
+        _rk4_substeps("exploration duration", ex.duration, self.dt,
+                      ex.substeps, sys.A - sys.B @ self.initial_gain)
         num_windows = int(round(ex.duration / ex.window))
         need = required_samples(self.B.shape[0], self.mask)
         if num_windows < need:

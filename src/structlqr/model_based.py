@@ -204,6 +204,7 @@ def _lyapunov(M, S, unstable: str) -> np.ndarray:
 
 def modified_are_residual(P, L, sys: LtiSystem, weights: CostWeights) -> float:
     """Frobenius residual of A'P + PA - P B R^-1 B' P + Q + L' R L."""
+    _check_instance("sys", sys, LtiSystem)
     P = _as_matrix(P, rows=sys.n, cols=sys.n, name="P")
     L = _as_matrix(L, rows=sys.m, cols=sys.n, name="L")
     _check_weights(weights, sys.n, sys.m)
@@ -260,6 +261,7 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
     """
     _check_positive("tol", tol)
     _check_at_least("max_iter", max_iter, 1)
+    _check_instance("sys", sys, LtiSystem)
     _check_instance("mask", mask, SparsityMask)
     if mask.shape != (sys.m, sys.n):
         raise ValueError(f"mask must be {sys.m}x{sys.n}")
@@ -282,6 +284,7 @@ def solve_unstructured_lqr(sys: LtiSystem, weights: CostWeights,
                            initial_gain, tol: float = _TOL,
                            max_iter: int = _MAX_ITER) -> SynthesisResult:
     """Classical LQR baseline: the structured iteration with an all-ones mask."""
+    _check_instance("sys", sys, LtiSystem)
     mask = SparsityMask.all_ones(sys.m, sys.n)
     return kleinman_structured(sys, weights, mask, initial_gain,
                                tol=tol, max_iter=max_iter)
@@ -362,6 +365,7 @@ def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
     to zero, or if its eigenvectors are too ill-conditioned for l to be
     computed to rounding accuracy (see BoundReport).
     """
+    _check_instance("sys", sys, LtiSystem)
     x0 = _as_state(x0, sys.n)
     _check_weights(weights, sys.n, sys.m)
     for name, cost in (("cost_structured", cost_structured),

@@ -6,7 +6,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .system import (_as_floats, _as_matrix, _as_pair, _check_at_least,
-                     _freeze, _is_index)
+                     _check_instance, _freeze, _is_index)
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,14 @@ class SparsityMask:
 
 
 def off_pattern(gain, mask: SparsityMask) -> np.ndarray:
-    """Component of the gain outside the allowed pattern (Hadamard with the
-    mask complement); this is the structure-violating part and a projection."""
-    gain = _as_floats(gain, "gain")
-    if gain.shape != mask.shape:
-        raise ValueError(f"gain shape {gain.shape} != mask shape {mask.shape}")
-    return gain * mask.complement
+    """Component of the gain outside the allowed pattern, the gain less its
+    on_pattern part; this is the structure-violating part and a projection."""
+    return gain - on_pattern(gain, mask)
 
 
 def on_pattern(gain, mask: SparsityMask) -> np.ndarray:
     """Component of the gain on the allowed pattern (Hadamard with the mask)."""
+    _check_instance("mask", mask, SparsityMask)
     gain = _as_floats(gain, "gain")
     if gain.shape != mask.shape:
         raise ValueError(f"gain shape {gain.shape} != mask shape {mask.shape}")

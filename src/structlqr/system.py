@@ -121,14 +121,6 @@ def _check_multiple(name: str, span, step_name: str, step, least: int = 1) -> in
 _MAX_STEPS = 10**7
 
 
-def _check_step_count(name: str, span, dt, substeps) -> None:
-    """Reject a time span that would take more than _MAX_STEPS RK4 steps."""
-    if span / dt * substeps > _MAX_STEPS:
-        raise ValueError(
-            f"{name} must be at most {_MAX_STEPS * dt / substeps:g} s at "
-            f"dt {dt:g} with {substeps} substeps, got {span!r}")
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     """A read-only copy of arr; an array that is already read-only and owns
     its data is taken as it is, as simulate hands over its record."""
@@ -190,6 +182,7 @@ class CostWeights:
 
 def _check_weights(weights: CostWeights, n: int, m: int) -> None:
     """Reject cost weights that do not fit n states and m inputs."""
+    _check_instance("weights", weights, CostWeights)
     for name, M, size in (("Q", weights.Q, n), ("R", weights.R, m)):
         if M.shape != (size, size):
             raise ValueError(
@@ -345,6 +338,19 @@ _SEGMENT_ENTRIES = 2**16
 _RK4_H_LAMBDA = 2.5
 
 
+def _rk4_substeps(name: str, span, dt, substeps, G) -> int:
+    """The least substeps >= the floor with h ||G||_inf <= _RK4_H_LAMBDA; a
+    span that takes more than _MAX_STEPS is a ValueError naming name."""
+    with np.errstate(over="ignore"):  # an overflowed norm meets the step cap
+        need = dt * np.linalg.norm(G, np.inf) / _RK4_H_LAMBDA
+    substeps = max(substeps, int(np.ceil(np.fmin(need, _MAX_STEPS))))
+    if span / dt * substeps > _MAX_STEPS:
+        raise ValueError(
+            f"{name} must be at most {_MAX_STEPS * dt / substeps:g} s at "
+            f"dt {dt:g} with {substeps} substeps, got {span!r}")
+    return substeps
+
+
 def _power_table(Phi, count: int) -> np.ndarray:
     """[Phi^1' ... Phi^b'] side by side, shape (n, b n), with b <= count the
     largest power count whose entries are all finite (at least 1)."""
@@ -382,9 +388,8 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
         x0: initial state.
         horizon: total simulated time, seconds, a whole number of dt.
         dt: recording step.
-        substeps: the least internal RK4 steps per recorded sample; more
-            are taken where dt ||G||_inf / substeps > _RK4_H_LAMBDA, G the
-            simulated loop matrix, so no decaying mode grows.
+        substeps: the least internal RK4 steps per recorded sample;
+            _rk4_substeps takes more, so no decaying mode grows.
 
     Raises:
         SimulationDiverged: at the first recorded sample that is non-finite
@@ -404,10 +409,7 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
 
     n, nsteps = sys.n, _check_multiple("horizon", horizon, "dt", dt)
     G = sys.A if policy.gain is None else sys.A - sys.B @ policy.gain
-    with np.errstate(over="ignore"):  # an overflowed norm meets the step cap
-        need = dt * np.linalg.norm(G, np.inf) / _RK4_H_LAMBDA
-    substeps = max(substeps, int(np.ceil(np.fmin(need, _MAX_STEPS))))
-    _check_step_count("horizon", horizon, dt, substeps)
+    substeps = _rk4_substeps("horizon", horizon, dt, substeps, G)
     h = dt / substeps
     Phi = _rk4_step(G, h, np.eye(n), 0.0, 0.0, 0.0)
     width = n if policy.probe is None else max(n, substeps * sys.m)
@@ -509,6 +511,7 @@ def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
     1 ms step that is 2e-5 at lambda = -1e-9 and 8% at -6e-13, where this
     returns 9.007e11 against the exact 8.333e11.
     """
+    _check_instance("sys", sys, LtiSystem)
     gain = _as_matrix(gain, rows=sys.m, cols=sys.n, name="gain")
     x0 = _as_state(x0, sys.n)
     _check_weights(weights, sys.n, sys.m)
@@ -537,6 +540,7 @@ def evaluate_cost_analytic(sys: LtiSystem, weights: CostWeights, gain, x0) -> fl
     UnstableClosedLoopError for a closed loop that is not Hurwitz."""
     from .model_based import solve_lyapunov
 
+    _check_instance("sys", sys, LtiSystem)
     gain = _as_matrix(gain, rows=sys.m, cols=sys.n, name="gain")
     x0 = _as_state(x0, sys.n)
     _check_weights(weights, sys.n, sys.m)

@@ -108,7 +108,7 @@ def test_criterion_4_srl_equals_model_based(network, weights):
         config = spec.srl_config()
         probe = spec.probe()
         plant = hide_state_matrix(network)
-        policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
+        policy = InputPolicy(gain=config.initial_gain, probe=probe)
         start = time.perf_counter()
         _, data = collect(plant, policy, spec.x0, config)
         learned = srl_synthesize(data, config)
@@ -282,7 +282,7 @@ def test_criterion_7g_all_ones_srl(network, weights):
                        num_windows=140, dt=5e-5, tol=1e-3, max_iter=30)
     probe = make_exploration(7, 6, amplitude=100.0)
     plant = hide_state_matrix(network)
-    policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
+    policy = InputPolicy(gain=config.initial_gain, probe=probe)
     _, data = collect(plant, policy, X0, config)
     learned = srl_synthesize(data, config)
     classical = solve_unstructured_lqr(network, weights,

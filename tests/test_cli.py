@@ -535,12 +535,12 @@ def test_huge_simulate_horizon_is_usage_error(tmp_path, capsys):
 
 
 def test_huge_exploration_duration_is_usage_error(tmp_path, capsys):
+    # only the runs that explore check its length; the others take the file
     text = save_scenario(builtin_scenario("consensus-a"))
-    lineno = text.splitlines().index("exploration duration 1.4") + 1
     path = tmp_path / "long.scn"
     path.write_text(text.replace("exploration duration 1.4",
                                  "exploration duration 1e9"))
-    for command in _COMMANDS:
+    for command in ("srl", "compare"):
         tracemalloc.start()
         try:
             assert main([command, "--scenario", str(path)]) == 1
@@ -548,9 +548,30 @@ def test_huge_exploration_duration_is_usage_error(tmp_path, capsys):
         finally:
             tracemalloc.stop()
         assert capsys.readouterr().err == (
-            f"error: line {lineno}: exploration duration must be at most "
-            "500 s at dt 5e-05 with 1 substeps, got 1000000000.0\n"), command
+            "error: exploration duration must be at most 500 s at dt 5e-05 "
+            "with 1 substeps, got 1000000000.0\n"), command
         assert peak < 1e6  # rejected before the probe or any record is sized
+    for command in ("model-based", "bound", "simulate"):
+        assert main([command, "--scenario", str(path)]) == 0, \
+            capsys.readouterr().err
+
+
+def test_stiff_exploration_is_capped_at_the_step_it_takes(tmp_path, capsys):
+    # a pole at -1e5 per s raises the one substep to 2, which halves the
+    # 500 s the floor allows; the cap names the scenario key, not simulate's
+    path = tmp_path / "stiff.scn"
+    save_scenario(dataclasses.replace(
+        _one_state_spec(-1e5, 1.0, 5e-5), exploration=ExplorationConfig(
+            seed=1, duration=400.0, window=0.01)), path)
+    for command in ("srl", "compare"):
+        assert main([command, "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: exploration duration must be at most 250 s at dt 5e-05 "
+            "with 2 substeps, got 400.0\n"), command
+    # simulate's 10 ms record of the pole takes 50000 substeps, so 1 s
+    for argv in (["model-based"], ["bound"], ["simulate", "--horizon", "1"]):
+        assert main(argv + ["--scenario", str(path)]) == 0, \
+            capsys.readouterr().err
 
 
 def test_exploration_too_short_for_the_unknowns_is_usage_error(tmp_path,

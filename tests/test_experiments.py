@@ -177,12 +177,23 @@ class TestScenarioSerialization:
         ("mask 6 6", "mask 6 -2", "cols must be at least 1, got -2"),
         ("vector x0 6", "vector x0 6.5", "bad length value '6.5'"),
         ("vector x0 6", "vector x0 0", "length must be at least 1, got 0"),
+        ("mask 6 6", "mask 6", "mask needs rows cols"),
     ])
     def test_block_sizes_are_positive_integers(self, header, bad, message):
         lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
         lineno = lines.index(header) + 1
         lines[lineno - 1] = bad
         with pytest.raises(ScenarioError, match=f"^line {lineno}: {message}$"):
+            parse_scenario("\n".join(lines))
+
+    def test_defaulted_knob_error_has_no_line(self):
+        # the window takes its default, so no line of the file is to blame
+        text = save_scenario(builtin_scenario("consensus-a"))
+        lines = [line for line in text.replace("dt 5e-05", "dt 0.01")
+                 .splitlines() if not line.startswith("exploration window")]
+        with pytest.raises(ScenarioError, match=re.escape(
+                "exploration window must be an integer multiple (>= 2) of "
+                "dt 0.01, got 0.01") + "$"):
             parse_scenario("\n".join(lines))
 
     def test_solver_knobs_validated(self):

@@ -12,10 +12,12 @@ from helpers import (NETWORK_A, X0, ZEROS_A, assemble_data_reference,
 from structlqr import (ConvergenceError, CostWeights, DataMatrices,
                        ExplorationSignal, InputPolicy, LtiSystem, PlantHandle,
                        RankDeficientError, SparsityMask, SrlConfig, check_rank,
-                       collect, hide_state_matrix, kleinman_structured,
-                       make_exploration, off_pattern, on_pattern,
+                       collect, evaluate_cost_analytic, hide_state_matrix,
+                       kleinman_structured, make_exploration,
+                       modified_are_residual, off_pattern, on_pattern,
                        required_samples, solve_iteration, solve_lyapunov,
-                       solve_unstructured_lqr, srl_synthesize)
+                       solve_unstructured_lqr, srl_synthesize,
+                       suboptimality_bound)
 from structlqr.experiments import (builtin_scenario, make_consensus_network,
                                    ring_scenario, run_model_based, run_srl)
 from structlqr.learning import assemble_data
@@ -223,7 +225,7 @@ def _builtin_record(name):
     """The exploration record a data-driven run on a builtin collects."""
     spec = builtin_scenario(name)
     config = spec.srl_config()
-    policy = InputPolicy.feedback_with_probe(config.initial_gain, spec.probe())
+    policy = InputPolicy(gain=config.initial_gain, probe=spec.probe())
     traj, _ = collect(hide_state_matrix(spec.system()), policy, spec.x0, config)
     return traj, config.window
 
@@ -246,7 +248,7 @@ def _rectangular_record():
     probe = make_exploration(5, 2, num_sinusoids=20, freq_range=(0.5, 5.0),
                              amplitude=4.0)
     K = np.array([[0.3, 0.0, 0.1], [0.1, 0.2, 0.0]])
-    traj = simulate(sys, InputPolicy.feedback_with_probe(K, probe),
+    traj = simulate(sys, InputPolicy(gain=K, probe=probe),
                     np.array([1.0, -0.5, 0.7]), 2.0, dt=1e-3, substeps=1)
     return traj, 0.05
 
@@ -328,7 +330,7 @@ class TestCheckRank:
         spec_probe = make_exploration(7, 6, amplitude=100.0)
         plant = hide_state_matrix(network)
         config = network_config(mask_a)
-        policy = InputPolicy.feedback_with_probe(config.initial_gain, spec_probe)
+        policy = InputPolicy(gain=config.initial_gain, probe=spec_probe)
         _, data = collect(plant, policy, X0, config)
         report = check_rank(data, mask_a)
         assert report.rank == report.required == 21  # n(n+1)/2, n = 6
@@ -352,7 +354,7 @@ class TestCheckRank:
         probe = make_exploration(7, 6)  # unit peak budget
         plant = hide_state_matrix(network)
         config = network_config(mask_a)
-        policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
+        policy = InputPolicy(gain=config.initial_gain, probe=probe)
         _, data = collect(plant, policy, X0, config)
         assert check_rank(data, mask_a).passed
 
@@ -513,7 +515,75 @@ _BAD_ARGUMENT_CALLS = {
         delta_xx=np.zeros((0, 6, 6)), int_xx=np.zeros((0, 6, 6)),
         int_xu=np.zeros((0, 6, 6))),
         "windows of delta_xx, int_xx and int_xu must be at least 1, got 0"),
+    "off_pattern mask string": (lambda: off_pattern(np.zeros((6, 6)), "m"),
+                                "mask must be a SparsityMask, got str"),
+    "on_pattern mask string": (lambda: on_pattern(np.zeros((6, 6)), "m"),
+                               "mask must be a SparsityMask, got str"),
+    "SrlConfig weights string": (
+        lambda: network_config(SparsityMask.all_ones(6, 6), weights="w"),
+        "weights must be a CostWeights, got str"),
+    "on_pattern shape": (
+        lambda: on_pattern(np.zeros((2, 2)), SparsityMask.all_ones(6, 6)),
+        "gain shape (2, 2) != mask shape (6, 6)"),
+    "kleinman_structured mask shape": (lambda: kleinman_structured(
+        LtiSystem(A=NETWORK_A, B=np.eye(6)),
+        CostWeights(Q=np.eye(6), R=np.eye(6)), SparsityMask.all_ones(5, 6),
+        np.zeros((6, 6))), "mask must be 6x6"),
+    "evaluate_cost gain columns": (lambda: evaluate_cost(
+        LtiSystem(A=NETWORK_A, B=np.eye(6)),
+        CostWeights(Q=np.eye(6), R=np.eye(6)), np.zeros((6, 5)), X0),
+        "gain must have 6 columns, got 5"),
+    "simulate feedback gain shape": (lambda: simulate(
+        LtiSystem(A=NETWORK_A, B=np.eye(6)),
+        InputPolicy(gain=np.zeros((6, 5))), X0, 0.1),
+        "feedback gain must be 6x6"),
+    "CostWeights Q not square": (
+        lambda: CostWeights(Q=np.ones((2, 3)), R=[[1.0]]),
+        "Q and R must be square"),
+    "Trajectory one sample": (lambda: Trajectory(
+        times=[0.0], states=np.zeros((1, 1)), inputs=np.zeros((1, 1))),
+        "a trajectory needs at least two samples"),
+    "Trajectory times repeat": (lambda: Trajectory(
+        times=[0.0, 0.1, 0.1], states=np.zeros((3, 1)),
+        inputs=np.zeros((3, 1))), "times must be strictly increasing"),
+    "ExplorationSignal shapes differ": (lambda: ExplorationSignal(
+        frequencies=[[1.0, 2.0]], amplitudes=[[1.0]], phases=[[0.0, 0.0]]),
+        "frequencies, amplitudes, phases must share a shape"),
+    "assemble_data record shorter than a window": (lambda: assemble_data(
+        Trajectory(times=[0.0, 0.01], states=np.zeros((2, 1)),
+                   inputs=np.zeros((2, 1))), 0.02),
+        "trajectory too short for a single window"),
 }
+
+
+def _model_calls(sys, weights):
+    """Each public call that takes a plant and cost weights, on the
+    6-agent network with K0 = 10 I where those are valid."""
+    K, x0 = 10.0 * np.eye(6), X0
+    return {
+        "kleinman_structured": lambda: kleinman_structured(
+            sys, weights, SparsityMask.all_ones(6, 6), K),
+        "solve_unstructured_lqr": lambda: solve_unstructured_lqr(
+            sys, weights, K),
+        "evaluate_cost": lambda: evaluate_cost(sys, weights, K, x0),
+        "evaluate_cost_analytic": lambda: evaluate_cost_analytic(
+            sys, weights, K, x0),
+        "suboptimality_bound": lambda: suboptimality_bound(
+            sys, weights, x0, 1.0, 1.0),
+        "modified_are_residual": lambda: modified_are_residual(
+            np.eye(6), np.zeros((6, 6)), sys, weights),
+    }
+
+
+# one row per call and wrongly typed argument, each named, not AttributeError
+_BAD_ARGUMENT_CALLS.update({
+    f"{name} sys string": (call, "sys must be a LtiSystem, got str")
+    for name, call in _model_calls(
+        "a", CostWeights(Q=np.eye(6), R=np.eye(6))).items()})
+_BAD_ARGUMENT_CALLS.update({
+    f"{name} weights string": (call, "weights must be a CostWeights, got str")
+    for name, call in _model_calls(
+        LtiSystem(A=NETWORK_A, B=np.eye(6)), "w").items()})
 
 
 @pytest.mark.parametrize("call", sorted(_BAD_ARGUMENT_CALLS))
@@ -660,7 +730,7 @@ class TestSolveIteration:
         probe = make_exploration(3, 2, num_sinusoids=20,
                                  freq_range=(0.5, 5.0), amplitude=4.0)
         plant = hide_state_matrix(sys)
-        policy = InputPolicy.feedback_with_probe(K, probe)
+        policy = InputPolicy(gain=K, probe=probe)
         _, data = collect(plant, policy, np.array([1.0, -0.5]), config)
         P = solve_iteration(data, K, config)
         S = weights.Q + K.T @ weights.R @ K
@@ -681,7 +751,7 @@ class TestSolveIteration:
                            max_iter=20)
         probe = make_exploration(3, 2, num_sinusoids=20,
                                  freq_range=(0.5, 5.0), amplitude=4.0)
-        policy = InputPolicy.feedback_with_probe(K, probe)
+        policy = InputPolicy(gain=K, probe=probe)
         _, data = collect(hide_state_matrix(LtiSystem(A=A, B=B)), policy,
                           np.array([1.0, -0.5, 0.3]), config)
         P = solve_iteration(data, K, config)
@@ -766,7 +836,7 @@ class TestSrlSynthesize:
         config = network_config(mask)
         probe = make_exploration(7, 6, amplitude=100.0)
         plant = hide_state_matrix(network)
-        policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
+        policy = InputPolicy(gain=config.initial_gain, probe=probe)
         _, data = collect(plant, policy, X0, config)
         learned = srl_synthesize(data, config)
         classical = solve_unstructured_lqr(network, config.weights,
@@ -778,7 +848,7 @@ class TestSrlSynthesize:
         config = network_config(mask_a)
         probe = make_exploration(7, 6, amplitude=100.0)
         plant = hide_state_matrix(network)
-        policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
+        policy = InputPolicy(gain=config.initial_gain, probe=probe)
         _, data = collect(plant, policy, X0, config)
         learned = srl_synthesize(data, config)
         model = kleinman_structured(network, config.weights, mask_a,
@@ -801,7 +871,7 @@ class TestSrlSynthesize:
             kwargs = dict(tol=config.tol, max_iter=config.max_iter)
         else:
             probe = make_exploration(7, 6, amplitude=100.0)
-            policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
+            policy = InputPolicy(gain=config.initial_gain, probe=probe)
             _, data = collect(hide_state_matrix(network), policy, X0, config)
             args, kwargs = (data, config), {}
         with pytest.raises(ConvergenceError) as err:
@@ -817,7 +887,7 @@ class TestSrlSynthesize:
         config = network_config(mask_a)
         probe = make_exploration(7, 6, amplitude=100.0)
         plant = hide_state_matrix(network)
-        policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
+        policy = InputPolicy(gain=config.initial_gain, probe=probe)
         _, data = collect(plant, policy, X0, config)
         learned = srl_synthesize(data, config)
         for rec in learned.history:
@@ -830,7 +900,7 @@ class TestSrlSynthesize:
         blocks = []
         for _ in range(2):
             probe = make_exploration(7, 6, amplitude=100.0)
-            policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
+            policy = InputPolicy(gain=config.initial_gain, probe=probe)
             _, data = collect(plant, policy, X0, config)
             blocks.append(data)
         assert np.array_equal(blocks[0].delta_xx, blocks[1].delta_xx)
@@ -843,7 +913,7 @@ class TestSrlSynthesize:
         gains = []
         for seed in (7, 11):
             probe = make_exploration(seed, 6, amplitude=100.0)
-            policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
+            policy = InputPolicy(gain=config.initial_gain, probe=probe)
             _, data = collect(plant, policy, X0, config)
             learned = srl_synthesize(data, config)
             gains.append(learned.K)
@@ -855,7 +925,7 @@ class TestSrlSynthesize:
         config = network_config(mask_a)
         probe = make_exploration(7, 6, freq_range=(5.0, 5.0), amplitude=100.0)
         plant = hide_state_matrix(network)
-        policy = InputPolicy.feedback_with_probe(config.initial_gain, probe)
+        policy = InputPolicy(gain=config.initial_gain, probe=probe)
         _, data = collect(plant, policy, X0, config)
         with pytest.raises(RankDeficientError):
             srl_synthesize(data, config)
@@ -889,8 +959,7 @@ class TestSrlSynthesize:
         config = spec.srl_config()
         if span == 1.0:
             assert config.num_windows == required_samples(6, spec.mask)
-        policy = InputPolicy.feedback_with_probe(config.initial_gain,
-                                                 spec.probe())
+        policy = InputPolicy(gain=config.initial_gain, probe=spec.probe())
         _, data = collect(hide_state_matrix(spec.system()), policy, spec.x0,
                           config)
         try:
@@ -938,7 +1007,7 @@ def _weak_probe_spec(sinusoids, seed):
 def _spec_data(spec):
     """The config and window blocks of a data-driven run on spec."""
     config = spec.srl_config()
-    policy = InputPolicy.feedback_with_probe(config.initial_gain, spec.probe())
+    policy = InputPolicy(gain=config.initial_gain, probe=spec.probe())
     _, data = collect(hide_state_matrix(spec.system()), policy, spec.x0,
                       config)
     return config, data

@@ -100,9 +100,9 @@ def _scenario_specs(draw):
     mask[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = 1.0
     freq_min, freq_max = sorted(draw(st.lists(_POSITIVE, min_size=2,
                                               max_size=2)))
-    # the exploration grid a scenario accepts: window = k dt with k >= 2,
-    # duration = j windows, and k j substeps RK4 steps within _MAX_STEPS
-    # (one step below it, so rounding in duration / dt cannot cross it)
+    # the exploration grid a scenario accepts: window = k dt with k >= 2
+    # and duration = j windows, with k j substeps RK4 steps kept below
+    # _MAX_STEPS, the most one exploration may take
     budget = _MAX_STEPS - 1
     substeps = draw(st.integers(1, budget // 2))
     k = draw(st.integers(2, budget // substeps))
@@ -147,8 +147,7 @@ def test_scenario_save_parse_save_is_byte_identical(spec):
        key=st.sampled_from(["exploration window", "exploration duration"]),
        frac=st.floats(0.01, 0.99))
 def test_off_grid_exploration_timing_raises_scenario_error(spec, key, frac):
-    # a window between two dt multiples, or a duration between two windows;
-    # shortened, so the step budget still holds
+    # a window between two dt multiples, or a duration between two windows
     ex = spec.exploration
     if key == "exploration window":
         value = ex.window - frac * spec.dt

@@ -200,7 +200,7 @@ class TestSimulate:
     def test_determinism(self, network):
         from structlqr import make_exploration
         probe = make_exploration(3, 6, num_sinusoids=10)
-        policy = InputPolicy.feedback_with_probe(0.5 * np.eye(6), probe)
+        policy = InputPolicy(gain=0.5 * np.eye(6), probe=probe)
         t1 = simulate(network, policy, X0, 0.5, dt=0.01)
         t2 = simulate(network, policy, X0, 0.5, dt=0.01)
         assert np.array_equal(t1.states, t2.states)
@@ -269,7 +269,7 @@ class TestSimulate:
         from structlqr.system import _SEGMENT_ENTRIES
 
         probe = make_exploration(0, 6, num_sinusoids=1)
-        policy = InputPolicy.feedback_with_probe(0.5 * np.eye(6), probe)
+        policy = InputPolicy(gain=0.5 * np.eye(6), probe=probe)
         tracemalloc.start()
         try:
             traj = simulate(network, policy, X0, 500.0, dt=0.01, substeps=1)
@@ -287,7 +287,7 @@ class TestSimulate:
         from structlqr.system import _SEGMENT_ENTRIES
 
         probe = make_exploration(0, 6, num_sinusoids=1)
-        policy = InputPolicy.feedback_with_probe(0.5 * np.eye(6), probe)
+        policy = InputPolicy(gain=0.5 * np.eye(6), probe=probe)
         tracemalloc.start()
         try:
             traj = simulate(network, policy, X0, 0.25, dt=1e-3, substeps=200)
@@ -308,8 +308,7 @@ class TestSimulate:
             spec = builtin_scenario(case)
             config = spec.srl_config()
             sys = spec.system()
-            policy = InputPolicy.feedback_with_probe(config.initial_gain,
-                                                     spec.probe())
+            policy = InputPolicy(gain=config.initial_gain, probe=spec.probe())
             args = (spec.x0, config.num_windows * config.window)
             kwargs = dict(dt=config.dt, substeps=1)
         else:
@@ -420,7 +419,7 @@ class TestSimulate:
         K = np.eye(6)
         K[2, 3] = np.inf
         for make in (lambda: InputPolicy(gain=K),
-                     lambda: InputPolicy.feedback_with_probe(K, None)):
+                     lambda: InputPolicy(gain=K, probe=None)):
             with pytest.raises(ValueError,
                                match="^feedback gain has non-finite entries$"):
                 make()
@@ -518,6 +517,14 @@ class TestCost:
         with pytest.raises(SimulationDiverged) as err:
             evaluate_cost(sys, w, np.array([[0.0]]), np.array([1.0]))
         assert time.perf_counter() - start < 1.0
+        assert err.value.time == pytest.approx(1e-3 * 2.0**8, rel=1e-12)
+
+    def test_overflowing_sum_diverges(self):
+        # Q = 1e306 overflows W at the 8th doubling, the sum over 2^8 steps
+        sys = LtiSystem(A=-np.eye(1), B=np.eye(1))
+        w = CostWeights(Q=1e306 * np.eye(1), R=np.eye(1))
+        with pytest.raises(SimulationDiverged) as err:
+            evaluate_cost(sys, w, np.zeros((1, 1)), np.ones(1))
         assert err.value.time == pytest.approx(1e-3 * 2.0**8, rel=1e-12)
 
     @pytest.mark.parametrize("case", ["consensus-a", "non-normal"])
