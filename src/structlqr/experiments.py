@@ -142,6 +142,8 @@ class ScenarioSpec:
             raise ScenarioError("initial_gain is required: the policy "
                                 "iterations start from a stabilizing K0")
         _check_positive("dt", self.dt)
+        _check_instance("exploration", self.exploration, ExplorationConfig)
+        _check_instance("solver", self.solver, SolverConfig)
         # the grid multiples, here so that every subcommand reads a file alike
         ex = self.exploration
         _check_multiple("exploration window", ex.window, "dt", self.dt,

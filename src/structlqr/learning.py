@@ -65,11 +65,18 @@ class PlantHandle:
 
     simulate: Callable[..., Trajectory]
 
+    def __post_init__(self):
+        if not callable(self.simulate):
+            raise ValueError("simulate must be callable, "
+                             f"got {type(self.simulate).__name__}")
+
 
 def hide_state_matrix(sys: LtiSystem) -> PlantHandle:
     """Wrap a system so downstream code can only excite and measure it; the
     state matrix stays inside the closure."""
     from .system import simulate as _simulate
+
+    _check_instance("sys", sys, LtiSystem)
 
     def simulate(policy, x0, horizon, dt, substeps):
         return _simulate(sys, policy, x0, horizon, dt=dt, substeps=substeps)
@@ -169,6 +176,8 @@ def assemble_data(traj: Trajectory, window: float) -> DataMatrices:
     Increments use exact endpoint evaluations; integrals use the composite
     trapezoidal rule, one Gram product Xw'Xw per window.
     """
+    _check_instance("traj", traj, Trajectory)
+    _check_positive("window", window)
     dt = traj.dt
     stride = _check_multiple("window", window, "the trajectory step", dt,
                              least=2)
@@ -192,6 +201,8 @@ def assemble_data(traj: Trajectory, window: float) -> DataMatrices:
 def collect(plant: PlantHandle, policy: InputPolicy, x0,
             config: SrlConfig) -> Tuple[Trajectory, DataMatrices]:
     """Run the exploration policy and assemble the regression blocks."""
+    _check_instance("plant", plant, PlantHandle)
+    _check_instance("config", config, SrlConfig)
     horizon = config.num_windows * config.window
     traj = plant.simulate(policy, x0, horizon, dt=config.dt,
                           substeps=config.substeps)

@@ -28,8 +28,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class IterationRecord:
-    P: np.ndarray
-    K: np.ndarray
+    K: np.ndarray  # the improved gain; only the last P is kept, as result.P
     delta_P: float  # Frobenius distance to the previous value matrix
 
 
@@ -224,24 +223,24 @@ def _policy_iteration(evaluate, K, RinvBt, mask: SparsityMask, tol: float,
     L is the off-pattern part of R^-1 B' P.
     """
     history: List[IterationRecord] = []
-    P_prev: Optional[np.ndarray] = None
+    P, delta = None, np.inf
     for k in range(max_iter):
+        P_prev = P  # the one older value matrix held during the solve
         P = evaluate(k, K)
         K = on_pattern(RinvBt @ P, mask)
-        delta = np.inf if P_prev is None else float(np.linalg.norm(P - P_prev, "fro"))
-        history.append(IterationRecord(P=P, K=K, delta_P=delta))
-        if P_prev is not None and delta < tol:
-            return SynthesisResult(P=P, K=K, L=off_pattern(RinvBt @ P, mask),
-                                   iterations=k + 1, history=history,
-                                   converged=True)
-        P_prev = P
-
-    partial = SynthesisResult(P=P, K=K, L=off_pattern(RinvBt @ P, mask),
-                              iterations=max_iter, history=history, converged=False)
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations "
-        f"(last ||dP|| = {history[-1].delta_P:.3g}, tol = {tol:g})",
-        result=partial)
+        if k:
+            delta = float(np.linalg.norm(P - P_prev, "fro"))
+        history.append(IterationRecord(K=K, delta_P=delta))
+        if delta < tol:
+            break
+    result = SynthesisResult(P=P, K=K, L=off_pattern(RinvBt @ P, mask),
+                             iterations=len(history), history=history,
+                             converged=delta < tol)
+    if not result.converged:
+        raise ConvergenceError(
+            f"no convergence after {max_iter} iterations "
+            f"(last ||dP|| = {delta:.3g}, tol = {tol:g})", result=result)
+    return result
 
 
 def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask,

@@ -340,7 +340,8 @@ _RK4_H_LAMBDA = 2.5
 
 def _rk4_substeps(name: str, span, dt, substeps, G) -> int:
     """The least substeps >= the floor with h ||G||_inf <= _RK4_H_LAMBDA; a
-    span that takes more than _MAX_STEPS is a ValueError naming name."""
+    span that takes more than _MAX_STEPS is a ValueError naming name, and
+    so is one dt that alone would take more, whatever the span."""
     with np.errstate(over="ignore"):  # an overflowed norm meets the step cap
         need = dt * np.linalg.norm(G, np.inf) / _RK4_H_LAMBDA
     substeps = max(substeps, int(np.ceil(np.fmin(need, _MAX_STEPS))))
@@ -348,6 +349,10 @@ def _rk4_substeps(name: str, span, dt, substeps, G) -> int:
         raise ValueError(
             f"{name} must be at most {_MAX_STEPS * dt / substeps:g} s at "
             f"dt {dt:g} with {substeps} substeps, got {span!r}")
+    if not need <= _MAX_STEPS:  # a span of one dt, clamped at the cap
+        raise ValueError(
+            f"{name} {span!r} needs more than {_MAX_STEPS} RK4 steps: one "
+            f"dt {dt:g} takes {need:.3g} substeps")
     return substeps
 
 

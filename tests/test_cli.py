@@ -170,6 +170,18 @@ def test_simulate_beyond_the_step_cap_exits_1(tmp_path, capsys, a, substeps):
         f"with {substeps} substeps, got 5.0\n")
 
 
+def test_one_sample_beyond_the_step_cap_exits_1(tmp_path, capsys):
+    # a pole at -1e12 per s: one 10 ms sample alone needs 4e9 substeps,
+    # which the step cap, counting one sample, would clamp to 10^7
+    path = tmp_path / "stiff.scn"
+    save_scenario(_one_state_spec(-1e12, 1.0, 5e-5), path)
+    assert main(["simulate", "--scenario", str(path),
+                 "--horizon", "0.01"]) == 1
+    assert capsys.readouterr().err == (
+        "error: horizon 0.01 needs more than 10000000 RK4 steps: one dt "
+        "0.01 takes 4e+09 substeps\n")
+
+
 def test_stiff_stable_exploration_runs_at_one_substep(tmp_path, capsys):
     # a pole at -1e5 per s, explored at dt 5e-05 and the default one
     # substep: RK4 at h |lambda| = 5 would blow up on a plant that decays,

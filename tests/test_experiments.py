@@ -264,6 +264,9 @@ class TestScenarioSerialization:
          "exploration window must be an integer multiple"),
         ("exploration", dict(seed=-1), "exploration seed must be at least 0"),
         ("solver", dict(tol=0.0), "tol must be finite and positive"),
+        ("exploration", "x",
+         "^exploration must be an ExplorationConfig, got str$"),
+        ("solver", None, "^solver must be a SolverConfig, got NoneType$"),
         ("mask", np.ones((6, 6)), "^mask must be a SparsityMask, got ndarray$"),
         ("initial_gain", None, "^initial_gain is required"),
         ("x0", ["a"] * 6, "^x0 must be an array of real numbers$"),

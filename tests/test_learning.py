@@ -394,6 +394,11 @@ def test_mask_that_is_not_a_sparsity_mask_is_error(call):
         _NOT_A_MASK_CALLS[call](np.ones((6, 6)))
 
 
+def _short_trajectory():
+    return Trajectory(times=[0.0, 0.01, 0.02], states=np.zeros((3, 1)),
+                      inputs=np.zeros((3, 1)))
+
+
 _BAD_ARGUMENT_CALLS = {
     "simulate substeps": (lambda: simulate(
         LtiSystem(A=NETWORK_A, B=np.eye(6)), InputPolicy(), X0, 0.1,
@@ -553,6 +558,28 @@ _BAD_ARGUMENT_CALLS = {
         Trajectory(times=[0.0, 0.01], states=np.zeros((2, 1)),
                    inputs=np.zeros((2, 1))), 0.02),
         "trajectory too short for a single window"),
+    "assemble_data traj string": (lambda: assemble_data("t", 0.02),
+                                  "traj must be a Trajectory, got str"),
+    "assemble_data window string": (lambda: assemble_data(
+        _short_trajectory(), "0.02"),
+        "window must be finite and positive, got '0.02'"),
+    "assemble_data window bool": (lambda: assemble_data(
+        _short_trajectory(), True),
+        "window must be finite and positive, got True"),
+    "collect plant string": (lambda: collect(
+        "p", InputPolicy(), X0, network_config(SparsityMask.all_ones(6, 6))),
+        "plant must be a PlantHandle, got str"),
+    "collect config string": (lambda: collect(
+        hide_state_matrix(LtiSystem(A=NETWORK_A, B=np.eye(6))),
+        InputPolicy(), X0, "c"), "config must be a SrlConfig, got str"),
+    "collect plant returning no Trajectory": (lambda: collect(
+        PlantHandle(simulate=lambda *args, **kwargs: None), InputPolicy(),
+        X0, network_config(SparsityMask.all_ones(6, 6))),
+        "traj must be a Trajectory, got NoneType"),
+    "hide_state_matrix sys string": (lambda: hide_state_matrix("a"),
+                                     "sys must be a LtiSystem, got str"),
+    "PlantHandle simulate string": (lambda: PlantHandle(simulate="s"),
+                                    "simulate must be callable, got str"),
 }
 
 
@@ -856,9 +883,15 @@ class TestSrlSynthesize:
                                     max_iter=config.max_iter)
         assert learned.converged
         assert learned.iterations <= 10
-        # the data-driven iterates reproduce the model-based ones
+        # the data-driven iterates reproduce the model-based ones: the two
+        # policy evaluations agree on each gain, and so do the gains
+        weights = config.weights
+        for K in [config.initial_gain] + [r.K for r in model.history[:-1]]:
+            P = solve_lyapunov(network.A - network.B @ K,
+                               weights.Q + K.T @ weights.R @ K)
+            assert np.linalg.norm(solve_iteration(data, K, config) - P,
+                                  "fro") < 1e-3
         for rec_l, rec_m in zip(learned.history, model.history):
-            assert np.linalg.norm(rec_l.P - rec_m.P, "fro") < 1e-3
             assert np.linalg.norm(rec_l.K - rec_m.K, "fro") < 1e-3
         assert learned.history[-1].delta_P < config.tol
 

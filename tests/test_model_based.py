@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -10,9 +11,10 @@ from helpers import (NETWORK_A, REFERENCE_GAIN_A, REFERENCE_GAIN_UNSTRUCTURED,
                      kron_lyapunov_oracle, lyapunov_integral_oracle,
                      random_laplacian, random_stable_matrix,
                      spectral_abscissa)
-from structlqr import (ConvergenceError, CostWeights, InputPolicy, LtiSystem,
-                       SparsityMask, SrlConfig, UnstableClosedLoopError,
-                       evaluate_cost, evaluate_cost_analytic,
+from structlqr import (ConvergenceError, CostWeights, InputPolicy,
+                       IterationRecord, LtiSystem, SparsityMask, SrlConfig,
+                       UnstableClosedLoopError, evaluate_cost,
+                       evaluate_cost_analytic,
                        kleinman_structured, modified_are_residual, simulate,
                        solve_lyapunov, solve_unstructured_lqr,
                        suboptimality_bound)
@@ -284,6 +286,12 @@ class TestKleinmanStructured:
         # every accepted iterate keeps the loop Hurwitz
         for rec in res.history:
             assert spectral_abscissa(network.A - network.B @ rec.K) < 0.0
+
+    def test_history_keeps_no_value_matrix(self):
+        # each record holds its gain and ||dP||; the value matrix is kept
+        # once, the final one in result.P
+        assert [f.name for f in dataclasses.fields(IterationRecord)] == [
+            "K", "delta_P"]
 
     def test_weak_initial_gain_destabilizes_first_update(self, network, weights,
                                                          mask_a):

@@ -232,6 +232,19 @@ class TestSimulate:
             rk4_reference(sys, InputPolicy(), x0, 2.0, dt=0.01, substeps=48)
         assert err.value.time == ref.value.time == pytest.approx(0.05)
 
+    def test_one_sample_past_the_step_cap_is_refused(self):
+        # one 10 ms sample of a -1e308 pole needs 4e305 substeps: clamped
+        # at the cap, its one sample stays within it, and RK4 at h |lambda|
+        # far above 2.5 would report a decaying plant as diverging
+        sys = LtiSystem(A=np.array([[-1e308]]), B=np.array([[1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=(
+                    r"^horizon 0\.01 needs more than 10000000 RK4 steps: "
+                    r"one dt 0\.01 takes 4e\+305 substeps$")):
+                simulate(sys, InputPolicy(), [1.0], 0.01, dt=0.01,
+                         substeps=1)
+
     def test_unexcited_stiff_mode_is_not_divergence(self):
         # the 6000/s mode grows by 7e24 per recorded step of 24 substeps
         # and is never excited: a blocked scan whose power table overflowed
