@@ -185,10 +185,7 @@ class ScenarioSpec:
         return CostWeights(Q=self.Q, R=self.R)
 
     def srl_config(self) -> SrlConfig:
-        # only the runs that explore check its length, at the plant's step
-        ex, sys = self.exploration, self.system()
-        _rk4_substeps("exploration duration", ex.duration, self.dt,
-                      ex.substeps, sys.A - sys.B @ self.initial_gain)
+        ex = self.exploration
         num_windows = int(round(ex.duration / ex.window))
         need = required_samples(self.B.shape[0], self.mask)
         if num_windows < need:
@@ -587,8 +584,11 @@ def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> dict:
     """Exploration, data-driven synthesis, then closed-loop implementation,
     compared with the model-based and unstructured solutions, reported as
     by run_model_based. The probe comes from spec.exploration, seed included."""
+    sys, ex = spec.system(), spec.exploration
+    _rk4_substeps("exploration duration", ex.duration, spec.dt, ex.substeps,
+                  sys.A - sys.B @ spec.initial_gain)  # before any record
     config = spec.srl_config()
-    sys, weights = spec.system(), config.weights
+    weights = config.weights
     # first, so a K0 that does not stabilize the loop is named as such
     # before the exploration run diverges or yields rank-deficient data
     mb, unstr = _baselines(spec, sys, weights, config.initial_gain)

@@ -200,13 +200,24 @@ def assemble_data(traj: Trajectory, window: float) -> DataMatrices:
 
 def collect(plant: PlantHandle, policy: InputPolicy, x0,
             config: SrlConfig) -> Tuple[Trajectory, DataMatrices]:
-    """Run the exploration policy and assemble the regression blocks."""
+    """Run the exploration policy and assemble the regression blocks. The
+    plant's record must be on the config's step dt and hold its num_windows
+    windows, else ValueError: the config, not the plant, sizes the data."""
     _check_instance("plant", plant, PlantHandle)
     _check_instance("config", config, SrlConfig)
     horizon = config.num_windows * config.window
     traj = plant.simulate(policy, x0, horizon, dt=config.dt,
                           substeps=config.substeps)
-    return traj, assemble_data(traj, config.window)
+    _check_instance("traj", traj, Trajectory)
+    if not abs(traj.dt - config.dt) <= 1e-9 * config.dt:
+        raise ValueError(f"the plant's record must have the config's step "
+                         f"dt {config.dt!r}, got {traj.dt!r}")
+    data = assemble_data(traj, config.window)
+    if data.num_windows != config.num_windows:
+        raise ValueError(f"the plant's record must hold the config's "
+                         f"num_windows {config.num_windows} windows, "
+                         f"got {data.num_windows}")
+    return traj, data
 
 
 def _gram_rank(theta: np.ndarray, rank_tol: float):

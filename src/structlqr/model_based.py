@@ -6,7 +6,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .structure import SparsityMask, off_pattern, on_pattern
+from .structure import SparsityMask, on_pattern
 from .system import (_SPECTRAL_TOL, CostWeights, LtiSystem, _as_matrix,
                      _as_state, _check_at_least, _check_hurwitz,
                      _check_instance, _check_positive, _check_weights,
@@ -227,15 +227,15 @@ def _policy_iteration(evaluate, K, RinvBt, mask: SparsityMask, tol: float,
     for k in range(max_iter):
         P_prev = P  # the one older value matrix held during the solve
         P = evaluate(k, K)
-        K = on_pattern(RinvBt @ P, mask)
+        G = RinvBt @ P
+        K = on_pattern(G, mask)
         if k:
             delta = float(np.linalg.norm(P - P_prev, "fro"))
         history.append(IterationRecord(K=K, delta_P=delta))
         if delta < tol:
             break
-    result = SynthesisResult(P=P, K=K, L=off_pattern(RinvBt @ P, mask),
-                             iterations=len(history), history=history,
-                             converged=delta < tol)
+    result = SynthesisResult(P=P, K=K, L=G - K, iterations=len(history),
+                             history=history, converged=delta < tol)
     if not result.converged:
         raise ConvergenceError(
             f"no convergence after {max_iter} iterations "

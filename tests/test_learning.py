@@ -18,8 +18,9 @@ from structlqr import (ConvergenceError, CostWeights, DataMatrices,
                        required_samples, solve_iteration, solve_lyapunov,
                        solve_unstructured_lqr, srl_synthesize,
                        suboptimality_bound)
-from structlqr.experiments import (builtin_scenario, make_consensus_network,
-                                   ring_scenario, run_model_based, run_srl)
+from structlqr.experiments import (ScenarioSpec, builtin_scenario,
+                                   make_consensus_network, ring_scenario,
+                                   run_model_based, run_srl)
 from structlqr.learning import assemble_data
 from structlqr.system import Trajectory, evaluate_cost, simulate
 
@@ -154,6 +155,28 @@ class TestPlantHandle:
         assert np.array_equal(data.int_xx, direct.int_xx)
         assert np.array_equal(data.int_xu, direct.int_xu)
 
+    def test_learner_path_reads_no_state_matrix(self, monkeypatch):
+        # a scenario without matrix A gives the config, probe, collection
+        # from a replayed record, rank gate and synthesis, building no
+        # plant, and the gain run_srl learns on the full scenario
+        full = builtin_scenario("consensus-a")
+        want = run_srl(full)["gain"]
+        record, _ = _builtin_record("consensus-a")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the learner path built the plant")
+
+        monkeypatch.setattr(ScenarioSpec, "system", refuse)
+        monkeypatch.setattr(LtiSystem, "__post_init__", refuse)
+        spec = dataclasses.replace(full, A=None)
+        config = spec.srl_config()
+        policy = InputPolicy(gain=config.initial_gain, probe=spec.probe())
+        replay = PlantHandle(simulate=lambda *args, **kwargs: record)
+        _, data = collect(replay, policy, spec.x0, config)
+        assert check_rank(data, spec.mask, rank_tol=config.rank_tol).passed
+        learned = srl_synthesize(data, config)
+        assert learned.K.tobytes() == want.tobytes()
+
 
 class TestCollect:
     def test_constant_state_blocks(self, mask_a):
@@ -183,6 +206,34 @@ class TestCollect:
             a = getattr(d_coarse, name)
             b = getattr(d_fine, name)
             assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-6
+
+    def test_record_at_another_step_is_rejected(self, network, mask_a):
+        # twice the step over half the horizon: 70 windows of the right
+        # length, but not the record the config sizes
+        def plant(policy, x0, horizon, dt, substeps):
+            return simulate(network, policy, x0, horizon / 2, dt=2 * dt,
+                            substeps=substeps)
+
+        config = network_config(mask_a)
+        with pytest.raises(ValueError, match=r"^the plant's record must have "
+                           r"the config's step dt 5e-05, got 0\.0001"):
+            collect(PlantHandle(simulate=plant),
+                    InputPolicy(gain=config.initial_gain), X0, config)
+
+    @pytest.mark.parametrize("span, windows", [(0.5, 70), (2.0, 280)])
+    def test_record_of_another_length_is_rejected(self, network, mask_a,
+                                                  span, windows):
+        # 70 windows is below the 100 the rank gate's unknowns need
+        def plant(policy, x0, horizon, dt, substeps):
+            return simulate(network, policy, x0, span * horizon, dt=dt,
+                            substeps=substeps)
+
+        config = network_config(mask_a)
+        with pytest.raises(ValueError, match=(
+                r"^the plant's record must hold the config's num_windows "
+                rf"140 windows, got {windows}$")):
+            collect(PlantHandle(simulate=plant),
+                    InputPolicy(gain=config.initial_gain), X0, config)
 
     def test_window_must_align_with_grid(self, network):
         traj = simulate(network, InputPolicy(), X0, 0.5, dt=0.01,

@@ -1,10 +1,15 @@
 import ast
 import contextlib
+import inspect
 import io
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import structlqr
+from structlqr.experiments import builtin_scenario
 
 
 def test_all_lists_each_imported_public_name_once():
@@ -101,3 +106,108 @@ def test_readme_quickstart_prints_the_value_its_comment_states():
         exec(code, {})
     digits = len(stated.lower().split("e")[0].replace(".", "").lstrip("0"))
     assert float(f"{float(out.getvalue()):.{digits - 1}e}") == float(stated)
+
+
+# The public names that are results or exceptions, built by the library
+# rather than called with a user's arguments.
+_RESULT_TYPES = {"BoundReport", "ConvergenceError", "IterationRecord",
+                 "RankDeficientError", "RankReport", "SimulationDiverged",
+                 "SynthesisResult", "UnstableClosedLoopError"}
+_CALLABLES = sorted(set(structlqr.__all__) - _RESULT_TYPES)
+
+# Wrongly typed values, each swapped in for one valid argument at a time.
+_WRONG_TYPES = {"str": "x", "None": None, "nan": float("nan"), "True": True,
+                "empty": np.zeros(0), "3-D": np.ones((2, 2, 2)),
+                "strings": [["a"]]}
+_NONE_ALLOWED = {("InputPolicy", "gain"), ("InputPolicy", "probe"),
+                 ("suboptimality_bound", "deviation")}
+# the names a message may give an argument by, besides its own
+_ALIASES = {("SparsityMask", "indicator"): "mask",
+            **{("DataMatrices", block): "data blocks"
+               for block in ("delta_xx", "int_xx", "int_xu")}}
+
+
+@pytest.fixture(scope="module")
+def valid_arguments():
+    """Every argument of every public callable, valid on consensus-a."""
+    spec = builtin_scenario("consensus-a")
+    sys, weights, mask = spec.system(), spec.weights(), spec.mask
+    K0, x0, config, probe = (spec.initial_gain, spec.x0, spec.srl_config(),
+                             spec.probe())
+    policy = structlqr.InputPolicy(gain=K0, probe=probe)
+    plant = structlqr.hide_state_matrix(sys)
+    traj, data = structlqr.collect(plant, policy, x0, config)
+    M = sys.A - sys.B @ K0
+    P = structlqr.solve_lyapunov(M, weights.Q + K0.T @ weights.R @ K0)
+    model = dict(sys=sys, weights=weights)
+    return {
+        "CostWeights": dict(Q=weights.Q, R=weights.R),
+        "DataMatrices": dict(delta_xx=data.delta_xx, int_xx=data.int_xx,
+                             int_xu=data.int_xu),
+        "ExplorationSignal": dict(frequencies=probe.frequencies,
+                                  amplitudes=probe.amplitudes,
+                                  phases=probe.phases),
+        "InputPolicy": dict(gain=K0, probe=probe),
+        "LtiSystem": dict(A=sys.A, B=sys.B),
+        "PlantHandle": dict(simulate=plant.simulate),
+        "SparsityMask": dict(indicator=mask.indicator),
+        "SrlConfig": dict(mask=mask, weights=weights, B=sys.B,
+                          initial_gain=K0, window=config.window,
+                          num_windows=config.num_windows, dt=config.dt,
+                          substeps=config.substeps, tol=config.tol,
+                          max_iter=config.max_iter, rank_tol=config.rank_tol),
+        "Trajectory": dict(times=traj.times, states=traj.states,
+                           inputs=traj.inputs),
+        "check_membership": dict(gain=K0, mask=mask),
+        "check_rank": dict(data=data, mask=mask, rank_tol=config.rank_tol),
+        "collect": dict(plant=plant, policy=policy, x0=x0, config=config),
+        "evaluate_cost": dict(model, gain=K0, x0=x0),
+        "evaluate_cost_analytic": dict(model, gain=K0, x0=x0),
+        "hide_state_matrix": dict(sys=sys),
+        "kleinman_structured": dict(model, mask=mask, initial_gain=K0,
+                                    tol=config.tol, max_iter=config.max_iter),
+        "make_exploration": dict(seed=7, num_inputs=6, num_sinusoids=100,
+                                 freq_range=(0.5, 50.0), amplitude=100.0),
+        "modified_are_residual": dict(model, P=P, L=np.zeros((6, 6))),
+        "off_pattern": dict(gain=K0, mask=mask),
+        "on_pattern": dict(gain=K0, mask=mask),
+        "required_samples": dict(n=6, mask=mask),
+        "simulate": dict(sys=sys, policy=policy, x0=x0, horizon=0.1,
+                         dt=0.01, substeps=10),
+        "solve_iteration": dict(data=data, gain=K0, config=config),
+        "solve_lyapunov": dict(M=M, S=weights.Q),
+        "solve_unstructured_lqr": dict(model, initial_gain=K0,
+                                       tol=config.tol,
+                                       max_iter=config.max_iter),
+        "srl_synthesize": dict(data=data, config=config),
+        "suboptimality_bound": dict(model, x0=x0, cost_structured=2.0,
+                                    cost_unstructured=1.0,
+                                    deviation=np.zeros((6, 6))),
+    }
+
+
+@pytest.mark.parametrize("name", _CALLABLES)
+def test_wrongly_typed_argument_is_named(name, valid_arguments):
+    # each argument in turn gets each wrong type, the others valid; the
+    # call raises ValueError naming that argument, never a numpy error,
+    # an AttributeError or a TypeError, and never takes the value
+    assert name in valid_arguments, f"{name} has no valid arguments here"
+    fn, kwargs = getattr(structlqr, name), valid_arguments[name]
+    assert set(kwargs) == set(inspect.signature(fn).parameters)
+    fn(**kwargs)
+    unnamed = []
+    for arg in kwargs:
+        names = {arg, _ALIASES.get((name, arg), arg)}
+        for label, value in _WRONG_TYPES.items():
+            if value is None and (name, arg) in _NONE_ALLOWED:
+                continue
+            try:
+                fn(**{**kwargs, arg: value})
+            except ValueError as exc:
+                if any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", str(exc))
+                       for n in names):
+                    continue
+                unnamed.append(f"{arg}={label}: {exc}")
+            else:
+                unnamed.append(f"{arg}={label}: accepted")
+    assert unnamed == []
