@@ -9,9 +9,8 @@ import argparse
 import dataclasses
 import sys
 
-from .experiments import (BUILTIN_SCENARIOS, ScenarioError, _report_text,
-                          load_scenario, run_model_based, run_simulate,
-                          run_srl)
+from .experiments import (BUILTIN_SCENARIOS, _report_text, load_scenario,
+                          run_model_based, run_simulate, run_srl)
 from .learning import RankDeficientError
 from .model_based import ConvergenceError
 from .system import SimulationDiverged, UnstableClosedLoopError
@@ -100,7 +99,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, UnstableClosedLoopError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

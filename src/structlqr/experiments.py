@@ -1,6 +1,5 @@
 """Scenario definitions, benchmark fixtures, pipeline runners and reports."""
 
-import functools
 import json
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -24,24 +23,6 @@ from .system import (_COST_H_LAMBDA, _DIVERGENCE_BOUND, _MAX_STEPS,
                      evaluate_cost, evaluate_cost_analytic, simulate)
 
 
-class ScenarioError(ValueError):
-    """Malformed scenario file or inconsistent scenario data."""
-
-
-def _scenario_check(check):
-    """A scenario dataclass's __post_init__ that raises ScenarioError for
-    every field it rejects, also where a shared check raised ValueError."""
-    @functools.wraps(check)
-    def wrapper(self):
-        try:
-            check(self)
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
 # consensus-network factory
 
@@ -54,6 +35,7 @@ def make_consensus_network(num_agents: int,
     strengths; the resulting state matrix has zero row sums and B = I.
     """
     _check_at_least("num_agents", num_agents, 1)
+    _check_instance("couplings", couplings, dict)
     A = np.zeros((num_agents, num_agents))
     seen = set()
     for pair, alpha in couplings.items():
@@ -90,7 +72,6 @@ class ExplorationConfig:
     amplitude: float = _AMPLITUDE
     substeps: int = 1  # least RK4 steps per dt; simulate may take more
 
-    @_scenario_check
     def __post_init__(self):
         _check_at_least("exploration seed", self.seed, 0)
         _check_at_least("exploration sinusoids", self.num_sinusoids, 1,
@@ -113,7 +94,6 @@ class SolverConfig:
     max_iter: int = _MAX_ITER
     rank_tol: float = _RANK_TOL
 
-    @_scenario_check
     def __post_init__(self):
         _check_positive("solver tol", self.tol)
         _check_at_least("solver max-iter", self.max_iter, 1)
@@ -134,13 +114,12 @@ class ScenarioSpec:
     initial_gain: np.ndarray  # K0, a stabilizing structured gain
     A: Optional[np.ndarray] = None  # ground truth; hidden from the learner
 
-    @_scenario_check
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name.split() == [self.name]):
-            raise ScenarioError(f"name must be one word, got {self.name!r}")
+            raise ValueError(f"name must be one word, got {self.name!r}")
         if self.initial_gain is None:
-            raise ScenarioError("initial_gain is required: the policy "
-                                "iterations start from a stabilizing K0")
+            raise ValueError("initial_gain is required: the policy "
+                             "iterations start from a stabilizing K0")
         _check_positive("dt", self.dt)
         _check_instance("exploration", self.exploration, ExplorationConfig)
         _check_instance("solver", self.solver, SolverConfig)
@@ -158,13 +137,13 @@ class ScenarioSpec:
                              ("x0", self.x0, (n,)),
                              ("initial_gain", self.initial_gain, (m, n))):
             if M is not None and np.shape(M) != shape:
-                raise ScenarioError(f"{nm} must have shape {shape}")
+                raise ValueError(f"{nm} must have shape {shape}")
         # entries after shapes, so a misshapen block is named by its shape;
         # each array is kept as the read-only floats checked, as in LtiSystem
         object.__setattr__(self, "x0", _freeze(_as_floats(self.x0, "x0")))
         peak = float(np.max(np.abs(self.x0)))
         if not peak <= _DIVERGENCE_BOUND:
-            raise ScenarioError(
+            raise ValueError(
                 f"x0 entries must be finite and at most "
                 f"{_DIVERGENCE_BOUND:g} in magnitude, got {peak!r}")
         CostWeights(Q=self.Q, R=self.R)
@@ -176,7 +155,7 @@ class ScenarioSpec:
 
     def system(self) -> LtiSystem:
         if self.A is None:
-            raise ScenarioError(
+            raise ValueError(
                 f"scenario '{self.name}' has no state matrix; simulation "
                 "needs the ground truth even though the learner never sees it")
         return LtiSystem(A=self.A, B=self.B)
@@ -189,7 +168,7 @@ class ScenarioSpec:
         num_windows = int(round(ex.duration / ex.window))
         need = required_samples(self.B.shape[0], self.mask)
         if num_windows < need:
-            raise ScenarioError(
+            raise ValueError(
                 f"exploration duration must be at least {need * ex.window:g} "
                 f"s ({need} windows of {ex.window:g} s), got {ex.duration!r}")
         return SrlConfig(mask=self.mask, weights=self.weights(), B=self.B,
@@ -241,9 +220,10 @@ BUILTIN_SCENARIOS = tuple(_BUILTIN_ZEROS)
 
 
 def builtin_scenario(name: str) -> ScenarioSpec:
+    _check_instance("name", name, str)
     if name not in _BUILTIN_ZEROS:
-        raise ScenarioError(f"unknown builtin scenario '{name}'; "
-                            f"available: {', '.join(sorted(_BUILTIN_ZEROS))}")
+        raise ValueError(f"unknown builtin scenario '{name}'; "
+                         f"available: {', '.join(sorted(_BUILTIN_ZEROS))}")
     return _consensus_scenario(
         name, make_consensus_network(6, _COUPLINGS_6),
         SparsityMask.from_zero_positions(6, 6, _BUILTIN_ZEROS[name]),
@@ -325,6 +305,7 @@ _REQUIRED = {f.name for f in fields(ScenarioSpec) if f.default is MISSING}
 def save_scenario(spec: ScenarioSpec, path=None) -> str:
     """Serialize a scenario to the format parse_scenario reads; returns the
     text: the one-word lines, the blocks, then the knobs, by their tables."""
+    _check_instance("spec", spec, ScenarioSpec)
     def line(key):
         attr, cast = _SCALARS[key]
         config = key.rpartition(" ")[0]
@@ -350,13 +331,13 @@ def _parse_value(token: str, lineno: int, what: str, cast=float):
     try:
         return cast(token)
     except ValueError:
-        raise ScenarioError(f"line {lineno}: bad {what} value '{token}'") from None
+        raise ValueError(f"line {lineno}: bad {what} value '{token}'") from None
 
 
 def _parse_size(token: str, lineno: int, what: str) -> int:
     size = _parse_value(token, lineno, what, cast=int)
     if size < 1:
-        raise ScenarioError(f"line {lineno}: {what} must be at least 1, got {size}")
+        raise ValueError(f"line {lineno}: {what} must be at least 1, got {size}")
     return size
 
 
@@ -364,6 +345,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
     """Parse the block text scenario format; errors carry line numbers. A
     line is a block header or a _SCALARS key (all tokens but the last) and
     its value. Other lines, repeats and missing required lines are errors."""
+    _check_instance("text", text, str)
     raw = text.splitlines()
     # (line number, tokens) of each line that is not blank or a comment,
     # drawn lazily by the main loop and by read_block alike
@@ -375,7 +357,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
     def claim(label, lineno):
         if label in seen:
-            raise ScenarioError(
+            raise ValueError(
                 f"line {lineno}: {label} repeats line {seen[label]}")
         seen[label] = lineno
 
@@ -386,9 +368,9 @@ def parse_scenario(text: str) -> ScenarioSpec:
         for _ in range(rows):
             ln, toks = next(lines, (len(raw), None))
             if toks is None:
-                raise ScenarioError(f"line {ln}: unexpected end of file in {what}")
+                raise ValueError(f"line {ln}: unexpected end of file in {what}")
             if len(toks) != cols:
-                raise ScenarioError(
+                raise ValueError(
                     f"line {ln}: expected {cols} values in {what}, got {len(toks)}")
             out.append([_parse_value(t, ln, what) for t in toks])
         return np.array(out).reshape(sizes)
@@ -398,11 +380,11 @@ def parse_scenario(text: str) -> ScenarioSpec:
         if kw in _HEADERS:
             words = _HEADERS[kw]
             if len(toks) != 1 + len(words):
-                raise ScenarioError(f"line {ln}: {kw} needs {' '.join(words)}")
+                raise ValueError(f"line {ln}: {kw} needs {' '.join(words)}")
             named = words[0] == "name"
             label = " ".join(toks[:1 + named])
             if label not in _BLOCKS:
-                raise ScenarioError(f"line {ln}: unknown {kw} '{toks[1]}'")
+                raise ValueError(f"line {ln}: unknown {kw} '{toks[1]}'")
             claim(label, ln)
             sizes = [_parse_size(t, ln, w)
                      for t, w in zip(toks[1 + named:], words[named:])]
@@ -410,9 +392,9 @@ def parse_scenario(text: str) -> ScenarioSpec:
         else:
             key, line = " ".join(toks[:-1]), " ".join(toks)
             if line in _SCALARS:
-                raise ScenarioError(f"line {ln}: {line} needs one value")
+                raise ValueError(f"line {ln}: {line} needs one value")
             if key not in _SCALARS:
-                raise ScenarioError(f"line {ln}: unknown key '{key or line}'")
+                raise ValueError(f"line {ln}: unknown key '{key or line}'")
             claim(key, ln)
             attr, cast = _SCALARS[key]
             values[key.rpartition(" ")[0]][attr] = _parse_value(
@@ -420,7 +402,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
     for key, attr in _FIELDS.items():
         if attr in _REQUIRED and key not in seen:
-            raise ScenarioError(f"missing {key}" + " block" * (key == "mask"))
+            raise ValueError(f"missing {key}" + " block" * (key == "mask"))
     spec = values[""]
     try:
         spec["mask"] = SparsityMask(spec["mask"])
@@ -431,24 +413,28 @@ def parse_scenario(text: str) -> ScenarioSpec:
         raise _keyed(str(exc), seen) from exc
 
 
-def _keyed(message: str, seen: Dict[str, int]) -> ScenarioError:
+def _keyed(message: str, seen: Dict[str, int]) -> ValueError:
     """A validation message starts with the field it rejects, by key or by
     field name; name it by its key and prefix the line the key is on."""
     for key, attr in _FIELDS.items():
         for name in (key, attr):
             if key in seen and message.startswith(name + " "):
-                return ScenarioError(
+                return ValueError(
                     f"line {seen[key]}: {key}{message[len(name):]}")
-    return ScenarioError(message)
+    return ValueError(message)
 
 
 def load_scenario(source) -> ScenarioSpec:
     """Load a scenario from a builtin name or a file path."""
     if isinstance(source, str) and source in BUILTIN_SCENARIOS:
         return builtin_scenario(source)
-    path = Path(source)
+    try:
+        path = Path(source)
+    except TypeError:
+        raise ValueError(f"source must be a builtin name or a path, got "
+                         f"{type(source).__name__}") from None
     if not path.exists():
-        raise ScenarioError(
+        raise ValueError(
             f"'{source}' is neither a builtin scenario nor an existing file")
     return parse_scenario(path.read_text())
 
@@ -569,6 +555,7 @@ def _emit(out_dir, report: dict, result: SynthesisResult,
 def run_model_based(spec: ScenarioSpec, out_dir=None) -> dict:
     """Structured policy iteration on the scenario; returns the report
     dict that report.json holds, written with the CSVs to out_dir."""
+    _check_instance("spec", spec, ScenarioSpec)
     sys, weights = spec.system(), spec.weights()
     mb, unstr = _baselines(spec, sys, weights, spec.initial_gain)
     report = _report(spec, sys, weights, "model-based", mb, unstr)
@@ -584,6 +571,7 @@ def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> dict:
     """Exploration, data-driven synthesis, then closed-loop implementation,
     compared with the model-based and unstructured solutions, reported as
     by run_model_based. The probe comes from spec.exploration, seed included."""
+    _check_instance("spec", spec, ScenarioSpec)
     sys, ex = spec.system(), spec.exploration
     _rk4_substeps("exploration duration", ex.duration, spec.dt, ex.substeps,
                   sys.A - sys.B @ spec.initial_gain)  # before any record
@@ -626,6 +614,7 @@ def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> dict:
 def run_simulate(spec: ScenarioSpec, horizon: float = 5.0,
                  out_dir=None) -> Trajectory:
     """Zero-input simulation of the scenario system from its x0."""
+    _check_instance("spec", spec, ScenarioSpec)
     traj = _trajectory(spec.system(), None, spec.x0, horizon)
     if out_dir is not None:
         out = Path(out_dir)

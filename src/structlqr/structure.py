@@ -47,8 +47,13 @@ class SparsityMask:
         """Build a mask from 0-indexed (row, col) positions forced to zero."""
         _check_at_least("num_inputs", num_inputs, 1)
         _check_at_least("num_states", num_states, 1)
+        try:
+            positions = iter(zeros)
+        except TypeError:
+            raise ValueError(f"zeros must be (row, col) positions, got "
+                             f"{zeros!r}") from None
         ind = np.ones((num_inputs, num_states))
-        for pos in zeros:
+        for pos in positions:
             i, j, text = _as_pair(pos)
             if not (_is_index(i, num_inputs) and _is_index(j, num_states)):
                 raise ValueError(

@@ -248,6 +248,8 @@ class ExplorationSignal:
 
     def sample(self, times) -> np.ndarray:
         times = _as_floats(times, "times")
+        if times.ndim != 1:
+            raise ValueError(f"times must be 1-D, got shape {times.shape}")
         arg = self.frequencies[None, :, :] * times[:, None, None] + self.phases[None, :, :]
         return np.einsum("mk,tmk->tm", self.amplitudes, np.sin(arg))
 
@@ -262,8 +264,8 @@ class InputPolicy:
 
     def __post_init__(self):
         if self.gain is not None:
-            object.__setattr__(self, "gain",
-                               _as_matrix(self.gain, name="feedback gain"))
+            object.__setattr__(self, "gain", _freeze(
+                _as_matrix(self.gain, name="feedback gain")))
         if self.probe is not None:
             _check_instance("probe", self.probe, ExplorationSignal)
 

@@ -319,6 +319,16 @@ def test_bad_time_step_or_span_is_usage_error(tmp_path, capsys, command, key,
             f"got {float(value)!r}\n" in capsys.readouterr().err)
 
 
+def test_zero_time_step_in_a_saved_builtin_is_a_line_error(tmp_path, capsys):
+    # the file the console-script smoke writes, and the exact stderr it greps
+    text = save_scenario(builtin_scenario("consensus-a"))
+    path = tmp_path / "dt0.scn"
+    path.write_text(text.replace("\ndt 5e-05\n", "\ndt 0\n", 1))
+    assert main(["model-based", "--scenario", str(path)]) == 1
+    assert (capsys.readouterr().err
+            == "error: line 2: dt must be finite and positive, got 0.0\n")
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("exploration window", "0.010003",
      "exploration window must be an integer multiple (>= 2) of dt 5e-05, "

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from helpers import NETWORK_A, X0
-from structlqr.experiments import (_SCALARS, ScenarioError, ScenarioSpec,
-                                   SolverConfig, builtin_scenario,
-                                   load_scenario, make_consensus_network,
-                                   parse_scenario, ring_scenario,
-                                   run_model_based, run_simulate, run_srl,
-                                   save_scenario, write_gains_csv,
-                                   write_trajectory_csv)
+from structlqr.experiments import (_SCALARS, ScenarioSpec, SolverConfig,
+                                   builtin_scenario, load_scenario,
+                                   make_consensus_network, parse_scenario,
+                                   ring_scenario, run_model_based,
+                                   run_simulate, run_srl, save_scenario,
+                                   write_gains_csv, write_trajectory_csv)
 from structlqr.structure import SparsityMask
 
 
@@ -90,7 +89,8 @@ class TestBuiltinScenarios:
         assert np.argwhere(diff).tolist() == [[5, 5]]
 
     def test_unknown_name(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ValueError, match="^unknown builtin scenario "
+                                             "'consensus-z'"):
             builtin_scenario("consensus-z")
 
 
@@ -125,7 +125,8 @@ class TestScenarioSerialization:
         save_scenario(spec, tmp_path / "a.scn")
         assert np.array_equal(load_scenario(tmp_path / "a.scn").A, spec.A)
         assert load_scenario("consensus-a").name == "consensus-a"
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ValueError, match="neither a builtin scenario "
+                                             "nor an existing file"):
             load_scenario("no-such-file.scn")
 
     def test_dimension_error(self):
@@ -136,12 +137,13 @@ class TestScenarioSerialization:
         lines = broken.splitlines()
         idx = lines.index("matrix A 5 6")
         del lines[idx + 6]
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ValueError, match=re.escape(
+                "line 4: matrix A must have shape (6, 6)")):
             parse_scenario("\n".join(lines))
 
     def test_parse_error_carries_line_number(self):
         text = "scenario t\ndt 0.01\nmatrix B 2 2\n1 0\n0 oops\n"
-        with pytest.raises(ScenarioError, match="line 5"):
+        with pytest.raises(ValueError, match="line 5"):
             parse_scenario(text)
 
     @pytest.mark.parametrize("line, message", [
@@ -151,7 +153,7 @@ class TestScenarioSerialization:
     def test_bad_scalar_line_carries_line_number(self, line, message):
         text = ("scenario t\ndt 0.01\nmatrix B 1 1\n1\nmatrix Q 1 1\n1\n"
                 "matrix R 1 1\n1\nmask 1 1\n1\nvector x0 1\n1\n" + line + "\n")
-        with pytest.raises(ScenarioError, match=message):
+        with pytest.raises(ValueError, match=message):
             parse_scenario(text)
 
     @pytest.mark.parametrize("key", _SCALARS)
@@ -165,7 +167,7 @@ class TestScenarioSerialization:
         for line, message in ((key, f"{key} needs one value"),
                               (f"{key[:-1]} 1", f"unknown key '{key[:-1]}'")):
             lines[idx] = line
-            with pytest.raises(ScenarioError, match=re.escape(
+            with pytest.raises(ValueError, match=re.escape(
                     f"line {idx + 1}: {message}") + "$"):
                 parse_scenario("\n".join(lines))
 
@@ -183,7 +185,7 @@ class TestScenarioSerialization:
         lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
         lineno = lines.index(header) + 1
         lines[lineno - 1] = bad
-        with pytest.raises(ScenarioError, match=f"^line {lineno}: {message}$"):
+        with pytest.raises(ValueError, match=f"^line {lineno}: {message}$"):
             parse_scenario("\n".join(lines))
 
     def test_defaulted_knob_error_has_no_line(self):
@@ -191,7 +193,7 @@ class TestScenarioSerialization:
         text = save_scenario(builtin_scenario("consensus-a"))
         lines = [line for line in text.replace("dt 5e-05", "dt 0.01")
                  .splitlines() if not line.startswith("exploration window")]
-        with pytest.raises(ScenarioError, match=re.escape(
+        with pytest.raises(ValueError, match=re.escape(
                 "exploration window must be an integer multiple (>= 2) of "
                 "dt 0.01, got 0.01") + "$"):
             parse_scenario("\n".join(lines))
@@ -203,31 +205,33 @@ class TestScenarioSerialization:
                 SolverConfig(**{field: value})
         text = save_scenario(builtin_scenario("consensus-a"))
         lineno = text.splitlines().index("solver max-iter 30") + 1
-        with pytest.raises(ScenarioError, match=f"^line {lineno}: solver "
+        with pytest.raises(ValueError, match=f"^line {lineno}: solver "
                            "max-iter must be at least 1, got 0$"):
             parse_scenario(text.replace("solver max-iter 30",
                                         "solver max-iter 0"))
-        with pytest.raises(ScenarioError, match="freq-min 60.0 exceeds"):
+        with pytest.raises(ValueError, match="freq-min 60.0 exceeds"):
             parse_scenario(text.replace("exploration freq-min 0.5",
                                         "exploration freq-min 60"))
 
     def test_missing_blocks(self):
-        with pytest.raises(ScenarioError, match="mask"):
+        with pytest.raises(ValueError, match="mask"):
             parse_scenario("scenario t\ndt 0.01\nmatrix B 1 1\n1\n"
                            "matrix Q 1 1\n1\nmatrix R 1 1\n1\n"
                            "vector x0 1\n1\n")
 
     def test_mask_entries_checked(self):
         text = ("scenario t\ndt 0.01\nmatrix B 1 1\n1\nmatrix Q 1 1\n1\n"
-                "matrix R 1 1\n1\nmask 1 1\n2\nvector x0 1\n1\n")
-        with pytest.raises(ScenarioError):
+                "matrix R 1 1\n1\nmask 1 1\n2\nvector x0 1\n1\n"
+                "matrix K0 1 1\n0\n")
+        with pytest.raises(ValueError, match="^line 9: mask entries must be "
+                                             "exactly 0 or 1$"):
             parse_scenario(text)
 
     def test_block_cut_short_names_the_last_line(self):
         lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
         idx = lines.index("matrix K0 6 6")
         lines[idx + 4:] = ["", "# a comment", "   ", "#"]
-        with pytest.raises(ScenarioError, match=f"^line {len(lines)}: "
+        with pytest.raises(ValueError, match=f"^line {len(lines)}: "
                            "unexpected end of file in matrix K0$"):
             parse_scenario("\n".join(lines) + "\n")
 
@@ -235,7 +239,7 @@ class TestScenarioSerialization:
         lines = save_scenario(builtin_scenario("consensus-a")).splitlines()
         idx = lines.index("mask 6 6")
         lines[idx + 1:idx + 7] = ["0 0 0 0 0 0"] * 6
-        with pytest.raises(ScenarioError, match=f"^line {idx + 1}: mask must "
+        with pytest.raises(ValueError, match=f"^line {idx + 1}: mask must "
                            "allow at least one entry"):
             parse_scenario("\n".join(lines))
 
@@ -250,7 +254,7 @@ class TestScenarioSerialization:
         idx = lines.index(header)
         rows = 1 if header.startswith("vector") else 6
         del lines[idx:idx + 1 + rows]
-        with pytest.raises(ScenarioError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             parse_scenario("\n".join(lines))
 
     @pytest.mark.parametrize("field, value, message", [
@@ -276,10 +280,9 @@ class TestScenarioSerialization:
         ("name", "a\tb", r"^name must be one word, got 'a\\tb'$"),
         ("name", 5, "^name must be one word, got 5$"),
     ])
-    def test_code_built_spec_raises_scenario_error(self, field, value,
-                                                    message):
+    def test_code_built_spec_names_the_field(self, field, value, message):
         spec = builtin_scenario("consensus-a")
-        with pytest.raises(ScenarioError, match=message):
+        with pytest.raises(ValueError, match=message):
             if isinstance(value, dict):
                 value = replace(getattr(spec, field), **value)
             replace(spec, **{field: value})
@@ -290,13 +293,13 @@ class TestScenarioSerialization:
         spec = builtin_scenario("consensus-a")
         K0 = spec.initial_gain.copy()
         K0[0, 0], K0[0, 1] = 3.0, 3.0
-        with pytest.raises(ScenarioError, match=r"^initial_gain must be zero "
+        with pytest.raises(ValueError, match=r"^initial_gain must be zero "
                            r"off the mask, got 3\.0 at \(0, 0\)$"):
             replace(spec, initial_gain=K0)
         lines = save_scenario(spec).splitlines()
         idx = lines.index("matrix K0 6 6")
         lines[idx + 1] = "3.0 3.0 " + lines[idx + 1].split(maxsplit=2)[2]
-        with pytest.raises(ScenarioError, match=rf"^line {idx + 1}: matrix K0 "
+        with pytest.raises(ValueError, match=rf"^line {idx + 1}: matrix K0 "
                            r"must be zero off the mask, got 3\.0 at \(0, 0\)$"):
             parse_scenario("\n".join(lines))
 
@@ -307,7 +310,7 @@ class TestScenarioSerialization:
         idx = lines.index("matrix A 6 6")
         del lines[idx:idx + 7]
         noA = parse_scenario("\n".join(lines))
-        with pytest.raises(ScenarioError, match="state matrix"):
+        with pytest.raises(ValueError, match="state matrix"):
             noA.system()
 
 

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import structlqr
-from structlqr.experiments import builtin_scenario
+from structlqr.experiments import (builtin_scenario, load_scenario,
+                                   make_consensus_network, parse_scenario,
+                                   run_model_based, run_simulate, run_srl,
+                                   save_scenario)
 
 
 def test_all_lists_each_imported_public_name_once():
@@ -204,10 +207,45 @@ def test_wrongly_typed_argument_is_named(name, valid_arguments):
             try:
                 fn(**{**kwargs, arg: value})
             except ValueError as exc:
-                if any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", str(exc))
-                       for n in names):
+                if any(_names(n, exc) for n in names):
                     continue
                 unnamed.append(f"{arg}={label}: {exc}")
             else:
                 unnamed.append(f"{arg}={label}: accepted")
     assert unnamed == []
+
+
+def _names(arg, exc) -> bool:
+    """Whether the exception's message names arg as a whole word."""
+    return re.search(rf"(?<!\w){re.escape(arg)}(?!\w)", str(exc)) is not None
+
+
+# Calls to the scenario entry points with one wrongly typed argument, and
+# that argument; path arguments take any string, so none is listed.
+_SCENARIO_CALLS = {
+    "parse_scenario None": (lambda: parse_scenario(None), "text"),
+    "parse_scenario int": (lambda: parse_scenario(5), "text"),
+    "save_scenario str": (lambda: save_scenario("x"), "spec"),
+    "load_scenario None": (lambda: load_scenario(None), "source"),
+    "builtin_scenario list": (lambda: builtin_scenario(["a"]), "name"),
+    "make_consensus_network None": (
+        lambda: make_consensus_network(3, None), "couplings"),
+    "make_consensus_network list": (
+        lambda: make_consensus_network(3, [(0, 1)]), "couplings"),
+    "run_model_based str": (lambda: run_model_based("x"), "spec"),
+    "run_srl None": (lambda: run_srl(None), "spec"),
+    "run_simulate str": (lambda: run_simulate("x"), "spec"),
+    "SparsityMask.from_zero_positions int": (
+        lambda: structlqr.SparsityMask.from_zero_positions(2, 2, 5), "zeros"),
+    "ExplorationSignal.sample 2-D": (
+        lambda: structlqr.make_exploration(0, 1).sample(np.zeros((2, 2))),
+        "times"),
+}
+
+
+@pytest.mark.parametrize("case", _SCENARIO_CALLS)
+def test_wrongly_typed_scenario_argument_is_named(case):
+    call, arg = _SCENARIO_CALLS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert _names(arg, info.value), str(info.value)

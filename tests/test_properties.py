@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from helpers import random_stable_matrix
 from structlqr import (InputPolicy, LtiSystem, SparsityMask, required_samples,
                        simulate, solve_lyapunov)
 from structlqr.experiments import (BUILTIN_SCENARIOS, ExplorationConfig,
-                                   ScenarioError, ScenarioSpec, SolverConfig,
+                                   ScenarioSpec, SolverConfig,
                                    builtin_scenario, parse_scenario,
                                    save_scenario)
 from structlqr.system import _MAX_STEPS
@@ -70,7 +72,9 @@ _TOKENS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(BUILTIN_SCENARIOS), data=st.data())
-def test_scenario_line_mutation_parses_or_raises_scenario_error(name, data):
+def test_scenario_line_mutation_parses_or_raises_a_keyed_error(name, data):
+    # a mutated builtin parses, or its error names the line it rejects or
+    # the required line it misses
     lines = list(_BUILTIN_LINES[name])
     idx = data.draw(st.integers(0, len(lines) - 1))
     mutation = data.draw(st.sampled_from(["drop", "repeat", "replace"]))
@@ -84,8 +88,8 @@ def test_scenario_line_mutation_parses_or_raises_scenario_error(name, data):
         lines[idx] = " ".join(toks)
     try:
         parse_scenario("\n".join(lines))
-    except ScenarioError:
-        pass
+    except ValueError as exc:
+        assert re.match(r"(line \d+: |missing )", str(exc)), str(exc)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -146,7 +150,7 @@ def test_scenario_save_parse_save_is_byte_identical(spec):
 @given(spec=_scenario_specs(),
        key=st.sampled_from(["exploration window", "exploration duration"]),
        frac=st.floats(0.01, 0.99))
-def test_off_grid_exploration_timing_raises_scenario_error(spec, key, frac):
+def test_off_grid_exploration_timing_names_its_line(spec, key, frac):
     # a window between two dt multiples, or a duration between two windows
     ex = spec.exploration
     if key == "exploration window":
@@ -157,7 +161,7 @@ def test_off_grid_exploration_timing_raises_scenario_error(spec, key, frac):
     idx = next(k for k, line in enumerate(lines)
                if line.rsplit(" ", 1)[0] == key)
     lines[idx] = f"{key} {value!r}"
-    with pytest.raises(ScenarioError,
+    with pytest.raises(ValueError,
                        match=rf"^line {idx + 1}: {key} must be an integer "
                              "multiple"):
         parse_scenario("\n".join(lines))

@@ -95,6 +95,13 @@ class TestTypes:
                            match=f"^{field} has non-finite entries$"):
             Trajectory(**arrays)
 
+    def test_policy_keeps_a_read_only_copy_of_its_gain(self):
+        K = 0.5 * np.eye(2)
+        policy = InputPolicy(gain=K)
+        K[0, 0] = 5.0
+        assert np.array_equal(policy.gain, 0.5 * np.eye(2))
+        assert not policy.gain.flags.writeable
+
     @pytest.mark.parametrize("make, name", [
         (lambda: LtiSystem(A=np.zeros((0, 0)), B=np.zeros((0, 1))), "A"),
         (lambda: LtiSystem(A=-np.eye(2), B=np.zeros((2, 0))), "B"),
