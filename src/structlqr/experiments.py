@@ -1,6 +1,7 @@
 """Scenario definitions, benchmark fixtures, pipeline runners and reports."""
 
 import json
+import os
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -302,6 +303,14 @@ _FIELDS = {**{key: attr for key, (attr, _) in _SCALARS.items()}, **_BLOCKS}
 _REQUIRED = {f.name for f in fields(ScenarioSpec) if f.default is MISSING}
 
 
+def _as_path(name: str, path) -> Path:
+    """path as a Path; a ValueError naming it unless a str or os.PathLike."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"{name} must be a str or os.PathLike, "
+                         f"got {type(path).__name__}")
+    return Path(path)
+
+
 def save_scenario(spec: ScenarioSpec, path=None) -> str:
     """Serialize a scenario to the format parse_scenario reads; returns the
     text: the one-word lines, the blocks, then the knobs, by their tables."""
@@ -323,7 +332,7 @@ def save_scenario(spec: ScenarioSpec, path=None) -> str:
     parts += [line(key) for key in _SCALARS if " " in key]
     text = "\n".join(parts) + "\n"
     if path is not None:
-        Path(path).write_text(text)
+        _as_path("path", path).write_text(text)
     return text
 
 
@@ -456,7 +465,8 @@ def write_trajectory_csv(path, times, states, inputs):
     header = ",".join(["t", *(f"x{i+1}" for i in range(states.shape[1])),
                        *(f"u{j+1}" for j in range(inputs.shape[1]))])
     table = np.column_stack([times, states, inputs])
-    Path(path).write_text("\n".join([header, *_rows(table, ",")]) + "\n")
+    _as_path("path", path).write_text(
+        "\n".join([header, *_rows(table, ",")]) + "\n")
 
 
 def write_convergence_csv(path, result: SynthesisResult):
@@ -466,7 +476,7 @@ def write_convergence_csv(path, result: SynthesisResult):
         dk = float(np.linalg.norm(rec.K - K_final, "fro"))
         dp = "" if not np.isfinite(rec.delta_P) else _fmt(rec.delta_P)
         rows.append(f"{k},{dp},{_fmt(dk)}")
-    Path(path).write_text("\n".join(rows) + "\n")
+    _as_path("path", path).write_text("\n".join(rows) + "\n")
 
 
 def write_gains_csv(path, gains: Dict[str, np.ndarray]):
@@ -475,11 +485,11 @@ def write_gains_csv(path, gains: Dict[str, np.ndarray]):
         # Python floats: repr of a numpy scalar is not its number alone
         for i, row in enumerate(np.asarray(gains[name], float).tolist(), 1):
             rows += (f"{name},{i},{j},{v!r}" for j, v in enumerate(row, 1))
-    Path(path).write_text("\n".join(rows) + "\n")
+    _as_path("path", path).write_text("\n".join(rows) + "\n")
 
 
 def write_report_json(path, report: dict):
-    Path(path).write_text(_report_text(report) + "\n")
+    _as_path("path", path).write_text(_report_text(report) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +549,17 @@ def _trajectory(sys: LtiSystem, gain, x0, horizon: float) -> Trajectory:
                     substeps=substeps)
 
 
+def _check_out_dir(out_dir) -> None:
+    """Before a run: an out_dir other than None is a path that is a
+    directory or not yet taken, so a bad one fails before the run, not at
+    its end."""
+    if out_dir is not None:
+        out = _as_path("out_dir", out_dir)
+        if out.exists() and not out.is_dir():
+            raise ValueError(f"out_dir must be a directory, got the existing "
+                             f"file '{out_dir}'")
+
+
 def _emit(out_dir, report: dict, result: SynthesisResult,
           traj_parts, gains: Dict[str, np.ndarray]):
     out = Path(out_dir)
@@ -556,6 +577,7 @@ def run_model_based(spec: ScenarioSpec, out_dir=None) -> dict:
     """Structured policy iteration on the scenario; returns the report
     dict that report.json holds, written with the CSVs to out_dir."""
     _check_instance("spec", spec, ScenarioSpec)
+    _check_out_dir(out_dir)
     sys, weights = spec.system(), spec.weights()
     mb, unstr = _baselines(spec, sys, weights, spec.initial_gain)
     report = _report(spec, sys, weights, "model-based", mb, unstr)
@@ -572,6 +594,7 @@ def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> dict:
     compared with the model-based and unstructured solutions, reported as
     by run_model_based. The probe comes from spec.exploration, seed included."""
     _check_instance("spec", spec, ScenarioSpec)
+    _check_out_dir(out_dir)
     sys, ex = spec.system(), spec.exploration
     _rk4_substeps("exploration duration", ex.duration, spec.dt, ex.substeps,
                   sys.A - sys.B @ spec.initial_gain)  # before any record
@@ -615,6 +638,7 @@ def run_simulate(spec: ScenarioSpec, horizon: float = 5.0,
                  out_dir=None) -> Trajectory:
     """Zero-input simulation of the scenario system from its x0."""
     _check_instance("spec", spec, ScenarioSpec)
+    _check_out_dir(out_dir)
     traj = _trajectory(spec.system(), None, spec.x0, horizon)
     if out_dir is not None:
         out = Path(out_dir)

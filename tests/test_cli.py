@@ -274,9 +274,10 @@ def test_initial_gain_off_the_mask_exits_1(tmp_path, capsys, command):
         "-7.5 at (0, 0)\n")
 
 
+@pytest.mark.parametrize("scenario", ["consensus-a", "consensus-b"])
 @pytest.mark.parametrize("command", ["model-based", "srl", "compare"])
-def test_compare_writes_full_report(tmp_path, capsys, command):
-    assert main([command, "--scenario", "consensus-a",
+def test_compare_writes_full_report(tmp_path, capsys, command, scenario):
+    assert main([command, "--scenario", scenario,
                  "--out", str(tmp_path)]) == 0
     text = (tmp_path / "report.json").read_text()
     assert capsys.readouterr().out == text  # one report, in both places
@@ -294,6 +295,19 @@ def test_compare_writes_full_report(tmp_path, capsys, command):
     else:
         assert report["rank"]["passed"] is True
         assert report["comparison"]["gain_distance_to_model_based"] <= 1e-3
+
+
+def test_out_dir_that_is_a_file_exits_1_before_the_run(tmp_path, capsys,
+                                                       monkeypatch):
+    def no_exploration(*args):
+        raise AssertionError("explored before checking out_dir")
+
+    monkeypatch.setattr("structlqr.experiments.collect", no_exploration)
+    path = tmp_path / "taken"
+    path.write_text("")
+    assert main(["compare", "--scenario", "consensus-a",
+                 "--out", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: out_dir ")
 
 
 @pytest.mark.parametrize("command, key, value", [

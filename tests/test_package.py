@@ -3,16 +3,20 @@ import contextlib
 import inspect
 import io
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import structlqr
+from structlqr import cli
 from structlqr.experiments import (builtin_scenario, load_scenario,
                                    make_consensus_network, parse_scenario,
                                    run_model_based, run_simulate, run_srl,
-                                   save_scenario)
+                                   save_scenario, write_convergence_csv,
+                                   write_gains_csv, write_report_json,
+                                   write_trajectory_csv)
 
 
 def test_all_lists_each_imported_public_name_once():
@@ -109,6 +113,21 @@ def test_readme_quickstart_prints_the_value_its_comment_states():
         exec(code, {})
     digits = len(stated.lower().split("e")[0].replace(".", "").lstrip("0"))
     assert float(f"{float(out.getvalue()):.{digits - 1}e}") == float(stated)
+
+
+def test_readme_cli_commands_exit_0(tmp_path, monkeypatch, capsys):
+    # the CLI section's commands, run where its example scenario file is
+    # saved as the my_scenario.scn that they name
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def block(section):
+        return text.split(f"## {section}\n", 1)[1].split("```\n", 2)[1]
+
+    (tmp_path / "my_scenario.scn").write_text(block("Scenario files"))
+    monkeypatch.chdir(tmp_path)
+    failed = [line for line in block("CLI").splitlines()
+              if cli.main(shlex.split(line)[1:]) != 0]
+    assert failed == [], capsys.readouterr().err
 
 
 # The public names that are results or exceptions, built by the library
@@ -221,7 +240,8 @@ def _names(arg, exc) -> bool:
 
 
 # Calls to the scenario entry points with one wrongly typed argument, and
-# that argument; path arguments take any string, so none is listed.
+# that argument. A path is a str or an os.PathLike (None where optional),
+# and an output directory is not an existing file such as this one.
 _SCENARIO_CALLS = {
     "parse_scenario None": (lambda: parse_scenario(None), "text"),
     "parse_scenario int": (lambda: parse_scenario(5), "text"),
@@ -235,6 +255,26 @@ _SCENARIO_CALLS = {
     "run_model_based str": (lambda: run_model_based("x"), "spec"),
     "run_srl None": (lambda: run_srl(None), "spec"),
     "run_simulate str": (lambda: run_simulate("x"), "spec"),
+    "run_model_based int out_dir": (
+        lambda: run_model_based(builtin_scenario("consensus-a"), out_dir=5),
+        "out_dir"),
+    "run_srl file out_dir": (
+        lambda: run_srl(builtin_scenario("consensus-a"), out_dir=__file__),
+        "out_dir"),
+    "run_simulate bytes out_dir": (
+        lambda: run_simulate(builtin_scenario("consensus-a"), out_dir=b"x"),
+        "out_dir"),
+    "save_scenario int path": (
+        lambda: save_scenario(builtin_scenario("consensus-a"), 5), "path"),
+    "write_trajectory_csv None": (
+        lambda: write_trajectory_csv(None, np.zeros(1), np.zeros((1, 1)),
+                                     np.zeros((1, 1))), "path"),
+    "write_convergence_csv int": (
+        lambda: write_convergence_csv(5, structlqr.SynthesisResult(
+            P=np.eye(1), K=np.eye(1), L=np.zeros((1, 1)), iterations=0,
+            history=[], converged=True)), "path"),
+    "write_gains_csv list": (lambda: write_gains_csv(["x"], {}), "path"),
+    "write_report_json None": (lambda: write_report_json(None, {}), "path"),
     "SparsityMask.from_zero_positions int": (
         lambda: structlqr.SparsityMask.from_zero_positions(2, 2, 5), "zeros"),
     "ExplorationSignal.sample 2-D": (

@@ -15,15 +15,6 @@ def _run_script(name, argv, monkeypatch):
     module.main()
 
 
-def test_reproduce_network_results_prints_its_table(monkeypatch, capsys):
-    _run_script("reproduce_network_results", [], monkeypatch)
-    out = capsys.readouterr().out
-    for name in ("consensus-a", "consensus-b"):
-        assert f"scenario {name}: converged=True" in out
-    assert out.count("learned structured gain =") == 2
-    assert out.count("suboptimality bound: gap") == 2
-
-
 def test_model_based_scaling_prints_one_row_per_size(monkeypatch, capsys):
     _run_script("model_based_scaling", ["--sizes", "4", "8"], monkeypatch)
     lines = capsys.readouterr().out.splitlines()
