@@ -34,17 +34,13 @@ def _build_parser() -> _Parser:
                                  "trajectory-data-driven")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, seed=False, solver=True, out=True):
+    def command(name, summary, solver=True):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--scenario", required=True,
                        help=f"builtin name ({', '.join(BUILTIN_SCENARIOS)}) "
                             "or scenario file path")
-        if out:
-            p.add_argument("--out", default=None,
-                           help="directory for CSV/JSON output")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the exploration seed")
+        p.add_argument("--out", default=None,
+                       help="directory for CSV/JSON output")
         if solver:
             p.add_argument("--tol", type=float, default=None,
                            help="override the solver stopping tolerance")
@@ -52,10 +48,9 @@ def _build_parser() -> _Parser:
                            help="override the solver iteration budget")
         return p
 
-    command("srl", "data-driven structured synthesis", seed=True)
+    command("compare", "data-driven run plus baselines").add_argument(
+        "--seed", type=int, default=None, help="override the exploration seed")
     command("model-based", "structured policy iteration")
-    command("compare", "data-driven run plus baselines", seed=True)
-    command("bound", "suboptimality bound report", out=False)
     sim = command("simulate", "zero-input simulation from x0", solver=False)
     sim.add_argument("--horizon", type=float, default=5.0)
     return parser
@@ -82,11 +77,8 @@ def main(argv=None) -> int:
                    "final_state": traj.states[-1].tolist()}
         elif args.command == "model-based":
             out = run_model_based(spec, out_dir=args.out)
-        elif args.command == "bound":
-            out = {"scenario": spec.name,
-                   "bound": run_model_based(spec)["bound"]}
-        else:  # srl, compare
-            out = run_srl(spec, out_dir=args.out, method=args.command)
+        else:  # compare
+            out = run_srl(spec, out_dir=args.out)
         print(_report_text(out))
         return EXIT_OK
 

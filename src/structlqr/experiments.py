@@ -332,7 +332,7 @@ def save_scenario(spec: ScenarioSpec, path=None) -> str:
     parts += [line(key) for key in _SCALARS if " " in key]
     text = "\n".join(parts) + "\n"
     if path is not None:
-        _as_path("path", path).write_text(text)
+        _as_path("path", path).write_text(text, encoding="utf-8")
     return text
 
 
@@ -445,7 +445,11 @@ def load_scenario(source) -> ScenarioSpec:
     if not path.exists():
         raise ValueError(
             f"'{source}' is neither a builtin scenario nor an existing file")
-    return parse_scenario(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (IsADirectoryError, UnicodeDecodeError):
+        raise ValueError(f"'{source}' is not a UTF-8 text file") from None
+    return parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +554,16 @@ def _trajectory(sys: LtiSystem, gain, x0, horizon: float) -> Trajectory:
 
 
 def _check_out_dir(out_dir) -> None:
-    """Before a run: an out_dir other than None is a path that is a
-    directory or not yet taken, so a bad one fails before the run, not at
-    its end."""
+    """Before a run: an out_dir other than None is a path whose nearest
+    existing ancestor, itself included, is a directory, so a bad one fails
+    before the run, not at its end."""
     if out_dir is not None:
         out = _as_path("out_dir", out_dir)
-        if out.exists() and not out.is_dir():
-            raise ValueError(f"out_dir must be a directory, got the existing "
-                             f"file '{out_dir}'")
+        taken = next((p for p in (out, *out.parents) if p.exists()), None)
+        if taken is not None and not taken.is_dir():
+            under = "" if taken == out else f"'{out_dir}' under "
+            raise ValueError(f"out_dir must be a directory, got {under}the "
+                             f"existing file '{taken}'")
 
 
 def _emit(out_dir, report: dict, result: SynthesisResult,
@@ -589,7 +595,7 @@ def run_model_based(spec: ScenarioSpec, out_dir=None) -> dict:
     return report
 
 
-def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> dict:
+def run_srl(spec: ScenarioSpec, out_dir=None) -> dict:
     """Exploration, data-driven synthesis, then closed-loop implementation,
     compared with the model-based and unstructured solutions, reported as
     by run_model_based. The probe comes from spec.exploration, seed included."""
@@ -609,7 +615,7 @@ def run_srl(spec: ScenarioSpec, out_dir=None, method: str = "srl") -> dict:
     traj, data = collect(plant, policy, spec.x0, config)
     rank_report = check_rank(data, spec.mask, rank_tol=config.rank_tol)
     learned = srl_synthesize(data, config)
-    report = _report(spec, sys, weights, method, learned, unstr,
+    report = _report(spec, sys, weights, "compare", learned, unstr,
                      rank=rank_report.to_dict(),
                      exploration_peak_state=float(np.max(np.abs(traj.states))))
     report["comparison"].update({

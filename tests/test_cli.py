@@ -11,7 +11,7 @@ from structlqr.experiments import (ExplorationConfig, ScenarioSpec,
                                    ring_scenario, save_scenario)
 from structlqr.structure import SparsityMask
 
-_COMMANDS = ("srl", "compare", "model-based", "bound", "simulate")
+_COMMANDS = ("compare", "model-based", "simulate")
 
 
 def test_usage_error_exit_code(capsys):
@@ -21,10 +21,31 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["model-based"])  # missing --scenario
     assert exc.value.code == 1
+    # no subcommand but compare runs the data-driven pipeline, and the
+    # bound is a key of model-based's report
+    for command in ("srl", "bound"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", "consensus-a"])
+        assert exc.value.code == 1
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_unknown_scenario_exit_code(capsys):
     assert main(["model-based", "--scenario", "nope"]) == 1
+
+
+def test_scenario_directory_exit_code(tmp_path, capsys):
+    assert main(["model-based", "--scenario", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: '{tmp_path}' is not a UTF-8 text file\n")
+
+
+def test_scenario_file_not_utf8_exit_code(tmp_path, capsys):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(b"scenario caf\xe9\n")
+    assert main(["model-based", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: '{path}' is not a UTF-8 text file\n")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -40,25 +61,24 @@ def test_model_based_converges(capsys):
     assert report["method"] == "model-based"
 
 
-def test_bound_subcommand(capsys):
-    assert main(["bound", "--scenario", "consensus-a"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert set(out) == {"scenario", "bound"}
-    assert out["scenario"] == "consensus-a"
-    assert out["bound"]["within_bound"] is True
-    # the model-based run's bound, unchanged
-    assert main(["model-based", "--scenario", "consensus-a"]) == 0
-    assert out["bound"] == json.loads(capsys.readouterr().out)["bound"]
+@pytest.mark.parametrize("scenario", ["consensus-a", "consensus-b",
+                                      "consensus-b-declared"])
+def test_model_based_report_holds_the_bound(capsys, scenario):
+    # the suboptimality bound is a key of model-based's report
+    assert main(["model-based", "--scenario", scenario]) == 0
+    bound = json.loads(capsys.readouterr().out)["bound"]
+    assert set(bound) == {"g", "l", "bound", "gap", "within_bound",
+                          "epsilon", "gap_over_bound"}
+    assert bound["within_bound"] is True
+    assert 0.0 <= bound["gap"] <= bound["bound"]
+    assert bound["gap_over_bound"] == bound["gap"] / bound["bound"]
 
 
-def test_bound_takes_no_out_directory(tmp_path, capsys):
-    out = tmp_path / "out"
+def test_help_lists_one_subcommand_per_pipeline(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bound", "--scenario", "consensus-a", "--out", str(out)])
-    assert exc.value.code == 1
-    assert "unrecognized arguments: --out" in capsys.readouterr().err
-    assert not out.exists()
-    assert list(tmp_path.iterdir()) == []
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{compare,model-based,simulate}" in capsys.readouterr().out
 
 
 def test_simulate_subcommand(tmp_path, capsys):
@@ -89,7 +109,7 @@ def test_rank_failure_exit_code(tmp_path, capsys):
                                               freq_max=5.0))
     path = tmp_path / "tone.scn"
     save_scenario(tone, path)
-    assert main(["srl", "--scenario", str(path)]) == 2
+    assert main(["compare", "--scenario", str(path)]) == 2
     assert ("error: data rank 12 below the required count 21"
             in capsys.readouterr().err)
 
@@ -110,8 +130,8 @@ def test_divergence_exit_code(tmp_path, capsys):
     save_scenario(spec, path)
     assert main(["simulate", "--scenario", str(path)]) == 3
     assert "error: state diverged" in capsys.readouterr().err
-    # srl rejects the non-stabilizing K0 before it explores
-    assert main(["srl", "--scenario", str(path)]) == 4
+    # compare rejects the non-stabilizing K0 before it explores
+    assert main(["compare", "--scenario", str(path)]) == 4
     assert "error: initial gain is not stabilizing" in capsys.readouterr().err
 
 
@@ -201,8 +221,7 @@ def test_simulate_horizon_off_the_grid_exits_1(capsys):
         "error: horizon must be an integer multiple of dt 0.01, got 0.015\n")
 
 
-@pytest.mark.parametrize("command", ["srl", "compare", "model-based",
-                                     "bound"])
+@pytest.mark.parametrize("command", ["compare", "model-based"])
 def test_non_stabilizing_initial_gain_exits_4(tmp_path, capsys, command):
     spec = builtin_scenario("consensus-a")
     K0 = spec.initial_gain.copy()
@@ -215,13 +234,12 @@ def test_non_stabilizing_initial_gain_exits_4(tmp_path, capsys, command):
         "95.1273)\n")
 
 
-@pytest.mark.parametrize("command", ["srl", "compare", "model-based",
-                                     "bound"])
+@pytest.mark.parametrize("command", ["compare", "model-based"])
 def test_zero_initial_gain_on_a_ring_exits_4(tmp_path, capsys, command):
     # K0 = 0 leaves the ring's consensus mode at zero, which the solve's
     # eigh rounds to about -1.5e-15: still not stabilizing. The exploration
-    # is long enough for the ring's 270 unknowns, so srl and compare reach
-    # the gate.
+    # is long enough for the ring's 270 unknowns, so compare reaches the
+    # gate.
     spec = ring_scenario(20)
     spec = dataclasses.replace(
         spec, initial_gain=np.zeros((20, 20)),
@@ -243,7 +261,7 @@ def test_bound_on_a_singular_operator_exits_1(tmp_path, capsys):
         initial_gain=3.0 * np.eye(2))
     path = tmp_path / "singular.scn"
     save_scenario(spec, path)
-    assert main(["bound", "--scenario", str(path)]) == 1
+    assert main(["model-based", "--scenario", str(path)]) == 1
     assert capsys.readouterr().err.startswith(
         "error: two eigenvalues of A - B R^-1 B' sum to zero; ")
 
@@ -274,8 +292,9 @@ def test_initial_gain_off_the_mask_exits_1(tmp_path, capsys, command):
         "-7.5 at (0, 0)\n")
 
 
-@pytest.mark.parametrize("scenario", ["consensus-a", "consensus-b"])
-@pytest.mark.parametrize("command", ["model-based", "srl", "compare"])
+@pytest.mark.parametrize("scenario", ["consensus-a", "consensus-b",
+                                      "consensus-b-declared"])
+@pytest.mark.parametrize("command", ["model-based", "compare"])
 def test_compare_writes_full_report(tmp_path, capsys, command, scenario):
     assert main([command, "--scenario", scenario,
                  "--out", str(tmp_path)]) == 0
@@ -310,15 +329,42 @@ def test_out_dir_that_is_a_file_exits_1_before_the_run(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: out_dir ")
 
 
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_out_dir_under_missing_directories_is_made(tmp_path, capsys,
+                                                   command):
+    # the check before the run walks up to tmp_path, a directory
+    out = tmp_path / "new" / "run"
+    assert main([command, "--scenario", "consensus-a",
+                 "--out", str(out)]) == 0, capsys.readouterr().err
+    assert (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_out_dir_under_a_file_exits_1_before_the_run(tmp_path, capsys,
+                                                     monkeypatch, command):
+    def no_run(*args):
+        raise AssertionError("ran before checking out_dir")
+
+    monkeypatch.setattr("structlqr.experiments._baselines", no_run)
+    monkeypatch.setattr("structlqr.experiments._trajectory", no_run)
+    path = tmp_path / "taken"
+    path.write_text("")
+    out = path / "sub" / "run"
+    assert main([command, "--scenario", "consensus-a", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: out_dir must be a directory, got '{out}' under the existing "
+        f"file '{path}'\n")
+
+
 @pytest.mark.parametrize("command, key, value", [
-    ("srl", "dt", "0"),
+    ("compare", "dt", "0"),
     ("model-based", "dt", "-1"),
-    ("srl", "exploration window", "0"),
-    ("srl", "exploration duration", "inf"),
-    ("srl", "exploration freq-min", "0"),
-    ("srl", "exploration freq-max", "inf"),
-    ("srl", "exploration amplitude", "nan"),
-    ("srl", "solver rank-tol", "nan"),
+    ("compare", "exploration window", "0"),
+    ("compare", "exploration duration", "inf"),
+    ("compare", "exploration freq-min", "0"),
+    ("compare", "exploration freq-max", "inf"),
+    ("compare", "exploration amplitude", "nan"),
+    ("compare", "solver rank-tol", "nan"),
 ])
 def test_bad_time_step_or_span_is_usage_error(tmp_path, capsys, command, key,
                                               value):
@@ -371,7 +417,7 @@ def test_exploration_timing_off_its_grid_is_usage_error(tmp_path, capsys, key,
 
 @pytest.mark.parametrize("argv", [
     ["model-based", "--seed", "5"],
-    ["bound", "--seed", "5"],
+    ["model-based", "--horizon", "1"],
     ["simulate", "--tol", "1e-3"],
     ["simulate", "--max-iter", "3"],
 ])
@@ -416,11 +462,11 @@ def test_unknown_repeated_or_oversized_entry_is_line_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, key, value, low", [
-    ("srl", "exploration seed", "-1", 0),
+    ("compare", "exploration seed", "-1", 0),
     ("model-based", "exploration seed", "-1", 0),
     ("model-based", "exploration substeps", "0", 1),
     ("model-based", "exploration sinusoids", "0", 1),
-    ("srl", "exploration sinusoids", "-3", 1),
+    ("compare", "exploration sinusoids", "-3", 1),
 ])
 def test_count_knob_below_its_bound_is_usage_error(tmp_path, capsys, command,
                                                    key, value, low):
@@ -443,7 +489,7 @@ def test_sinusoid_count_above_its_bound_is_usage_error(tmp_path, capsys):
                                  "exploration sinusoids 100000000"))
     tracemalloc.start()
     try:
-        assert main(["srl", "--scenario", str(path)]) == 1
+        assert main(["compare", "--scenario", str(path)]) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -452,7 +498,7 @@ def test_sinusoid_count_above_its_bound_is_usage_error(tmp_path, capsys):
     assert peak < 1e6  # rejected before any probe array is allocated
 
 
-@pytest.mark.parametrize("command", ["model-based", "srl"])
+@pytest.mark.parametrize("command", ["model-based", "compare"])
 def test_huge_x0_is_usage_error(tmp_path, capsys, command):
     text = save_scenario(builtin_scenario("consensus-a"))
     lines = text.splitlines()
@@ -466,9 +512,8 @@ def test_huge_x0_is_usage_error(tmp_path, capsys, command):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command", ["srl", "compare"])
-def test_negative_seed_override_is_usage_error(capsys, command):
-    assert main([command, "--scenario", "consensus-a", "--seed", "-1"]) == 1
+def test_negative_seed_override_is_usage_error(capsys):
+    assert main(["compare", "--scenario", "consensus-a", "--seed", "-1"]) == 1
     assert ("error: exploration seed must be at least 0, got -1\n"
             in capsys.readouterr().err)
 
@@ -495,7 +540,7 @@ def test_non_finite_simulate_horizon_is_usage_error(tmp_path, capsys, horizon):
     ("solver tol", "-1.0", "must be finite and positive, got -1.0"),
     ("solver max-iter", "0", "must be at least 1, got 0"),
     ("solver rank-tol", "inf", "must be finite and positive, got inf"),
-    # 1/sqrt(2) is below every condition number, so srl would exit 2
+    # 1/sqrt(2) is below every condition number, so compare would exit 2
     # blaming data
     ("solver rank-tol", "2", "must be below 1, got 2.0"),
 ])
@@ -576,18 +621,17 @@ def test_huge_exploration_duration_is_usage_error(tmp_path, capsys):
     path = tmp_path / "long.scn"
     path.write_text(text.replace("exploration duration 1.4",
                                  "exploration duration 1e9"))
-    for command in ("srl", "compare"):
-        tracemalloc.start()
-        try:
-            assert main([command, "--scenario", str(path)]) == 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert capsys.readouterr().err == (
-            "error: exploration duration must be at most 500 s at dt 5e-05 "
-            "with 1 substeps, got 1000000000.0\n"), command
-        assert peak < 1e6  # rejected before the probe or any record is sized
-    for command in ("model-based", "bound", "simulate"):
+    tracemalloc.start()
+    try:
+        assert main(["compare", "--scenario", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (
+        "error: exploration duration must be at most 500 s at dt 5e-05 "
+        "with 1 substeps, got 1000000000.0\n")
+    assert peak < 1e6  # rejected before the probe or any record is sized
+    for command in ("model-based", "simulate"):
         assert main([command, "--scenario", str(path)]) == 0, \
             capsys.readouterr().err
 
@@ -599,13 +643,12 @@ def test_stiff_exploration_is_capped_at_the_step_it_takes(tmp_path, capsys):
     save_scenario(dataclasses.replace(
         _one_state_spec(-1e5, 1.0, 5e-5), exploration=ExplorationConfig(
             seed=1, duration=400.0, window=0.01)), path)
-    for command in ("srl", "compare"):
-        assert main([command, "--scenario", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            "error: exploration duration must be at most 250 s at dt 5e-05 "
-            "with 2 substeps, got 400.0\n"), command
+    assert main(["compare", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: exploration duration must be at most 250 s at dt 5e-05 "
+        "with 2 substeps, got 400.0\n")
     # simulate's 10 ms record of the pole takes 50000 substeps, so 1 s
-    for argv in (["model-based"], ["bound"], ["simulate", "--horizon", "1"]):
+    for argv in (["model-based"], ["simulate", "--horizon", "1"]):
         assert main(argv + ["--scenario", str(path)]) == 0, \
             capsys.readouterr().err
 
@@ -618,9 +661,8 @@ def test_exploration_too_short_for_the_unknowns_is_usage_error(tmp_path,
     path = tmp_path / "short.scn"
     path.write_text(text.replace("exploration duration 1.4",
                                  "exploration duration 0.5"))
-    for command in ("srl", "compare"):
-        assert main([command, "--scenario", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            "error: exploration duration must be at least 1 s (100 windows "
-            "of 0.01 s), got 0.5\n"), command
+    assert main(["compare", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: exploration duration must be at least 1 s (100 windows "
+        "of 0.01 s), got 0.5\n")
     assert main(["model-based", "--scenario", str(path)]) == 0
