@@ -1,4 +1,6 @@
-"""Command-line entry points for scenario runs.
+"""Command-line entry points for scenario runs: each subcommand loads its
+scenario, folds in the overrides it takes, runs its pipeline and prints the
+report that the run's report.json holds.
 
 Exit codes: 0 success, 1 usage or scenario errors, 2 data rank failure,
 3 trajectory divergence, 4 non-convergence or a closed loop that must be
@@ -15,17 +17,18 @@ from .learning import RankDeficientError
 from .model_based import ConvergenceError
 from .system import SimulationDiverged, UnstableClosedLoopError
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_RANK = 2
-EXIT_DIVERGED = 3
-EXIT_NO_CONVERGENCE = 4
+# Each exception type's exit code, the first match winning:
+# UnstableClosedLoopError is a ValueError, so it comes before ValueError.
+_EXIT_CODES = {RankDeficientError: 2, SimulationDiverged: 3,
+               ConvergenceError: 4, UnstableClosedLoopError: 4,
+               ValueError: 1, OSError: 1}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # a bad argument exits as a bad scenario does
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(_EXIT_CODES[ValueError], f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> _Parser:
@@ -34,8 +37,10 @@ def _build_parser() -> _Parser:
                                  "trajectory-data-driven")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, solver=True):
+    def command(name, summary, run, solver=True):
+        """A subcommand whose run(spec, args) returns its report."""
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--scenario", required=True,
                        help=f"builtin name ({', '.join(BUILTIN_SCENARIOS)}) "
                             "or scenario file path")
@@ -48,11 +53,14 @@ def _build_parser() -> _Parser:
                            help="override the solver iteration budget")
         return p
 
-    command("compare", "data-driven run plus baselines").add_argument(
+    command("compare", "data-driven run plus baselines",
+            lambda spec, args: run_srl(spec, args.out)).add_argument(
         "--seed", type=int, default=None, help="override the exploration seed")
-    command("model-based", "structured policy iteration")
-    sim = command("simulate", "zero-input simulation from x0", solver=False)
-    sim.add_argument("--horizon", type=float, default=5.0)
+    command("model-based", "structured policy iteration",
+            lambda spec, args: run_model_based(spec, args.out))
+    command("simulate", "zero-input simulation from x0",
+            lambda spec, args: run_simulate(spec, args.horizon, args.out),
+            solver=False).add_argument("--horizon", type=float, default=5.0)
     return parser
 
 
@@ -71,29 +79,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = _apply_overrides(load_scenario(args.scenario), args)
-        if args.command == "simulate":
-            traj = run_simulate(spec, horizon=args.horizon, out_dir=args.out)
-            out = {"scenario": spec.name, "samples": len(traj.times),
-                   "final_state": traj.states[-1].tolist()}
-        elif args.command == "model-based":
-            out = run_model_based(spec, out_dir=args.out)
-        else:  # compare
-            out = run_srl(spec, out_dir=args.out)
-        print(_report_text(out))
-        return EXIT_OK
-
-    except RankDeficientError as exc:
+        print(_report_text(args.run(spec, args)))
+        return 0
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANK
-    except SimulationDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (ConvergenceError, UnstableClosedLoopError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

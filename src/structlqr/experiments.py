@@ -19,9 +19,10 @@ from .structure import SparsityMask, _check_on_mask, check_membership
 from .system import (_COST_H_LAMBDA, _DIVERGENCE_BOUND, _MAX_STEPS,
                      CostWeights, InputPolicy, LtiSystem, Trajectory,
                      _as_floats, _as_matrix, _as_pair, _check_at_least,
-                     _check_fraction, _check_instance, _check_multiple,
-                     _check_positive, _freeze, _is_index, _rk4_substeps,
-                     evaluate_cost, evaluate_cost_analytic, simulate)
+                     _check_fraction, _check_hurwitz, _check_instance,
+                     _check_multiple, _check_positive, _freeze, _is_index,
+                     _rk4_substeps, evaluate_cost, evaluate_cost_analytic,
+                     simulate)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +447,7 @@ def load_scenario(source) -> ScenarioSpec:
         raise ValueError(
             f"'{source}' is neither a builtin scenario nor an existing file")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # drops a BOM
     except (IsADirectoryError, UnicodeDecodeError):
         raise ValueError(f"'{source}' is not a UTF-8 text file") from None
     return parse_scenario(text)
@@ -504,7 +505,10 @@ def _report(spec: ScenarioSpec, sys: LtiSystem, weights: CostWeights,
             method: str, result: SynthesisResult,
             unstructured: SynthesisResult, **fields) -> dict:
     """The report.json dict (gain and value_matrix as arrays): costs,
-    closed-loop spectrum, structure check, bound, then fields."""
+    closed-loop spectrum, structure check, bound, then fields. A gain that
+    does not stabilize the plant is named as such before any cost."""
+    eigs = np.linalg.eigvals(sys.A - sys.B @ result.K)
+    _check_hurwitz(eigs, "synthesized gain is not stabilizing")
     analytic = evaluate_cost_analytic(sys, weights, result.K, spec.x0)
     quad = evaluate_cost(sys, weights, result.K, spec.x0)
     unstr_cost = evaluate_cost_analytic(sys, weights, unstructured.K, spec.x0)
@@ -515,8 +519,7 @@ def _report(spec: ScenarioSpec, sys: LtiSystem, weights: CostWeights,
         "converged": result.converged, "iterations": result.iterations,
         "gain": result.K, "value_matrix": result.P,
         "cost_quadrature": quad, "cost_analytic": analytic,
-        "closed_loop_eigenvalues": _complex_list(
-            np.linalg.eigvals(sys.A - sys.B @ result.K)),
+        "closed_loop_eigenvalues": _complex_list(eigs),
         "structure_violation_max": check_membership(result.K, spec.mask),
         "bound": bound.to_dict(),
         "comparison": {
@@ -566,17 +569,16 @@ def _check_out_dir(out_dir) -> None:
                              f"existing file '{taken}'")
 
 
-def _emit(out_dir, report: dict, result: SynthesisResult,
-          traj_parts, gains: Dict[str, np.ndarray]):
+def _emit(out_dir, report: dict, *traj_parts) -> Path:
+    """Write what every run writes to out_dir, made if missing:
+    report.json, and trajectory.csv from the (times, states, inputs) parts
+    end to end. Returns out_dir as a Path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    times = np.concatenate([p[0] for p in traj_parts])
-    states = np.vstack([p[1] for p in traj_parts])
-    inputs = np.vstack([p[2] for p in traj_parts])
-    write_trajectory_csv(out / "trajectory.csv", times, states, inputs)
-    write_convergence_csv(out / "convergence.csv", result)
-    write_gains_csv(out / "gains.csv", gains)
+    write_trajectory_csv(out / "trajectory.csv",
+                         *map(np.concatenate, zip(*traj_parts)))
     write_report_json(out / "report.json", report)
+    return out
 
 
 def run_model_based(spec: ScenarioSpec, out_dir=None) -> dict:
@@ -589,9 +591,10 @@ def run_model_based(spec: ScenarioSpec, out_dir=None) -> dict:
     report = _report(spec, sys, weights, "model-based", mb, unstr)
     if out_dir is not None:
         traj = _trajectory(sys, mb.K, spec.x0, 6.0)
-        _emit(out_dir, report, mb,
-              [(traj.times, traj.states, traj.inputs)],
-              {"structured": mb.K, "unstructured": unstr.K})
+        out = _emit(out_dir, report, (traj.times, traj.states, traj.inputs))
+        write_convergence_csv(out / "convergence.csv", mb)
+        write_gains_csv(out / "gains.csv",
+                        {"structured": mb.K, "unstructured": unstr.K})
     return report
 
 
@@ -629,26 +632,27 @@ def run_srl(spec: ScenarioSpec, out_dir=None) -> dict:
     if out_dir is not None:
         # exploration downsampled to the window grid, then the loop is closed
         stride = int(round(config.window / config.dt))
-        t_ex = traj.times[::stride]
-        x_ex = traj.states[::stride]
-        u_ex = traj.inputs[::stride]
         impl = _trajectory(sys, learned.K, traj.states[-1], 6.0)
-        _emit(out_dir, report, learned,
-              [(t_ex, x_ex, u_ex),
-               (impl.times[1:] + traj.times[-1], impl.states[1:], impl.inputs[1:])],
-              {"learned": learned.K, "model_based": mb.K, "unstructured": unstr.K})
+        out = _emit(
+            out_dir, report,
+            (traj.times[::stride], traj.states[::stride], traj.inputs[::stride]),
+            (impl.times[1:] + traj.times[-1], impl.states[1:], impl.inputs[1:]))
+        write_convergence_csv(out / "convergence.csv", learned)
+        write_gains_csv(out / "gains.csv", {
+            "learned": learned.K, "model_based": mb.K, "unstructured": unstr.K})
     return report
 
 
 def run_simulate(spec: ScenarioSpec, horizon: float = 5.0,
-                 out_dir=None) -> Trajectory:
-    """Zero-input simulation of the scenario system from its x0."""
+                 out_dir=None) -> dict:
+    """Zero-input simulation of the scenario system from its x0; returns
+    the report dict that report.json holds (scenario, samples and
+    final_state), written with trajectory.csv to out_dir."""
     _check_instance("spec", spec, ScenarioSpec)
     _check_out_dir(out_dir)
     traj = _trajectory(spec.system(), None, spec.x0, horizon)
+    report = {"scenario": spec.name, "samples": len(traj.times),
+              "final_state": traj.states[-1].tolist()}
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(out / "trajectory.csv", traj.times, traj.states,
-                             traj.inputs)
-    return traj
+        _emit(out_dir, report, (traj.times, traj.states, traj.inputs))
+    return report

@@ -3,8 +3,8 @@
 import numpy as np
 from scipy.linalg import expm, lstsq
 
-from structlqr import SimulationDiverged
-from structlqr.learning import DataMatrices
+from structlqr import SimulationDiverged, Trajectory
+from structlqr.learning import DataMatrices, PlantHandle, hide_state_matrix
 
 # 6-agent diffusive network benchmark: reference values the fixtures must
 # reproduce (gains quoted to 4 decimals, costs in objective units).
@@ -57,6 +57,22 @@ TRIANGLE_A = np.array([
     [1.0, -2.0, 1.0],
     [0.1, 1.0, -1.1],
 ])
+
+
+def noisy_plant(sys, level=1e-2, seed=5) -> PlantHandle:
+    """hide_state_matrix(sys) whose every record carries measurement noise:
+    level * RMS(states) * default_rng(seed).standard_normal(states.shape)
+    added to the states. The inputs are the ones applied, noise-free."""
+    exact = hide_state_matrix(sys)
+
+    def simulate(policy, x0, horizon, dt, substeps):
+        traj = exact.simulate(policy, x0, horizon, dt=dt, substeps=substeps)
+        rms = np.sqrt(np.mean(traj.states ** 2))
+        noise = np.random.default_rng(seed).standard_normal(traj.states.shape)
+        return Trajectory(times=traj.times, states=traj.states
+                          + level * rms * noise, inputs=traj.inputs)
+
+    return PlantHandle(simulate=simulate)
 
 
 def spectral_abscissa(M):

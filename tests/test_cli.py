@@ -1,14 +1,20 @@
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import noisy_plant
 from structlqr.cli import main
 from structlqr.experiments import (ExplorationConfig, ScenarioSpec,
                                    SolverConfig, builtin_scenario,
-                                   ring_scenario, save_scenario)
+                                   load_scenario, ring_scenario, save_scenario)
 from structlqr.structure import SparsityMask
 
 _COMMANDS = ("compare", "model-based", "simulate")
@@ -85,6 +91,10 @@ def test_simulate_subcommand(tmp_path, capsys):
     assert main(["simulate", "--scenario", "consensus-a", "--horizon", "0.5",
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "trajectory.csv").exists()
+    # what a run prints is its report.json, as for the other subcommands
+    text = (tmp_path / "report.json").read_text()
+    assert capsys.readouterr().out == text
+    assert set(json.loads(text)) == {"scenario", "samples", "final_state"}
 
 
 def test_nonconvergence_exit_code(capsys):
@@ -100,21 +110,19 @@ def test_bad_solver_override_is_usage_error(capsys, flag, value, knob):
     assert capsys.readouterr().err.startswith(f"error: {knob} must be")
 
 
-def test_rank_failure_exit_code(tmp_path, capsys):
-    # a single probe frequency excites rank 12 of the 21 int_xx columns
-    # (the regression gate at K0 counts 13)
+def _save_tone(tmp_path):
+    """consensus-a probed at the single frequency 5, saved to a file."""
     spec = builtin_scenario("consensus-a")
     tone = dataclasses.replace(
         spec, exploration=dataclasses.replace(spec.exploration, freq_min=5.0,
                                               freq_max=5.0))
     path = tmp_path / "tone.scn"
     save_scenario(tone, path)
-    assert main(["compare", "--scenario", str(path)]) == 2
-    assert ("error: data rank 12 below the required count 21"
-            in capsys.readouterr().err)
+    return path
 
 
-def test_divergence_exit_code(tmp_path, capsys):
+def _save_runaway(tmp_path):
+    """A one-state plant with a pole at +600 and K0 = 0, saved to a file."""
     spec = ScenarioSpec(
         name="runaway",
         A=np.array([[600.0]]), B=np.array([[1.0]]),
@@ -128,11 +136,63 @@ def test_divergence_exit_code(tmp_path, capsys):
     )
     path = tmp_path / "runaway.scn"
     save_scenario(spec, path)
+    return path
+
+
+def test_rank_failure_exit_code(tmp_path, capsys):
+    # a single probe frequency excites rank 12 of the 21 int_xx columns
+    # (the regression gate at K0 counts 13)
+    path = _save_tone(tmp_path)
+    assert main(["compare", "--scenario", str(path)]) == 2
+    assert ("error: data rank 12 below the required count 21"
+            in capsys.readouterr().err)
+
+
+def test_divergence_exit_code(tmp_path, capsys):
+    path = _save_runaway(tmp_path)
     assert main(["simulate", "--scenario", str(path)]) == 3
     assert "error: state diverged" in capsys.readouterr().err
     # compare rejects the non-stabilizing K0 before it explores
     assert main(["compare", "--scenario", str(path)]) == 4
     assert "error: initial gain is not stabilizing" in capsys.readouterr().err
+
+
+def test_learned_gain_that_does_not_stabilize_exits_4(capsys, monkeypatch):
+    # 1% state noise in the record (inputs exact) moves the learned gain
+    # off the stabilizing set; the error names that gain before any cost,
+    # not the cost's Lyapunov solve
+    monkeypatch.setattr("structlqr.experiments.hide_state_matrix",
+                        noisy_plant)
+    assert main(["compare", "--scenario", "consensus-b", "--seed", "5"]) == 4
+    assert re.fullmatch(r"error: synthesized gain is not stabilizing "
+                        r"\(spectral abscissa 4\.11\d*\)\n",
+                        capsys.readouterr().err)
+
+
+def test_module_entry_point_exits_with_each_code(tmp_path):
+    # python -m structlqr.cli hands main's return value to sys.exit
+    runs = {0: ["model-based", "--scenario", "consensus-a"],
+            1: ["model-based", "--scenario", "nope"],
+            2: ["compare", "--scenario", str(_save_tone(tmp_path))],
+            3: ["simulate", "--scenario", str(_save_runaway(tmp_path))],
+            4: ["model-based", "--scenario", "consensus-a", "--max-iter", "2"]}
+    src = Path(__file__).resolve().parent.parent / "src"
+    for code, argv in runs.items():
+        proc = subprocess.run([sys.executable, "-m", "structlqr.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == code, (argv, proc.stderr)
+
+
+def test_scenario_file_with_a_byte_order_mark_runs(tmp_path, capsys):
+    # an editor may save UTF-8 with a BOM, which is not part of line 1's key
+    path = tmp_path / "bom.scn"
+    text = save_scenario(builtin_scenario("consensus-a"), path)
+    assert path.read_bytes().startswith(b"scenario ")  # written without one
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert save_scenario(load_scenario(path)) == text
+    assert main(["compare", "--scenario", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["scenario"] == "consensus-a"
 
 
 def _one_state_spec(a, q, dt):

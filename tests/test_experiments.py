@@ -456,9 +456,13 @@ class TestRunners:
 
     def test_simulate_runner(self, tmp_path):
         spec = builtin_scenario("consensus-a")
-        traj = run_simulate(spec, horizon=1.0, out_dir=tmp_path)
-        assert len(traj.times) == 101
-        assert (tmp_path / "trajectory.csv").exists()
+        report = run_simulate(spec, horizon=1.0, out_dir=tmp_path)
+        table = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
+                           skiprows=1)
+        assert report == {"scenario": "consensus-a", "samples": 101,
+                          "final_state": table[-1, 1:7].tolist()}
+        assert json.loads((tmp_path / "report.json").read_text()) == report
+        assert run_simulate(spec, horizon=1.0) == report
 
 
 def test_runners_never_import_scipy():

@@ -444,6 +444,15 @@ class TestSimulate:
                                match="^feedback gain has non-finite entries$"):
                 make()
 
+    def test_feedback_with_probe_is_the_policy_of_both_parts(self):
+        # the benchmark's exploration workload builds its policy this way
+        K, probe = 0.5 * np.eye(6), make_exploration(0, 6)
+        policy = InputPolicy.feedback_with_probe(K, probe)
+        want = InputPolicy(gain=K, probe=probe)
+        assert type(policy) is InputPolicy
+        assert np.array_equal(policy.gain, want.gain)
+        assert policy.probe is want.probe
+
 
 class TestCost:
     def test_zero_weight_zero_gain(self):
