@@ -305,10 +305,13 @@ _REQUIRED = {f.name for f in fields(ScenarioSpec) if f.default is MISSING}
 
 
 def _as_path(name: str, path) -> Path:
-    """path as a Path; a ValueError naming it unless a str or os.PathLike."""
+    """path as a Path; a ValueError naming it unless a str or os.PathLike,
+    or if empty, which Path would read as the working directory."""
     if not isinstance(path, (str, os.PathLike)):
         raise ValueError(f"{name} must be a str or os.PathLike, "
                          f"got {type(path).__name__}")
+    if os.fspath(path) == "":
+        raise ValueError(f"{name} must be a non-empty path, got ''")
     return Path(path)
 
 
@@ -438,17 +441,15 @@ def load_scenario(source) -> ScenarioSpec:
     """Load a scenario from a builtin name or a file path."""
     if isinstance(source, str) and source in BUILTIN_SCENARIOS:
         return builtin_scenario(source)
-    try:
-        path = Path(source)
-    except TypeError:
-        raise ValueError(f"source must be a builtin name or a path, got "
-                         f"{type(source).__name__}") from None
+    path = _as_path("source", source)
     if not path.exists():
         raise ValueError(
             f"'{source}' is neither a builtin scenario nor an existing file")
+    if path.is_dir():
+        raise ValueError(f"'{source}' is a directory, not a scenario file")
     try:
         text = path.read_text(encoding="utf-8-sig")  # drops a BOM
-    except (IsADirectoryError, UnicodeDecodeError):
+    except UnicodeDecodeError:
         raise ValueError(f"'{source}' is not a UTF-8 text file") from None
     return parse_scenario(text)
 

@@ -13,11 +13,11 @@ import numpy as np
 
 from .model_based import _MAX_ITER, _TOL, SynthesisResult, _policy_iteration
 from .structure import SparsityMask, _check_on_mask
-from .system import (CostWeights, ExplorationSignal, InputPolicy, LtiSystem,
-                     Trajectory, _as_floats, _as_matrix, _as_pair,
-                     _check_at_least, _check_fraction, _check_instance,
-                     _check_multiple, _check_positive, _check_weights, _freeze,
-                     _is_real)
+from .system import (_SEGMENT_ENTRIES, CostWeights, ExplorationSignal,
+                     InputPolicy, LtiSystem, Trajectory, _as_floats,
+                     _as_matrix, _as_pair, _check_at_least, _check_fraction,
+                     _check_instance, _check_multiple, _check_positive,
+                     _check_weights, _freeze, _is_real)
 
 
 # Knob defaults and caps, shared with the scenario configs.
@@ -221,13 +221,16 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
 
 
 def _gram_rank(theta: np.ndarray, rank_tol: float):
-    """The one rank rule, blind to column scale: G, the Gram matrix of
-    theta's columns scaled to unit norm (zero ones kept; theta is not
-    changed), the norms that undo the scaling, and G's RankReport."""
-    norms = np.linalg.norm(theta, axis=0)
+    """The one rank rule, blind to column scale: G, the Gram matrix
+    theta' theta formed once and scaled in place to unit diagonal by the
+    square roots of its own diagonal (zero columns count as norm 1; theta
+    is not changed), those norms, which undo the scaling, and G's
+    RankReport."""
+    G = theta.T @ theta
+    norms = np.sqrt(np.diagonal(G))
     norms[norms == 0.0] = 1.0
-    unit = theta / norms
-    G = unit.T @ unit
+    G /= norms
+    G /= norms[:, None]
     lam = np.linalg.eigvalsh(G)
     condition = np.sqrt(lam[-1] / lam[0]) if lam[0] > 0.0 else np.inf
     rank = int(np.sum(lam > rank_tol * lam[-1]))
@@ -273,7 +276,9 @@ def check_rank(data: DataMatrices, mask: SparsityMask,
         raise ValueError(f"mask shape {mask.shape} does not match the data's "
                          f"gain shape {(data.m, data.n)}")
     i, j = np.triu_indices(data.n)
-    return _gram_rank(data.int_xx[:, i, j], rank_tol)[2]
+    # a take on the flat windows gathers in half the time of int_xx[:, i, j]
+    flat = data.int_xx.reshape(data.num_windows, -1)
+    return _gram_rank(np.take(flat, i * data.n + j, axis=1), rank_tol)[2]
 
 
 def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
@@ -287,6 +292,11 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
     below 1/sqrt(rank_tol), 1e6 at 1e-12): a failure is a
     RankDeficientError naming that bound; data or config of the wrong type,
     or data whose (n, m) is not B's shape, a ValueError.
+
+    The regressor theta (N, n(n+1)/2) is one array, written in row blocks
+    of at most _SEGMENT_ENTRIES coefficients and row-scaled in place; the
+    right side is (theta' rhs) / norms, so besides the data only theta, G
+    and one block are held.
     """
     _check_instance("data", data, DataMatrices)
     _check_instance("config", config, SrlConfig)
@@ -296,21 +306,29 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
                          f"B's shape {(n, m)}")
     K = _as_matrix(gain, rows=m, cols=n, name="gain")
     Qbar = config.weights.Q + K.T @ config.weights.R @ K
-    coef = ((data.int_xx.reshape(-1, n) @ K.T + data.int_xu.reshape(-1, m))
-            @ (-2.0 * config.B.T)).reshape(-1, n * n)
-    coef += data.delta_xx.reshape(coef.shape)
 
     # The regressors cannot separate P_ij from P_ji, so their coefficients
     # are merged and the unknown is the n(n+1)/2 distinct values of a
     # symmetric P, ordered (i, j) with i <= j, column by column.
     j, i = np.tril_indices(n)
-    theta = np.take(coef, j * n + i, axis=1)
-    theta += np.take(coef, i * n + j, axis=1)
-    theta[:, i == j] *= 0.5
+    lower, upper, diagonal = j * n + i, i * n + j, i == j
+    theta = np.empty((data.num_windows, len(i)))
+    rows = max(1, _SEGMENT_ENTRIES // (n * n))
+    for first in range(0, data.num_windows, rows):
+        span = slice(first, first + rows)
+        coef = ((data.int_xx[span].reshape(-1, n) @ K.T
+                 + data.int_xu[span].reshape(-1, m)) @ (-2.0 * config.B.T)
+                ).reshape(-1, n * n)
+        coef += data.delta_xx[span].reshape(coef.shape)
+        block = theta[span]
+        # mode "clip" (the indices are in range): "raise" buffers out
+        np.take(coef, lower, axis=1, out=block, mode="clip")
+        block += np.take(coef, upper, axis=1)
+        block[:, diagonal] *= 0.5
     rhs = -np.tensordot(data.int_xx, Qbar.T)  # window integrals of x'Qbar x
 
     # equilibrate rows, then _gram_rank columns; scaling undone after solve
-    row_scale = np.linalg.norm(theta, axis=1)
+    row_scale = np.sqrt(np.einsum("ij,ij->i", theta, theta))
     row_scale[row_scale == 0.0] = 1.0
     theta /= row_scale[:, None]
     rhs /= row_scale
@@ -323,7 +341,7 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
             f"{report.required - report.rank}; "
             f"condition number above {1.0 / np.sqrt(config.rank_tol):.3g}")
     P = np.zeros((n, n))
-    P[i, j] = P[j, i] = np.linalg.solve(G, (theta / norms).T @ rhs) / norms
+    P[i, j] = P[j, i] = np.linalg.solve(G, (theta.T @ rhs) / norms) / norms
     return P
 
 

@@ -330,6 +330,8 @@ _DIVERGENCE_BOUND = 1e150
 # times n, or times substeps m when a probe's samples are the wider. Its
 # buffers, the probe samples among them, are a few arrays of this size
 # however long the horizon; its Python steps number about 2 sqrt(rows).
+# learning.solve_iteration writes its regressor in row blocks of the same
+# bound, n^2 coefficients per window, so no N x n^2 temporary exists.
 _SEGMENT_ENTRIES = 2**16
 
 # The most h ||G||_inf simulate lets a step take; max |lambda| <= ||G||_inf

@@ -43,7 +43,15 @@ def test_unknown_scenario_exit_code(capsys):
 def test_scenario_directory_exit_code(tmp_path, capsys):
     assert main(["model-based", "--scenario", str(tmp_path)]) == 1
     assert capsys.readouterr().err == (
-        f"error: '{tmp_path}' is not a UTF-8 text file\n")
+        f"error: '{tmp_path}' is a directory, not a scenario file\n")
+
+
+def test_empty_scenario_path_exit_code(tmp_path, capsys, monkeypatch):
+    # Path("") is the working directory; an empty string names no file
+    monkeypatch.chdir(tmp_path)
+    assert main(["model-based", "--scenario", ""]) == 1
+    assert capsys.readouterr().err == (
+        "error: source must be a non-empty path, got ''\n")
 
 
 def test_scenario_file_not_utf8_exit_code(tmp_path, capsys):
@@ -387,6 +395,22 @@ def test_out_dir_that_is_a_file_exits_1_before_the_run(tmp_path, capsys,
     assert main(["compare", "--scenario", "consensus-a",
                  "--out", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: out_dir ")
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_empty_out_dir_exits_1_before_the_run(tmp_path, capsys, monkeypatch,
+                                              command):
+    # an unset $DIR in --out "$DIR" must not write into the working directory
+    def no_run(*args):
+        raise AssertionError("ran before checking out_dir")
+
+    monkeypatch.setattr("structlqr.experiments._baselines", no_run)
+    monkeypatch.setattr("structlqr.experiments._trajectory", no_run)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--scenario", "consensus-a", "--out", ""]) == 1
+    assert capsys.readouterr().err == (
+        "error: out_dir must be a non-empty path, got ''\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", _COMMANDS)

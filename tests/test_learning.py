@@ -21,7 +21,7 @@ from structlqr import (ConvergenceError, CostWeights, DataMatrices,
 from structlqr.experiments import (ScenarioSpec, builtin_scenario,
                                    make_consensus_network, ring_scenario,
                                    run_model_based, run_srl)
-from structlqr.learning import assemble_data
+from structlqr.learning import _SEGMENT_ENTRIES, _gram_rank, assemble_data
 from structlqr.system import Trajectory, evaluate_cost, simulate
 
 
@@ -291,17 +291,29 @@ def _substep_record():
     return traj, 0.2
 
 
+_RECTANGULAR_B = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]])
+_RECTANGULAR_K = np.array([[0.3, 0.0, 0.1], [0.1, 0.2, 0.0]])
+
+
 def _rectangular_record():
     """n = 3 states, m = 2 inputs, so a slip in reshape order shows."""
     sys = LtiSystem(A=np.array([[-1.0, 2.0, 0.0], [0.0, -3.0, 1.0],
-                                [0.5, 0.0, -2.0]]),
-                    B=np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]]))
+                                [0.5, 0.0, -2.0]]), B=_RECTANGULAR_B)
     probe = make_exploration(5, 2, num_sinusoids=20, freq_range=(0.5, 5.0),
                              amplitude=4.0)
-    K = np.array([[0.3, 0.0, 0.1], [0.1, 0.2, 0.0]])
-    traj = simulate(sys, InputPolicy(gain=K, probe=probe),
+    traj = simulate(sys, InputPolicy(gain=_RECTANGULAR_K, probe=probe),
                     np.array([1.0, -0.5, 0.7]), 2.0, dt=1e-3, substeps=1)
     return traj, 0.05
+
+
+def _rectangular_data():
+    """The n3-m2 record's 40 windows and a config that regresses them."""
+    traj, window = _rectangular_record()
+    config = SrlConfig(mask=SparsityMask.all_ones(2, 3),
+                       weights=CostWeights(Q=np.eye(3), R=np.eye(2)),
+                       B=_RECTANGULAR_B, initial_gain=_RECTANGULAR_K,
+                       window=window, num_windows=40, dt=1e-3)
+    return config, assemble_data(traj, window)
 
 
 RECORDS = {"consensus-a": lambda: _builtin_record("consensus-a"),
@@ -680,21 +692,28 @@ def _unit_columns(data):
     return columns / np.linalg.norm(columns, axis=0)
 
 
-def _assert_report_matches_unit_column_svd(data, mask, rank_tol=1e-12):
-    """check_rank's Gram rule counts the singular values of the unit-norm
-    distinct columns above sqrt(rank_tol) times their largest; its
-    condition is their np.linalg.cond when the data pass, and at least
-    1/sqrt(rank_tol) when they fail."""
-    columns = _unit_columns(data)
+def _assert_matches_unit_column_svd(report, columns, rank_tol, rtol):
+    """The Gram rule counts the singular values of the unit-norm columns
+    above sqrt(rank_tol) times their largest; its condition is their
+    np.linalg.cond, to rtol, when they pass, and at least 1/sqrt(rank_tol)
+    when they fail."""
+    columns = columns / np.linalg.norm(columns, axis=0)
     sv_unit = np.linalg.svd(columns, compute_uv=False)
-    report = check_rank(data, mask, rank_tol=rank_tol)
     assert report.rank == int(np.sum(sv_unit > np.sqrt(rank_tol) * sv_unit[0]))
-    assert report.required == data.n * (data.n + 1) // 2
+    assert report.required == columns.shape[1]
     if report.passed:
         np.testing.assert_allclose(report.condition, np.linalg.cond(columns),
-                                   rtol=1e-6)
+                                   rtol=rtol)
     else:
         assert report.condition >= 1.0 / np.sqrt(rank_tol)
+
+
+def _assert_report_matches_unit_column_svd(data, mask, rank_tol=1e-12):
+    """check_rank against the oracle on the distinct int_xx columns."""
+    report = check_rank(data, mask, rank_tol=rank_tol)
+    assert report.required == data.n * (data.n + 1) // 2
+    _assert_matches_unit_column_svd(report, _unit_columns(data), rank_tol,
+                                    rtol=1e-6)
     return report
 
 
@@ -738,6 +757,28 @@ class TestRankSpectrum:
         assume(not np.any((sv_unit > 0.1 * cut) & (sv_unit < 10.0 * cut)))
         _assert_report_matches_unit_column_svd(data,
                                                SparsityMask.all_ones(m, n))
+
+    def test_regression_gate_matches_unit_column_svd(self, monkeypatch):
+        # near check_rank's gate: one probe sinusoid of amplitude 0.05 reads
+        # cond 3.6e5 of the 1e6 it allows there, and 141 at the regression
+        # gate, whose report is taken from the one rule's return
+        config, data = _spec_data(_near_gate_spec())
+        assert 1e5 < check_rank(data, config.mask).condition < 1e6
+        reports = []
+
+        def spy(theta, rank_tol):
+            result = _gram_rank(theta, rank_tol)
+            reports.append(result[2])
+            return result
+
+        monkeypatch.setattr("structlqr.learning._gram_rank", spy)
+        solve_iteration(data, config.initial_gain, config)
+        rows, _, _ = policy_evaluation_regression(data, config.initial_gain,
+                                                  config)
+        (report,) = reports
+        assert report.passed
+        _assert_matches_unit_column_svd(report, rows, config.rank_tol,
+                                        rtol=1e-10)
 
     def test_passing_run_takes_no_svd(self, monkeypatch):
         # nor does a model-based one, nor a failing one, at check_rank or at
@@ -868,6 +909,52 @@ class TestSolveIteration:
         P = solve_iteration(data, config.initial_gain, config)
         ref = solve_iteration_reference(data, config.initial_gain, config)
         assert np.linalg.norm(P - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("record", ["consensus-a", "consensus-b",
+                                        "n3-m2"])
+    @pytest.mark.parametrize("block_rows", [1, 9])
+    def test_row_blocks_give_the_one_block_bits(self, monkeypatch, record,
+                                                block_rows):
+        # theta is written in row blocks of _SEGMENT_ENTRIES coefficients,
+        # n^2 per window; each record is below one block by default, so one
+        # row per block, or 9 with a partial last block, must give its bits
+        config, data = _BLOCK_RECORDS[record]()
+        n, windows = data.n, data.num_windows
+        assert windows * n * n <= _SEGMENT_ENTRIES
+        assert block_rows == 1 or windows % block_rows != 0
+        whole = solve_iteration(data, config.initial_gain, config)
+        monkeypatch.setattr("structlqr.learning._SEGMENT_ENTRIES",
+                            block_rows * n * n)
+        blocked = solve_iteration(data, config.initial_gain, config)
+        assert blocked.tobytes() == whole.tobytes()
+
+    def test_peak_memory_holds_no_window_by_coefficient_array(self):
+        # n = 24, band-1 mask, 800 windows (required_samples asks 740): the
+        # peak stays within theta and two p x p arrays, with room for the
+        # row blocks but not for an N x n^2 array
+        n, windows = 24, 800
+        p = n * (n + 1) // 2
+        band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
+        mask = SparsityMask(band.astype(float))
+        assert required_samples(n, mask) == 740
+        rng = np.random.default_rng(0)
+        states = rng.standard_normal((windows, 3, n))
+        delta_xx = rng.standard_normal((windows, n, n))
+        data = DataMatrices(
+            delta_xx=delta_xx + delta_xx.transpose(0, 2, 1),
+            int_xx=np.einsum("wki,wkj->wij", states, states),
+            int_xu=rng.standard_normal((windows, n, n)))
+        config = SrlConfig(mask=mask, weights=CostWeights(Q=np.eye(n),
+                                                          R=np.eye(n)),
+                           B=np.eye(n), initial_gain=mask.indicator,
+                           window=0.02, num_windows=windows, dt=0.01)
+        tracemalloc.start()
+        try:
+            solve_iteration(data, config.initial_gain, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * (windows * p + 2 * p * p)
 
     def test_ill_conditioned_record_is_rank_deficient(self):
         # consensus-a seen through x1 <- x0 + 1e-4 x1: state 1 copies state
@@ -1097,6 +1184,13 @@ def _spec_data(spec):
     return config, data
 
 
+def _near_gate_spec():
+    """consensus-a probed by one sinusoid per channel of amplitude 0.05."""
+    spec = builtin_scenario("consensus-a")
+    return dataclasses.replace(spec, exploration=dataclasses.replace(
+        spec.exploration, num_sinusoids=1, amplitude=0.05))
+
+
 def _one_tone_spec():
     """consensus-a probed at the single frequency 5 rad/s."""
     spec = builtin_scenario("consensus-a")
@@ -1131,6 +1225,13 @@ def _scaled_state_record():
     """consensus-a seen through x1 <- 1e-3 x1."""
     return _transformed_record(
         _SCALED_STATE, builtin_scenario("consensus-a").mask)
+
+
+_BLOCK_RECORDS = {
+    "consensus-a": lambda: _spec_data(builtin_scenario("consensus-a")),
+    "consensus-b": lambda: _spec_data(builtin_scenario("consensus-b")),
+    "n3-m2": _rectangular_data,
+}
 
 
 _RANK_RECORDS = {

@@ -240,8 +240,9 @@ def _names(arg, exc) -> bool:
 
 
 # Calls to the scenario entry points with one wrongly typed argument, and
-# that argument. A path is a str or an os.PathLike (None where optional),
-# and an output directory is not an existing file such as this one.
+# that argument. A path is a non-empty str or an os.PathLike (None where
+# optional), and an output directory is not an existing file such as this
+# one.
 _SCENARIO_CALLS = {
     "parse_scenario None": (lambda: parse_scenario(None), "text"),
     "parse_scenario int": (lambda: parse_scenario(5), "text"),
@@ -266,6 +267,22 @@ _SCENARIO_CALLS = {
         "out_dir"),
     "save_scenario int path": (
         lambda: save_scenario(builtin_scenario("consensus-a"), 5), "path"),
+    "save_scenario empty path": (
+        lambda: save_scenario(builtin_scenario("consensus-a"), ""), "path"),
+    "load_scenario empty": (lambda: load_scenario(""), "source"),
+    "run_model_based empty out_dir": (
+        lambda: run_model_based(builtin_scenario("consensus-a"), out_dir=""),
+        "out_dir"),
+    "run_srl empty out_dir": (
+        lambda: run_srl(builtin_scenario("consensus-a"), out_dir=""),
+        "out_dir"),
+    "run_simulate empty out_dir": (
+        lambda: run_simulate(builtin_scenario("consensus-a"), out_dir=""),
+        "out_dir"),
+    "write_trajectory_csv empty": (
+        lambda: write_trajectory_csv("", np.zeros(1), np.zeros((1, 1)),
+                                     np.zeros((1, 1))), "path"),
+    "write_report_json empty": (lambda: write_report_json("", {}), "path"),
     "write_trajectory_csv None": (
         lambda: write_trajectory_csv(None, np.zeros(1), np.zeros((1, 1)),
                                      np.zeros((1, 1))), "path"),
@@ -284,8 +301,12 @@ _SCENARIO_CALLS = {
 
 
 @pytest.mark.parametrize("case", _SCENARIO_CALLS)
-def test_wrongly_typed_scenario_argument_is_named(case):
+def test_wrongly_typed_scenario_argument_is_named(case, tmp_path,
+                                                  monkeypatch):
+    # in an empty working directory, where an empty path would write
+    monkeypatch.chdir(tmp_path)
     call, arg = _SCENARIO_CALLS[case]
     with pytest.raises(ValueError) as info:
         call()
     assert _names(arg, info.value), str(info.value)
+    assert list(tmp_path.iterdir()) == []
