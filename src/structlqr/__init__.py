@@ -12,7 +12,7 @@ from .learning import (DataMatrices, PlantHandle, RankDeficientError,
 from .model_based import (BoundReport, ConvergenceError, IterationRecord,
                           SynthesisResult, kleinman_structured,
                           modified_are_residual, solve_lyapunov,
-                          solve_unstructured_lqr, suboptimality_bound)
+                          suboptimality_bound)
 from .structure import SparsityMask, check_membership, off_pattern, on_pattern
 from .system import (CostWeights, ExplorationSignal, InputPolicy, LtiSystem,
                      SimulationDiverged, Trajectory, UnstableClosedLoopError,
@@ -29,8 +29,7 @@ __all__ = [
     "kleinman_structured",
     "make_exploration", "modified_are_residual", "off_pattern", "on_pattern",
     "required_samples", "simulate", "solve_iteration", "solve_lyapunov",
-    "solve_unstructured_lqr", "srl_synthesize",
-    "suboptimality_bound",
+    "srl_synthesize", "suboptimality_bound",
 ]
 
 __version__ = "0.1.0"

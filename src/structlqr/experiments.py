@@ -13,8 +13,7 @@ from .learning import (_AMPLITUDE, _FREQ_RANGE, _MAX_SINUSOIDS, _NUM_SINUSOIDS,
                        hide_state_matrix, make_exploration, required_samples,
                        srl_synthesize)
 from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
-                          kleinman_structured, solve_unstructured_lqr,
-                          suboptimality_bound)
+                          kleinman_structured, suboptimality_bound)
 from .structure import SparsityMask, _check_on_mask, check_membership
 from .system import (_COST_H_LAMBDA, _DIVERGENCE_BOUND, _MAX_STEPS,
                      CostWeights, InputPolicy, LtiSystem, Trajectory,
@@ -535,13 +534,11 @@ def _report(spec: ScenarioSpec, sys: LtiSystem, weights: CostWeights,
 
 def _baselines(spec: ScenarioSpec, sys: LtiSystem, weights: CostWeights,
                K0):
-    """Model-based structured + unstructured solutions for comparison."""
-    mb = kleinman_structured(sys, weights, spec.mask, K0,
-                             tol=spec.solver.tol, max_iter=spec.solver.max_iter)
-    unstr = solve_unstructured_lqr(sys, weights, initial_gain=K0,
-                                   tol=spec.solver.tol,
-                                   max_iter=spec.solver.max_iter)
-    return mb, unstr
+    """Model-based solutions on the spec's mask and on an all-ones mask."""
+    return tuple(kleinman_structured(sys, weights, mask, K0,
+                                     tol=spec.solver.tol,
+                                     max_iter=spec.solver.max_iter)
+                 for mask in (spec.mask, SparsityMask.all_ones(sys.m, sys.n)))
 
 
 def _trajectory(sys: LtiSystem, gain, x0, horizon: float) -> Trajectory:

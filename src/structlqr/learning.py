@@ -11,13 +11,14 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .model_based import _MAX_ITER, _TOL, SynthesisResult, _policy_iteration
-from .structure import SparsityMask, _check_on_mask
+from .model_based import (_MAX_ITER, _TOL, SynthesisResult, _check_problem,
+                          _policy_iteration)
+from .structure import SparsityMask
 from .system import (_SEGMENT_ENTRIES, CostWeights, ExplorationSignal,
                      InputPolicy, LtiSystem, Trajectory, _as_floats,
                      _as_matrix, _as_pair, _check_at_least, _check_fraction,
                      _check_instance, _check_multiple, _check_positive,
-                     _check_weights, _freeze, _is_real)
+                     _freeze, _is_real)
 
 
 # Knob defaults and caps, shared with the scenario configs.
@@ -151,12 +152,8 @@ class SrlConfig:
     def __post_init__(self):
         B = _as_matrix(self.B, name="B")
         n, m = B.shape
-        _check_instance("mask", self.mask, SparsityMask)
-        if self.mask.shape != (m, n):
-            raise ValueError(f"mask must be {m}x{n}")
-        K0 = _as_matrix(self.initial_gain, rows=m, cols=n, name="initial_gain")
-        _check_on_mask("initial_gain", K0, self.mask)
-        _check_weights(self.weights, n, m)
+        K0 = _check_problem(n, m, self.weights, self.mask, self.initial_gain,
+                            self.tol, self.max_iter)
         object.__setattr__(self, "B", _freeze(B))
         object.__setattr__(self, "initial_gain", _freeze(K0))
         _check_positive("dt", self.dt)
@@ -165,8 +162,6 @@ class SrlConfig:
         _check_at_least("num_windows", self.num_windows,
                         required_samples(n, self.mask))
         _check_at_least("substeps", self.substeps, 1)
-        _check_positive("tol", self.tol)
-        _check_at_least("max_iter", self.max_iter, 1)
         _check_fraction("rank_tol", self.rank_tol)
 
 
@@ -201,8 +196,8 @@ def assemble_data(traj: Trajectory, window: float) -> DataMatrices:
 def collect(plant: PlantHandle, policy: InputPolicy, x0,
             config: SrlConfig) -> Tuple[Trajectory, DataMatrices]:
     """Run the exploration policy and assemble the regression blocks. The
-    plant's record must be on the config's step dt and hold its num_windows
-    windows, else ValueError: the config, not the plant, sizes the data."""
+    plant's record must be on the config's step dt, as wide as its B and
+    hold its num_windows windows, else ValueError: the config sizes it."""
     _check_instance("plant", plant, PlantHandle)
     _check_instance("config", config, SrlConfig)
     horizon = config.num_windows * config.window
@@ -212,6 +207,11 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
     if not abs(traj.dt - config.dt) <= 1e-9 * config.dt:
         raise ValueError(f"the plant's record must have the config's step "
                          f"dt {config.dt!r}, got {traj.dt!r}")
+    width = (traj.states.shape[1], traj.inputs.shape[1])
+    if width != config.B.shape:
+        raise ValueError(f"the plant's record must have the config's "
+                         f"(n, m) = {config.B.shape} states and inputs, "
+                         f"got {width}")
     data = assemble_data(traj, config.window)
     if data.num_windows != config.num_windows:
         raise ValueError(f"the plant's record must hold the config's "

@@ -1,12 +1,12 @@
-"""Model-based synthesis: Lyapunov solves, structured policy iteration,
-the unstructured baseline, and the suboptimality bound report."""
+"""Model-based synthesis: Lyapunov solves, structured policy iteration (on
+an all-ones mask, the unstructured baseline), and the bound report."""
 
 from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .structure import SparsityMask, on_pattern
+from .structure import SparsityMask, _check_on_mask, on_pattern
 from .system import (_SPECTRAL_TOL, CostWeights, LtiSystem, _as_matrix,
                      _as_state, _check_at_least, _check_hurwitz,
                      _check_instance, _check_positive, _check_weights,
@@ -243,10 +243,25 @@ def _policy_iteration(evaluate, K, RinvBt, mask: SparsityMask, tol: float,
     return result
 
 
+def _check_problem(n: int, m: int, weights, mask, initial_gain, tol,
+                   max_iter) -> np.ndarray:
+    """Both routes' set-up checks for n states and m inputs: tol, max_iter,
+    an m x n mask, an initial gain zero off it, weights. Returns the gain."""
+    _check_positive("tol", tol)
+    _check_at_least("max_iter", max_iter, 1)
+    _check_instance("mask", mask, SparsityMask)
+    if mask.shape != (m, n):
+        raise ValueError(f"mask must be {m}x{n}")
+    K0 = _as_matrix(initial_gain, rows=m, cols=n, name="initial_gain")
+    _check_on_mask("initial_gain", K0, mask)
+    _check_weights(weights, n, m)
+    return K0
+
+
 def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask,
                         initial_gain, tol: float = _TOL,
                         max_iter: int = _MAX_ITER) -> SynthesisResult:
-    """Structured policy iteration.
+    """Structured policy iteration; on an all-ones mask, Kleinman's LQR.
 
     Alternates the closed-loop Lyapunov solve (policy evaluation) with the
     masked gain update K <- (R^-1 B' P) o mask (policy improvement) until
@@ -258,14 +273,9 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
     after the loop by the same rule. The partial result of a
     ConvergenceError carries its last gain unchecked.
     """
-    _check_positive("tol", tol)
-    _check_at_least("max_iter", max_iter, 1)
     _check_instance("sys", sys, LtiSystem)
-    _check_instance("mask", mask, SparsityMask)
-    if mask.shape != (sys.m, sys.n):
-        raise ValueError(f"mask must be {sys.m}x{sys.n}")
-    K = _as_matrix(initial_gain, rows=sys.m, cols=sys.n, name="initial_gain")
-    _check_weights(weights, sys.n, sys.m)
+    K = _check_problem(sys.n, sys.m, weights, mask, initial_gain, tol,
+                       max_iter)
     RinvBt = np.linalg.solve(weights.R, sys.B.T)
 
     def evaluate(k, K):
@@ -277,16 +287,6 @@ def kleinman_structured(sys: LtiSystem, weights: CostWeights, mask: SparsityMask
     _check_hurwitz(np.linalg.eigvals(sys.A - sys.B @ result.K),
                    f"iterate {result.iterations} destabilized the loop")
     return result
-
-
-def solve_unstructured_lqr(sys: LtiSystem, weights: CostWeights,
-                           initial_gain, tol: float = _TOL,
-                           max_iter: int = _MAX_ITER) -> SynthesisResult:
-    """Classical LQR baseline: the structured iteration with an all-ones mask."""
-    _check_instance("sys", sys, LtiSystem)
-    mask = SparsityMask.all_ones(sys.m, sys.n)
-    return kleinman_structured(sys, weights, mask, initial_gain,
-                               tol=tol, max_iter=max_iter)
 
 
 def _bound_constant(Mv) -> float:

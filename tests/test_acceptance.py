@@ -20,8 +20,7 @@ from structlqr import (ConvergenceError, CostWeights, InputPolicy, LtiSystem,
                        evaluate_cost_analytic, hide_state_matrix,
                        kleinman_structured, make_exploration,
                        modified_are_residual, required_samples, simulate,
-                       solve_lyapunov, solve_unstructured_lqr,
-                       srl_synthesize, suboptimality_bound)
+                       solve_lyapunov, srl_synthesize, suboptimality_bound)
 from structlqr.experiments import builtin_scenario, run_srl
 from structlqr.learning import SrlConfig
 
@@ -76,7 +75,8 @@ def test_criterion_1_scenario_a_model_based(network, weights):
 @criterion("2 unstructured baseline")
 def test_criterion_2_unstructured(network, weights):
     start = time.perf_counter()
-    res = solve_unstructured_lqr(network, weights, initial_gain=10.0 * np.eye(6))
+    res = kleinman_structured(network, weights, SparsityMask.all_ones(6, 6),
+                              10.0 * np.eye(6))
     cost = evaluate_cost_analytic(network, weights, res.K, X0)
     elapsed = time.perf_counter() - start
     assert np.max(np.abs(res.K - REFERENCE_GAIN_UNSTRUCTURED)) < 0.02
@@ -140,7 +140,8 @@ def test_criterion_5_required_samples():
 @criterion("6 suboptimality bound")
 def test_criterion_6_bound(network, weights):
     ratios = []
-    unstr = solve_unstructured_lqr(network, weights, initial_gain=10.0 * np.eye(6))
+    unstr = kleinman_structured(network, weights, SparsityMask.all_ones(6, 6),
+                                10.0 * np.eye(6))
     J_bar = evaluate_cost_analytic(network, weights, unstr.K, X0)
     for name in ("consensus-a", "consensus-b"):
         mask = scenario_mask(name)
@@ -248,9 +249,10 @@ def test_criterion_7d_projection_identities():
 def test_criterion_7e_cost_dominance(feasible_runs):
     rng = np.random.default_rng(7)
     for sys, weights, mask, res in feasible_runs:
-        unstr = solve_unstructured_lqr(sys, weights,
-                                       initial_gain=np.zeros(mask.shape),
-                                       tol=1e-8, max_iter=200)
+        unstr = kleinman_structured(sys, weights,
+                                    SparsityMask.all_ones(*mask.shape),
+                                    np.zeros(mask.shape), tol=1e-8,
+                                    max_iter=200)
         for _ in range(5):
             x0 = rng.standard_normal(sys.n)
             assert x0 @ res.P @ x0 >= x0 @ unstr.P @ x0 - 1e-8
@@ -285,9 +287,8 @@ def test_criterion_7g_all_ones_srl(network, weights):
     policy = InputPolicy(gain=config.initial_gain, probe=probe)
     _, data = collect(plant, policy, X0, config)
     learned = srl_synthesize(data, config)
-    classical = solve_unstructured_lqr(network, weights,
-                                       initial_gain=config.initial_gain,
-                                       tol=config.tol)
+    classical = kleinman_structured(network, weights, mask,
+                                    config.initial_gain, tol=config.tol)
     dK = np.linalg.norm(learned.K - classical.K, "fro")
     assert dK <= 1e-3
     return f"|K - K_classical| = {dK:.1e}"

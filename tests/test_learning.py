@@ -16,8 +16,7 @@ from structlqr import (ConvergenceError, CostWeights, DataMatrices,
                        kleinman_structured, make_exploration,
                        modified_are_residual, off_pattern, on_pattern,
                        required_samples, solve_iteration, solve_lyapunov,
-                       solve_unstructured_lqr, srl_synthesize,
-                       suboptimality_bound)
+                       srl_synthesize, suboptimality_bound)
 from structlqr.experiments import (ScenarioSpec, builtin_scenario,
                                    make_consensus_network, ring_scenario,
                                    run_model_based, run_srl)
@@ -178,6 +177,35 @@ class TestPlantHandle:
         assert learned.K.tobytes() == want.tobytes()
 
 
+def _off_mask_gain():
+    # (0, 0) and (0, 1) are off mask A; the larger entry is named
+    K0 = 10.0 * np.eye(6)
+    K0[0, 0], K0[0, 1] = 2.0, -3.0
+    return K0
+
+
+# one argument of the set-up both routes share, made bad, and its message
+_BAD_SETUPS = {
+    "off-mask-K0": (dict(initial_gain=_off_mask_gain()),
+                    r"initial_gain must be zero off the mask, got -3\.0 at "
+                    r"\(0, 1\)"),
+    "mask-shape": (dict(mask=SparsityMask.all_ones(6, 5)), "mask must be 6x6"),
+    "K0-shape": (dict(initial_gain=np.zeros((6, 5))),
+                 "initial_gain must have 6 columns, got 5"),
+    "tol-0": (dict(tol=0.0), r"tol must be finite and positive, got 0\.0"),
+    "max_iter-0": (dict(max_iter=0), "max_iter must be at least 1, got 0"),
+    "weights-shape": (dict(weights=CostWeights(Q=np.eye(5), R=np.eye(6))),
+                      r"Q must have shape \(6, 6\), got \(5, 5\)"),
+}
+
+_SETUP_ROUTES = {
+    "SrlConfig": lambda arguments: SrlConfig(
+        B=np.eye(6), window=0.01, num_windows=140, dt=5e-5, **arguments),
+    "kleinman_structured": lambda arguments: kleinman_structured(
+        LtiSystem(A=NETWORK_A, B=np.eye(6)), **arguments),
+}
+
+
 class TestCollect:
     def test_constant_state_blocks(self, mask_a):
         sys = LtiSystem(A=np.zeros((6, 6)), B=np.eye(6))
@@ -235,6 +263,24 @@ class TestCollect:
             collect(PlantHandle(simulate=plant),
                     InputPolicy(gain=config.initial_gain), X0, config)
 
+    @pytest.mark.parametrize("states, inputs", [(5, 5), (6, 5)])
+    def test_record_of_another_width_is_rejected(self, network, mask_a,
+                                                 states, inputs):
+        # a plant that drops channels of its record is named, not the mask
+        # that srl_synthesize would otherwise blame
+        def plant(policy, x0, horizon, dt, substeps):
+            traj = simulate(network, policy, x0, horizon, dt=dt,
+                            substeps=substeps)
+            return Trajectory(times=traj.times, states=traj.states[:, :states],
+                              inputs=traj.inputs[:, :inputs])
+
+        config = network_config(mask_a)
+        with pytest.raises(ValueError, match=(
+                r"^the plant's record must have the config's \(n, m\) = "
+                rf"\(6, 6\) states and inputs, got \({states}, {inputs}\)$")):
+            collect(PlantHandle(simulate=plant),
+                    InputPolicy(gain=config.initial_gain), X0, config)
+
     def test_window_must_align_with_grid(self, network):
         traj = simulate(network, InputPolicy(), X0, 0.5, dt=0.01,
                         substeps=1)
@@ -263,13 +309,20 @@ class TestCollect:
             dataclasses.replace(network_config(mask_a),
                                 mask=SparsityMask.all_ones(6, 5))
 
-    def test_initial_gain_off_the_mask_is_rejected(self, mask_a):
-        # (0, 0) and (0, 1) are off mask A; the larger entry is named
-        K0 = 10.0 * (np.eye(6) * mask_a.indicator)
-        K0[0, 0], K0[0, 1] = 2.0, -3.0
-        with pytest.raises(ValueError, match=r"^initial_gain must be zero off "
-                           r"the mask, got -3\.0 at \(0, 1\)$"):
-            network_config(mask_a, initial_gain=K0)
+    @pytest.mark.parametrize("route", sorted(_SETUP_ROUTES))
+    @pytest.mark.parametrize("setup", sorted(_BAD_SETUPS))
+    def test_initial_gain_off_the_mask_is_rejected(self, mask_a, route,
+                                                   setup):
+        # both policy iterations accept the same problems: each bad set-up
+        # raises one message, whichever route is handed it
+        arguments = dict(mask=mask_a, weights=CostWeights(
+            Q=30.0 * np.eye(6), R=np.eye(6)),
+            initial_gain=10.0 * (np.eye(6) * mask_a.indicator), tol=1e-3,
+            max_iter=30)
+        bad, message = _BAD_SETUPS[setup]
+        arguments.update(bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _SETUP_ROUTES[route](arguments)
 
 
 def _builtin_record(name):
@@ -653,8 +706,6 @@ def _model_calls(sys, weights):
     return {
         "kleinman_structured": lambda: kleinman_structured(
             sys, weights, SparsityMask.all_ones(6, 6), K),
-        "solve_unstructured_lqr": lambda: solve_unstructured_lqr(
-            sys, weights, K),
         "evaluate_cost": lambda: evaluate_cost(sys, weights, K, x0),
         "evaluate_cost_analytic": lambda: evaluate_cost_analytic(
             sys, weights, K, x0),
@@ -1004,9 +1055,8 @@ class TestSrlSynthesize:
         policy = InputPolicy(gain=config.initial_gain, probe=probe)
         _, data = collect(plant, policy, X0, config)
         learned = srl_synthesize(data, config)
-        classical = solve_unstructured_lqr(network, config.weights,
-                                           initial_gain=config.initial_gain,
-                                           tol=config.tol)
+        classical = kleinman_structured(network, config.weights, mask,
+                                        config.initial_gain, tol=config.tol)
         assert np.linalg.norm(learned.K - classical.K, "fro") <= 1e-3
 
     def test_iterates_track_model_based_path(self, network, mask_a):

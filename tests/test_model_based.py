@@ -16,8 +16,7 @@ from structlqr import (ConvergenceError, CostWeights, InputPolicy,
                        UnstableClosedLoopError, evaluate_cost,
                        evaluate_cost_analytic,
                        kleinman_structured, modified_are_residual, simulate,
-                       solve_lyapunov, solve_unstructured_lqr,
-                       suboptimality_bound)
+                       solve_lyapunov, suboptimality_bound)
 from structlqr.experiments import (builtin_scenario,
                                    make_consensus_network, ring_scenario,
                                    run_model_based)
@@ -218,6 +217,22 @@ class TestSolveLyapunov:
             assert (np.linalg.norm(P - P_near)
                     <= 1e-12 * np.linalg.norm(P))
 
+    def test_defective_matrix_stalls_the_refinement(self):
+        # M = T J T^-1, J one Jordan block at -1 with a 1000 superdiagonal
+        # and cond(T) = 100: Hurwitz, but its eigenvectors are nearly
+        # parallel, so the Schur basis from them leaves a sweep that does
+        # not halve the residual (2.55e+12 with numpy 2.4)
+        J = -np.eye(4) + 1000.0 * np.diag(np.ones(3), 1)
+        U, _, Vt = np.linalg.svd(
+            np.random.default_rng(0).standard_normal((4, 4)))
+        T = U @ np.diag(np.logspace(0, 2, 4)) @ Vt
+        M = T @ J @ np.linalg.inv(T)
+        with pytest.raises(ValueError, match=(
+                r"^the eigenvectors of M are too ill-conditioned for the "
+                r"Schur-basis Sylvester solve \(refinement stalled at "
+                r"residual [^)]+\)$")):
+            solve_lyapunov(M, np.eye(4))
+
     def test_symmetric_non_hurwitz_rejected(self):
         rot = np.linalg.qr(np.array([[1.0, 2.0], [3.0, 4.0]]))[0]
         M = rot @ np.diag([-1.0, 0.5]) @ rot.T
@@ -255,8 +270,9 @@ class TestSolveLyapunov:
 
 class TestKleinmanStructured:
     def test_all_ones_recovers_classical_lqr(self, network, weights):
-        res = solve_unstructured_lqr(network, weights,
-                                     initial_gain=10.0 * np.eye(6))
+        res = kleinman_structured(network, weights,
+                                  SparsityMask.all_ones(6, 6),
+                                  10.0 * np.eye(6))
         P_care = solve_continuous_are(network.A, network.B, weights.Q, weights.R)
         K_care = np.linalg.solve(weights.R, network.B.T @ P_care)
         assert np.linalg.norm(res.K - K_care, "fro") < 1e-5
@@ -315,13 +331,10 @@ class TestKleinmanStructured:
         assert spectral_abscissa(network.A - network.B @ partial.K) >= 0.0
 
     def test_nonstabilizing_initial_gain_rejected(self, network, weights, mask_a):
-        K0 = np.zeros((6, 6))
-        for run in (lambda: kleinman_structured(network, weights, mask_a, K0),
-                    lambda: solve_unstructured_lqr(network, weights,
-                                                   initial_gain=K0)):
+        for mask in (mask_a, SparsityMask.all_ones(6, 6)):
             with pytest.raises(UnstableClosedLoopError,
                                match=r"^initial gain is not stabilizing"):
-                run()
+                kleinman_structured(network, weights, mask, np.zeros((6, 6)))
 
     @pytest.mark.parametrize("knob, value", [
         ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
@@ -345,8 +358,9 @@ class TestKleinmanStructured:
                                                     mask_a):
         res = kleinman_structured(network, weights, mask_a,
                                   masked_identity_gain(mask_a))
-        unstr = solve_unstructured_lqr(network, weights,
-                                       initial_gain=10.0 * np.eye(6))
+        unstr = kleinman_structured(network, weights,
+                                    SparsityMask.all_ones(6, 6),
+                                    10.0 * np.eye(6))
         rng = np.random.default_rng(3)
         for _ in range(10):
             x0 = rng.standard_normal(6)
@@ -376,19 +390,22 @@ class TestUnstructuredLqr:
     def test_scalar_closed_form(self):
         sys = LtiSystem(A=np.array([[1.0]]), B=np.array([[1.0]]))
         w = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
-        res = solve_unstructured_lqr(sys, w, initial_gain=np.array([[2.0]]))
+        res = kleinman_structured(sys, w, SparsityMask.all_ones(1, 1),
+                                  np.array([[2.0]]))
         assert res.P[0, 0] == pytest.approx(1.0 + np.sqrt(2.0), abs=1e-9)
         assert res.K[0, 0] == pytest.approx(1.0 + np.sqrt(2.0), abs=1e-9)
 
     def test_vanishing_state_weight(self):
         sys = LtiSystem(A=-np.eye(3), B=np.eye(3))
         w = CostWeights(Q=1e-9 * np.eye(3), R=np.eye(3))
-        res = solve_unstructured_lqr(sys, w, initial_gain=np.zeros((3, 3)))
+        res = kleinman_structured(sys, w, SparsityMask.all_ones(3, 3),
+                                  np.zeros((3, 3)))
         assert np.linalg.norm(res.P, "fro") < 1e-8
 
     def test_reference_cost(self, network, weights):
-        res = solve_unstructured_lqr(network, weights,
-                                     initial_gain=10.0 * np.eye(6))
+        res = kleinman_structured(network, weights,
+                                  SparsityMask.all_ones(6, 6),
+                                  10.0 * np.eye(6))
         J = evaluate_cost_analytic(network, weights, res.K, X0)
         assert abs(J - 12.0428) < 0.02
 
@@ -397,8 +414,9 @@ class TestSuboptimalityBound:
     def test_identity_case_values(self, network, weights, mask_a):
         res = kleinman_structured(network, weights, mask_a,
                                   masked_identity_gain(mask_a))
-        unstr = solve_unstructured_lqr(network, weights,
-                                       initial_gain=10.0 * np.eye(6))
+        unstr = kleinman_structured(network, weights,
+                                    SparsityMask.all_ones(6, 6),
+                                    10.0 * np.eye(6))
         J = evaluate_cost_analytic(network, weights, res.K, X0)
         Jbar = evaluate_cost_analytic(network, weights, unstr.K, X0)
         rep = suboptimality_bound(network, weights, X0, J, Jbar,
@@ -523,7 +541,6 @@ class TestSuboptimalityBound:
         K = masked_identity_gain(mask_a)
         for run in (
                 lambda: kleinman_structured(network, w, mask_a, K),
-                lambda: solve_unstructured_lqr(network, w, initial_gain=K),
                 lambda: evaluate_cost(network, w, K, X0),
                 lambda: evaluate_cost_analytic(network, w, K, X0),
                 lambda: suboptimality_bound(network, w, X0, 1.0, 1.0),

@@ -198,9 +198,6 @@ def valid_arguments():
                          dt=0.01, substeps=10),
         "solve_iteration": dict(data=data, gain=K0, config=config),
         "solve_lyapunov": dict(M=M, S=weights.Q),
-        "solve_unstructured_lqr": dict(model, initial_gain=K0,
-                                       tol=config.tol,
-                                       max_iter=config.max_iter),
         "srl_synthesize": dict(data=data, config=config),
         "suboptimality_bound": dict(model, x0=x0, cost_structured=2.0,
                                     cost_unstructured=1.0,
