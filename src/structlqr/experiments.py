@@ -12,12 +12,12 @@ from .learning import (_AMPLITUDE, _FREQ_RANGE, _MAX_SINUSOIDS, _NUM_SINUSOIDS,
                        _RANK_TOL, SrlConfig, check_rank, collect,
                        hide_state_matrix, make_exploration, required_samples,
                        srl_synthesize)
-from .model_based import (_MAX_ITER, _TOL, SynthesisResult,
+from .model_based import (_MAX_ITER, _TOL, SynthesisResult, _check_problem,
                           kleinman_structured, suboptimality_bound)
-from .structure import SparsityMask, _check_on_mask, check_membership
+from .structure import SparsityMask, check_membership
 from .system import (_COST_H_LAMBDA, _DIVERGENCE_BOUND, _MAX_STEPS,
                      CostWeights, InputPolicy, LtiSystem, Trajectory,
-                     _as_floats, _as_matrix, _as_pair, _check_at_least,
+                     _as_matrix, _as_pair, _as_state, _check_at_least,
                      _check_fraction, _check_hurwitz, _check_instance,
                      _check_multiple, _check_positive, _freeze, _is_index,
                      _rk4_substeps, evaluate_cost, evaluate_cost_analytic,
@@ -130,29 +130,24 @@ class ScenarioSpec:
                         least=2)
         _check_multiple("exploration duration", ex.duration,
                         "exploration window", ex.window)
-        _check_instance("mask", self.mask, SparsityMask)
-        n, m = _as_matrix(self.B, name="B").shape
-        for nm, M, shape in (("Q", self.Q, (n, n)), ("R", self.R, (m, m)),
-                             ("A", self.A, (n, n)),
-                             ("mask", self.mask.indicator, (m, n)),
-                             ("x0", self.x0, (n,)),
-                             ("initial_gain", self.initial_gain, (m, n))):
-            if M is not None and np.shape(M) != shape:
-                raise ValueError(f"{nm} must have shape {shape}")
-        # entries after shapes, so a misshapen block is named by its shape;
-        # each array is kept as the read-only floats checked, as in LtiSystem
-        object.__setattr__(self, "x0", _freeze(_as_floats(self.x0, "x0")))
-        peak = float(np.max(np.abs(self.x0)))
+        # the set-up both synthesis routes check, then the blocks only a run
+        # reads; each array is kept as the read-only floats checked
+        B = _as_matrix(self.B, name="B")
+        n, m = B.shape
+        weights = CostWeights(Q=self.Q, R=self.R)
+        K0 = _check_problem(n, m, weights, self.mask, self.initial_gain,
+                            self.solver.tol, self.solver.max_iter)
+        x0 = _as_state(self.x0, n)
+        peak = float(np.max(np.abs(x0)))
         if not peak <= _DIVERGENCE_BOUND:
             raise ValueError(
                 f"x0 entries must be finite and at most "
                 f"{_DIVERGENCE_BOUND:g} in magnitude, got {peak!r}")
-        CostWeights(Q=self.Q, R=self.R)
-        for name in ("B", "Q", "R", "A", "initial_gain"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _freeze(
-                    _as_matrix(getattr(self, name), name=name)))
-        _check_on_mask("initial_gain", self.initial_gain, self.mask)
+        A = None if self.A is None else _as_matrix(self.A, (n, n), "A")
+        for name, value in (("B", B), ("Q", weights.Q), ("R", weights.R),
+                            ("x0", x0), ("initial_gain", K0), ("A", A)):
+            if value is not None:
+                object.__setattr__(self, name, _freeze(value))
 
     def system(self) -> LtiSystem:
         if self.A is None:

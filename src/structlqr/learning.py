@@ -304,7 +304,7 @@ def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:
     if (data.n, data.m) != (n, m):
         raise ValueError(f"data (n, m) = {(data.n, data.m)} does not match "
                          f"B's shape {(n, m)}")
-    K = _as_matrix(gain, rows=m, cols=n, name="gain")
+    K = _as_matrix(gain, (m, n), "gain")
     Qbar = config.weights.Q + K.T @ config.weights.R @ K
 
     # The regressors cannot separate P_ij from P_ji, so their coefficients

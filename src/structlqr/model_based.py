@@ -188,7 +188,7 @@ def solve_lyapunov(M, S) -> np.ndarray:
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got {M.shape}")
     n = M.shape[0]
-    S = _as_matrix(S, rows=n, cols=n, name="S")
+    S = _as_matrix(S, (n, n), "S")
     if np.max(np.abs(S - S.T)) > 1e-10 * (1.0 + np.max(np.abs(S))):
         raise ValueError("S must be symmetric")
     return _lyapunov(M, S, "M is not Hurwitz")
@@ -204,8 +204,8 @@ def _lyapunov(M, S, unstable: str) -> np.ndarray:
 def modified_are_residual(P, L, sys: LtiSystem, weights: CostWeights) -> float:
     """Frobenius residual of A'P + PA - P B R^-1 B' P + Q + L' R L."""
     _check_instance("sys", sys, LtiSystem)
-    P = _as_matrix(P, rows=sys.n, cols=sys.n, name="P")
-    L = _as_matrix(L, rows=sys.m, cols=sys.n, name="L")
+    P = _as_matrix(P, (sys.n, sys.n), "P")
+    L = _as_matrix(L, (sys.m, sys.n), "L")
     _check_weights(weights, sys.n, sys.m)
     RinvBt = np.linalg.solve(weights.R, sys.B.T)
     res = (sys.A.T @ P + P @ sys.A - P @ sys.B @ RinvBt @ P
@@ -245,14 +245,15 @@ def _policy_iteration(evaluate, K, RinvBt, mask: SparsityMask, tol: float,
 
 def _check_problem(n: int, m: int, weights, mask, initial_gain, tol,
                    max_iter) -> np.ndarray:
-    """Both routes' set-up checks for n states and m inputs: tol, max_iter,
-    an m x n mask, an initial gain zero off it, weights. Returns the gain."""
+    """The set-up check of both routes and of a ScenarioSpec, for n states
+    and m inputs: tol, max_iter, an m x n mask, an initial gain zero off
+    it, weights. Returns the gain."""
     _check_positive("tol", tol)
     _check_at_least("max_iter", max_iter, 1)
     _check_instance("mask", mask, SparsityMask)
     if mask.shape != (m, n):
-        raise ValueError(f"mask must be {m}x{n}")
-    K0 = _as_matrix(initial_gain, rows=m, cols=n, name="initial_gain")
+        raise ValueError(f"mask must have shape {(m, n)}, got {mask.shape}")
+    K0 = _as_matrix(initial_gain, (m, n), "initial_gain")
     _check_on_mask("initial_gain", K0, mask)
     _check_weights(weights, n, m)
     return K0
@@ -384,7 +385,7 @@ def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
     gap = abs(float(cost_structured) - float(cost_unstructured))
     eps = None
     if deviation is not None:
-        L = _as_matrix(deviation, rows=sys.m, cols=sys.n, name="deviation")
+        L = _as_matrix(deviation, (sys.m, sys.n), "deviation")
         eps = float(np.linalg.eigvalsh(L.T @ weights.R @ L)[-1]) / l
     return BoundReport(g=g, l=l, bound=bound, gap=gap,
                        within_bound=bool(gap <= bound), epsilon=eps)

@@ -28,16 +28,14 @@ def _as_floats(value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be an array of real numbers") from None
 
 
-def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
+def _as_matrix(M, shape=None, name="matrix") -> np.ndarray:
     M = _as_floats(M, name)
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {M.shape}")
     if M.size == 0:
         raise ValueError(f"{name} must not be empty, got shape {M.shape}")
-    if rows is not None and M.shape[0] != rows:
-        raise ValueError(f"{name} must have {rows} rows, got {M.shape[0]}")
-    if cols is not None and M.shape[1] != cols:
-        raise ValueError(f"{name} must have {cols} columns, got {M.shape[1]}")
+    if shape is not None and M.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} has non-finite entries")
     return M
@@ -141,7 +139,10 @@ class LtiSystem:
         A = _as_matrix(self.A, name="A")
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got {A.shape}")
-        B = _as_matrix(self.B, rows=A.shape[0], name="B")
+        B = _as_matrix(self.B, name="B")
+        if B.shape[0] != A.shape[0]:
+            raise ValueError(
+                f"B must have {A.shape[0]} rows, got {B.shape[0]}")
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "B", _freeze(B))
 
@@ -233,7 +234,8 @@ class ExplorationSignal:
     phases: np.ndarray
 
     def __post_init__(self):
-        arrays = {name: _as_matrix(np.atleast_2d(getattr(self, name)), name=name)
+        arrays = {name: _as_matrix(np.atleast_2d(
+                      _as_floats(getattr(self, name), name)), name=name)
                   for name in ("frequencies", "amplitudes", "phases")}
         if len({a.shape for a in arrays.values()}) != 1:
             raise ValueError("frequencies, amplitudes, phases must share a shape")
@@ -521,7 +523,7 @@ def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
     returns 9.007e11 against the exact 8.333e11.
     """
     _check_instance("sys", sys, LtiSystem)
-    gain = _as_matrix(gain, rows=sys.m, cols=sys.n, name="gain")
+    gain = _as_matrix(gain, (sys.m, sys.n), "gain")
     x0 = _as_state(x0, sys.n)
     _check_weights(weights, sys.n, sys.m)
     G = sys.A - sys.B @ gain
@@ -550,7 +552,7 @@ def evaluate_cost_analytic(sys: LtiSystem, weights: CostWeights, gain, x0) -> fl
     from .model_based import solve_lyapunov
 
     _check_instance("sys", sys, LtiSystem)
-    gain = _as_matrix(gain, rows=sys.m, cols=sys.n, name="gain")
+    gain = _as_matrix(gain, (sys.m, sys.n), "gain")
     x0 = _as_state(x0, sys.n)
     _check_weights(weights, sys.n, sys.m)
     P = solve_lyapunov(sys.A - sys.B @ gain,

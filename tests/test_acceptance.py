@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (NETWORK_A, REFERENCE_CLOSED_LOOP_EIGS_B,
+from helpers import (REFERENCE_CLOSED_LOOP_EIGS_B,
                      REFERENCE_COST_A, REFERENCE_COST_B,
                      REFERENCE_COST_UNSTRUCTURED, REFERENCE_GAIN_A,
                      REFERENCE_GAIN_UNSTRUCTURED, X0, random_stable_matrix,
@@ -37,16 +37,6 @@ def criterion(label):
             print(f"ACCEPTANCE {label}: PASS" + (f" ({detail})" if detail else ""))
         return wrapper
     return deco
-
-
-@pytest.fixture(scope="module")
-def network():
-    return LtiSystem(A=NETWORK_A, B=np.eye(6))
-
-
-@pytest.fixture(scope="module")
-def weights():
-    return CostWeights(Q=30.0 * np.eye(6), R=np.eye(6))
 
 
 def scenario_mask(name):

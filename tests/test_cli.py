@@ -656,7 +656,7 @@ def test_block_shape_error_names_its_key_and_line(tmp_path, capsys, key,
     path = tmp_path / "bad.scn"
     path.write_text("\n".join(lines) + "\n")
     assert main(["model-based", "--scenario", str(path)]) == 1
-    shape = "(6,)" if vector else "(6, 6)"
+    shape = "(6,), got (1,)" if vector else "(6, 6), got (1, 1)"
     assert (capsys.readouterr().err
             == f"error: line {idx + 1}: {key} must have shape {shape}\n")
 

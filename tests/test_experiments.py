@@ -274,6 +274,12 @@ class TestScenarioSerialization:
         ("mask", np.ones((6, 6)), "^mask must be a SparsityMask, got ndarray$"),
         ("initial_gain", None, "^initial_gain is required"),
         ("x0", ["a"] * 6, "^x0 must be an array of real numbers$"),
+        # a ragged block is named, not failed on inside numpy
+        *((field, [[1.0, 2.0], [3.0]],
+           f"^{field} must be an array of real numbers$")
+          for field in ("Q", "R", "A", "x0", "initial_gain")),
+        ("initial_gain", "abc",
+         "^initial_gain must be an array of real numbers$"),
         # a name a saved file's scenario line could not hold
         ("name", "two words", "^name must be one word, got 'two words'$"),
         ("name", "", "^name must be one word, got ''$"),

@@ -17,21 +17,11 @@ from structlqr import (ConvergenceError, CostWeights, DataMatrices,
                        modified_are_residual, off_pattern, on_pattern,
                        required_samples, solve_iteration, solve_lyapunov,
                        srl_synthesize, suboptimality_bound)
-from structlqr.experiments import (ScenarioSpec, builtin_scenario,
-                                   make_consensus_network, ring_scenario,
-                                   run_model_based, run_srl)
+from structlqr.experiments import (ScenarioSpec, SolverConfig,
+                                   builtin_scenario, make_consensus_network,
+                                   ring_scenario, run_model_based, run_srl)
 from structlqr.learning import _SEGMENT_ENTRIES, _gram_rank, assemble_data
 from structlqr.system import Trajectory, evaluate_cost, simulate
-
-
-@pytest.fixture
-def network():
-    return LtiSystem(A=NETWORK_A, B=np.eye(6))
-
-
-@pytest.fixture
-def mask_a():
-    return SparsityMask.from_zero_positions(6, 6, ZEROS_A)
 
 
 def network_config(mask, weights=None, **overrides):
@@ -189,9 +179,10 @@ _BAD_SETUPS = {
     "off-mask-K0": (dict(initial_gain=_off_mask_gain()),
                     r"initial_gain must be zero off the mask, got -3\.0 at "
                     r"\(0, 1\)"),
-    "mask-shape": (dict(mask=SparsityMask.all_ones(6, 5)), "mask must be 6x6"),
+    "mask-shape": (dict(mask=SparsityMask.all_ones(6, 5)),
+                   r"mask must have shape \(6, 6\), got \(6, 5\)"),
     "K0-shape": (dict(initial_gain=np.zeros((6, 5))),
-                 "initial_gain must have 6 columns, got 5"),
+                 r"initial_gain must have shape \(6, 6\), got \(6, 5\)"),
     "tol-0": (dict(tol=0.0), r"tol must be finite and positive, got 0\.0"),
     "max_iter-0": (dict(max_iter=0), "max_iter must be at least 1, got 0"),
     "weights-shape": (dict(weights=CostWeights(Q=np.eye(5), R=np.eye(6))),
@@ -203,7 +194,22 @@ _SETUP_ROUTES = {
         B=np.eye(6), window=0.01, num_windows=140, dt=5e-5, **arguments),
     "kleinman_structured": lambda arguments: kleinman_structured(
         LtiSystem(A=NETWORK_A, B=np.eye(6)), **arguments),
+    "ScenarioSpec": lambda arguments: _spec_with(**arguments),
 }
+# a code-built scenario's SolverConfig refuses a bad tol or max_iter first,
+# as solver tol and solver max-iter, so those set-ups take two routes
+_SETUP_CASES = [(setup, route) for setup in sorted(_BAD_SETUPS)
+                for route in sorted(_SETUP_ROUTES)
+                if route != "ScenarioSpec"
+                or setup not in ("tol-0", "max_iter-0")]
+
+
+def _spec_with(mask, weights, initial_gain, tol, max_iter):
+    """consensus-a, built in code, with the set-up the other routes take."""
+    return dataclasses.replace(
+        builtin_scenario("consensus-a"), mask=mask, Q=weights.Q, R=weights.R,
+        initial_gain=initial_gain,
+        solver=SolverConfig(tol=tol, max_iter=max_iter))
 
 
 class TestCollect:
@@ -305,16 +311,17 @@ class TestCollect:
             with pytest.raises(ValueError, match=knob):
                 network_config(mask_a, **{knob: value})
         # a mask of the wrong width is named by its shape, as any other
-        with pytest.raises(ValueError, match="^mask must be 6x6$"):
+        with pytest.raises(ValueError, match=r"^mask must have shape "
+                           r"\(6, 6\), got \(6, 5\)$"):
             dataclasses.replace(network_config(mask_a),
                                 mask=SparsityMask.all_ones(6, 5))
 
-    @pytest.mark.parametrize("route", sorted(_SETUP_ROUTES))
-    @pytest.mark.parametrize("setup", sorted(_BAD_SETUPS))
-    def test_initial_gain_off_the_mask_is_rejected(self, mask_a, route,
-                                                   setup):
-        # both policy iterations accept the same problems: each bad set-up
-        # raises one message, whichever route is handed it
+    @pytest.mark.parametrize("setup, route", _SETUP_CASES)
+    def test_initial_gain_off_the_mask_is_rejected(self, mask_a, setup,
+                                                   route):
+        # both policy iterations and a code-built scenario accept the same
+        # problems: each bad set-up raises one message, whichever route is
+        # handed it
         arguments = dict(mask=mask_a, weights=CostWeights(
             Q=30.0 * np.eye(6), R=np.eye(6)),
             initial_gain=10.0 * (np.eye(6) * mask_a.indicator), tol=1e-3,
@@ -649,11 +656,11 @@ _BAD_ARGUMENT_CALLS = {
     "kleinman_structured mask shape": (lambda: kleinman_structured(
         LtiSystem(A=NETWORK_A, B=np.eye(6)),
         CostWeights(Q=np.eye(6), R=np.eye(6)), SparsityMask.all_ones(5, 6),
-        np.zeros((6, 6))), "mask must be 6x6"),
+        np.zeros((6, 6))), "mask must have shape (6, 6), got (5, 6)"),
     "evaluate_cost gain columns": (lambda: evaluate_cost(
         LtiSystem(A=NETWORK_A, B=np.eye(6)),
         CostWeights(Q=np.eye(6), R=np.eye(6)), np.zeros((6, 5)), X0),
-        "gain must have 6 columns, got 5"),
+        "gain must have shape (6, 6), got (6, 5)"),
     "simulate feedback gain shape": (lambda: simulate(
         LtiSystem(A=NETWORK_A, B=np.eye(6)),
         InputPolicy(gain=np.zeros((6, 5))), X0, 0.1),

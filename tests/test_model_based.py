@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 
 from helpers import (NETWORK_A, REFERENCE_GAIN_A, REFERENCE_GAIN_UNSTRUCTURED,
-                     TRIANGLE_A, X0, ZEROS_A, kron_bound_constant_oracle,
+                     TRIANGLE_A, X0, kron_bound_constant_oracle,
                      kron_lyapunov_oracle, lyapunov_integral_oracle,
                      random_laplacian, random_stable_matrix,
                      spectral_abscissa)
@@ -20,21 +20,6 @@ from structlqr import (ConvergenceError, CostWeights, InputPolicy,
 from structlqr.experiments import (builtin_scenario,
                                    make_consensus_network, ring_scenario,
                                    run_model_based)
-
-
-@pytest.fixture
-def network():
-    return LtiSystem(A=NETWORK_A, B=np.eye(6))
-
-
-@pytest.fixture
-def weights():
-    return CostWeights(Q=30.0 * np.eye(6), R=np.eye(6))
-
-
-@pytest.fixture
-def mask_a():
-    return SparsityMask.from_zero_positions(6, 6, ZEROS_A)
 
 
 def masked_identity_gain(mask, scale=10.0):

@@ -140,7 +140,7 @@ _CALLABLES = sorted(set(structlqr.__all__) - _RESULT_TYPES)
 # Wrongly typed values, each swapped in for one valid argument at a time.
 _WRONG_TYPES = {"str": "x", "None": None, "nan": float("nan"), "True": True,
                 "empty": np.zeros(0), "3-D": np.ones((2, 2, 2)),
-                "strings": [["a"]]}
+                "strings": [["a"]], "ragged": [[1.0, 2.0], [3.0]]}
 _NONE_ALLOWED = {("InputPolicy", "gain"), ("InputPolicy", "probe"),
                  ("suboptimality_bound", "deviation")}
 # the names a message may give an argument by, besides its own

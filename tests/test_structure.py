@@ -8,11 +8,6 @@ from helpers import REFERENCE_GAIN_UNSTRUCTURED, ZEROS_A
 from structlqr import SparsityMask, check_membership, off_pattern, on_pattern
 
 
-@pytest.fixture
-def mask_a():
-    return SparsityMask.from_zero_positions(6, 6, ZEROS_A)
-
-
 class TestMask:
     def test_entries_must_be_binary(self):
         with pytest.raises(ValueError):

@@ -15,11 +15,6 @@ from structlqr import (CostWeights, ExplorationSignal, InputPolicy, LtiSystem,
 
 
 @pytest.fixture
-def network():
-    return LtiSystem(A=NETWORK_A, B=np.eye(6))
-
-
-@pytest.fixture
 def probe_calls(monkeypatch):
     """The times at which any ExplorationSignal is called, in call order."""
     calls, call = [], ExplorationSignal.__call__
