@@ -523,6 +523,7 @@ def _report(spec: ScenarioSpec, sys: LtiSystem, weights: CostWeights,
                 float(np.linalg.norm(result.K - unstructured.K, "fro")),
         },
         "rank": None, "exploration_peak_state": None,
+        "exploration_windows": None,
         **fields,
     }
 
@@ -613,7 +614,8 @@ def run_srl(spec: ScenarioSpec, out_dir=None) -> dict:
     learned = srl_synthesize(data, config)
     report = _report(spec, sys, weights, "compare", learned, unstr,
                      rank=rank_report.to_dict(),
-                     exploration_peak_state=float(np.max(np.abs(traj.states))))
+                     exploration_peak_state=float(np.max(np.abs(traj.states))),
+                     exploration_windows=data.num_windows)
     report["comparison"].update({
         "cost_model_based": evaluate_cost_analytic(sys, weights, mb.K,
                                                    spec.x0),

@@ -15,10 +15,10 @@ from .model_based import (_MAX_ITER, _TOL, SynthesisResult, _check_problem,
                           _policy_iteration)
 from .structure import SparsityMask
 from .system import (_SEGMENT_ENTRIES, CostWeights, ExplorationSignal,
-                     InputPolicy, LtiSystem, Trajectory, _as_floats,
-                     _as_matrix, _as_pair, _check_at_least, _check_fraction,
-                     _check_instance, _check_multiple, _check_positive,
-                     _freeze, _is_real)
+                     InputPolicy, LtiSystem, SimulationDiverged, Trajectory,
+                     _as_floats, _as_matrix, _as_pair, _check_at_least,
+                     _check_fraction, _check_instance, _check_multiple,
+                     _check_positive, _freeze, _is_real)
 
 
 # Knob defaults and caps, shared with the scenario configs.
@@ -86,8 +86,9 @@ def hide_state_matrix(sys: LtiSystem) -> PlantHandle:
 
 
 def required_samples(n: int, mask: SparsityMask) -> int:
-    """Data windows to record: twice the paper's unknown count n(n+1)/2 +
-    nnz. It only sizes the data; the rank gate counts n(n+1)/2."""
+    """The least cap on the data windows to record: twice the paper's
+    unknown count n(n+1)/2 + nnz. It only sizes the cap; collect may stop
+    before it, and the rank gate counts n(n+1)/2."""
     _check_at_least("n", n, 1)
     _check_instance("mask", mask, SparsityMask)
     if mask.shape[1] != n:
@@ -142,7 +143,7 @@ class SrlConfig:
     B: np.ndarray
     initial_gain: np.ndarray
     window: float       # data-sample spacing T, seconds
-    num_windows: int
+    num_windows: int    # cap on the windows collect records
     dt: float           # trajectory recording / quadrature step
     substeps: int = 1   # least RK4 steps per dt; simulate may take more
     tol: float = _TOL
@@ -195,14 +196,73 @@ def assemble_data(traj: Trajectory, window: float) -> DataMatrices:
 
 def collect(plant: PlantHandle, policy: InputPolicy, x0,
             config: SrlConfig) -> Tuple[Trajectory, DataMatrices]:
-    """Run the exploration policy and assemble the regression blocks. The
-    plant's record must be on the config's step dt, as wide as its B and
-    hold its num_windows windows, else ValueError: the config sizes it."""
+    """Run the exploration policy until the data determine the gain, and
+    assemble the regression blocks of the record.
+
+    The exploration runs in chunks of ceil(n(n+1)/4) windows, each one
+    plant.simulate call from the last chunk's final state, with the
+    probe's phases advanced by w t0 to the chunk's start t0, so that the
+    input is the same function of time. After each chunk the new windows'
+    distinct int_xx columns join a running Gram matrix, and recording stops
+    at the first chunk where their condition number by the rank rule
+    (_gram_rank's) is at most rank_tol**-0.2, the gate's bound
+    1/sqrt(rank_tol) to the power 2/5: 251 at the default 1e-12. One
+    column (n = 1) has condition 1 whatever the data, so it never stops
+    early. Otherwise recording stops at the config's num_windows, the cap.
+
+    The record returned is the chunks end to end, each later chunk's first
+    sample (the carried state) dropped, on the times dt * arange; the data
+    are assemble_data of it. A chunk's record must be on the config's step
+    dt, as wide as its B and hold the chunk's windows, else ValueError: the
+    config sizes it."""
     _check_instance("plant", plant, PlantHandle)
+    _check_instance("policy", policy, InputPolicy)
     _check_instance("config", config, SrlConfig)
-    horizon = config.num_windows * config.window
-    traj = plant.simulate(policy, x0, horizon, dt=config.dt,
-                          substeps=config.substeps)
+    n = config.B.shape[0]
+    chunk = -(-n * (n + 1) // 4)
+    bound = config.rank_tol ** -0.2
+    gram = np.zeros((n * (n + 1) // 2,) * 2)
+    chunks, done, x = [], 0, x0
+    while done < config.num_windows:
+        windows = min(chunk, config.num_windows - done)
+        t0 = done * config.window
+        try:
+            traj = plant.simulate(_advanced(policy, t0), x,
+                                  windows * config.window, dt=config.dt,
+                                  substeps=config.substeps)
+        except SimulationDiverged as exc:  # at the exploration's time
+            raise SimulationDiverged(time=t0 + exc.time) from None
+        theta = _distinct_xx(_chunk_data(traj, config, windows).int_xx)
+        gram += theta.T @ theta
+        chunks.append(traj)
+        done, x = done + windows, traj.states[-1]
+        if n > 1 and _rank_of_gram(gram.copy(),
+                                   config.rank_tol)[1].condition <= bound:
+            break
+    states = np.concatenate([chunks[0].states]
+                            + [traj.states[1:] for traj in chunks[1:]])
+    inputs = np.concatenate([chunks[0].inputs]
+                            + [traj.inputs[1:] for traj in chunks[1:]])
+    times = config.dt * np.arange(len(states))
+    for arr in (times, states, inputs):
+        arr.setflags(write=False)  # so Trajectory takes them without a copy
+    record = Trajectory(times=times, states=states, inputs=inputs)
+    return record, assemble_data(record, config.window)
+
+
+def _advanced(policy: InputPolicy, t0: float) -> InputPolicy:
+    """policy seen from t0 on: its probe's phases advanced by w t0."""
+    probe = policy.probe
+    if probe is None or t0 == 0:
+        return policy
+    return InputPolicy(gain=policy.gain, probe=ExplorationSignal(
+        frequencies=probe.frequencies, amplitudes=probe.amplitudes,
+        phases=probe.phases + probe.frequencies * t0))
+
+
+def _chunk_data(traj, config: SrlConfig, windows: int) -> DataMatrices:
+    """The blocks of one chunk's record, which must be a Trajectory on the
+    config's step, as wide as its B, holding the chunk's windows."""
     _check_instance("traj", traj, Trajectory)
     if not abs(traj.dt - config.dt) <= 1e-9 * config.dt:
         raise ValueError(f"the plant's record must have the config's step "
@@ -213,20 +273,33 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
                          f"(n, m) = {config.B.shape} states and inputs, "
                          f"got {width}")
     data = assemble_data(traj, config.window)
-    if data.num_windows != config.num_windows:
-        raise ValueError(f"the plant's record must hold the config's "
-                         f"num_windows {config.num_windows} windows, "
-                         f"got {data.num_windows}")
-    return traj, data
+    if data.num_windows != windows:
+        raise ValueError(f"the plant's record must hold the chunk's "
+                         f"{windows} windows, got {data.num_windows}")
+    return data
+
+
+def _distinct_xx(int_xx: np.ndarray) -> np.ndarray:
+    """The n(n+1)/2 distinct int_xx entries (i <= j), a column each over the
+    windows."""
+    N, n = int_xx.shape[:2]
+    i, j = np.triu_indices(n)
+    # a take on the flat windows gathers in half the time of int_xx[:, i, j]
+    return np.take(int_xx.reshape(N, -1), i * n + j, axis=1)
 
 
 def _gram_rank(theta: np.ndarray, rank_tol: float):
     """The one rank rule, blind to column scale: G, the Gram matrix
-    theta' theta formed once and scaled in place to unit diagonal by the
-    square roots of its own diagonal (zero columns count as norm 1; theta
-    is not changed), those norms, which undo the scaling, and G's
-    RankReport."""
+    theta' theta formed once and scaled in place by _rank_of_gram (theta is
+    not changed), the norms that undo the scaling, and G's RankReport."""
     G = theta.T @ theta
+    return (G, *_rank_of_gram(G, rank_tol))
+
+
+def _rank_of_gram(G: np.ndarray, rank_tol: float):
+    """The rule's core on a Gram matrix G: G scaled in place to unit
+    diagonal by the square roots of its own diagonal (zero columns count as
+    norm 1), then those norms and G's RankReport."""
     norms = np.sqrt(np.diagonal(G))
     norms[norms == 0.0] = 1.0
     G /= norms
@@ -234,7 +307,7 @@ def _gram_rank(theta: np.ndarray, rank_tol: float):
     lam = np.linalg.eigvalsh(G)
     condition = np.sqrt(lam[-1] / lam[0]) if lam[0] > 0.0 else np.inf
     rank = int(np.sum(lam > rank_tol * lam[-1]))
-    return G, norms, RankReport(rank, len(lam), float(condition))
+    return norms, RankReport(rank, len(lam), float(condition))
 
 
 @dataclass(frozen=True)
@@ -275,10 +348,7 @@ def check_rank(data: DataMatrices, mask: SparsityMask,
     if mask.shape != (data.m, data.n):
         raise ValueError(f"mask shape {mask.shape} does not match the data's "
                          f"gain shape {(data.m, data.n)}")
-    i, j = np.triu_indices(data.n)
-    # a take on the flat windows gathers in half the time of int_xx[:, i, j]
-    flat = data.int_xx.reshape(data.num_windows, -1)
-    return _gram_rank(np.take(flat, i * data.n + j, axis=1), rank_tol)[2]
+    return _gram_rank(_distinct_xx(data.int_xx), rank_tol)[2]
 
 
 def solve_iteration(data: DataMatrices, gain, config: SrlConfig) -> np.ndarray:

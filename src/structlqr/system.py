@@ -115,7 +115,8 @@ def _check_multiple(name: str, span, step_name: str, step, least: int = 1) -> in
 # samples among them, hold one segment (see _SEGMENT_ENTRIES), so the record
 # alone grows with the horizon and sets the budget. At one substep the cap
 # bounds a 6-agent builtin exploration at 1.04 GB. A builtin exploration
-# run takes 28,000 steps, the largest benchmark run 61,000.
+# takes at most 28,000 steps, its cap, in calls of 2,200 (one chunk of
+# learning.collect); the largest benchmark run takes 61,000.
 _MAX_STEPS = 10**7
 
 
@@ -165,8 +166,9 @@ class CostWeights:
     def __post_init__(self):
         Q = _as_matrix(self.Q, name="Q")
         R = _as_matrix(self.R, name="R")
-        if Q.shape[0] != Q.shape[1] or R.shape[0] != R.shape[1]:
-            raise ValueError("Q and R must be square")
+        for name, M in (("Q", Q), ("R", R)):
+            if M.shape[0] != M.shape[1]:
+                raise ValueError(f"{name} must be square, got {M.shape}")
         if np.max(np.abs(Q - Q.T)) > 1e-12 * (1.0 + np.max(np.abs(Q))):
             raise ValueError("Q must be symmetric")
         Q = 0.5 * (Q + Q.T)
@@ -412,8 +414,8 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
     _check_positive("horizon", horizon)
     _check_at_least("substeps", substeps, 1)
     x0 = _as_state(x0, sys.n)
-    if policy.gain is not None and policy.gain.shape != (sys.m, sys.n):
-        raise ValueError(f"feedback gain must be {sys.m}x{sys.n}")
+    if policy.gain is not None:
+        _as_matrix(policy.gain, (sys.m, sys.n), "feedback gain")
     if policy.probe is not None and len(policy.probe.frequencies) != sys.m:
         raise ValueError(f"probe must have {sys.m} channels, got "
                          f"{len(policy.probe.frequencies)}")

@@ -21,7 +21,8 @@ from structlqr.experiments import (ScenarioSpec, SolverConfig,
                                    builtin_scenario, make_consensus_network,
                                    ring_scenario, run_model_based, run_srl)
 from structlqr.learning import _SEGMENT_ENTRIES, _gram_rank, assemble_data
-from structlqr.system import Trajectory, evaluate_cost, simulate
+from structlqr.system import (SimulationDiverged, Trajectory, evaluate_cost,
+                              simulate)
 
 
 def network_config(mask, weights=None, **overrides):
@@ -128,40 +129,68 @@ class TestPlantHandle:
         assert np.array_equal(via_plant.states, direct.states)
 
     def test_collect_runs_through_a_user_built_handle(self, network, mask_a):
+        # the calls tile the exploration chunk by chunk up to the stop:
+        # 11 windows each, each from the last one's final state, with the
+        # probe's phases advanced to the chunk's start
         calls = []
 
         def plant(policy, x0, horizon, dt, substeps):
-            calls.append((horizon, dt, substeps))
-            return simulate(network, policy, x0, horizon, dt=dt,
+            traj = simulate(network, policy, x0, horizon, dt=dt,
                             substeps=substeps)
+            calls.append((policy, x0, horizon, dt, substeps, traj))
+            return traj
 
         config = network_config(mask_a)
-        policy = InputPolicy(gain=config.initial_gain)
+        probe = make_exploration(7, 6, amplitude=100.0)
+        policy = InputPolicy(gain=config.initial_gain, probe=probe)
         _, data = collect(PlantHandle(simulate=plant), policy, X0, config)
         _, direct = collect(hide_state_matrix(network), policy, X0, config)
-        assert calls == [(config.num_windows * config.window, config.dt,
-                          config.substeps)]
+        assert 1 < len(calls)
+        assert data.num_windows == 11 * len(calls) < config.num_windows
+        start = X0
+        for k, (seen, x0, horizon, dt, substeps, traj) in enumerate(calls):
+            assert (horizon, dt, substeps) == (11 * config.window, config.dt,
+                                               config.substeps)
+            assert np.array_equal(x0, start)
+            assert np.array_equal(seen.gain, config.initial_gain)
+            assert np.array_equal(seen.probe.phases, probe.phases
+                                  + probe.frequencies * (11 * k * 0.01))
+            start = traj.states[-1]
         assert np.array_equal(data.int_xx, direct.int_xx)
         assert np.array_equal(data.int_xu, direct.int_xu)
 
     def test_learner_path_reads_no_state_matrix(self, monkeypatch):
         # a scenario without matrix A gives the config, probe, collection
         # from a replayed record, rank gate and synthesis, building no
-        # plant, and the gain run_srl learns on the full scenario
+        # plant, and the gain run_srl learns on the full scenario: the
+        # replay serves the record run_srl made, chunk after chunk, each
+        # from the state the last one ended in
         full = builtin_scenario("consensus-a")
         want = run_srl(full)["gain"]
         record, _ = _builtin_record("consensus-a")
+        served = []
 
         def refuse(*args, **kwargs):
             raise AssertionError("the learner path built the plant")
+
+        def replay(policy, x0, horizon, dt, substeps):
+            first = sum(served)
+            served.append(int(round(horizon / dt)))
+            rows = slice(first, first + served[-1] + 1)
+            assert np.array_equal(x0, record.states[first])
+            return Trajectory(times=record.times[rows],
+                              states=record.states[rows],
+                              inputs=record.inputs[rows])
 
         monkeypatch.setattr(ScenarioSpec, "system", refuse)
         monkeypatch.setattr(LtiSystem, "__post_init__", refuse)
         spec = dataclasses.replace(full, A=None)
         config = spec.srl_config()
         policy = InputPolicy(gain=config.initial_gain, probe=spec.probe())
-        replay = PlantHandle(simulate=lambda *args, **kwargs: record)
-        _, data = collect(replay, policy, spec.x0, config)
+        traj, data = collect(PlantHandle(simulate=replay), policy, spec.x0,
+                             config)
+        assert sum(served) + 1 == len(record.times) == len(traj.times)
+        assert len(served) > 1
         assert check_rank(data, spec.mask, rank_tol=config.rank_tol).passed
         learned = srl_synthesize(data, config)
         assert learned.K.tobytes() == want.tobytes()
@@ -224,6 +253,89 @@ class TestCollect:
         assert np.allclose(data.int_xx, expected[None], rtol=1e-12)
         assert np.array_equal(data.int_xu, np.zeros_like(data.int_xu))
 
+    @pytest.mark.parametrize("name", ["consensus-a", "consensus-b"])
+    def test_chunked_record_matches_one_call_record(self, name):
+        # chunk by chunk, the probe's phases advanced to each chunk's
+        # start, is the one-call run of the same length to rounding
+        spec = builtin_scenario(name)
+        config = spec.srl_config()
+        policy = InputPolicy(gain=config.initial_gain, probe=spec.probe())
+        plant = hide_state_matrix(spec.system())
+        traj, data = collect(plant, policy, spec.x0, config)
+        assert 11 < data.num_windows < config.num_windows
+        assert data.num_windows % 11 == 0
+        one = plant.simulate(policy, spec.x0, data.num_windows * config.window,
+                             dt=config.dt, substeps=config.substeps)
+        assert np.array_equal(traj.times, one.times)
+        for chunked, whole in ((traj.states, one.states),
+                               (traj.inputs, one.inputs)):
+            assert (np.max(np.abs(chunked - whole))
+                    <= 1e-12 * np.max(np.abs(whole)))
+
+    def test_data_are_the_windows_of_the_record_returned(self, network,
+                                                         mask_a):
+        config = network_config(mask_a)
+        policy = InputPolicy(gain=config.initial_gain,
+                             probe=make_exploration(7, 6, amplitude=100.0))
+        traj, data = collect(hide_state_matrix(network), policy, X0, config)
+        again = assemble_data(traj, config.window)
+        for name in ("delta_xx", "int_xx", "int_xu"):
+            assert (getattr(data, name).tobytes()
+                    == getattr(again, name).tobytes())
+
+    def test_stop_rule_is_not_the_public_gate(self, monkeypatch, network,
+                                              mask_a):
+        # run_srl's check_rank and srl_synthesize's are the gate's only
+        # calls; collect applies the rule to its own running Gram matrix
+        def spy(*args, **kwargs):
+            raise AssertionError("collect called check_rank")
+
+        monkeypatch.setattr("structlqr.learning.check_rank", spy)
+        config = network_config(mask_a)
+        policy = InputPolicy(gain=config.initial_gain,
+                             probe=make_exploration(7, 6, amplitude=100.0))
+        _, data = collect(hide_state_matrix(network), policy, X0, config)
+        assert data.num_windows < config.num_windows
+
+    @pytest.mark.parametrize("name", ["consensus-a", "consensus-b"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_early_stop_keeps_the_full_record_accuracy(self, name, seed):
+        # the gain of the shortened record is within 3x of the full
+        # record's distance to the optimum K* (measured: 1.0-1.2x)
+        spec = builtin_scenario(name)
+        spec = dataclasses.replace(spec, exploration=dataclasses.replace(
+            spec.exploration, seed=seed))
+        config = spec.srl_config()
+        policy = InputPolicy(gain=config.initial_gain, probe=spec.probe())
+        plant = hide_state_matrix(spec.system())
+        optimum = kleinman_structured(spec.system(), config.weights, spec.mask,
+                                      config.initial_gain, tol=1e-12).K
+        _, early = collect(plant, policy, spec.x0, config)
+        full = assemble_data(plant.simulate(
+            policy, spec.x0, config.num_windows * config.window,
+            dt=config.dt, substeps=config.substeps), config.window)
+        assert early.num_windows < full.num_windows
+        early_err, full_err = (
+            np.linalg.norm(srl_synthesize(data, config).K - optimum)
+            for data in (early, full))
+        assert early_err <= 3.0 * full_err
+
+    def test_divergence_is_dated_on_the_exploration_clock(self, network,
+                                                          mask_a):
+        # a chunk's plant call counts time from the chunk's start; the
+        # error names the time since the exploration began
+        def plant(policy, x0, horizon, dt, substeps):
+            if not np.array_equal(x0, X0):
+                raise SimulationDiverged(time=0.05)
+            return simulate(network, policy, x0, horizon, dt=dt,
+                            substeps=substeps)
+
+        config = network_config(mask_a)
+        with pytest.raises(SimulationDiverged) as info:
+            collect(PlantHandle(simulate=plant),
+                    InputPolicy(gain=config.initial_gain), X0, config)
+        assert info.value.time == pytest.approx(0.11 + 0.05)
+
     def test_integrals_against_fine_grid(self):
         A = np.array([[-1.0, 2.0], [0.0, -3.0]])
         B = np.array([[1.0, 0.0], [0.5, 1.0]])
@@ -254,18 +366,18 @@ class TestCollect:
             collect(PlantHandle(simulate=plant),
                     InputPolicy(gain=config.initial_gain), X0, config)
 
-    @pytest.mark.parametrize("span, windows", [(0.5, 70), (2.0, 280)])
+    @pytest.mark.parametrize("span, windows", [(0.5, 5), (2.0, 22)])
     def test_record_of_another_length_is_rejected(self, network, mask_a,
                                                   span, windows):
-        # 70 windows is below the 100 the rank gate's unknowns need
+        # the first chunk asks for 11 windows; half or twice that is named
         def plant(policy, x0, horizon, dt, substeps):
             return simulate(network, policy, x0, span * horizon, dt=dt,
                             substeps=substeps)
 
         config = network_config(mask_a)
         with pytest.raises(ValueError, match=(
-                r"^the plant's record must hold the config's num_windows "
-                rf"140 windows, got {windows}$")):
+                r"^the plant's record must hold the chunk's 11 windows, "
+                rf"got {windows}$")):
             collect(PlantHandle(simulate=plant),
                     InputPolicy(gain=config.initial_gain), X0, config)
 
@@ -664,10 +776,13 @@ _BAD_ARGUMENT_CALLS = {
     "simulate feedback gain shape": (lambda: simulate(
         LtiSystem(A=NETWORK_A, B=np.eye(6)),
         InputPolicy(gain=np.zeros((6, 5))), X0, 0.1),
-        "feedback gain must be 6x6"),
+        "feedback gain must have shape (6, 6), got (6, 5)"),
     "CostWeights Q not square": (
         lambda: CostWeights(Q=np.ones((2, 3)), R=[[1.0]]),
-        "Q and R must be square"),
+        "Q must be square, got (2, 3)"),
+    "CostWeights R not square": (
+        lambda: CostWeights(Q=np.eye(6), R=np.ones((6, 5))),
+        "R must be square, got (6, 5)"),
     "Trajectory one sample": (lambda: Trajectory(
         times=[0.0], states=np.zeros((1, 1)), inputs=np.zeros((1, 1))),
         "a trajectory needs at least two samples"),
@@ -788,7 +903,7 @@ class TestRankSpectrum:
         config, scaled = _scaled_state_record()
         report = _assert_report_matches_unit_column_svd(consensus_a, mask_a)
         other = _assert_report_matches_unit_column_svd(scaled, config.mask)
-        assert report.condition == pytest.approx(45.9, abs=0.05)
+        assert report.condition == pytest.approx(111.8, abs=0.05)
         assert other.condition == pytest.approx(report.condition, rel=1e-6)
 
     @settings(max_examples=40, deadline=None)
@@ -970,12 +1085,12 @@ class TestSolveIteration:
 
     @pytest.mark.parametrize("record", ["consensus-a", "consensus-b",
                                         "n3-m2"])
-    @pytest.mark.parametrize("block_rows", [1, 9])
+    @pytest.mark.parametrize("block_rows", [1, 7])
     def test_row_blocks_give_the_one_block_bits(self, monkeypatch, record,
                                                 block_rows):
         # theta is written in row blocks of _SEGMENT_ENTRIES coefficients,
         # n^2 per window; each record is below one block by default, so one
-        # row per block, or 9 with a partial last block, must give its bits
+        # row per block, or 7 with a partial last block, must give its bits
         config, data = _BLOCK_RECORDS[record]()
         n, windows = data.n, data.num_windows
         assert windows * n * n <= _SEGMENT_ENTRIES
@@ -1155,6 +1270,7 @@ class TestSrlSynthesize:
         plant = hide_state_matrix(network)
         policy = InputPolicy(gain=config.initial_gain, probe=probe)
         _, data = collect(plant, policy, X0, config)
+        assert data.num_windows == config.num_windows  # no early stop
         with pytest.raises(RankDeficientError):
             srl_synthesize(data, config)
 
