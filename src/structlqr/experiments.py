@@ -15,13 +15,12 @@ from .learning import (_AMPLITUDE, _FREQ_RANGE, _MAX_SINUSOIDS, _NUM_SINUSOIDS,
 from .model_based import (_MAX_ITER, _TOL, SynthesisResult, _check_problem,
                           kleinman_structured, suboptimality_bound)
 from .structure import SparsityMask, check_membership
-from .system import (_COST_H_LAMBDA, _DIVERGENCE_BOUND, _MAX_STEPS,
-                     CostWeights, InputPolicy, LtiSystem, Trajectory,
-                     _as_matrix, _as_pair, _as_state, _check_at_least,
-                     _check_fraction, _check_hurwitz, _check_instance,
-                     _check_multiple, _check_positive, _freeze, _is_index,
-                     _rk4_substeps, evaluate_cost, evaluate_cost_analytic,
-                     simulate)
+from .system import (_COST_H_LAMBDA, _MAX_STEPS, CostWeights, InputPolicy,
+                     LtiSystem, Trajectory, _as_matrix, _as_pair, _as_state,
+                     _check_at_least, _check_fraction, _check_hurwitz,
+                     _check_instance, _check_multiple, _check_positive,
+                     _freeze, _is_index, _rk4_substeps, evaluate_cost,
+                     evaluate_cost_analytic, simulate)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +137,6 @@ class ScenarioSpec:
         K0 = _check_problem(n, m, weights, self.mask, self.initial_gain,
                             self.solver.tol, self.solver.max_iter)
         x0 = _as_state(self.x0, n)
-        peak = float(np.max(np.abs(x0)))
-        if not peak <= _DIVERGENCE_BOUND:
-            raise ValueError(
-                f"x0 entries must be finite and at most "
-                f"{_DIVERGENCE_BOUND:g} in magnitude, got {peak!r}")
         A = None if self.A is None else _as_matrix(self.A, (n, n), "A")
         for name, value in (("B", B), ("Q", weights.Q), ("R", weights.R),
                             ("x0", x0), ("initial_gain", K0), ("A", A)):

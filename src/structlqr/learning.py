@@ -14,11 +14,12 @@ import numpy as np
 from .model_based import (_MAX_ITER, _TOL, SynthesisResult, _check_problem,
                           _policy_iteration)
 from .structure import SparsityMask
-from .system import (_SEGMENT_ENTRIES, CostWeights, ExplorationSignal,
-                     InputPolicy, LtiSystem, SimulationDiverged, Trajectory,
-                     _as_floats, _as_matrix, _as_pair, _check_at_least,
-                     _check_fraction, _check_instance, _check_multiple,
-                     _check_positive, _freeze, _is_real)
+from .system import (_DIVERGENCE_BOUND, _SEGMENT_ENTRIES, CostWeights,
+                     ExplorationSignal, InputPolicy, LtiSystem,
+                     SimulationDiverged, Trajectory, _as_floats, _as_matrix,
+                     _as_pair, _as_state, _check_at_least, _check_fraction,
+                     _check_instance, _check_multiple, _check_positive,
+                     _freeze, _is_real)
 
 
 # Knob defaults and caps, shared with the scenario configs.
@@ -214,7 +215,7 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
     sample (the carried state) dropped, on the times dt * arange; the data
     are assemble_data of it. A chunk's record must be on the config's step
     dt, as wide as its B and hold the chunk's windows, else ValueError: the
-    config sizes it."""
+    config sizes it. x0 must be a state _as_state takes, as for simulate."""
     _check_instance("plant", plant, PlantHandle)
     _check_instance("policy", policy, InputPolicy)
     _check_instance("config", config, SrlConfig)
@@ -222,7 +223,7 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
     chunk = -(-n * (n + 1) // 4)
     bound = config.rank_tol ** -0.2
     gram = np.zeros((n * (n + 1) // 2,) * 2)
-    chunks, done, x = [], 0, x0
+    chunks, done, x = [], 0, _as_state(x0, n)
     while done < config.num_windows:
         windows = min(chunk, config.num_windows - done)
         t0 = done * config.window
@@ -230,9 +231,9 @@ def collect(plant: PlantHandle, policy: InputPolicy, x0,
             traj = plant.simulate(_advanced(policy, t0), x,
                                   windows * config.window, dt=config.dt,
                                   substeps=config.substeps)
+            theta = _distinct_xx(_chunk_data(traj, config, windows).int_xx)
         except SimulationDiverged as exc:  # at the exploration's time
             raise SimulationDiverged(time=t0 + exc.time) from None
-        theta = _distinct_xx(_chunk_data(traj, config, windows).int_xx)
         gram += theta.T @ theta
         chunks.append(traj)
         done, x = done + windows, traj.states[-1]
@@ -262,7 +263,8 @@ def _advanced(policy: InputPolicy, t0: float) -> InputPolicy:
 
 def _chunk_data(traj, config: SrlConfig, windows: int) -> DataMatrices:
     """The blocks of one chunk's record, which must be a Trajectory on the
-    config's step, as wide as its B, holding the chunk's windows."""
+    config's step, as wide as its B, holding the chunk's windows; its first
+    state above _DIVERGENCE_BOUND is a SimulationDiverged at its time."""
     _check_instance("traj", traj, Trajectory)
     if not abs(traj.dt - config.dt) <= 1e-9 * config.dt:
         raise ValueError(f"the plant's record must have the config's step "
@@ -272,6 +274,9 @@ def _chunk_data(traj, config: SrlConfig, windows: int) -> DataMatrices:
         raise ValueError(f"the plant's record must have the config's "
                          f"(n, m) = {config.B.shape} states and inputs, "
                          f"got {width}")
+    over = np.max(np.abs(traj.states), axis=1) > _DIVERGENCE_BOUND
+    if over.any():
+        raise SimulationDiverged(time=int(np.argmax(over)) * config.dt)
     data = assemble_data(traj, config.window)
     if data.num_windows != windows:
         raise ValueError(f"the plant's record must hold the chunk's "

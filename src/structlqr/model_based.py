@@ -360,7 +360,7 @@ def suboptimality_bound(sys: LtiSystem, weights: CostWeights, x0,
                         deviation=None) -> BoundReport:
     """Bound |J - Jbar| <= (l / 2g) ||x0 (x) x0|| and report the actual gap.
 
-    x0 must be a finite vector of length n and both costs finite numbers.
+    x0 must be a state _as_state takes and both costs finite numbers.
     Raises ValueError if B is zero, if two eigenvalues of A - B R^-1 B' sum
     to zero, or if its eigenvectors are too ill-conditioned for l to be
     computed to rounding accuracy (see BoundReport).

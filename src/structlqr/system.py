@@ -8,10 +8,11 @@ import numpy as np
 
 
 class SimulationDiverged(RuntimeError):
-    """State became non-finite during integration."""
+    """State became non-finite, or above _DIVERGENCE_BOUND, in a record."""
 
     def __init__(self, time: float):
-        super().__init__(f"state diverged (non-finite) at t = {time:.6g} s")
+        super().__init__(f"state diverged (non-finite or above "
+                         f"{_DIVERGENCE_BOUND:g}) at t = {time:.6g} s")
         self.time = time
 
 
@@ -299,12 +300,16 @@ def _check_hurwitz(eigs, what: str) -> None:
 
 
 def _as_state(x0, n: int) -> np.ndarray:
-    """x0 as a float vector of shape (n,) with finite entries."""
+    """x0 as a float vector of shape (n,) within _DIVERGENCE_BOUND."""
     x0 = _as_floats(x0, "x0")
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 has non-finite entries")
+    peak = float(np.max(np.abs(x0)))
+    if peak > _DIVERGENCE_BOUND:
+        raise ValueError(f"x0 entries must be finite and at most "
+                         f"{_DIVERGENCE_BOUND:g} in magnitude, got {peak!r}")
     return x0
 
 
@@ -326,8 +331,8 @@ def _rk4_step(G, h, x, f_start, f_mid, f_end):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# A recorded state entry above this counts as divergence; it also caps a
-# scenario's x0 entries, whose quadratic costs would overflow a float.
+# A recorded state entry above this counts as divergence; _as_state caps
+# x0's entries at it too, as their quadratic costs would overflow a float.
 _DIVERGENCE_BOUND = 1e150
 
 # Entries one segment of simulate's blocked scan holds per buffer: its rows
@@ -509,8 +514,8 @@ def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
     On the grid x_k = Phi^k x0 (Phi the RK4 step map, as in simulate) the
     running cost sums to x0' W x0, W = sum_k Phi'^k (Q + K'RK) Phi^k, which
     Smith's doubling (SIAM J. Appl. Math. 16(1), 1968), W <- W + Phi'W Phi
-    and Phi <- Phi^2, forms until W stops changing. x0 must be a finite
-    vector of length n; a closed loop that is not Hurwitz raises
+    and Phi <- Phi^2, forms until W stops changing. x0 must be a state
+    _as_state takes; a closed loop that is not Hurwitz raises
     UnstableClosedLoopError. SimulationDiverged is raised where W turns
     non-finite or has not settled after 2^_COST_DOUBLINGS steps, at the
     time the failed doubling would reach.
@@ -549,7 +554,7 @@ def evaluate_cost(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
 
 def evaluate_cost_analytic(sys: LtiSystem, weights: CostWeights, gain, x0) -> float:
     """Closed-form cost x0' P x0 with P from the closed-loop Lyapunov equation.
-    x0 must be a finite vector of length n; solve_lyapunov raises
+    x0 must be a state _as_state takes; solve_lyapunov raises
     UnstableClosedLoopError for a closed loop that is not Hurwitz."""
     from .model_based import solve_lyapunov
 

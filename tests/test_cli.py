@@ -289,17 +289,28 @@ def test_simulate_horizon_off_the_grid_exits_1(capsys):
         "error: horizon must be an integer multiple of dt 0.01, got 0.015\n")
 
 
+def _negative_entry(K0):
+    """K0 with -100 at (2, 2), on consensus-a's mask."""
+    K0 = K0.copy()
+    K0[2, 2] = -100.0
+    return K0
+
+
+@pytest.mark.parametrize("make_k0, abscissa", [
+    (_negative_entry, r"95\.1273"),
+    # K0 = 0 leaves the consensus mode at zero, on either side by rounding
+    (np.zeros_like, r"-?[0-9.e+-]+(, within [0-9.e+-]+ of the imaginary "
+                    r"axis)?")], ids=["negative-entry", "zero"])
 @pytest.mark.parametrize("command", ["compare", "model-based"])
-def test_non_stabilizing_initial_gain_exits_4(tmp_path, capsys, command):
+def test_non_stabilizing_initial_gain_exits_4(tmp_path, capsys, command,
+                                              make_k0, abscissa):
     spec = builtin_scenario("consensus-a")
-    K0 = spec.initial_gain.copy()
-    K0[2, 2] = -100.0  # on the mask
     path = tmp_path / "k0.scn"
-    save_scenario(dataclasses.replace(spec, initial_gain=K0), path)
+    save_scenario(dataclasses.replace(
+        spec, initial_gain=make_k0(spec.initial_gain)), path)
     assert main([command, "--scenario", str(path)]) == 4
-    assert capsys.readouterr().err == (
-        "error: initial gain is not stabilizing (spectral abscissa "
-        "95.1273)\n")
+    assert re.fullmatch(r"error: initial gain is not stabilizing \(spectral "
+                        rf"abscissa {abscissa}\)\n", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["compare", "model-based"])
@@ -360,14 +371,25 @@ def test_initial_gain_off_the_mask_exits_1(tmp_path, capsys, command):
         "-7.5 at (0, 0)\n")
 
 
-@pytest.mark.parametrize("scenario", ["consensus-a", "consensus-b",
-                                      "consensus-b-declared"])
+@pytest.mark.parametrize("scenario", [
+    "consensus-a", "consensus-b", "consensus-b-declared", "consensus-b.scn"])
 @pytest.mark.parametrize("command", ["model-based", "compare"])
 def test_compare_writes_full_report(tmp_path, capsys, command, scenario):
-    assert main([command, "--scenario", scenario,
-                 "--out", str(tmp_path)]) == 0
-    text = (tmp_path / "report.json").read_text()
+    source, out = scenario, tmp_path / "out"
+    if scenario.endswith(".scn"):  # a builtin saved to a file
+        source = str(tmp_path / scenario)
+        save_scenario(builtin_scenario(scenario[:-4]), source)
+    assert main([command, "--scenario", source, "--out", str(out)]) == 0
+    text = (out / "report.json").read_text()
     assert capsys.readouterr().out == text  # one report, in both places
+    if source != scenario:  # runs as the builtin itself, file for file
+        builtin = tmp_path / "builtin"
+        assert main([command, "--scenario", scenario[:-4],
+                     "--out", str(builtin)]) == 0
+        assert capsys.readouterr().out == text
+        assert sorted(os.listdir(out)) == sorted(os.listdir(builtin))
+        for name in os.listdir(out):
+            assert (out / name).read_bytes() == (builtin / name).read_bytes()
     report = json.loads(text)
     assert set(report) == {
         "scenario", "method", "converged", "iterations", "gain",
@@ -468,7 +490,7 @@ def test_bad_time_step_or_span_is_usage_error(tmp_path, capsys, command, key,
 
 
 def test_zero_time_step_in_a_saved_builtin_is_a_line_error(tmp_path, capsys):
-    # the file the console-script smoke writes, and the exact stderr it greps
+    # a saved builtin whose time step, on line 2, is zero names that line
     text = save_scenario(builtin_scenario("consensus-a"))
     path = tmp_path / "dt0.scn"
     path.write_text(text.replace("\ndt 5e-05\n", "\ndt 0\n", 1))

@@ -336,6 +336,30 @@ class TestCollect:
                     InputPolicy(gain=config.initial_gain), X0, config)
         assert info.value.time == pytest.approx(0.11 + 0.05)
 
+    def test_record_above_the_divergence_bound_is_dated(self, network,
+                                                        mask_a):
+        # a plant whose record reaches 1e160 diverges at its first sample
+        # above 1e150, as simulate's own record does, before its windowed
+        # products overflow
+        plain = hide_state_matrix(network)
+
+        def plant(*args, **kwargs):
+            traj = plain.simulate(*args, **kwargs)
+            return Trajectory(times=traj.times, states=1e160 * traj.states,
+                              inputs=traj.inputs)
+
+        config = network_config(mask_a)
+        policy = InputPolicy(gain=config.initial_gain,
+                             probe=make_exploration(7, 6, amplitude=1e-6))
+        x0 = 1e-20 * X0  # so the scaled record starts within the bound
+        with pytest.raises(SimulationDiverged) as info:
+            collect(PlantHandle(simulate=plant), policy, x0, config)
+        first_chunk = plain.simulate(policy, x0, 11 * config.window,
+                                     dt=config.dt, substeps=1)
+        above = np.max(np.abs(first_chunk.states), axis=1) > 1e-10
+        assert 0 < np.argmax(above)
+        assert info.value.time == np.argmax(above) * config.dt
+
     def test_integrals_against_fine_grid(self):
         A = np.array([[-1.0, 2.0], [0.0, -3.0]])
         B = np.array([[1.0, 0.0], [0.5, 1.0]])

@@ -618,3 +618,52 @@ def test_marginal_loops_are_unstable_whatever_the_rounding():
             with pytest.raises(UnstableClosedLoopError):
                 run()
     assert signs == {False, True}  # both roundings were exercised
+
+
+_EQUIVARIANCE_SCENARIOS = ("consensus-a", "consensus-b", "ring8")
+_EQUIVARIANCE_CHANGES = ("state", "input", "cost")
+
+
+@pytest.mark.parametrize("change", _EQUIVARIANCE_CHANGES)
+@pytest.mark.parametrize("scenario", _EQUIVARIANCE_SCENARIOS)
+def test_structured_gain_moves_with_the_coordinates(scenario, change):
+    # changes of coordinates that keep the mask's pattern move the solution
+    # exactly: a state change T = Pi D sends K to K T^-1, an input change E
+    # (a permutation with positive scaling) sends K to E^-1 K, and Q, R ->
+    # cQ, cR send P to cP; five seeded draws, each solved to tol 1e-12
+    # (1e-12 c for the scaled cost, as tol bounds ||dP||_F absolutely)
+    spec = (ring_scenario(8) if scenario == "ring8"
+            else builtin_scenario(scenario))
+    sys, w, mask, K0 = (spec.system(), spec.weights(), spec.mask,
+                        spec.initial_gain)
+    n, m = sys.n, sys.m
+    base = kleinman_structured(sys, w, mask, K0, tol=1e-12)
+    rng = np.random.default_rng((_EQUIVARIANCE_SCENARIOS.index(scenario),
+                                 _EQUIVARIANCE_CHANGES.index(change)))
+    for _ in range(5):
+        if change == "state":
+            p, d = rng.permutation(n), rng.uniform(0.5, 2.0, n)
+            T = np.eye(n)[p] * d  # Pi D: T[i, p_i] = d[p_i]
+            Tinv = np.eye(n)[p].T / d[:, None]
+            moved = kleinman_structured(
+                LtiSystem(A=T @ sys.A @ Tinv, B=T @ sys.B),
+                CostWeights(Q=Tinv.T @ w.Q @ Tinv, R=w.R),
+                SparsityMask(mask.indicator[:, p]), K0 @ Tinv, tol=1e-12)
+            got, expected = moved.K, base.K @ Tinv
+        elif change == "input":
+            q, e = rng.permutation(m), rng.uniform(0.5, 2.0, m)
+            E = np.eye(m)[:, q] * e  # E[q_j, j] = e_j
+            Einv = np.eye(m)[q] / e[:, None]
+            moved = kleinman_structured(
+                LtiSystem(A=sys.A, B=sys.B @ E),
+                CostWeights(Q=w.Q, R=E.T @ w.R @ E),
+                SparsityMask(mask.indicator[q]), Einv @ K0, tol=1e-12)
+            got, expected = moved.K, Einv @ base.K
+        else:
+            c = 10.0 ** rng.uniform(-1.0, 1.0)
+            moved = kleinman_structured(
+                sys, CostWeights(Q=c * w.Q, R=c * w.R), mask, K0,
+                tol=1e-12 * c)
+            got, expected = moved.P, c * base.P
+        assert (np.linalg.norm(got - expected)
+                <= 1e-12 * np.linalg.norm(expected))

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 import warnings
@@ -9,9 +10,11 @@ from helpers import (NETWORK_A, OPEN_LOOP_EIGS, TRIANGLE_A, X0,
                      matrix_exponential_state, random_stable_matrix,
                      rk4_reference, spectral_abscissa)
 from structlqr import (CostWeights, ExplorationSignal, InputPolicy, LtiSystem,
-                       SimulationDiverged, Trajectory, UnstableClosedLoopError,
-                       evaluate_cost, evaluate_cost_analytic,
-                       make_exploration, simulate, solve_lyapunov)
+                       PlantHandle, SimulationDiverged, Trajectory,
+                       UnstableClosedLoopError, collect, evaluate_cost,
+                       evaluate_cost_analytic, make_exploration, simulate,
+                       solve_lyapunov, suboptimality_bound)
+from structlqr.experiments import builtin_scenario
 
 
 @pytest.fixture
@@ -107,6 +110,34 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"^{name} must not be empty, "
                            r"got shape \(\d, \d\)$"):
             make()
+
+    @pytest.mark.parametrize("entry", [
+        "simulate", "evaluate_cost", "evaluate_cost_analytic",
+        "suboptimality_bound", "ScenarioSpec", "collect"])
+    def test_x0_above_the_divergence_bound_is_refused(self, entry):
+        # one state check at every entry: a finite x0 whose quadratic costs
+        # overflow is named, not simulated, summed or solved with
+        spec = builtin_scenario("consensus-a")
+        sys, w, K = spec.system(), spec.weights(), spec.initial_gain
+        x0 = np.full(6, 1e200)
+        call = {
+            "simulate": lambda: simulate(sys, InputPolicy(), x0, 1.0),
+            "evaluate_cost": lambda: evaluate_cost(sys, w, K, x0),
+            "evaluate_cost_analytic":
+                lambda: evaluate_cost_analytic(sys, w, K, x0),
+            "suboptimality_bound":
+                lambda: suboptimality_bound(sys, w, x0, 1.0, 1.0),
+            "ScenarioSpec": lambda: dataclasses.replace(spec, x0=x0),
+            # a plant of one's own: x0 is refused before it is called
+            "collect": lambda: collect(PlantHandle(simulate=print),
+                                       InputPolicy(), x0, spec.srl_config()),
+        }[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    r"^x0 entries must be finite and at most 1e\+150 in "
+                    r"magnitude, got 1e\+200$")):
+                call()
 
 
 class TestSpectralAbscissa:
@@ -218,6 +249,9 @@ class TestSimulate:
             rk4_reference(sys, InputPolicy(), np.array([1.0]), 2.0,
                           dt=0.01)
         assert err.value.time == ref.value.time
+        # the record passes 1e150 before it overflows; the message says so
+        assert str(err.value) == ("state diverged (non-finite or above "
+                                  f"1e+150) at t = {err.value.time:.6g} s")
 
     def test_divergence_overflowing_later_in_the_block(self):
         # ||A||_inf = 12000 raises the 10 substeps to 48; the state passes
