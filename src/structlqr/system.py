@@ -42,6 +42,14 @@ def _as_matrix(M, shape=None, name="matrix") -> np.ndarray:
     return M
 
 
+def _as_times(value, name: str) -> np.ndarray:
+    """value as a float array of finite times, named if it is not one."""
+    value = _as_floats(value, name)
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} has non-finite entries")
+    return value
+
+
 def _is_real(value) -> bool:
     """Whether value is a real number other than a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -113,11 +121,12 @@ def _check_multiple(name: str, span, step_name: str, step, least: int = 1) -> in
 
 # RK4 steps one simulate call may take. A call holds 8 (n + m + 1) bytes
 # of record per recorded sample; the blocked scan's temporaries, the probe
-# samples among them, hold one segment (see _SEGMENT_ENTRIES), so the record
-# alone grows with the horizon and sets the budget. At one substep the cap
-# bounds a 6-agent builtin exploration at 1.04 GB. A builtin exploration
-# takes at most 28,000 steps, its cap, in calls of 2,200 (one chunk of
-# learning.collect); the largest benchmark run takes 61,000.
+# samples and the probe's grid tables among them, hold about one segment
+# (see _SEGMENT_ENTRIES), so the record alone grows with the horizon and
+# sets the budget. At one substep the cap bounds a 6-agent builtin
+# exploration at 1.04 GB. A builtin exploration takes at most 28,000 steps,
+# its cap, in calls of 2,200 (one chunk of learning.collect), each one
+# segment and so two probe calls; the largest benchmark run takes 61,000.
 _MAX_STEPS = 10**7
 
 
@@ -202,11 +211,9 @@ class Trajectory:
     inputs: np.ndarray
 
     def __post_init__(self):
-        times = _as_floats(self.times, "times")
+        times = _as_times(self.times, "times")
         if times.ndim != 1:
             raise ValueError(f"times must be 1-D, got shape {times.shape}")
-        if not np.all(np.isfinite(times)):
-            raise ValueError("times has non-finite entries")
         states = _as_matrix(self.states, name="states")
         inputs = _as_matrix(self.inputs, name="inputs")
         if not (len(times) == len(states) == len(inputs)):
@@ -247,12 +254,59 @@ class ExplorationSignal:
         for name, a in arrays.items():
             object.__setattr__(self, name, _freeze(a))
 
-    def __call__(self, t: float) -> np.ndarray:
-        return (self.amplitudes
-                * np.sin(self.frequencies * t + self.phases)).sum(axis=1)
+    def __call__(self, t) -> np.ndarray:
+        """u0 at a time t, shape (m,); or at each of a 1-D array of evenly
+        spaced times t_j = t_0 + j delta, one row each, shape (len(t), m).
+
+        A time is taken by the direct formula. An array is cut into runs of
+        L = ceil(sqrt(len(t))) times from anchors t_a = t[qL], and by angle
+        addition
+            u0_c(t_a + r delta) = sum_i sin(w_i t_a + p_i) a_i cos(w_i r delta)
+                                      + cos(w_i t_a + p_i) a_i sin(w_i r delta),
+        so each channel takes two (anchors x k) @ (k x L) products and about
+        2 (len(t) / L + L) m k sin and cos, not len(t) m k. The sinusoids go
+        in passes and the anchors in groups so that no table, angle group or
+        product holds more than half of _SEGMENT_ENTRIES entries. The tables
+        are built per call from delta. A time off the line t_0 + j delta by
+        more than _GRID_TOL of max |t| is refused.
+        """
+        t = _as_times(t, "t")
+        if t.ndim == 0:
+            return (self.amplitudes
+                    * np.sin(self.frequencies * t + self.phases)).sum(axis=1)
+        if t.ndim != 1:
+            raise ValueError(f"t must be a number or 1-D, got shape {t.shape}")
+        (m, k), count = self.frequencies.shape, len(t)
+        out = np.zeros((count, m))
+        if count == 0:
+            return out
+        delta = (t[-1] - t[0]) / max(1, count - 1)
+        line = t[0] + delta * np.arange(count)
+        if np.max(np.abs(t - line)) > _GRID_TOL * np.max(np.abs(t)):
+            raise ValueError("t must be evenly spaced")
+        L = int(np.ceil(np.sqrt(count)))
+        half = _SEGMENT_ENTRIES // 2
+        per_pass = max(1, min(k, half // (m * L)))
+        group = max(1, half // (m * max(per_pass, L)))
+        anchors = t[::L]
+        for i in range(0, k, per_pass):
+            w, a, p = (x[:, i:i + per_pass] for x in
+                       (self.frequencies, self.amplitudes, self.phases))
+            turn = w[:, :, None] * (delta * np.arange(L))  # (m, per_pass, L)
+            a_cos, a_sin = (a[:, :, None] * f(turn) for f in (np.cos, np.sin))
+            del turn
+            for q in range(0, len(anchors), group):
+                # the direct formula's angles at the group's anchors, (m, G, .)
+                theta = (w[:, None, :] * anchors[None, q:q + group, None]
+                         + p[:, None, :])
+                runs = np.sin(theta) @ a_cos
+                runs += np.cos(theta) @ a_sin
+                rows = out[q * L:(q + group) * L]
+                rows += runs.reshape(m, -1)[:, :len(rows)].T
+        return out
 
     def sample(self, times) -> np.ndarray:
-        times = _as_floats(times, "times")
+        times = _as_times(times, "times")
         if times.ndim != 1:
             raise ValueError(f"times must be 1-D, got shape {times.shape}")
         arg = self.frequencies[None, :, :] * times[:, None, None] + self.phases[None, :, :]
@@ -313,14 +367,6 @@ def _as_state(x0, n: int) -> np.ndarray:
     return x0
 
 
-def _probe_samples(probe: ExplorationSignal, times) -> np.ndarray:
-    """probe(t) at each time, one call per sample."""
-    out = np.empty((len(times), len(probe.frequencies)))
-    for i, t in enumerate(times):
-        out[i] = probe(t)
-    return out
-
-
 def _rk4_step(G, h, x, f_start, f_mid, f_end):
     """One classical RK4 step of x' = G x + f(t), f given at the step's
     start, midpoint and end; x and the f's may be matrices of columns."""
@@ -339,9 +385,16 @@ _DIVERGENCE_BOUND = 1e150
 # times n, or times substeps m when a probe's samples are the wider. Its
 # buffers, the probe samples among them, are a few arrays of this size
 # however long the horizon; its Python steps number about 2 sqrt(rows).
+# ExplorationSignal's grid evaluation, two calls a segment, keeps each of
+# its sin and cos tables, angle groups and products within half of it.
 # learning.solve_iteration writes its regressor in row blocks of the same
 # bound, n^2 coefficients per window, so no N x n^2 temporary exists.
 _SEGMENT_ENTRIES = 2**16
+
+# How far a time of an array may lie off the line t_0 + j delta, relative to
+# max |t|, for ExplorationSignal to take the array as evenly spaced; the
+# grids h * arange(k0, k1) (+ h / 2) that simulate passes lie within eps.
+_GRID_TOL = 16 * np.finfo(float).eps
 
 # The most h ||G||_inf simulate lets a step take; max |lambda| <= ||G||_inf
 # (Horn & Johnson, Matrix Analysis, Thm 5.6.9), so h |lambda| <= 2.5 too.
@@ -391,13 +444,19 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
     The substeps fold into one recorded-step map x+ = Phi^s x + F, F the
     probe's forcing over the step, and that recurrence runs as a blocked
     scan (Blelloch, CMU-CS-90-190, 1990): in segments of at most
-    _SEGMENT_ENTRIES state entries, each with its own probe samples and cut
-    into blocks of about sqrt(rows) steps, the blocks' particular parts are
-    stepped side by side, one carry step per block gives its start state,
-    and one matmul with the table [Phi^s, ..., (Phi^s)^b] adds the free
-    response. The table holds only finite powers, so a stiff mode that the
-    state does not excite cannot turn into 0 * inf. The states agree with
-    the per-step recursion to rounding (the tests require 1e-12 relative).
+    _SEGMENT_ENTRIES state entries, each cut into blocks of about sqrt(rows)
+    steps, the blocks' particular parts are stepped side by side, one carry
+    step per block gives its start state, and one matmul with the table
+    [Phi^s, ..., (Phi^s)^b] adds the free response. The table holds only
+    finite powers, so a stiff mode that the state does not excite cannot
+    turn into 0 * inf. The states agree with the per-step recursion to
+    rounding (the tests require 1e-12 relative).
+
+    Each segment takes its probe samples in two calls on evenly spaced
+    times, the midpoints h (k + 1/2) and the starts h (k + 1) of its steps
+    k, which ExplorationSignal evaluates by angle addition; the start it
+    shares with the segment before is carried over, so each stage time is
+    evaluated once.
 
     Args:
         sys: plant dynamics.
@@ -438,7 +497,7 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
         zero, B = np.zeros_like(sys.B), sys.B
         E1T, E2T, E3T = (_rk4_step(G, h, zero, *f).T for f in
                          ((B, zero, zero), (zero, B, zero), (zero, zero, B)))
-        u_start = _probe_samples(policy.probe, np.zeros(1))
+        u_start = policy.probe(0.0)[None]
 
     states = np.empty((nsteps + 1, n))
     inputs = np.empty((nsteps + 1, sys.m))
@@ -451,23 +510,23 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
         for first in range(0, nsteps, rows):
             last = min(first + rows, nsteps)
             blocks = -(-(last - first) // b)
+            if policy.probe is not None:
+                # the probe at the segment's stage times, two array calls;
+                # the start shared with the segment before is carried over
+                k0, k1 = first * substeps, last * substeps
+                u_mid = policy.probe(h * np.arange(k0, k1) + 0.5 * h)
+                u_start = np.concatenate((u_start[-1:], policy.probe(
+                    h * np.arange(k0 + 1, k1 + 1))))
+                u0 = u_start[::substeps]
             # the forcing of each recorded step, its substeps folded in
             path = np.zeros((blocks * b, n))
-            if policy.probe is not None:
-                # the probe at the segment's stage times, a start carried over
-                k0, k1 = first * substeps, last * substeps
-                u_mid = _probe_samples(policy.probe,
-                                       h * np.arange(k0, k1) + 0.5 * h)
-                u_start = np.concatenate((u_start[-1:], _probe_samples(
-                    policy.probe, h * np.arange(k0 + 1, k1 + 1))))
-                u0 = u_start[::substeps]
-                for j in range(substeps):
-                    f = u_start[j:-1:substeps] @ E1T
-                    f += u_mid[j::substeps] @ E2T
-                    f += u_start[j + 1::substeps] @ E3T
-                    if j:
-                        f += path[:last - first] @ Phi.T
-                    path[:last - first] = f
+            for j in range(substeps if policy.probe is not None else 0):
+                f = u_start[j:-1:substeps] @ E1T
+                f += u_mid[j::substeps] @ E2T
+                f += u_start[j + 1::substeps] @ E3T
+                if j:
+                    f += path[:last - first] @ Phi.T
+                path[:last - first] = f
             # in place, each block's path from a zero start state
             blocked = path.reshape(blocks, b, n)
             for j in range(1, b):
@@ -489,6 +548,9 @@ def simulate(sys: LtiSystem, policy: InputPolicy, x0, horizon: float,
             # rows or more rounds each row as one product of the whole record
             inputs[first:last + 1] = u0 if policy.gain is None else (
                 u0 - states[first:last + 1] @ policy.gain.T)
+            if policy.probe is not None:  # freed before the next segment's calls
+                u_start = u_start[-1:].copy()
+                del u_mid, u0, f
 
     times = dt * np.arange(nsteps + 1)
     for arr in (times, states, inputs):

@@ -114,6 +114,56 @@ class TestExplorationSignal:
         for i, t in enumerate(ts):
             assert np.allclose(batch[i], sig(t))
 
+    @pytest.mark.parametrize("count", [1, 2, 7, 4401])
+    @pytest.mark.parametrize("m, k", [(1, 1), (1, 100), (6, 1), (6, 100)])
+    def test_grid_matches_scalar_calls(self, m, k, count):
+        # angle addition from anchors ceil(sqrt(J)) apart: 4401 times make
+        # 65 runs of 67 and one of 46, and at m = 6, k = 100 the sinusoids
+        # go in two passes. Error is relative to each channel's peak budget
+        # sum |a|. Within 2 s the worst of 40 seeds is 2.9e-14. Near the
+        # 250 s exploration cap it is 3.0e-12, the scalar formula's own
+        # rounding of its angle w t (50 rad/s * 250 s * eps = 2.8e-12):
+        # bound 1e-11.
+        sig = make_exploration(11, m, num_sinusoids=k)
+        peak = np.abs(sig.amplitudes).sum(axis=1)
+        for start, bound in ((0.3, 1e-13), (248.0, 1e-11)):
+            t = start + (1.7 / 4400) * np.arange(count)
+            grid = sig(t)
+            assert grid.shape == (count, m)
+            for row, time in zip(grid, t):
+                assert np.max(np.abs(row - sig(time)) / peak) <= bound
+
+    def test_grid_in_many_passes_and_groups_matches_scalar_calls(
+            self, monkeypatch):
+        # at 2^12 entries: 20 passes of 5 sinusoids, 66 anchors in groups
+        # of 5 and a last group of 1, the last run 46 times long
+        import structlqr.system
+
+        monkeypatch.setattr(structlqr.system, "_SEGMENT_ENTRIES", 2**12)
+        sig = make_exploration(11, 6)
+        t = 0.3 + (1.7 / 4400) * np.arange(4401)
+        want = np.array([sig(time) for time in t])
+        peak = np.abs(sig.amplitudes).sum(axis=1)
+        assert np.max(np.abs(sig(t) - want) / peak) <= 1e-13
+
+    def test_empty_grid_has_no_rows(self):
+        assert make_exploration(0, 2)(np.zeros(0)).shape == (0, 2)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: s("a"), "t must be an array of real numbers"),
+        (lambda s: s(np.nan), "t has non-finite entries"),
+        (lambda s: s([0.0, np.inf]), "t has non-finite entries"),
+        (lambda s: s(np.zeros((2, 2))),
+         r"t must be a number or 1-D, got shape \(2, 2\)"),
+        (lambda s: s([0.0, 0.1, 0.25]), "t must be evenly spaced"),
+        (lambda s: s.sample(["a"]), "times must be an array of real numbers"),
+        (lambda s: s.sample([np.nan]), "times has non-finite entries"),
+    ])
+    def test_bad_times_are_named(self, call, message):
+        # each named, not numpy's UFuncTypeError, a broadcast error or nan
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(make_exploration(0, 2))
+
 
 class TestPlantHandle:
     def test_state_matrix_hidden(self, network):
@@ -1363,6 +1413,35 @@ class TestSrlSynthesize:
                / np.linalg.norm(consensus_a_optimum))
         assert learned.converged
         assert err <= 1e-4
+
+
+@pytest.mark.parametrize("scenario", ["consensus-a", "consensus-b"])
+def test_learned_gain_moves_with_state_and_input_permutations(scenario):
+    # x <- Pi x and u <- Pi_u u, the probe's channels permuted with the
+    # inputs, through the library path: the learned gain moves as
+    # K -> Pi_u K Pi' within 1e-12 relative; three seeded draws each
+    spec = builtin_scenario(scenario)
+    base = run_srl(spec)["gain"]
+    probe = spec.probe()
+    n, m = spec.B.shape
+    rng = np.random.default_rng(19)
+    for _ in range(3):
+        p, q = rng.permutation(n), rng.permutation(m)
+        S, U = np.eye(n)[p], np.eye(m)[q]  # (S x)_i = x_(p_i)
+        moved = dataclasses.replace(
+            spec, A=S @ spec.A @ S.T, B=S @ spec.B @ U.T, Q=S @ spec.Q @ S.T,
+            R=U @ spec.R @ U.T, mask=SparsityMask(U @ spec.mask.indicator @ S.T),
+            x0=S @ spec.x0, initial_gain=U @ spec.initial_gain @ S.T)
+        config = moved.srl_config()
+        policy = InputPolicy(gain=config.initial_gain, probe=ExplorationSignal(
+            frequencies=probe.frequencies[q], amplitudes=probe.amplitudes[q],
+            phases=probe.phases[q]))
+        _, data = collect(hide_state_matrix(moved.system()), policy,
+                          moved.x0, config)
+        expected = U @ base @ S.T
+        got = srl_synthesize(data, config).K
+        assert (np.linalg.norm(got - expected)
+                <= 1e-12 * np.linalg.norm(expected))
 
 
 def _weak_probe_spec(sinusoids, seed):

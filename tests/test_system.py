@@ -19,11 +19,12 @@ from structlqr.experiments import builtin_scenario
 
 @pytest.fixture
 def probe_calls(monkeypatch):
-    """The times at which any ExplorationSignal is called, in call order."""
+    """The times at which any ExplorationSignal is called, in call order;
+    a call on an array of times adds its times in their order."""
     calls, call = [], ExplorationSignal.__call__
 
     def spy(signal, t):
-        calls.append(t)
+        calls.extend(np.ravel(t).tolist())
         return call(signal, t)
 
     monkeypatch.setattr(ExplorationSignal, "__call__", spy)
@@ -329,6 +330,24 @@ class TestSimulate:
         assert len(traj.times) == 50001
         assert peak < record + 8 * (8 * _SEGMENT_ENTRIES)
 
+    def test_default_probe_temporaries_stay_bounded(self, network):
+        # as above at the default 100 sinusoids a channel: the grid
+        # evaluation's tables, angle groups and products hold at most half
+        # of _SEGMENT_ENTRIES entries each, so the bound holds unchanged
+        from structlqr.system import _SEGMENT_ENTRIES
+
+        policy = InputPolicy(gain=0.5 * np.eye(6),
+                             probe=make_exploration(0, 6))
+        tracemalloc.start()
+        try:
+            traj = simulate(network, policy, X0, 500.0, dt=0.01, substeps=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = traj.times.nbytes + traj.states.nbytes + traj.inputs.nbytes
+        assert len(traj.times) == 50001
+        assert peak < record + 8 * (8 * _SEGMENT_ENTRIES)
+
     def test_probed_temporaries_do_not_grow_with_substeps(self, network):
         # 250 recorded steps of 200 substeps each: a segment of as many rows
         # as the feedback-only scan takes would hold 300,000 probe samples
@@ -378,16 +397,26 @@ class TestSimulate:
     @pytest.mark.parametrize("parts", ["zero", "probe", "gain", "both"])
     def test_recorded_inputs_are_probe_minus_feedback_bits(self, network,
                                                            parts):
+        # the probe's part is the probe-only run's inputs, bit for bit
         probe = make_exploration(3, 6, num_sinusoids=10)
         K = 0.5 * np.eye(6)
         policy = InputPolicy(gain=K if parts in ("gain", "both") else None,
                              probe=probe if parts in ("probe", "both")
                              else None)
         traj = simulate(network, policy, X0, 0.2, dt=0.01, substeps=1)
-        u0 = (np.array([probe(t) for t in traj.times])
+        u0 = (simulate(network, InputPolicy(probe=probe), X0, 0.2, dt=0.01,
+                       substeps=1).inputs
               if policy.probe is not None else np.zeros_like(traj.inputs))
         want = u0 if policy.gain is None else u0 - traj.states @ K.T
         assert np.array_equal(traj.inputs, want)
+
+    def test_recorded_probe_is_the_probe_at_each_sample(self, network):
+        probe = make_exploration(3, 6, num_sinusoids=10)
+        traj = simulate(network, InputPolicy(probe=probe), X0, 0.2, dt=0.01,
+                        substeps=1)
+        want = np.array([probe(t) for t in traj.times])
+        assert (np.max(np.abs(traj.inputs - want))
+                <= 1e-13 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_probe_of_another_width_is_error(self, network, width,
